@@ -5,13 +5,16 @@ Gamma(alpha+k+1)/k! (derivative) and its reciprocal (integral); both are
 computed by the stable product recurrence r_k = r_{k-1} (alpha+k)/k seeded
 with Gamma(alpha+1), which continues analytically to every alpha off the
 negative integers.  The contour representations sum kernel integrals over
-gamma(A) with Gauss hypergeometric kernels; the simplified single-integral
-forms apply when F is integrable against |dxi|/|xi| on the boundary.
+gamma(A) with Gauss hypergeometric kernels, each one a scalar coefficient row
+dotted with power sums of the quadrature nodes that are built once per
+evaluation; the simplified single-integral forms apply when F is integrable
+against |dxi|/|xi| on the boundary.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -166,26 +169,33 @@ def _insert_dyadic(edges: list, x0: float, scale: float, span: float,
     return sorted(extra)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int):
+    # numpy.polynomial loads on first use, so importing fraccal does not pay for it
+    return np.polynomial.legendre.leggauss(n)
+
+
 def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
                              refine_near: Optional[complex] = None):
     """Fixed Gauss-Legendre nodes xi and oriented weights dw on the truncated
     boundary gamma(A), positively oriented.
 
     The node set is shared across the kernel integrals of a contour-series
-    evaluation so the hypergeometric kernels can be vectorized per series
-    index.  refine_near adds dyadically shrinking panels towards the contour
-    point closest to the given t: the kernels blow up like a power of
-    1/(1 - t/xi) there.
+    evaluation, so each kernel sum reduces to scalar coefficients dotted with
+    node moments built once per evaluation.  refine_near adds dyadically
+    shrinking panels towards the contour point closest to the given t: the
+    kernels blow up like a power of 1/(1 - t/xi) there.
     """
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n_per_panel)
-    xs, ws = [], []
+    x_gl, w_gl = _gauss_legendre(n_per_panel)
 
-    def add_panel(map_pt, map_tan, a0, a1):
+    def panels(edges, reverse=False):
+        """Parameters s and weights of every panel between consecutive edges,
+        panel by panel; reverse walks each panel from its upper edge."""
+        e = np.asarray(edges, dtype=float)
+        a0, a1 = (e[1:], e[:-1]) if reverse else (e[:-1], e[1:])
         mid, half = 0.5 * (a0 + a1), 0.5 * (a1 - a0)
-        for xg, wg in zip(x_gl, w_gl):
-            s = mid + half * xg
-            xs.append(map_pt(s))
-            ws.append(map_tan(s) * wg * half)
+        s = (mid[:, None] + half[:, None] * x_gl).ravel()
+        return s, (w_gl * half[:, None]).ravel()
 
     # ray panel edges: fine near the cap, geometric growth outward
     edges = [0.0, 0.5 * A, A]
@@ -207,109 +217,132 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
                                            max(d / (2.0 * A * math.pi), 1e-4),
                                            0.5, 0.5, 1.5)
 
-    for x0, x1 in zip(edges, edges[1:]):
-        add_panel(lambda s: complex(s, A), lambda s: 1.0, x1, x0)
-    for th0, th1 in zip(cap_edges, cap_edges[1:]):
-        add_panel(lambda s: A * cmath.exp(1j * math.pi * s),
-                  lambda s: 1j * math.pi * A * cmath.exp(1j * math.pi * s), th0, th1)
-    for x0, x1 in zip(edges, edges[1:]):
-        add_panel(lambda s: complex(s, -A), lambda s: 1.0, x0, x1)
-    return np.array(xs, dtype=complex), np.array(ws, dtype=complex)
+    s_top, w_top = panels(edges, reverse=True)
+    s_cap, w_cap = panels(cap_edges)
+    s_bot, w_bot = panels(edges)
+    arc = np.exp(1j * math.pi * s_cap)
+    xs = np.concatenate((s_top + 1j * A, A * arc, s_bot - 1j * A))
+    ws = np.concatenate((w_top.astype(complex), 1j * math.pi * A * arc * w_cap,
+                         w_bot.astype(complex)))
+    return xs, ws
 
 
-def _vec_series_b1(A: complex, C: complex, w: np.ndarray,
-                   tol: float = 1e-16, budget: int = 20000) -> np.ndarray:
-    """Vectorized 2F1(A, 1; C; w); caller guarantees convergence and a
-    transient-free term ratio."""
-    term = np.ones_like(w)
-    total = np.ones_like(w)
-    k = 0
+class _PowerSums:
+    """Node moments s_n = sum_j b_j v_j^n, extended on demand.
+
+    A running power vector builds them one n at a time, so no n-by-node
+    table is ever held.
+    """
+
+    def __init__(self, v: np.ndarray, b: np.ndarray):
+        self.v = v
+        self.rho = float(np.abs(v).max(initial=0.0))
+        self._p = np.array(b, dtype=complex)
+        self._s = []
+        self.span = 64  # coefficient-row length a series sum tries first
+
+    def upto(self, n: int) -> list:
+        """s_0 .. s_{n-1}."""
+        while len(self._s) < n:
+            self._s.append(self._p.sum())
+            self._p *= self.v
+        return self._s[:n]
+
+
+def _series_b1_sum(m: _PowerSums, A: complex, C: complex,
+                   tol: float = 1e-16, budget: int = 20000) -> complex:
+    """sum_j b_j 2F1(A, 1; C; v_j) as sum_n (A)_n/(C)_n s_n.
+
+    Stops at the first n > 4 with |(A)_n/(C)_n| rho^n <= tol, rho = max|v_j|;
+    the caller guarantees convergence and a transient-free term ratio.
+    """
+    n = m.span
     while True:
-        term = term * ((A + k) / (C + k)) * w
-        total += term
-        k += 1
-        if k > 4 and np.max(np.abs(term)) <= tol * max(np.max(np.abs(total)), 1e-300):
-            return total
-        if k > budget:
+        j = np.arange(n - 1)
+        d = np.concatenate(([1.0 + 0.0j], np.cumprod((A + j) / (C + j))))
+        small = np.flatnonzero(np.abs(d[5:]) * m.rho ** np.arange(5, n) <= tol)
+        if small.size:
+            stop = 6 + small[0]
+            m.span = stop + 16  # the stop moves little from one k to the next
+            return complex(np.dot(d[:stop], m.upto(stop)))
+        if n > budget:
             raise ConvergenceError("kernel series stalled")
+        n = min(2 * n, budget + 1)
 
 
-def _deriv_kernel(a: complex, k: int, w: np.ndarray) -> np.ndarray:
-    """2F1(alpha+k+1, 1; k+1; w) off the cut [1, oo), stable in k.
+def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], complex]:
+    """k -> sum_j b_j 2F1(alpha+k+1, 1; k+1; w_j) off the cut [1, oo), stable
+    in k; the node moments are built once and shared by every k.
 
     Integer alpha >= 0 has the terminating rational form
     (1-w)^{-alpha-1} 2F1(-alpha, k; k+1; w).  Otherwise the direct series is
     transient-free for |w| <= 0.9 and the 1/w expansion (whose second series
-    terminates because c - b = k is a positive integer) covers the rest.
+    terminates because c - b = k is a positive integer) covers the rest; in
+    q = -1/w its first term is a power q^k of the node and its second a
+    polynomial in 1/w, so both become moment sums too.
     """
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and a.real >= 0:
         m = round(a.real)
-        poly = np.ones_like(w)
-        coeff = np.ones_like(w)
-        for j in range(m):
-            coeff = coeff * ((j - m) * (k + j)) / ((k + 1.0 + j) * (j + 1.0)) * w
-            poly += coeff
-        return (1.0 - w) ** (-m - 1.0) * poly
-    out = np.empty_like(w)
+        scaled = (1.0 - w) ** (-m - 1.0) * b
+
+        def terminating(k: int) -> complex:
+            poly = np.ones_like(w)
+            coeff = np.ones_like(w)
+            for j in range(m):
+                coeff = coeff * ((j - m) * (k + j)) / ((k + 1.0 + j) * (j + 1.0)) * w
+                poly += coeff
+            return complex(np.sum(poly * scaled))
+        return terminating
+
     near = np.abs(w) <= 0.9
-    if near.any():
-        out[near] = _vec_series_b1(a + k + 1.0, k + 1.0, w[near])
-    far = ~near
-    if far.any():
-        wf = w[far]
-        iw = 1.0 / wf
+    direct = _PowerSums(w[near], b[near])
+    wf, bf = w[~near], b[~near]
+    q = -1.0 / wf
+    # term1: r1 (-w)^{-(a+k+1)} (1-1/w)^{-a-1} = r1 q^k (-w)^{-(a+1)} (1-1/w)^{-a-1}
+    far1 = _PowerSums(q, bf * (-wf) ** (-(a + 1.0)) * (1.0 - 1.0 / wf) ** (-a - 1.0))
+    # term2 = k/(a+k) (-w)^{-1} 2F1(1, 1-k; 1-a-k; 1/w), a polynomial of degree k-1
+    far2 = _PowerSums(1.0 / wf, bf * q)
+
+    def kernel_sum(k: int) -> complex:
         # Gamma(k+1) Gamma(1-a')/Gamma(k+1-a') with a' = a+k+1 reduces to
         # (-1)^k k! / (a+1)_k; built as a product to stay Gamma-free
-        r1 = 1.0 + 0.0j
-        for j in range(1, k + 1):
-            r1 *= j / (a + j)
-        r1 *= (-1.0) ** k
-        term1 = r1 * (-wf) ** (-(a + k + 1.0)) * (1.0 - iw) ** (-a - 1.0)
-        # second term: k/(a'-1) * (-w)^{-1} * 2F1(1, 1-k; 2-a'; 1/w), k terms
-        if k == 0:
-            term2 = np.zeros_like(wf)
-        else:
-            poly = np.ones_like(wf)
-            coeff = np.ones_like(wf)
-            for j in range(k - 1):
-                coeff = coeff * ((1.0 + j) * (1.0 - k + j)) / \
-                    ((1.0 - a - k + j) * (j + 1.0)) * iw
-                poly += coeff
-            term2 = (k / (a + k)) * (-wf) ** (-1.0) * poly
-        out[far] = term1 + term2
-    return out
+        r1 = (-1.0) ** k * math.prod(j / (a + j) for j in range(1, k + 1))
+        total = _series_b1_sum(direct, a + k + 1.0, k + 1.0) + r1 * far1.upto(k + 1)[k]
+        if k > 0:
+            j = np.arange(k - 1)
+            c = np.concatenate(([1.0 + 0.0j], np.cumprod(
+                ((1.0 + j) * (1.0 - k + j)) / ((1.0 - a - k + j) * (j + 1.0)))))
+            total += (k / (a + k)) * complex(np.dot(c, far2.upto(k)))
+        return total
+    return kernel_sum
 
 
-def _integ_kernel(a: complex, k: int, w: np.ndarray) -> np.ndarray:
-    """2F1(k+1, 1; alpha+k+1; w) off the cut, stable in k.
+def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], complex]:
+    """k -> sum_j b_j 2F1(k+1, 1; alpha+k+1; w_j) off the cut, stable in k.
 
-    Direct series and the Pfaff map w -> w/(w-1) are both transient-free;
-    the residual crescent near w = e^{+-i pi/3} falls back to ODE-stepping
-    continuation seeded inside the unit disk.
+    Direct series and the Pfaff map v = w/(w-1) are both transient-free and
+    summed through node moments; the residual crescent near w = e^{+-i pi/3}
+    falls back to ODE-stepping continuation seeded inside the unit disk.
     """
-    out = np.empty_like(w)
     near = np.abs(w) <= 0.9
-    if near.any():
-        out[near] = _vec_series_b1(k + 1.0, a + k + 1.0, w[near])
-    rest = ~near
-    if rest.any():
-        wr = w[rest]
-        v = wr / (wr - 1.0)
-        pf = np.abs(v) <= 0.9
-        sub = np.empty_like(wr)
-        if pf.any():
-            sub[pf] = _vec_series_b1(a, a + k + 1.0, v[pf]) / (1.0 - wr[pf])
-        hard = ~pf
-        if hard.any():
+    direct = _PowerSums(w[near], b[near])
+    wr, br = w[~near], b[~near]
+    v = wr / (wr - 1.0)
+    pf = np.abs(v) <= 0.9
+    pfaff = _PowerSums(v[pf], br[pf] / (1.0 - wr[pf]))
+    hard_w, hard_b = wr[~pf], br[~pf]
+
+    def kernel_sum(k: int) -> complex:
+        total = _series_b1_sum(direct, k + 1.0, a + k + 1.0)
+        total += _series_b1_sum(pfaff, a, a + k + 1.0)
+        if hard_w.size:
             prm = Hyp2F1Params(k + 1.0, 1.0, a + k + 1.0)
-            vals = []
-            for wi in wr[hard]:
-                seed = 0.45 * wi / abs(wi)
-                f, _ = hyp2f1_continue(prm, [seed, complex(wi)])
-                vals.append(f)
-            sub[hard] = vals
-        out[rest] = sub
-    return out
+            # continuation seeded inside the unit disk on the ray of each node
+            vals = [hyp2f1_continue(prm, [0.45 * wi / abs(wi), complex(wi)])[0]
+                    for wi in hard_w]
+            total += complex(np.dot(vals, hard_b))
+        return total
+    return kernel_sum
 
 
 def _contour_series(F: Callable[[complex], complex], alpha, r: float, A: float,
@@ -340,11 +373,11 @@ def _contour_series(F: Callable[[complex], complex], alpha, r: float, A: float,
         weight = gamma(a + 1.0)
     else:
         weight = 1.0 / gamma(a + 1.0)
+    kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(a, w_arg, base)
     total = 0.0 + 0.0j
     small_run = 0
     for k in range(k_max + 1):
-        kern = (_deriv_kernel if mode == "deriv" else _integ_kernel)(a, k, w_arg)
-        term = weight * complex(np.sum(kern * base))
+        term = weight * kernel_sum(k)
         total += term
         if abs(term) <= tol * max(abs(total), 1e-300):
             small_run += 1

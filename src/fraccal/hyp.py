@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (BudgetError, ConvergenceError, DegenerateCaseError,
                      DomainError, GammaPoleError)
 from .gammafn import digamma, gamma, rgamma
@@ -268,36 +266,6 @@ def hyp2f1(p: Hyp2F1Params, z: complex, side: Optional[int] = None,
     raise ConvergenceError(
         f"no convergent 2F1 route for z = {z:.6g} "
         f"(|z|, |1-z|, |w|, |1-w| = {r_direct:.3g}, {r_at1:.3g}, {r_pfaff:.3g}, {r_pfaff1:.3g})")
-
-
-def hyp2f1_b1_array(A: complex, C: complex, w: np.ndarray,
-                    tol: float = 1e-16) -> np.ndarray:
-    """2F1(A, 1; C; w) over an array of arguments.
-
-    Vectorized direct series where |w| <= 0.9; scalar continuation elsewhere.
-    Used by the contour-integral kernels, whose arguments stay off the cut.
-    """
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    mask = np.abs(w) <= 0.9
-    if mask.any():
-        wm = w[mask]
-        term = np.ones_like(wm)
-        total = np.ones_like(wm)
-        k = 0
-        while True:
-            term = term * ((A + k) / (C + k)) * wm
-            total += term
-            k += 1
-            if k > 4 and np.max(np.abs(term)) <= tol * max(np.max(np.abs(total)), 1e-300):
-                break
-            if k > 20000:
-                raise BudgetError("vectorized 2F1 series did not converge")
-        out[mask] = total
-    if (~mask).any():
-        prm = Hyp2F1Params(A, 1.0, C)
-        out[~mask] = [hyp2f1(prm, complex(wi)) for wi in w[~mask]]
-    return out
 
 
 def euler_ltf_check(p: Hyp2F1Params, t: complex) -> float:

@@ -8,9 +8,10 @@ import pytest
 
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
-from fraccal.fracops import (FractionalOrder, frac_deriv_contour,
-                             frac_deriv_series, frac_deriv_series_normalized,
-                             frac_h1, frac_integ_contour, frac_integ_series,
+from fraccal.fracops import (FractionalOrder, _deriv_kernel, _integ_kernel,
+                             frac_deriv_contour, frac_deriv_series,
+                             frac_deriv_series_normalized, frac_h1,
+                             frac_integ_contour, frac_integ_series,
                              frac_of_pfq, psi_coefficients_contour,
                              psi_limit_check, psi_polynomial)
 from fraccal.gammafn import gamma
@@ -127,6 +128,11 @@ def test_integ_contour():
     assert abs(val - ref) <= 1e-8
     val0 = frac_integ_contour(GEOM, 0.0, 1.0, 0.5, 0.2)
     assert abs(val0 - GEOM(0.2)) <= 1e-10
+    # complex alpha, |t| > 0.5: nodes in all three kernel branches
+    a, t = 0.3 + 0.4j, 0.6 - 0.2j
+    valc = frac_integ_contour(GEOM, a, 1.0, 0.5, t)
+    refc = complex(mp.hyp2f1(1, 1, a + 1, -t) / mp.gamma(a + 1))
+    assert abs(valc - refc) <= 1e-8
 
 
 def test_round_trip_polynomial_via_contour():
@@ -144,14 +150,49 @@ def test_contour_detects_undeclared_type():
 
 
 def test_contour_series_agreement_grid():
-    # |contour - series eval| small across alphas and points
+    # |contour - series eval| small across alphas and points; the closed form
+    # Gamma(alpha+1) (1+t)^{-alpha-1} also covers Re t > 1, past the series radius
     S = geometric_series(128)
-    for alpha in (0.5, 1.3, -0.4):
+    for alpha in (0.5, 1.3, -0.4, 0.3 + 0.4j):
         D = frac_deriv_series(S, alpha)
-        for t in (0.2, 0.35 + 0.2j, -0.25 + 0.1j):
-            ser = eval_series(D, t).value
+        for t in (0.2, 0.35 + 0.2j, -0.25 + 0.1j, 1.3 - 0.2j):
             con = frac_deriv_contour(GEOM, alpha, 1.0, 0.5, t)
-            assert abs(con - ser) <= 1e-7
+            closed = gamma(alpha + 1.0) * (1.0 + t) ** (-alpha - 1.0)
+            assert abs(con - closed) <= 1e-7
+            if abs(t) < 1.0:
+                assert abs(con - eval_series(D, t).value) <= 1e-7
+
+
+# kernel branch -> (mode, node filter); the contour kernels pick the branch
+# per node from |w| (and |w/(w-1)| for the integral)
+KERNEL_BRANCHES = {
+    "deriv-direct": ("deriv", lambda w: abs(w) <= 0.9),
+    "deriv-inverse": ("deriv", lambda w: abs(w) > 0.9 and abs(w.imag) > 0.05),
+    "integ-direct": ("integ", lambda w: abs(w) <= 0.9),
+    "integ-pfaff": ("integ", lambda w: abs(w) > 0.9 and abs(w / (w - 1.0)) <= 0.9),
+}
+
+
+@pytest.mark.parametrize("alpha", (-0.5, 0.3 + 0.4j, 1.5))
+@pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
+def test_kernel_moment_sums_match_mpmath(branch, alpha):
+    # sum_j b_j f_k(w_j) from node moments against per-node mpmath 2F1; the
+    # direct-series sets include a node at |w| = 0.9, where truncation is latest
+    mode, keep = KERNEL_BRANCHES[branch]
+    rng = random.Random(branch)
+    w = [0.9 * cmath.exp(2.5j)] if branch.endswith("direct") else []
+    while len(w) < 8:
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if keep(z):
+            w.append(z)
+    b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in w]
+    a = complex(alpha)
+    kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(
+        a, np.array(w), np.array(b))
+    for k in (0, 1, 7, 30):
+        A, C = (a + k + 1, k + 1) if mode == "deriv" else (k + 1, a + k + 1)
+        terms = [bj * complex(mp.hyp2f1(A, 1, C, wj)) for wj, bj in zip(w, b)]
+        assert abs(kernel_sum(k) - sum(terms)) <= 1e-13 * sum(abs(x) for x in terms)
 
 
 H1F = lambda z: z / (1.0 + z * z) ** 2
