@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import random
@@ -198,12 +199,14 @@ def _suite_lm_duality(cfg: RunConfig) -> dict:
     cases = []
     worst = 0.0
     for alpha in (0.5, 1.5):
-        dF = lambda t, al=alpha: gamma(al + 1.0) * (1.0 + t) ** (-al - 1.0)
-        iF = lambda t, al=alpha: hyp2f1(Hyp2F1Params(1, 1, al + 1.0), -t) / gamma(al + 1.0)
+        g1, g2 = gamma(alpha + 1.0), gamma(alpha + 2.0)
+        p = Hyp2F1Params(1, 1, alpha + 1.0)
+        dF = lambda t, al=alpha, g1=g1: g1 * (1.0 + t) ** (-al - 1.0)
+        iF = lambda t, p=p, g1=g1: hyp2f1(p, -t) / g1
         F = lambda t: 1.0 / (1.0 + t)
         poly = lambda t: 1.0 + t
-        dpoly = lambda t, al=alpha: gamma(al + 1.0) + gamma(al + 2.0) * t
-        ipoly = lambda t, al=alpha: 1.0 / gamma(al + 1.0) + t / gamma(al + 2.0)
+        dpoly = lambda t, g1=g1, g2=g2: g1 + g2 * t
+        ipoly = lambda t, g1=g1, g2=g2: 1.0 / g1 + t / g2
         for zeta in (2.0, 3.0, 5.0):
             for name, trio in (("geometric", (F, dF, iF)),
                                ("polynomial", (poly, dpoly, ipoly))):
@@ -418,8 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.lru_cache(maxsize=1)(build_parser)  # built on first use
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig(tol=args.tol, truncation=args.truncation,
                         precision=args.precision, output=args.output,

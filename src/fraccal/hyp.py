@@ -7,14 +7,28 @@ carry a side flag selecting lim_{eps->0+} of z +- i*eps.  When c-a-b is
 within 1e-6 of an integer the z -> 1-z formula is replaced by the logarithmic
 (Goursat) expansions.  A Taylor-step continuation of the hypergeometric ODE
 along arbitrary polyline paths is provided for monodromy measurements.
+
+Every series is a sum over a coefficient row: the Taylor coefficients
+(a)_n (b)_n / ((c)_n n!), built by one vectorised ratio cumprod and grown by
+doubling, and for the Goursat forms the digamma brackets as a cumsum.  The
+rows and the constants of each parameter triple (the 1-z connection
+constants, the Goursat prefactors, the Pfaff inner parameters, the
+connection coefficients T^{+-}) are kept in a table per (a, b, c) among the
+_CACHE_SIZE most recently used, so an evaluation costs one power vector
+z^n and a sequential partial sum.  Where a sum stops depends on z, tol and
+the parameters only, so a value never depends on what the cache holds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (BudgetError, ConvergenceError, DegenerateCaseError,
                      DomainError, GammaPoleError)
@@ -86,114 +100,226 @@ def _cut_side_power(u: complex, exponent: complex, z_side: Optional[int]) -> com
     return cmath.exp(exponent * cmath.log(u))
 
 
+_CACHE_SIZE = 128  # parameter triples whose coefficient tables are kept
+_ROW_START = 128   # length of a new coefficient row; rows then double
+_ONE = np.ones(1, dtype=complex)  # the start of every row, never written
+_EMPTY = np.empty(0)
+_ONE.flags.writeable = _EMPTY.flags.writeable = False
+
+
+class _Row:
+    """Coefficients d_n of sum_n d_n x^n: d_0 = 1 and d_{n+1} = d_n r_n with
+    r_n = (a+n)(b+n) / ((c+n)(e+n)).
+
+    With brackets=True the row also holds the digamma brackets
+    h_n = psi(a+n) + psi(b+n) - psi(c+n) - psi(e+n) of the logarithmic
+    series.  A row grows by doubling from a fixed length, and each block
+    continues both recurrences with a sequential accumulate seeded by the
+    last entry, so entry n has the same value however far the row has grown.
+    """
+
+    def __init__(self, a: complex, b: complex, c: complex, e: complex,
+                 brackets: bool = False):
+        self.abce = (a, b, c, e)
+        self.moduli = (abs(a), abs(b), abs(c), abs(e))
+        ends = [n for n in (is_nonpositive_int(a), is_nonpositive_int(b))
+                if n is not None]
+        # a terminating row has 1 - n nonzero terms
+        self.stop = min(1 - n for n in ends) if ends else None
+        self.coef = _ONE
+        self.absr = _EMPTY  # |r_n| for n < len(coef) - 1
+        self.h = np.array([digamma(a) + digamma(b) - digamma(c) - digamma(e)]) \
+            if brackets else None
+        self._lock = threading.Lock()
+
+    def grow(self, n: int) -> None:
+        """Extend the row to at least n coefficients.
+
+        Rows are shared between threads: growth holds the row's lock, and
+        coef is replaced last, so a reader that finds coef long enough also
+        finds absr and h long enough.
+        """
+        if len(self.coef) >= n:
+            return
+        a, b, c, e = self.abce
+        with self._lock:
+            while len(self.coef) < n:
+                j = np.arange(len(self.coef) - 1,
+                              max(2 * len(self.coef), _ROW_START) - 1, dtype=float)
+                r = (a + j) * (b + j) / ((c + j) * (e + j))
+                self.absr = np.concatenate((self.absr, abs(r)))
+                if self.h is not None:
+                    inc = 1.0 / (a + j) + 1.0 / (b + j) - 1.0 / (c + j) - 1.0 / (e + j)
+                    self.h = np.concatenate(
+                        (self.h, np.concatenate((self.h[-1:], inc)).cumsum()[1:]))
+                self.coef = np.concatenate(
+                    (self.coef, np.concatenate((self.coef[-1:], r)).cumprod()[1:]))
+
+    def peak(self, q: float, n_max: int) -> int:
+        """Index of the largest term |d_n x^n| (|x| = q) among the first
+        n_max: after it every ratio |r_n| q is below 1.
+
+        For a series that does not terminate, |r_n| <= (n+|a|)(n+|b|) /
+        ((n-|c|)(n-|e|)) bounds the last index where |r_n| q can reach 1,
+        so the scan needs q < 1 and never depends on the row's length.
+        """
+        if self.stop is not None:
+            k = self.stop - 1
+        else:
+            ma, mb, mc, me = self.moduli
+            lin = mc + me + q * (ma + mb)
+            const = mc * me - q * ma * mb
+            root = (lin + math.sqrt(max(lin * lin - 4.0 * (1.0 - q) * const, 0.0))) \
+                / (2.0 * (1.0 - q))
+            k = int(max(root, mc, me)) + 1
+        k = min(k, n_max)
+        if k == 0:
+            return 0
+        self.grow(k + 1)
+        rising = self.absr[k - 1::-1] * q >= 1.0  # indices k-1 down to 0
+        i = int(rising.argmax())
+        return k - i if rising[i] else 0
+
+
+def _row_sum(row: _Row, x: complex, tol: float, max_terms: int,
+             log_x: Optional[complex] = None) -> complex:
+    """sum_n d_n x^n over a coefficient row, or sum_n d_n (log_x + h_n) x^n
+    over a row with digamma brackets.
+
+    The value is the sequential partial sum up to the third consecutive term
+    at or below tol times its partial sum, counting only terms past the
+    largest one (Re c far below 0 makes the terms fall and then rise again).
+    Where the sum stops depends on x, tol and the parameters alone, never on
+    how far the row has been grown.  A terminating row ends at its last term.
+    """
+    q = abs(x)
+    if row.stop is None and q >= 1.0:
+        raise BudgetError(f"2F1 series does not converge (|x| = {q:.4g})")
+    n_max = max_terms if row.stop is None else min(row.stop, max_terms)
+    first = row.peak(q, n_max) + 1
+    n = first + 8
+    if 0.0 < q < 1.0 and 0.0 < tol < 1.0:
+        n += int(math.log(tol) / math.log(q))
+    while True:
+        n = min(n, n_max)
+        row.grow(n)
+        pw = np.empty(n, dtype=complex)
+        pw.fill(x)
+        pw[0] = 1.0
+        terms = row.coef[:n] * pw.cumprod()
+        if log_x is not None:
+            terms *= log_x + row.h[:n]
+        partial = terms.cumsum()
+        small = abs(terms) <= tol * abs(partial)
+        small[:first] = False
+        run = small[:-2] & small[1:-1]
+        run &= small[2:]
+        if run.any():
+            return complex(partial[run.argmax() + 2])
+        if n == row.stop:
+            return complex(partial[-1])
+        if n == n_max:
+            raise BudgetError(f"2F1 series did not converge (|x| = {q:.4g})")
+        n *= 2
+
+
+class _Table:
+    """What 2F1(a, b; c; .) needs that does not depend on z: the Taylor row,
+    the constants and rows of the z -> 1-z connection, the Pfaff inner
+    parameters and the connection coefficients T^{+-}; each piece is built
+    on first use."""
+
+    def __init__(self, a: complex, b: complex, c: complex):
+        self.a, self.b, self.c = a, b, c
+        self.s = c - a - b
+        self.taylor = _Row(a, b, c, 1.0)
+
+    @cached_property
+    def gap(self) -> Optional[int]:
+        """The integer c-a-b snaps to, or None."""
+        return near_integer(self.s, _INT_DEGENERACY_TOL)
+
+    @cached_property
+    def at1(self) -> tuple:
+        """Data of the z -> 1-z route, by gap: (A, B, row of A, row of B)
+        without one; (finite-part coefficients, prefactor, logarithmic row)
+        of the Goursat form for m >= 0; the Euler-transformed triple for
+        m < 0."""
+        a, b, c, s, m = self.a, self.b, self.c, self.s, self.gap
+        if m is None:
+            A = gamma(c) * gamma(a + b - c) * rgamma(a) * rgamma(b)
+            B = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b)
+            return A, B, _Row(c - a, c - b, s + 1.0, 1.0), _Row(a, b, 1.0 - s, 1.0)
+        if m < 0:
+            return c - a, c - b, c
+        c = a + b + m
+        fin = []
+        if m > 0:
+            coeff = math.factorial(m - 1) * gamma(c) * rgamma(a + m) * rgamma(b + m)
+            for n in range(m):
+                fin.append(coeff)
+                if n < m - 1:
+                    coeff *= (a + n) * (b + n) / ((n + 1.0) * (n - m + 1.0))
+        pref = (-1.0) ** m * gamma(c) * rgamma(a) * rgamma(b) / math.factorial(m)
+        return tuple(reversed(fin)), pref, _Row(a + m, b + m, 1.0, m + 1.0, brackets=True)
+
+    @cached_property
+    def pfaff(self) -> Hyp2F1Params:
+        """Parameters of 2F1(a, c-b; c; z/(z-1))."""
+        return Hyp2F1Params(self.a, self.c - self.b, self.c)
+
+    @cached_property
+    def connection(self) -> dict:
+        """{+1: T^+, -1: T^-}, see connection_coefficient."""
+        return {sign: (-sign * 2.0j * math.pi * cmath.exp(sign * 1j * math.pi * self.s)
+                       * gamma(self.c) * rgamma(self.a) * rgamma(self.b)
+                       * rgamma(self.s + 1.0))
+                for sign in (1, -1)}
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _table(a: complex, b: complex, c: complex) -> _Table:
+    """The coefficient table of (a, b, c), shared by every evaluation with
+    that triple while it is among the _CACHE_SIZE most recently used."""
+    return _Table(a, b, c)
+
+
 def _series_2f1(a: complex, b: complex, c: complex, z: complex,
                 tol: float = 1e-16, max_terms: int = 20000) -> complex:
     """Direct Gauss series; caller guarantees |z| < 1 or a terminating a/b."""
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    na = is_nonpositive_int(a)
-    nb = is_nonpositive_int(b)
-    n_stop = None
-    if na is not None or nb is not None:
-        n_stop = min(-n for n in (na, nb) if n is not None)
-    small = 0
-    for k in range(max_terms):
-        if n_stop is not None and k >= n_stop:
-            return total
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-               return total
-        else:
-            small = 0
-    raise BudgetError(f"2F1 series did not converge (|z| = {abs(z):.4g})")
+    return _row_sum(_table(complex(a), complex(b), complex(c)).taylor,
+                    complex(z), tol, max_terms)
 
 
-def _digamma_sums(a: complex, b: complex, m: int, u: complex, log_u: complex,
-                  tol: float, max_terms: int) -> complex:
-    """sum_n (a+m)_n (b+m)_n / (n! (n+m)!) u^n [log_u - psi(n+1) - psi(n+m+1)
-    + psi(a+m+n) + psi(b+m+n)]; digammas advanced by recurrence."""
-    pa = digamma(a + m)
-    pb = digamma(b + m)
-    p1 = digamma(1.0)
-    pm1 = digamma(m + 1.0)
-    coeff = 1.0 / math.factorial(m)
-    total = 0.0 + 0.0j
-    for n in range(max_terms):
-        bracket = log_u - p1 - pm1 + pa + pb
-        term = coeff * bracket
-        total += term
-        if n > 2 and abs(term) <= tol * max(abs(total), 1e-300):
-            return total
-        coeff *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * u
-        pa += 1.0 / (a + m + n)
-        pb += 1.0 / (b + m + n)
-        p1 += 1.0 / (n + 1.0)
-        pm1 += 1.0 / (n + m + 1.0)
-    raise BudgetError("logarithmic 2F1 expansion did not converge")
-
-
-def _goursat_at_1(a: complex, b: complex, m: int, u: complex,
-                  z_side: Optional[int], tol: float, max_terms: int) -> complex:
-    """2F1(a, b; a+b+m; z) near z = 1 for integer m >= 0, u = 1 - z."""
+def _continuation_at_1(t: _Table, z: complex, z_side: Optional[int],
+                       tol: float, max_terms: int) -> complex:
+    u = 1.0 - z
+    m = t.gap
+    if m is None:
+        A, B, row_a, row_b = t.at1
+        t1 = 0.0 + 0.0j
+        if A != 0:
+            t1 = _cut_side_power(u, t.s, z_side) * A * _row_sum(row_a, u, tol, max_terms)
+        t2 = 0.0 + 0.0j
+        if B != 0:
+            t2 = B * _row_sum(row_b, u, tol, max_terms)
+        return t1 + t2
+    if m < 0:
+        # negative integer exponent: peel off u^s with the Euler transformation,
+        # which flips the gap to -m >= 1
+        pw = _cut_side_power(u, t.s, z_side)
+        return pw * _continuation_at_1(_table(*t.at1), z, z_side, tol, max_terms)
+    # Goursat's logarithmic form for integer m >= 0:
+    #   sum_{n<m} fin_n u^n - pref u^m sum_n d_n (log u + h_n) u^n
     if u == 0:
         raise DomainError("2F1 logarithmic case is singular at z = 1")
     log_u = cmath.log(u) if not (z_side is not None and u.imag == 0.0 and u.real < 0.0) \
         else complex(math.log(abs(u)), -z_side * math.pi)
-    c = a + b + m
-    if m == 0:
-        pref = gamma(c) * rgamma(a) * rgamma(b)
-        pa, pb, p1 = digamma(a), digamma(b), digamma(1.0)
-        coeff = 1.0 + 0.0j
-        total = 0.0 + 0.0j
-        for n in range(max_terms):
-            term = coeff * (2.0 * p1 - pa - pb - log_u)
-            total += term
-            if n > 2 and abs(term) <= tol * max(abs(total), 1e-300):
-                return pref * total
-            coeff *= (a + n) * (b + n) / ((n + 1.0) ** 2) * u
-            pa += 1.0 / (a + n)
-            pb += 1.0 / (b + n)
-            p1 += 1.0 / (n + 1.0)
-        raise BudgetError("logarithmic 2F1 expansion did not converge")
+    fin, pref, row = t.at1
     finite = 0.0 + 0.0j
-    coeff = 1.0 + 0.0j
-    for n in range(m):
-        finite += coeff
-        if n < m - 1:
-            coeff *= (a + n) * (b + n) / ((n + 1.0) * (n - m + 1.0)) * u
-    finite *= math.factorial(m - 1) * gamma(c) * rgamma(a + m) * rgamma(b + m)
-    inf_part = gamma(c) * rgamma(a) * rgamma(b) * u ** m * \
-        _digamma_sums(a, b, m, u, log_u, tol, max_terms)
-    return finite - (-1.0) ** m * inf_part
-
-
-def _continuation_at_1(p: Hyp2F1Params, z: complex, z_side: Optional[int],
-                       tol: float, max_terms: int) -> complex:
-    a, b, c = p.a, p.b, p.c
-    s = p.s
-    u = 1.0 - z
-    m = near_integer(s, _INT_DEGENERACY_TOL)
-    if m is None:
-        A = gamma(c) * gamma(a + b - c) * rgamma(a) * rgamma(b)
-        B = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b)
-        t1 = 0.0 + 0.0j
-        if A != 0:
-            t1 = _cut_side_power(u, s, z_side) * A * \
-                _series_2f1(c - a, c - b, s + 1.0, u, tol, max_terms)
-        t2 = 0.0 + 0.0j
-        if B != 0:
-            t2 = B * _series_2f1(a, b, 1.0 - s, u, tol, max_terms)
-        return t1 + t2
-    if m >= 0:
-        return _goursat_at_1(a, b, m, u, z_side, tol, max_terms)
-    # negative integer exponent: peel off u^s with the Euler transformation,
-    # which flips the gap to -m >= 1
-    inner = Hyp2F1Params(c - a, c - b, c)
-    pw = _cut_side_power(u, s, z_side)
-    return pw * _continuation_at_1(inner, z, z_side, tol, max_terms)
+    for coeff in fin:
+        finite = finite * u + coeff
+    return finite - pref * u ** m * _row_sum(row, u, tol, max_terms, log_u)
 
 
 def hyp2f1(p: Hyp2F1Params, z: complex, side: Optional[int] = None,
@@ -209,8 +335,9 @@ def hyp2f1(p: Hyp2F1Params, z: complex, side: Optional[int] = None,
     a, b, c = p.a, p.b, p.c
     if z == 0:
         return 1.0 + 0.0j
-    if is_nonpositive_int(a) is not None or is_nonpositive_int(b) is not None:
-        return _series_2f1(a, b, c, z, tol, max_terms)  # terminating, any z
+    t = _table(a, b, c)
+    if t.taylor.stop is not None:
+        return _row_sum(t.taylor, z, tol, max_terms)  # terminating, any z
     if abs(c - b) < _PARAM_TOL:
         return _cut_side_power(1.0 - z, -a, side)
     if abs(c - a) < _PARAM_TOL:
@@ -229,30 +356,21 @@ def hyp2f1(p: Hyp2F1Params, z: complex, side: Optional[int] = None,
     w = z / (z - 1.0)
     r_pfaff = abs(w)
     r_pfaff1 = abs(1.0 - w)
-
-    def eval_direct():
-        return _series_2f1(a, b, c, z, tol, max_terms)
-
-    def eval_at1():
-        return _continuation_at_1(p, z, side, tol, max_terms)
-
-    def eval_pfaff():
+    # the route with the smallest series argument, ties in this order; the
+    # effective argument of the pfaff route is that of its best sub-route
+    r_best = min(r_direct, r_at1)
+    if _depth == 0:
+        r_best = min(r_best, r_pfaff, r_pfaff1)
+    if r_best <= 0.98:
+        if r_best == r_direct:
+            return _row_sum(t.taylor, z, tol, max_terms)
+        if r_best == r_at1:
+            return _continuation_at_1(t, z, side, tol, max_terms)
         # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
         w_side = -side if side is not None else None
-        inner = hyp2f1(Hyp2F1Params(a, c - b, c), w, side=w_side,
-                       tol=tol, max_terms=max_terms, _depth=_depth + 1)
+        inner = hyp2f1(t.pfaff, w, side=w_side, tol=tol, max_terms=max_terms,
+                       _depth=_depth + 1)
         return _cut_side_power(1.0 - z, -a, side) * inner
-
-    routes = [(r_direct, eval_direct), (r_at1, eval_at1)]
-    if _depth == 0:
-        # effective cost of the pfaff route is its best sub-route
-        routes.append((min(r_pfaff, r_pfaff1), eval_pfaff))
-
-    for threshold in (0.7, 0.9, 0.98):
-        usable = [(r, f) for r, f in routes if r <= threshold]
-        if usable:
-            usable.sort(key=lambda rf: rf[0])
-            return usable[0][1]()
     # crescent around e^{+-i pi/3} where every ratio is ~1: continue the ODE
     # from a series-seeded point, detouring through +-1.2i to stay clear of
     # both singular points (off-cut arguments only; |1-z| >= 0.98 here)
@@ -287,7 +405,7 @@ def euler_ltf_check(p: Hyp2F1Params, t: complex) -> float:
     if abs(1.0 - t) >= 1.0:
         raise DomainError("check requires |1-t| < 1 for the transformed side")
     lhs = _series_2f1(p.a, p.b, p.c, t)
-    rhs = _continuation_at_1(p, t, None, 1e-16, 20000)
+    rhs = _continuation_at_1(_table(p.a, p.b, p.c), t, None, 1e-16, 20000)
     return abs(lhs - rhs)
 
 
@@ -302,9 +420,7 @@ def connection_coefficient(p: Hyp2F1Params, sign: int) -> complex:
         p = Hyp2F1Params(*p)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    s = p.s
-    return (-sign * 2.0j * math.pi * cmath.exp(sign * 1j * math.pi * s)
-            * gamma(p.c) * rgamma(p.a) * rgamma(p.b) * rgamma(s + 1.0))
+    return _table(p.a, p.b, p.c).connection[sign]
 
 
 def monodromic_jump_2f1(p: Hyp2F1Params, t: complex, sign: int) -> complex:

@@ -4,20 +4,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
-
-
-def pairwise_sum(values: Sequence[complex]) -> complex:
-    """Sum with pairwise reduction; deterministic and mildly error-damping."""
-    vals = list(values)
-    if not vals:
-        return 0.0 + 0.0j
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 def dist_to_positive_ray(t: complex) -> float:
@@ -53,17 +39,6 @@ def principal_power(z: complex, exponent: complex, side: int | None = None) -> c
     if side is not None and z.imag == 0.0 and z.real < 0.0:
         return cpow(abs(z), side * math.pi, exponent)
     return cmath.exp(exponent * cmath.log(z))
-
-
-def unwrap_args(points: Sequence[complex], start_arg: float | None = None) -> list[float]:
-    """Continuous argument along a discrete path (increments forced into (-pi, pi])."""
-    if not points:
-        return []
-    args = [cmath.phase(points[0]) if start_arg is None else start_arg]
-    for prev, cur in zip(points, points[1:]):
-        step = cmath.phase(cur / prev)
-        args.append(args[-1] + step)
-    return args
 
 
 def is_nonpositive_int(z: complex, tol: float = 1e-12) -> int | None:

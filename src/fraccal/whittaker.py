@@ -22,6 +22,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -248,12 +249,12 @@ class WhittakerSurface:
         self.p1 = hyp_params_f1(kappa, mu)
         self.p2 = hyp_params_f2(kappa, mu)
 
-    @property
+    @cached_property
     def _inner1(self) -> Hyp2F1Params:
         # degenerate when 2 kappa is a negative integer; constructed lazily
         return Hyp2F1Params(self.p2.a, self.p2.b, 1.0 + 2.0 * self.kappa)
 
-    @property
+    @cached_property
     def _inner2(self) -> Hyp2F1Params:
         return Hyp2F1Params(self.p1.a, self.p1.b, 1.0 - 2.0 * self.kappa)
 

@@ -1,10 +1,14 @@
 import cmath
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fraccal import hyp
 from fraccal.errors import (BudgetError, DegenerateCaseError, DomainError)
 from fraccal.hyp import (Hyp2F1Params, PFQParams, circle_path,
                          connection_coefficient, euler_ltf_check,
@@ -198,3 +202,120 @@ def test_pfq_simplify():
     simple = prm.simplified()
     assert simple.num == (1.5 + 0j,)
     assert simple.den == ()
+
+
+def test_direct_series_sums_past_rising_terms():
+    # with Re c far below 0 the terms fall, then rise again near k = -Re c;
+    # three small terms before that point must not end the sum
+    a, b, c = -0.04099786621961243, 2.1694647751380387, -36.1531529679307
+    z = 0.47516452860687963 - 0.15571539814689916j
+    ref = complex(mp.hyp2f1(a, b, c, z))
+    got = hyp2f1(Hyp2F1Params(a, b, c), z)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _cplx(lo, hi, im):
+    return st.builds(complex, st.floats(lo, hi), st.floats(-im, im))
+
+
+def _disk(r):
+    return st.builds(cmath.rect, st.floats(0.0, r), st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def _route_cases(draw):
+    """(a, b, c, z) aimed at one route of hyp2f1 each."""
+    route = draw(st.sampled_from(("direct", "one-minus-z", "pfaff", "gap",
+                                  "terminating")))
+    a, b = draw(_cplx(-2.0, 2.5, 0.6)), draw(_cplx(-2.0, 2.5, 0.6))
+    c = draw(_cplx(0.3, 3.5, 0.6))
+    w = draw(_disk(0.7))
+    if route == "direct":
+        z = w
+    elif route == "one-minus-z":
+        z = 1.0 - w
+    elif route == "pfaff":
+        z = w / (w - 1.0)
+    elif route == "gap":
+        # integer c-a-b = m < 0, 0 or > 0; Im a, Im b > 0 keeps c off the poles
+        a = complex(a.real, 0.1 + abs(a.imag))
+        b = complex(b.real, 0.1 + abs(b.imag))
+        c = a + b + draw(st.integers(-2, 3))
+        z = 1.0 - draw(_disk(0.7).filter(lambda v: abs(v) > 0.05))
+    else:
+        a = complex(-draw(st.integers(0, 6)))
+        z = draw(_disk(3.0))
+    return route, a, b, c, z
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_route_cases())
+def test_routes_match_mpmath(case):
+    route, a, b, c, z = case
+    if z == 0 or abs(1.0 - z) < 1e-3:
+        return
+    if z.imag == 0.0 and z.real > 1.0:
+        z += 1e-12j
+    ref = complex(mp.hyp2f1(a, b, c, z))
+    got = hyp2f1(Hyp2F1Params(a, b, c), z)
+    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-3), route
+
+
+# one triple per route: direct, 1-z, Pfaff, gaps m = -1, 0, 2, terminating
+_GRID_PARAMS = [(0.3, 0.7, 1.9), (1.2 + 0.3j, -0.4, 2.1 - 0.2j),
+                (0.5 + 0.2j, 0.8, 0.3 + 0.2j), (0.4 + 0.1j, 0.9, 1.3 + 0.1j),
+                (0.6 + 0.2j, 1.1 - 0.3j, 3.7 - 0.1j), (-3.0, 0.7, 1.3)]
+_GRID_Z = [0.3 + 0.2j, -0.5 + 0.1j, 0.8 - 0.3j, 1.2 + 0.4j, -2.0 + 0.5j, 1.5]
+# the same routes further out, where the series need longer rows
+_FAR_Z = [0.5 + 0.7j, -0.6 - 0.6j, 1.0 - 0.9j, 1.9]
+
+
+def _values(points):
+    return [repr(hyp2f1(Hyp2F1Params(*abc), z, side=1))
+            for abc in _GRID_PARAMS for z in points]
+
+
+def test_values_do_not_depend_on_the_cache():
+    hyp._table.cache_clear()
+    cold = _values(_GRID_Z)
+    far = _values(_FAR_Z)  # grows the rows the grid used
+    assert _values(_GRID_Z) == cold
+    # the far values agree whether their rows grew in one step or in two
+    hyp._table.cache_clear()
+    assert _values(_FAR_Z) == far
+
+
+def test_threads_sharing_the_tables_get_the_same_values():
+    hyp._table.cache_clear()
+    expect = _values(_GRID_Z + _FAR_Z)
+    got = [None] * 4
+    errors = []
+
+    def work(i):
+        try:
+            got[i] = _values(_GRID_Z + _FAR_Z)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            hyp._table.cache_clear()
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert not errors
+            assert all(g == expect for g in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_table_cache_is_bounded():
+    hyp._table.cache_clear()
+    for k in range(hyp._CACHE_SIZE + 40):
+        hyp2f1(Hyp2F1Params(0.3 + 0.01 * k, 0.7, 1.9), 0.4 + 0.2j)
+    assert hyp._table.cache_info().currsize == hyp._CACHE_SIZE
