@@ -8,7 +8,9 @@ negative integers.  The contour representations sum kernel integrals over
 gamma(A) with Gauss hypergeometric kernels, each one a scalar coefficient row
 dotted with power sums of the quadrature nodes that are built once per
 evaluation; the simplified single-integral forms apply when F is integrable
-against |dxi|/|xi| on the boundary.
+against |dxi|/|xi| on the boundary.  Boundary functions F are numpy
+expressions, evaluated on the whole ndarray of boundary points at once (and
+on single points by the decay probes).
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], c
     return kernel_sum
 
 
-def _contour_series(F: Callable[[complex], complex], alpha, r: float, A: float,
+def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: float,
                     t: complex, mode: str, tol: float, k_max: int,
                     n_per_panel: int, T: Optional[float]) -> complex:
     al = FractionalOrder(_alpha_of(alpha))
@@ -365,8 +367,7 @@ def _contour_series(F: Callable[[complex], complex], alpha, r: float, A: float,
             "weighted integrand grows along the contour rays; the declared "
             "rate r does not exceed the exponential type of F")
     xi, dw = contour_quadrature_nodes(A, T, n_per_panel, refine_near=t)
-    base = np.array([F(complex(x)) for x in xi], dtype=complex)
-    base = base * np.exp(-r * xi) / xi * dw / (2j * math.pi)
+    base = F(xi) * np.exp(-r * xi) / xi * dw / (2j * math.pi)
     w_arg = t / xi
 
     if mode == "deriv":
@@ -397,7 +398,7 @@ def _contour_series(F: Callable[[complex], complex], alpha, r: float, A: float,
         "does not exceed the exponential type of F")
 
 
-def frac_deriv_contour(F: Callable[[complex], complex], alpha, r: float,
+def frac_deriv_contour(F: Callable[[np.ndarray], np.ndarray], alpha, r: float,
                        A: float, t: complex, tol: float = 1e-10,
                        k_max: int = 80, n_per_panel: int = 24,
                        T: Optional[float] = None) -> complex:
@@ -407,7 +408,7 @@ def frac_deriv_contour(F: Callable[[complex], complex], alpha, r: float,
     return _contour_series(F, alpha, r, A, t, "deriv", tol, k_max, n_per_panel, T)
 
 
-def frac_integ_contour(F: Callable[[complex], complex], alpha, r: float,
+def frac_integ_contour(F: Callable[[np.ndarray], np.ndarray], alpha, r: float,
                        A: float, t: complex, tol: float = 1e-10,
                        k_max: int = 80, n_per_panel: int = 24,
                        T: Optional[float] = None) -> complex:
@@ -416,7 +417,7 @@ def frac_integ_contour(F: Callable[[complex], complex], alpha, r: float,
     return _contour_series(F, alpha, r, A, t, "integ", tol, k_max, n_per_panel, T)
 
 
-def frac_h1(F: Callable[[complex], complex], alpha, a: float, t: complex,
+def frac_h1(F: Callable[[np.ndarray], np.ndarray], alpha, a: float, t: complex,
             mode: str, tol: float = 1e-11) -> complex:
     """Single-integral forms for F integrable against |dxi|/|xi| on gamma(a):
 
@@ -490,7 +491,7 @@ def psi_limit_check(F: PowerSeries, n: int, t: complex, eps: float) -> float:
     return abs(val - psi_polynomial(F, n)(t))
 
 
-def psi_coefficients_contour(F: Callable[[complex], complex], n: int, r: float,
+def psi_coefficients_contour(F: Callable[[np.ndarray], np.ndarray], n: int, r: float,
                              A: float, T: Optional[float] = None,
                              tol: float = 1e-11) -> list:
     """Taylor coefficients f_0..f_n recovered from boundary data:
@@ -503,7 +504,7 @@ def psi_coefficients_contour(F: Callable[[complex], complex], n: int, r: float,
     spec = QuadratureSpec(tol=tol)
     loop_vals = []
     for s in range(n + 1):
-        val, _ = integrate_path(lambda xi, s=s: F(xi) * cmath.exp(-r * xi) / xi ** (1 + s),
+        val, _ = integrate_path(lambda xi, s=s: F(xi) * np.exp(-r * xi) / xi ** (1 + s),
                                 contour, spec, decay_rate=r)
         loop_vals.append(val / (2j * math.pi))
     out = []

@@ -14,14 +14,19 @@ doubling, and for the Goursat forms the digamma brackets as a cumsum.  The
 rows and the constants of each parameter triple (the 1-z connection
 constants, the Goursat prefactors, the Pfaff inner parameters, the
 connection coefficients T^{+-}) are kept in a table per (a, b, c) among the
-_CACHE_SIZE most recently used, so an evaluation costs one power vector
-z^n and a sequential partial sum.  Where a sum stops depends on z, tol and
-the parameters only, so a value never depends on what the cache holds.
+_CACHE_SIZE most recently used.  hyp2f1 takes an array of arguments: each
+element picks its route by masks, and every series route sums all of its
+elements at once, in blocks of power vectors z^n grouped by term count.
+Where a sum stops depends on z, tol and the parameters only, so a value
+never depends on what the cache holds or on the other elements of its
+batch; a scalar call is a batch of one.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -90,18 +95,26 @@ class PFQParams:
         return PFQParams(tuple(num), tuple(den))
 
 
-def _cut_side_power(u: complex, exponent: complex, z_side: Optional[int]) -> complex:
-    """u**exponent where u = 1-z; on the negative real axis the z-side flag
-    fixes the branch (z = x + i*eps, x > 1  =>  arg u -> -pi)."""
-    if u == 0:
-        return 0.0 + 0.0j if exponent != 0 else 1.0 + 0.0j
-    if z_side is not None and u.imag == 0.0 and u.real < 0.0:
-        return cpow(abs(u), -z_side * math.pi, exponent)
-    return cmath.exp(exponent * cmath.log(u))
+def _cut_side_log(u: np.ndarray, z_side: Optional[int]) -> np.ndarray:
+    """Principal log u elementwise (u != 0); on the negative real axis the
+    z-side flag fixes the branch (z = x + i*eps, x > 1  =>  arg u -> -pi)."""
+    lg = np.log(u)
+    if z_side is not None:
+        lg.imag[(u.imag == 0.0) & (u.real < 0.0)] = -z_side * math.pi
+    return lg
+
+
+def _cut_side_power(u: np.ndarray, exponent: complex, z_side: Optional[int]) -> np.ndarray:
+    """u**exponent elementwise, u = 1-z, on the branch of _cut_side_log."""
+    out = np.full(u.shape, 0.0 if exponent != 0 else 1.0, dtype=complex)
+    nz = u != 0
+    out[nz] = np.exp(exponent * _cut_side_log(u[nz], z_side))
+    return out
 
 
 _CACHE_SIZE = 128  # parameter triples whose coefficient tables are kept
 _ROW_START = 128   # length of a new coefficient row; rows then double
+_BLOCK = 1 << 16   # entries of the largest temporary block (1 MB of complex)
 _ONE = np.ones(1, dtype=complex)  # the start of every row, never written
 _EMPTY = np.empty(0)
 _ONE.flags.writeable = _EMPTY.flags.writeable = False
@@ -130,6 +143,7 @@ class _Row:
         self.absr = _EMPTY  # |r_n| for n < len(coef) - 1
         self.h = np.array([digamma(a) + digamma(b) - digamma(c) - digamma(e)]) \
             if brackets else None
+        self._rise = None  # (lookup,) of risers() for |x| <= _Q_RISE
         self._lock = threading.Lock()
 
     def grow(self, n: int) -> None:
@@ -155,72 +169,223 @@ class _Row:
                 self.coef = np.concatenate(
                     (self.coef, np.concatenate((self.coef[-1:], r)).cumprod()[1:]))
 
-    def peak(self, q: float, n_max: int) -> int:
-        """Index of the largest term |d_n x^n| (|x| = q) among the first
-        n_max: after it every ratio |r_n| q is below 1.
+    def risers(self, q_max: float, cap: int) -> Optional[tuple]:
+        """Where terms can rise for |x| <= q_max: None if nowhere, else the
+        lookup of _rise_lookup over the candidate indices j < cap whose ratio
+        |r_j| can reach 1/|x|.  The row is grown past them.
 
-        For a series that does not terminate, |r_n| <= (n+|a|)(n+|b|) /
-        ((n-|c|)(n-|e|)) bounds the last index where |r_n| q can reach 1,
-        so the scan needs q < 1 and never depends on the row's length.
+        A terminating row has its candidates below its last term.  Otherwise
+        |r_n| <= (n+|a|)(n+|b|) / ((n-|c|)(n-|e|)) bounds the last index k
+        where |r_n| q can reach 1, so for every |x| <= q_max the candidates
+        lie below k(q_max); the lookup for q_max = _Q_RISE is kept.
         """
         if self.stop is not None:
-            k = self.stop - 1
+            k = min(self.stop - 1, cap)
+            self.grow(k + 1)
+            return _rise_lookup(self.absr, np.arange(k))
+        if q_max <= _Q_RISE and self._rise is not None:
+            look, = self._rise
         else:
+            qr = max(q_max, _Q_RISE)
             ma, mb, mc, me = self.moduli
-            lin = mc + me + q * (ma + mb)
-            const = mc * me - q * ma * mb
-            root = (lin + math.sqrt(max(lin * lin - 4.0 * (1.0 - q) * const, 0.0))) \
-                / (2.0 * (1.0 - q))
+            lin = mc + me + qr * (ma + mb)
+            const = mc * me - qr * ma * mb
+            root = (lin + math.sqrt(max(lin * lin - 4.0 * (1.0 - qr) * const, 0.0))) \
+                / (2.0 * (1.0 - qr))
             k = int(max(root, mc, me)) + 1
-        k = min(k, n_max)
-        if k == 0:
-            return 0
-        self.grow(k + 1)
-        rising = self.absr[k - 1::-1] * q >= 1.0  # indices k-1 down to 0
-        i = int(rising.argmax())
-        return k - i if rising[i] else 0
+            self.grow(k + 1)
+            look = _rise_lookup(self.absr, np.flatnonzero(self.absr[:k] >= 1.0 / qr))
+            if qr == _Q_RISE:
+                self._rise = (look,)
+        if look is not None and look[1][-1] >= cap:  # a cap below a candidate
+            j = look[1][1:]
+            look = _rise_lookup(self.absr, j[j < cap])
+        return look
 
 
-def _row_sum(row: _Row, x: complex, tol: float, max_terms: int,
-             log_x: Optional[complex] = None) -> complex:
-    """sum_n d_n x^n over a coefficient row, or sum_n d_n (log_x + h_n) x^n
-    over a row with digamma brackets.
+def _rise_lookup(absr: np.ndarray, j: np.ndarray) -> Optional[tuple]:
+    """(-m, [-1, j_1, j_2, ...]) for candidate indices j_1 < j_2 < ..., with
+    m_i = max_{i' >= i} absr[j_i'], or None without candidates.  For |x| = q
+    the last candidate with absr >= 1/q is entry L of the second array,
+    L = #{i : m_i >= 1/q}, a binary search on -m (which ascends)."""
+    if not j.size:
+        return None
+    return -np.maximum.accumulate(absr[j][::-1])[::-1], np.concatenate(([-1], j))
 
-    The value is the sequential partial sum up to the third consecutive term
+
+# the largest series argument of the 2F1 routes is 0.98: the rising terms
+# of a row are looked up for |x| up to this once and kept
+_Q_RISE = 0.99
+# padding (in terms) that costs less than summing one more block
+_MERGE_TERMS = 1024
+
+
+def _blocks(n: np.ndarray, top: int):
+    """Groups of element indices to sum together, with their width: elements
+    sorted by their term estimate n, cut at powers of two (at most top), and
+    adjacent groups merged while padding them costs less than one more
+    block."""
+    order = n.argsort()
+    ns = n[order].tolist()
+    start = 0
+    while start < len(ns):
+        width = min(1 << (ns[start] - 1).bit_length(), top)
+        end = bisect.bisect_right(ns, width, start)
+        while end < len(ns):
+            wider = min(1 << (ns[end] - 1).bit_length(), top)
+            if (end - start) * (wider - width) > _MERGE_TERMS:
+                break
+            width, end = wider, bisect.bisect_right(ns, wider, end)
+        yield order[start:end], width
+        start = end
+
+
+def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
+    """Row sums for a list of jobs (row, x, log_x): sum_n d_n x^n over a
+    coefficient row (log_x None), or sum_n d_n (log_x + h_n) x^n over a row
+    with digamma brackets, for every element of each array x.
+
+    Each value is the sequential partial sum up to the third consecutive term
     at or below tol times its partial sum, counting only terms past the
-    largest one (Re c far below 0 makes the terms fall and then rise again).
-    Where the sum stops depends on x, tol and the parameters alone, never on
-    how far the row has been grown.  A terminating row ends at its last term.
+    largest one (Re c far below 0 makes the terms fall and then rise again);
+    a terminating row ends at its last term.  Where a sum stops depends on
+    its row, x, tol and max_terms alone, never on the other elements or on
+    how far a row has been grown, so a value is the same in any batch.  All
+    elements of all jobs are summed together in padded blocks of similar
+    term counts; a block whose sums have not all stopped is summed again
+    twice as wide.
+
+    Returns per job the values and the condition estimates max |term| / |sum|
+    over the summed terms.
     """
-    q = abs(x)
-    if row.stop is None and q >= 1.0:
-        raise BudgetError(f"2F1 series does not converge (|x| = {q:.4g})")
-    n_max = max_terms if row.stop is None else min(row.stop, max_terms)
-    first = row.peak(q, n_max) + 1
+    if not jobs:
+        return []
+    rows = [row for row, _, _ in jobs]
+    sizes = [len(x) for _, x, _ in jobs]
+    bounds = [0, *itertools.accumulate(sizes)]
+    x = np.concatenate([x for _, x, _ in jobs]) if len(jobs) > 1 else jobs[0][1]
+    q = np.abs(x)
+    first = np.empty(len(x), dtype=int)  # the first term past the largest
+    first[:] = 1
+    rising_any = False
+    caps = [max_terms if r.stop is None else min(r.stop, max_terms) for r in rows]
+    for row, cap, lo, hi in zip(rows, caps, bounds, bounds[1:]):
+        q_max = float(np.maximum.reduce(q[lo:hi]))
+        if row.stop is None and q_max >= 1.0:
+            raise BudgetError(f"2F1 series does not converge (|x| = {q_max:.4g})")
+        look = row.risers(q_max, cap)
+        if look is not None:  # past the last index with |r_j| >= 1/q
+            neg_m, j = look
+            first[lo:hi] = j[neg_m.searchsorted(-1.0 / np.maximum(q[lo:hi], 1e-300),
+                                                side="right")] + 2
+            rising_any = True
+    job = np.repeat(np.arange(len(jobs)), sizes) if len(jobs) > 1 else None
+    top = max(caps)
+    cap = top if min(caps) == top else np.repeat(caps, sizes)
     n = first + 8
-    if 0.0 < q < 1.0 and 0.0 < tol < 1.0:
-        n += int(math.log(tol) / math.log(q))
-    while True:
-        n = min(n, n_max)
-        row.grow(n)
-        pw = np.empty(n, dtype=complex)
-        pw.fill(x)
-        pw[0] = 1.0
-        terms = row.coef[:n] * pw.cumprod()
-        if log_x is not None:
-            terms *= log_x + row.h[:n]
-        partial = terms.cumsum()
-        small = abs(terms) <= tol * abs(partial)
-        small[:first] = False
-        run = small[:-2] & small[1:-1]
-        run &= small[2:]
-        if run.any():
-            return complex(partial[run.argmax() + 2])
-        if n == row.stop:
-            return complex(partial[-1])
-        if n == n_max:
-            raise BudgetError(f"2F1 series did not converge (|x| = {q:.4g})")
-        n *= 2
+    if 0.0 < tol < 1.0:  # and the terms to reach tol at the rate q^n (q < 1)
+        n += (math.log(tol) / np.log(np.minimum(np.maximum(q, 1e-300), 1.0 - 1e-16))
+              ).astype(int)
+    n = np.minimum(n, cap)
+    brackets = [lx is not None for _, _, lx in jobs]
+    if any(brackets):
+        log_x = np.concatenate([np.zeros(k) if lx is None else lx
+                                for k, (_, _, lx) in zip(sizes, jobs)])
+    if len(set(brackets)) == 1:
+        pending = list(_blocks(n, top))
+    else:  # a block holds rows of one kind
+        pending = []
+        for flag in (False, True):
+            sel = np.flatnonzero(np.repeat(brackets, sizes) == flag)
+            pending += [(sel[i], w) for i, w in _blocks(n[sel], top)]
+    vals = np.empty(len(x), dtype=complex)
+    cond = np.empty(len(x))
+    while pending:
+        ix, w = pending.pop()
+        m = len(ix)
+        if m * w > _BLOCK and m > 1:  # keep every temporary near _BLOCK entries
+            step = max(1, _BLOCK // w)
+            pending += [(ix[i:i + step], w) for i in range(0, m, step)]
+            continue
+        used, which = [0], None
+        if job is not None:
+            ids = job[ix]
+            if np.minimum.reduce(ids) == np.maximum.reduce(ids):
+                used = [int(ids[0])]
+            else:
+                present = np.bincount(ids, minlength=len(jobs)) > 0
+                used, which = np.flatnonzero(present), (present.cumsum() - 1)[ids]
+        for j in used:
+            rows[j].grow(w)
+        terms = np.empty((m, w), dtype=complex)
+        terms[:, 1:] = x[ix, None]
+        terms[:, 0] = 1.0
+        np.multiply.accumulate(terms, axis=1, out=terms)  # the powers x^n
+        terms *= _stacked([rows[j].coef for j in used], w, which)
+        if brackets[used[0]]:
+            terms *= log_x[ix, None] + _stacked([rows[j].h for j in used], w, which)
+        partial = terms.cumsum(axis=1)
+        mag = np.abs(terms)
+        bound = np.abs(partial)
+        bound *= tol
+        small = mag <= bound
+        small[:, 0] = False
+        run = small[:, :-2] & small[:, 1:-1]
+        run &= small[:, 2:]
+        if rising_any:
+            run &= np.arange(w - 2) >= first[ix, None]
+        if isinstance(cap, np.ndarray):
+            cap_ix = cap[ix]
+            lowest = int(np.minimum.reduce(cap_ix))
+        else:
+            cap_ix = lowest = cap
+        if lowest < w:  # no term past an element's cap
+            run &= np.arange(w - 2) < np.reshape(cap_ix, (-1, 1)) - 2
+        r = np.arange(m)
+        at = run.argmax(axis=1) if w > 2 else np.zeros(m, dtype=int)
+        hit = run[r, at] if w > 2 else np.zeros(m, dtype=bool)
+        at += 2
+        full = ~hit & (cap_ix <= w) if lowest <= w else None
+        if full is not None and full.any():  # every allowed term summed, no stop
+            last = np.repeat([row.stop == c for row, c in zip(rows, caps)], sizes)[ix]
+            if (full & ~last).any():
+                raise BudgetError("2F1 series did not converge "
+                                  f"(|x| = {q[ix[full & ~last]].max():.4g})")
+            at[full] = (np.broadcast_to(cap_ix, (m,)) - 1)[full]  # a terminating row's end
+            hit |= full
+        if np.count_nonzero(hit) < m:
+            pending.append((ix[~hit], min(2 * w, top)))
+        total = partial[r, at]
+        vals[ix] = total  # a retried element is overwritten by its retry
+        cond[ix] = np.maximum.accumulate(mag, axis=1, out=mag)[r, at] \
+            / np.maximum(np.abs(total), 1e-300)
+    return [(vals[lo:hi], cond[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _stacked(rows: list, w: int, which: Optional[np.ndarray]) -> np.ndarray:
+    """The first w entries of one row, or per element those of rows[which]."""
+    if which is None:
+        return rows[0][:w]
+    out = np.empty((len(rows), w), dtype=rows[0].dtype)
+    for i, row in enumerate(rows):
+        out[i] = row[:w]
+    return out[which]
+
+
+def _checked(vals: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """vals, unless a sum's largest term exceeds it so far that rounding
+    (2.2e-16 times the condition estimate) could reach 1e-10 relative."""
+    bad = ~(2.2e-16 * cond <= 1e-10)
+    if bad.any():
+        raise ConvergenceError(
+            f"2F1 series cancels: max|term|/|sum| = {cond[bad].max():.3g} "
+            "leaves fewer than 10 correct digits")
+    return vals
+
+
+def _summed(jobs: list, tol: float, max_terms: int) -> list:
+    """The checked values of _row_sums, per job."""
+    return [_checked(v, c) for v, c in _row_sums(jobs, tol, max_terms)]
 
 
 class _Table:
@@ -264,9 +429,9 @@ class _Table:
         return tuple(reversed(fin)), pref, _Row(a + m, b + m, 1.0, m + 1.0, brackets=True)
 
     @cached_property
-    def pfaff(self) -> Hyp2F1Params:
+    def pfaff(self) -> tuple:
         """Parameters of 2F1(a, c-b; c; z/(z-1))."""
-        return Hyp2F1Params(self.a, self.c - self.b, self.c)
+        return self.a, self.c - self.b, self.c
 
     @cached_property
     def connection(self) -> dict:
@@ -286,127 +451,177 @@ def _table(a: complex, b: complex, c: complex) -> _Table:
 
 def _series_2f1(a: complex, b: complex, c: complex, z: complex,
                 tol: float = 1e-16, max_terms: int = 20000) -> complex:
-    """Direct Gauss series; caller guarantees |z| < 1 or a terminating a/b."""
-    return _row_sum(_table(complex(a), complex(b), complex(c)).taylor,
-                    complex(z), tol, max_terms)
+    """Direct Gauss series at one point; caller guarantees |z| < 1 or a
+    terminating a/b."""
+    row = _table(complex(a), complex(b), complex(c)).taylor
+    return complex(_summed([(row, np.array([complex(z)]), None)], tol, max_terms)[0][0])
 
 
-def _continuation_at_1(t: _Table, z: complex, z_side: Optional[int],
-                       tol: float, max_terms: int) -> complex:
+def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[int], jobs: list):
+    """The z -> 1-z route on an array of z: appends its row sums to jobs and
+    returns the function that assembles the values from their results."""
     u = 1.0 - z
     m = t.gap
     if m is None:
         A, B, row_a, row_b = t.at1
-        t1 = 0.0 + 0.0j
+        ia = ib = None
         if A != 0:
-            t1 = _cut_side_power(u, t.s, z_side) * A * _row_sum(row_a, u, tol, max_terms)
-        t2 = 0.0 + 0.0j
+            ia = len(jobs)
+            jobs.append((row_a, u, None))
+            pw_a = _cut_side_power(u, t.s, z_side) * A
         if B != 0:
-            t2 = B * _row_sum(row_b, u, tol, max_terms)
-        return t1 + t2
+            ib = len(jobs)
+            jobs.append((row_b, u, None))
+
+        def assemble(sums):
+            vals = pw_a * sums[ia] if ia is not None else np.zeros(z.shape, dtype=complex)
+            return vals + B * sums[ib] if ib is not None else vals
+        return assemble
     if m < 0:
         # negative integer exponent: peel off u^s with the Euler transformation,
         # which flips the gap to -m >= 1
+        inner = _plan_at_1(_table(*t.at1), z, z_side, jobs)
         pw = _cut_side_power(u, t.s, z_side)
-        return pw * _continuation_at_1(_table(*t.at1), z, z_side, tol, max_terms)
+        return lambda sums: pw * inner(sums)
     # Goursat's logarithmic form for integer m >= 0:
     #   sum_{n<m} fin_n u^n - pref u^m sum_n d_n (log u + h_n) u^n
-    if u == 0:
+    if (u == 0).any():
         raise DomainError("2F1 logarithmic case is singular at z = 1")
-    log_u = cmath.log(u) if not (z_side is not None and u.imag == 0.0 and u.real < 0.0) \
-        else complex(math.log(abs(u)), -z_side * math.pi)
     fin, pref, row = t.at1
-    finite = 0.0 + 0.0j
+    finite = np.zeros(z.shape, dtype=complex)
     for coeff in fin:
         finite = finite * u + coeff
-    return finite - pref * u ** m * _row_sum(row, u, tol, max_terms, log_u)
+    i = len(jobs)
+    jobs.append((row, u, _cut_side_log(u, z_side)))
+    return lambda sums: finite - pref * u ** m * sums[i]
 
 
-def hyp2f1(p: Hyp2F1Params, z: complex, side: Optional[int] = None,
-           tol: float = 1e-16, max_terms: int = 20000, _depth: int = 0) -> complex:
-    """2F1(a, b; c; z) on the plane cut along (1, +oo).
+def hyp2f1(p: Hyp2F1Params, z, side: Optional[int] = None,
+           tol: float = 1e-16, max_terms: int = 20000):
+    """2F1(a, b; c; z) on the plane cut along (1, +oo), for a scalar z (a
+    complex is returned) or elementwise on an array of any shape.
 
     side (+1/-1) selects the boundary value from the upper/lower half-plane
-    when z lies on the cut; elsewhere it is ignored.
+    where z lies on the cut; elsewhere it is ignored.  Each element takes the
+    route with the smallest series argument, all series of all elements are
+    summed together, and a value does not depend on the other elements.
+    Raises ConvergenceError when a series cancels so far that fewer than 10
+    digits would survive rounding.
     """
     if not isinstance(p, Hyp2F1Params):
         p = Hyp2F1Params(*p)
-    z = complex(z)
-    a, b, c = p.a, p.b, p.c
-    if z == 0:
-        return 1.0 + 0.0j
-    t = _table(a, b, c)
-    if t.taylor.stop is not None:
-        return _row_sum(t.taylor, z, tol, max_terms)  # terminating, any z
-    if abs(c - b) < _PARAM_TOL:
-        return _cut_side_power(1.0 - z, -a, side)
-    if abs(c - a) < _PARAM_TOL:
-        return _cut_side_power(1.0 - z, -b, side)
-    if z == 1.0:
-        if p.s.real > 0:
-            return gamma(c) * gamma(p.s) * rgamma(c - a) * rgamma(c - b)
-        raise DomainError("2F1 singular at z = 1 for Re(c-a-b) <= 0")
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    out = np.ones(flat.shape, dtype=complex)
+    nz = flat != 0
+    if nz.any():
+        jobs = []
+        assemble = _plan(_table(p.a, p.b, p.c), flat[nz], side, jobs, tol, max_terms)
+        out[nz] = assemble(_summed(jobs, tol, max_terms))
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
-    on_cut = z.imag == 0.0 and z.real > 1.0
-    if on_cut and side is None:
+
+def _plan(t: _Table, z: np.ndarray, side: Optional[int], jobs: list, tol: float,
+          max_terms: int, depth: int = 0):
+    """Routes of 2F1 on the table t at a 1-d array of z != 0: appends the row
+    sums they need to jobs and returns the function that assembles the
+    values from their results.  depth 1 is the inner function of the Pfaff
+    route, which may not take the Pfaff route again."""
+    a, b, c = t.a, t.b, t.c
+    if t.taylor.stop is not None:  # terminating, any z
+        i = len(jobs)
+        jobs.append((t.taylor, z, None))
+        return lambda sums: sums[i]
+    if abs(c - b) < _PARAM_TOL:
+        return lambda sums, v=_cut_side_power(1.0 - z, -a, side): v
+    if abs(c - a) < _PARAM_TOL:
+        return lambda sums, v=_cut_side_power(1.0 - z, -b, side): v
+    out = np.empty(z.shape, dtype=complex)
+    at_one = z == 1.0
+    if at_one.any():
+        if t.s.real <= 0:
+            raise DomainError("2F1 singular at z = 1 for Re(c-a-b) <= 0")
+        out[at_one] = gamma(c) * gamma(t.s) * rgamma(c - a) * rgamma(c - b)
+    rest = np.flatnonzero(~at_one)
+    z = z[rest]
+    on_cut = (z.imag == 0.0) & (z.real > 1.0)
+    if side is None and on_cut.any():
         raise DomainError("z on the cut (1, oo): a side flag (+1/-1) is required")
 
-    r_direct = abs(z)
-    r_at1 = abs(1.0 - z)
+    r_direct = np.abs(z)
+    r_at1 = np.abs(1.0 - z)
     w = z / (z - 1.0)
-    r_pfaff = abs(w)
-    r_pfaff1 = abs(1.0 - w)
     # the route with the smallest series argument, ties in this order; the
     # effective argument of the pfaff route is that of its best sub-route
-    r_best = min(r_direct, r_at1)
-    if _depth == 0:
-        r_best = min(r_best, r_pfaff, r_pfaff1)
-    if r_best <= 0.98:
-        if r_best == r_direct:
-            return _row_sum(t.taylor, z, tol, max_terms)
-        if r_best == r_at1:
-            return _continuation_at_1(t, z, side, tol, max_terms)
+    r_best = np.minimum(r_direct, r_at1)
+    if depth == 0:
+        r_best = np.minimum(r_best, np.minimum(np.abs(w), np.abs(1.0 - w)))
+    series = r_best <= 0.98
+    direct = series & (r_best == r_direct)
+    at1 = series & ~direct & (r_best == r_at1)
+    pfaff = series & ~direct & ~at1
+    parts = []
+    if direct.any():
+        i = len(jobs)
+        jobs.append((t.taylor, z[direct], None))
+        parts.append((rest[direct], lambda sums, i=i: sums[i]))
+    if at1.any():
+        parts.append((rest[at1], _plan_at_1(t, z[at1], side, jobs)))
+    if pfaff.any():
         # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
         w_side = -side if side is not None else None
-        inner = hyp2f1(t.pfaff, w, side=w_side, tol=tol, max_terms=max_terms,
-                       _depth=_depth + 1)
-        return _cut_side_power(1.0 - z, -a, side) * inner
+        inner = _plan(_table(*t.pfaff), w[pfaff], w_side, jobs, tol, max_terms, depth + 1)
+        pw = _cut_side_power(1.0 - z[pfaff], -a, side)
+        parts.append((rest[pfaff], lambda sums: pw * inner(sums)))
     # crescent around e^{+-i pi/3} where every ratio is ~1: continue the ODE
     # from a series-seeded point, detouring through +-1.2i to stay clear of
     # both singular points (off-cut arguments only; |1-z| >= 0.98 here)
-    if not on_cut and abs(z.imag) > 1e-13 * abs(z):
-        sgn = 1.0 if z.imag > 0 else -1.0
+    starts = {}  # (F, F') at the seed +-0.45i, per half-plane
+    for i in np.flatnonzero(~series):
+        zi = complex(z[i])
+        if on_cut[i] or not abs(zi.imag) > 1e-13 * abs(zi):
+            raise ConvergenceError(f"no convergent 2F1 route for z = {zi:.6g} "
+                                   f"(|z|, |1-z| = {abs(zi):.3g}, {abs(1.0 - zi):.3g})")
+        sgn = 1.0 if zi.imag > 0 else -1.0
         seed = 0.45j * sgn
-        f0 = _series_2f1(a, b, c, seed, tol, max_terms)
-        fp0 = _series_2f1(a + 1, b + 1, c + 1, seed, tol, max_terms) * a * b / c
-        val, _ = hyp2f1_continue(p, [seed, 1.2j * sgn, z], start=(f0, fp0))
-        return val
-    raise ConvergenceError(
-        f"no convergent 2F1 route for z = {z:.6g} "
-        f"(|z|, |1-z|, |w|, |1-w| = {r_direct:.3g}, {r_at1:.3g}, {r_pfaff:.3g}, {r_pfaff1:.3g})")
+        if sgn not in starts:
+            starts[sgn] = (_series_2f1(a, b, c, seed, tol, max_terms),
+                           _series_2f1(a + 1, b + 1, c + 1, seed, tol, max_terms) * a * b / c)
+        out[rest[i]], _ = hyp2f1_continue(Hyp2F1Params(a, b, c), [seed, 1.2j * sgn, zi],
+                                          start=starts[sgn])
+
+    def assemble(sums):
+        for idx, part in parts:
+            out[idx] = part(sums)
+        return out
+    return assemble
 
 
-def euler_ltf_check(p: Hyp2F1Params, t: complex) -> float:
-    """|LHS - RHS| of the z -> 1-z linear transformation at t.
+def euler_ltf_check(p: Hyp2F1Params, t):
+    """|LHS - RHS| of the z -> 1-z linear transformation at t, a point (a
+    float is returned) or an array of points.
 
     The left side is forced through the direct series so the two sides stay
     independent; requires |t| < 1 and a non-integer exponent c-a-b.
     """
     if not isinstance(p, Hyp2F1Params):
         p = Hyp2F1Params(*p)
-    t = complex(t)
+    ts = np.asarray(t, dtype=complex)
     s = p.s
     if near_integer(s, _INT_DEGENERACY_TOL) is not None:
         raise DegenerateCaseError(
             f"c-a-b = {s} is within {_INT_DEGENERACY_TOL} of an integer; "
             "use the logarithmic form")
-    if abs(t) >= 1.0:
+    if (np.abs(ts) >= 1.0).any():
         raise DomainError("check requires |t| < 1 for the direct-series side")
-    if abs(1.0 - t) >= 1.0:
+    if (np.abs(1.0 - ts) >= 1.0).any():
         raise DomainError("check requires |1-t| < 1 for the transformed side")
-    lhs = _series_2f1(p.a, p.b, p.c, t)
-    rhs = _continuation_at_1(_table(p.a, p.b, p.c), t, None, 1e-16, 20000)
-    return abs(lhs - rhs)
+    t = _table(p.a, p.b, p.c)
+    jobs = [(t.taylor, ts.ravel(), None)]
+    assemble = _plan_at_1(t, ts.ravel(), None, jobs)
+    sums = _summed(jobs, 1e-16, 20000)
+    res = np.abs(sums[0] - assemble(sums))
+    return float(res[0]) if ts.ndim == 0 else res.reshape(ts.shape)
 
 
 def connection_coefficient(p: Hyp2F1Params, sign: int) -> complex:
@@ -435,8 +650,9 @@ def monodromic_jump_2f1(p: Hyp2F1Params, t: complex, sign: int) -> complex:
     t = complex(t)
     s = p.s
     inner = Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0)  # raises on degenerate c
-    pw = _cut_side_power(1.0 - t, s, sign if (t.imag == 0.0 and t.real > 1.0) else None)
-    return connection_coefficient(p, sign) * pw * hyp2f1(inner, 1.0 - t)
+    pw = _cut_side_power(np.array([1.0 - t]), s,
+                         sign if (t.imag == 0.0 and t.real > 1.0) else None)
+    return connection_coefficient(p, sign) * complex(pw[0]) * hyp2f1(inner, 1.0 - t)
 
 
 def hyp_pfq(params: PFQParams, t: complex, tol: float = 1e-14,

@@ -8,6 +8,10 @@ The transform carries the non-standard zeta prefactor
 so that L{1} = 1 and the large-zeta expansion of P has coefficients
 p_k = f_k k! directly.  to_standard_transform converts to the classical
 normalization (divide by zeta).
+
+The functions integrated here (F and the operator images) are numpy
+expressions: they receive an ndarray of quadrature nodes, see
+contours.integrate_path.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .contours import (Line, QuadratureSpec, gamma_contour, integrate_path,
                        IntegralResult)
@@ -93,7 +99,7 @@ def _truncation_horizon(re_margin: float, tol: float) -> float:
     return max(4.0, -math.log(0.01 * tol) / re_margin)
 
 
-def laplace_quadrature(F: Callable[[complex], complex], zeta: complex,
+def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta: complex,
                        type_bound: float = 0.0, tol: float = 1e-12) -> complex:
     """zeta * int_0^oo e^{-zeta t} F(t) dt for Re zeta > type_bound."""
     zeta = complex(zeta)
@@ -103,12 +109,12 @@ def laplace_quadrature(F: Callable[[complex], complex], zeta: complex,
                           f"{type_bound}")
     T = _truncation_horizon(margin, tol)
     segs = [Line(0.0, min(1.0, T)), Line(min(1.0, T), T)] if T > 1.0 else [Line(0.0, T)]
-    val, _ = integrate_path(lambda t: cmath.exp(-zeta * t) * F(t), segs,
+    val, _ = integrate_path(lambda t: np.exp(-zeta * t) * F(t), segs,
                             QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0))))
     return zeta * val
 
 
-def laplace_alpha(F: Callable[[complex], complex], alpha, zeta: complex,
+def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta: complex,
                   type_bound: float = 0.0, tol: float = 1e-12) -> complex:
     """zeta^{1+alpha} int_0^oo e^{-zeta t} t^alpha F(t) dt (principal power).
 
@@ -126,11 +132,10 @@ def laplace_alpha(F: Callable[[complex], complex], alpha, zeta: complex,
     T = _truncation_horizon(margin, tol)
     p = max(1, math.ceil(2.0 / (alpha.real + 1.0)))
 
-    def g(u: complex) -> complex:
+    def g(u: np.ndarray) -> np.ndarray:
+        # u = 0 is an endpoint, never a node
         t = u ** p
-        if u == 0:
-            return 0.0 + 0.0j
-        return p * u ** (p * (alpha + 1.0) - 1.0) * cmath.exp(-zeta * t) * F(t)
+        return p * u ** (p * (alpha + 1.0) - 1.0) * np.exp(-zeta * t) * F(t)
 
     U = T ** (1.0 / p)
     cuts = sorted({0.0, min(0.5, U), min(1.0, U), U})
@@ -139,9 +144,9 @@ def laplace_alpha(F: Callable[[complex], complex], alpha, zeta: complex,
     return zeta ** (1.0 + alpha) * val
 
 
-def verify_lm_duality(F: Callable[[complex], complex],
-                      d_alpha_F: Callable[[complex], complex],
-                      i_alpha_F: Callable[[complex], complex],
+def verify_lm_duality(F: Callable[[np.ndarray], np.ndarray],
+                      d_alpha_F: Callable[[np.ndarray], np.ndarray],
+                      i_alpha_F: Callable[[np.ndarray], np.ndarray],
                       alpha, zeta: complex, type_bound: float = 0.0,
                       tol: float = 1e-12) -> dict:
     """Residuals of the two transform identities
@@ -219,7 +224,7 @@ def watson_gevrey_check(P: LaplaceOracle, p: AsymptoticSeries, A: float,
             "worst_n": worst_n, "n_max": n_max, "A": A, "r": r}
 
 
-def h_norm(F: Callable[[complex], complex], r: float, A: float,
+def h_norm(F: Callable[[np.ndarray], np.ndarray], r: float, A: float,
            type_bound: float = 0.0, tol: float = 1e-9) -> float:
     """The weighted boundary norm int_{gamma(A)} e^{-r|t|} |F(t)| |dt|.
 
@@ -238,7 +243,7 @@ def h_norm(F: Callable[[complex], complex], r: float, A: float,
     if e1 > max(e0, 1e-290) * 1.01 and e1 > tol:
         raise PreconditionError("sampled integrand grows along the ray; "
                                 "declared type looks too small")
-    val, _ = integrate_path(lambda t: math.exp(-r * abs(t)) * abs(F(t)),
+    val, _ = integrate_path(lambda t: np.exp(-r * np.abs(t)) * np.abs(F(t)),
                             contour, QuadratureSpec(tol=tol), arclength=True)
     return abs(val)
 
@@ -258,8 +263,9 @@ def s_side_representation_check(zeta: complex = 6.0, alpha: complex = 0.5,
     P = lambda z: laplace_quadrature(F, z, 0.0, 1e-10)
     lhs = laplace_alpha(F, alpha, zeta, 0.0, 1e-11)
 
-    def integrand(z: complex) -> complex:
-        return (1.0 - z / zeta) ** (-alpha - 1.0) * P(z) / z
+    def integrand(z: np.ndarray) -> np.ndarray:
+        Pz = np.array([P(x) for x in z])  # one Laplace quadrature per node
+        return (1.0 - z / zeta) ** (-alpha - 1.0) * Pz / z
 
     segs = [Line(complex(r, -y_max), complex(r, -2.0)),
             Line(complex(r, -2.0), complex(r, 2.0)),

@@ -258,51 +258,80 @@ class WhittakerSurface:
     def _inner2(self) -> Hyp2F1Params:
         return Hyp2F1Params(self.p1.a, self.p1.b, 1.0 - 2.0 * self.kappa)
 
-    def f1(self, rho: float, theta: float) -> complex:
-        """F_1 at the surface point rho e^{i theta}, |theta| < 2 pi."""
-        if rho <= 0:
-            raise DomainError("rho must be positive")
-        k2 = 2.0 * self.kappa
-        if abs(theta) < math.pi - 1e-14:
-            return hyp2f1(self.p1, -rho * cmath.exp(1j * theta))
-        if abs(abs(theta) - math.pi) <= 1e-14:
-            if rho <= 1.0:
-                return hyp2f1(self.p1, rho)
-            return hyp2f1(self.p1, rho, side=1 if theta < 0 else -1)
-        if abs(theta) >= 2.0 * math.pi - 1e-14:
+    def f1(self, rho, theta):
+        """F_1 at the surface points rho e^{i theta}, |theta| < 2 pi.  rho and
+        theta broadcast against each other; two scalars give a complex."""
+        r, th = _surface_points(rho, theta)
+        mag = np.abs(th)
+        if (mag >= 2.0 * math.pi - 1e-14).any():
             raise DomainError("F_1 evaluator covers |arg t| < 2 pi only")
-        sgn = 1 if theta > 0 else -1
-        x = rho * cmath.exp(1j * (theta - sgn * math.pi))
-        base = hyp2f1(self.p1, x)
-        if rho <= 1.0:
-            return base
-        jump = connection_coefficient(self.p1, sgn) * \
-            principal_power(1.0 - x, k2) * hyp2f1(self._inner1, 1.0 - x)
-        return base + jump
+        out = np.empty(r.shape, dtype=complex)
+        sheet = mag < math.pi - 1e-14
+        cut = ~sheet & (np.abs(mag - math.pi) <= 1e-14)
+        if sheet.any():
+            out[sheet] = hyp2f1(self.p1, -r[sheet] * np.exp(1j * th[sheet]))
+        for sgn in (1, -1):
+            up = th * sgn > 0
+            on = cut & up
+            if on.any():  # the side flag acts on rho > 1 only
+                out[on] = hyp2f1(self.p1, r[on], side=-sgn)
+            past = up & ~sheet & ~cut
+            if past.any():
+                x = r[past] * np.exp(1j * (th[past] - sgn * math.pi))
+                out[past] = hyp2f1(self.p1, x) + self._jump(
+                    r[past] > 1.0, 1.0 - x, connection_coefficient(self.p1, sgn),
+                    2.0 * self.kappa, "_inner1", None)
+        return _shaped(rho, theta, out)
 
-    def f2(self, rho: float, theta: float) -> complex:
-        """F_2 at the surface point; canonical sheet -2 pi < arg t < 0,
+    def f2(self, rho, theta):
+        """F_2 at the surface points; canonical sheet -2 pi < arg t < 0,
         extended by one upward crossing to arg t <= pi."""
-        if rho <= 0:
-            raise DomainError("rho must be positive")
-        k2 = 2.0 * self.kappa
-        if -2.0 * math.pi + 1e-14 < theta < -1e-14:
-            return hyp2f1(self.p2, rho * cmath.exp(1j * theta))
-        if abs(theta) <= 1e-14 or abs(theta + 2.0 * math.pi) <= 1e-14:
-            if rho <= 1.0:
-                return hyp2f1(self.p2, rho)
-            return hyp2f1(self.p2, rho, side=-1 if theta > -math.pi else 1)
-        if not 0.0 < theta <= math.pi + 1e-14:
+        r, th = _surface_points(rho, theta)
+        sheet = (th > -2.0 * math.pi + 1e-14) & (th < -1e-14)
+        cut_up = np.abs(th) <= 1e-14
+        cut_down = np.abs(th + 2.0 * math.pi) <= 1e-14
+        past = ~sheet & ~cut_up & ~cut_down
+        if (past & ~((th > 0.0) & (th <= math.pi + 1e-14))).any():
             raise DomainError("F_2 evaluator covers -2 pi < arg t <= pi only")
-        x = -rho if abs(theta - math.pi) <= 1e-14 else rho * cmath.exp(1j * theta)
-        base = hyp2f1(self.p2, x)
-        if rho <= 1.0:
-            return base
-        u = 1.0 - x
-        side = -1 if abs(u.imag) < 1e-14 and u.real > 1.0 else None
-        jump = connection_coefficient(self.p2, 1) * \
-            principal_power(u, -k2) * hyp2f1(self._inner2, u, side=side)
-        return base + jump
+        out = np.empty(r.shape, dtype=complex)
+        if sheet.any():
+            out[sheet] = hyp2f1(self.p2, r[sheet] * np.exp(1j * th[sheet]))
+        for on, side in ((cut_up, -1), (cut_down, 1)):
+            if on.any():
+                out[on] = hyp2f1(self.p2, r[on], side=side)
+        if past.any():
+            rp, tp = r[past], th[past]
+            x = np.where(np.abs(tp - math.pi) <= 1e-14, -rp + 0j, rp * np.exp(1j * tp))
+            # the side flag acts where 1-x lies on the cut (1, oo) only
+            out[past] = hyp2f1(self.p2, x) + self._jump(
+                rp > 1.0, 1.0 - x, connection_coefficient(self.p2, 1),
+                -2.0 * self.kappa, "_inner2", -1)
+        return _shaped(rho, theta, out)
+
+    def _jump(self, far: np.ndarray, u: np.ndarray, coeff: complex, power: complex,
+              inner: str, side: Optional[int]) -> np.ndarray:
+        """coeff u^power 2F1(self.<inner>; u) where far (beyond |t| = 1), else
+        0; the inner parameters are only built when needed."""
+        out = np.zeros(u.shape, dtype=complex)
+        if far.any():
+            uf = u[far]
+            out[far] = coeff * np.exp(power * np.log(uf)) * \
+                hyp2f1(getattr(self, inner), uf, side=side)
+        return out
+
+
+def _surface_points(rho, theta) -> tuple:
+    r, th = np.broadcast_arrays(np.atleast_1d(np.asarray(rho, dtype=float)),
+                                np.atleast_1d(np.asarray(theta, dtype=float)))
+    if not (r > 0).all():
+        raise DomainError("rho must be positive")
+    return r.ravel(), th.ravel()
+
+
+def _shaped(rho, theta, values: np.ndarray):
+    """values as a complex for scalar rho and theta, else in their shape."""
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(theta))
+    return values.reshape(shape) if shape else complex(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +347,19 @@ class _PowerLine:
     length: float
     p: int
 
-    def point(self, s: float) -> complex:
+    def point(self, s):
         return self.z0 + self.direction * self.length * s ** self.p
 
-    def tangent(self, s: float) -> complex:
+    def tangent(self, s):
         return self.direction * self.length * self.p * s ** (self.p - 1)
 
 
-def laplace_surface_ray(f: Callable[[float, float], complex], zeta: complex,
+def laplace_surface_ray(f: Callable[[np.ndarray, float], np.ndarray], zeta: complex,
                         ray_angle: float, tol: float = 1e-10,
                         singular_exponent: Optional[float] = None) -> complex:
     """zeta * int over the ray arg t = ray_angle of e^{-zeta t} f(|t|, theta).
 
-    f takes (modulus, angle).  A declared algebraic singularity of exponent
+    f takes (moduli, angle): an ndarray of moduli and one angle.  A declared algebraic singularity of exponent
     singular_exponent at |t| = 1 is flattened by power substitutions on both
     sides of the crossing.
     """
@@ -341,11 +370,9 @@ def laplace_surface_ray(f: Callable[[float, float], complex], zeta: complex,
         raise DomainError("ray does not damp the exponential factor")
     T = max(4.0, -math.log(1e-2 * max(tol, 1e-14)) / lam)
 
-    def integrand(s: complex) -> complex:
-        s = s.real
-        if s <= 0.0:
-            return 0.0 + 0.0j
-        return cmath.exp(-zeta * e * s) * f(s, ray_angle)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        s = s.real  # |t| > 0: s = 0 is an endpoint, never a node
+        return np.exp(-zeta * e * s) * f(s, ray_angle)
 
     if singular_exponent is None or singular_exponent <= 0 or T <= 1.0:
         cuts = sorted({0.0, min(1.0, T), min(3.0, T), T})
@@ -431,38 +458,44 @@ def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
         kappa, mu = _whittaker_family(d)
         surf = WhittakerSurface(kappa, mu)
         k2 = 2.0 * complex(kappa)
-        for t in grid:
-            t = complex(t)
-            rho, phi = abs(t), cmath.phase(t)
-            if rho <= 1.0:
+        ts = [complex(t) for t in grid]
+        out = [t for t in ts if abs(t) > 1.0]
+        f2_side = [t for t in out if cmath.phase(t) <= 1e-14]  # F_2 sheet half-grid
+        # every function value on the grid at once; side flags act on the cut only
+        rho, phi = np.array([abs(t) for t in out]), np.array([cmath.phase(t) for t in out])
+        lhs1 = surf.f1(rho, phi - math.pi) - surf.f1(rho, phi + math.pi)
+        in1 = hyp2f1(surf._inner1, 1.0 - np.array(out), side=-1)
+        rho2 = np.array([abs(t) for t in f2_side])
+        phi2 = np.array([cmath.phase(t) for t in f2_side])
+        lhs2 = surf.f2(rho2, phi2 - math.pi) - surf.f2(rho2, phi2 + math.pi)
+        in2 = hyp2f1(surf._inner2, 1.0 + np.array(f2_side), side=-1)
+        in2_f2 = hyp2f1(Hyp2F1Params(surf.p2.a, surf.p2.b, 1.0 - k2),
+                        -(1.0 + np.array(f2_side)))
+        i = j = 0
+        for t in ts:
+            if abs(t) <= 1.0:
                 cases.append({"t": _c(t), "skipped": "relations are trivial "
                               "inside the unit disk"})
                 continue
             entry = {"t": _c(t)}
-            lhs1 = surf.f1(rho, phi - math.pi) - surf.f1(rho, phi + math.pi)
-            real_cut = abs(t.imag) < 1e-14 and t.real > 1.0
-            side = -1 if real_cut else None
-            rhs1 = m.T1 * principal_power(t - 1.0, k2) * \
-                hyp2f1(surf._inner1, 1.0 - t, side=side) / gamma(1.0 + k2)
-            res1 = abs(lhs1 - rhs1)
+            rhs1 = m.T1 * principal_power(t - 1.0, k2) * complex(in1[i]) / gamma(1.0 + k2)
+            res1 = abs(complex(lhs1[i]) - rhs1)
+            i += 1
             entry["mon1_residual"] = res1
             max_res = max(max_res, res1)
-
-            if phi <= 1e-14:  # F_2 sheet half-grid
-                lhs2 = surf.f2(rho, phi - math.pi) - surf.f2(rho, phi + math.pi)
-                inner = hyp2f1(surf._inner2, 1.0 + t, side=-1 if real_cut else None)
-                inner_f2 = hyp2f1(Hyp2F1Params(surf.p2.a, surf.p2.b, 1.0 - k2),
-                                  -(1.0 + t))
+            if cmath.phase(t) <= 1e-14:
+                inner, left = complex(in2[j]), complex(lhs2[j])
                 mark = cpow(abs(1.0 + t), math.pi + cmath.phase(1.0 + t), -k2)
                 printed_f1 = m.T2 * mark * inner / gamma(1.0 - k2)
-                printed_f2 = m.T2 * mark * inner_f2 / gamma(1.0 - k2)
+                printed_f2 = m.T2 * mark * complex(in2_f2[j]) / gamma(1.0 - k2)
                 valid = m.T2 * cmath.exp(-2j * math.pi * k2) * \
                     principal_power(1.0 + t, -k2) * inner / gamma(1.0 - k2)
-                res2 = abs(lhs2 - valid)
+                res2 = abs(left - valid)
                 entry["mon2_residual_validated"] = res2
-                entry["mon2_residual_printed_f2"] = abs(lhs2 - printed_f2)
-                entry["mon2_residual_printed_f1"] = abs(lhs2 - printed_f1)
+                entry["mon2_residual_printed_f2"] = abs(left - printed_f2)
+                entry["mon2_residual_printed_f1"] = abs(left - printed_f1)
                 max_res = max(max_res, res2)
+                j += 1
             cases.append(entry)
     else:
         for t in grid:
@@ -504,21 +537,26 @@ def verify_eg_ltf(d: DualPair, m: MonodromyTriple,
     phi2 = surf._inner1  # (a2, b2; 1+2k)
     g1m = gamma(1.0 - k2)
     g1p = gamma(1.0 + k2)
-    grid = list(t_grid) if t_grid is not None else default_t_grid()
+    ts = np.array(list(t_grid) if t_grid is not None else default_t_grid(), dtype=complex)
+    t2s = np.where(ts.imag < 0, ts, ts.conj())  # F_2 sheet
+    # each hypergeometric factor on the whole grid at once
+    f_p1, f_phi2, f_phi1 = (hyp2f1(prm, arg) for prm, arg in
+                            ((surf.p1, -ts), (phi2, 1.0 + ts), (phi1, 1.0 + ts)))
+    f_p2, f_phi1_2, f_phi2_2 = (hyp2f1(prm, arg) for prm, arg in
+                                ((surf.p2, t2s), (phi1, 1.0 - t2s), (phi2, 1.0 - t2s)))
     cases = []
     max_res = 0.0
-    for t in grid:
-        t = complex(t)
-        lhs1 = sin_factor * hyp2f1(surf.p1, -t)
-        rhs1 = (-m.T1 * principal_power(1.0 + t, k2) * hyp2f1(phi2, 1.0 + t) / g1p
-                + m.T2 * cmath.exp(-1j * math.pi * k2) * hyp2f1(phi1, 1.0 + t) / g1m)
-        res1 = abs(lhs1 - rhs1)
-        t2 = t if t.imag < 0 else t.conjugate()  # F_2 sheet
-        lhs2 = sin_factor * hyp2f1(surf.p2, t2)
+    for i, t in enumerate(ts.tolist()):
+        lhs1 = sin_factor * f_p1[i]
+        rhs1 = (-m.T1 * principal_power(1.0 + t, k2) * f_phi2[i] / g1p
+                + m.T2 * cmath.exp(-1j * math.pi * k2) * f_phi1[i] / g1m)
+        res1 = float(abs(lhs1 - rhs1))
+        t2 = t if t.imag < 0 else t.conjugate()
+        lhs2 = sin_factor * f_p2[i]
         rhs2 = (m.T2 * cmath.exp(-2j * math.pi * k2) *
-                principal_power(t2 - 1.0, -k2) * hyp2f1(phi1, 1.0 - t2) / g1m
-                - m.T1 * hyp2f1(phi2, 1.0 - t2) / g1p)
-        res2 = abs(lhs2 - rhs2)
+                principal_power(t2 - 1.0, -k2) * f_phi1_2[i] / g1m
+                - m.T1 * f_phi2_2[i] / g1p)
+        res2 = float(abs(lhs2 - rhs2))
         cases.append({"t": _c(t), "residual_f1": res1, "residual_f2": res2})
         max_res = max(max_res, res1, res2)
     return {"suite": "eg-ltf", "cases": cases, "max_residual": max_res,
@@ -576,13 +614,11 @@ def verify_goursat_ltf(d: DualPair, m: MonodromyTriple,
         # the F_2 side carries a finite principal part of order 2 kappa on
         # top of the logarithmic structure; fit and report it separately
         rows = []
-        rhs = []
         for s in pts:
             rows.append([T * K(s)] + [s ** (-j) for j in range(1, n_pole + 1)]
                         + [s ** j for j in range(n_psi)])
-            rhs.append(F_of_s(s))
         A = np.array(rows, dtype=complex)
-        y = np.array(rhs, dtype=complex)
+        y = F_of_s(np.array(pts))
         sol, *_ = np.linalg.lstsq(A, y, rcond=None)
         fit_res = float(np.max(np.abs(A @ sol - y)))
         C = complex(sol[0])
@@ -591,10 +627,11 @@ def verify_goursat_ltf(d: DualPair, m: MonodromyTriple,
         # half-step ring samples dodge the negative-real axis of log(s)
         ring = 0.55
         n_ring = 64
+        ring_pts = [ring * cmath.exp(2j * math.pi * (j + 0.5) / n_ring)
+                    for j in range(n_ring)]
         samples = []
-        for j in range(n_ring):
-            s = ring * cmath.exp(2j * math.pi * (j + 0.5) / n_ring)
-            val = F_of_s(s) - C * T * K(s)
+        for s, f_s in zip(ring_pts, F_of_s(np.array(ring_pts))):
+            val = f_s - C * T * K(s)
             val -= sum(pc * s ** (-(i + 1)) for i, pc in enumerate(pole_part))
             samples.append(val)
         ks = np.arange(n_ring)
@@ -685,12 +722,10 @@ def mon1_mw1_consistency(kappa: complex, mu: complex, zeta: float = 4.0,
     g = gamma(1.0 + k2)
     p = max(1, math.ceil(2.0 / (k2.real + 1.0)))
 
-    def integrand(u: complex) -> complex:
-        u = u.real
-        if u <= 0:
-            return 0.0 + 0.0j
+    def integrand(u: np.ndarray) -> np.ndarray:
+        u = u.real  # u = 0 is an endpoint, never a node
         w = u ** p
-        return (p * u ** (p * (k2 + 1.0) - 1.0) * cmath.exp(-zeta * w)
+        return (p * u ** (p * (k2 + 1.0) - 1.0) * np.exp(-zeta * w)
                 * hyp2f1(surf._inner1, -w) / g)
 
     U = (40.0 / zeta) ** (1.0 / p)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -111,3 +112,13 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["pass"]
+
+
+def test_verify_all_passes_with_warnings_as_errors(capsys):
+    # masked branches of the array engine must not leak numpy divide/invalid
+    # warnings (nor any other warning) into a full verification run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "verify", "all")
+    assert code == 0
+    assert json.loads(out)["pass"]

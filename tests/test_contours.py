@@ -2,12 +2,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fraccal.contours import (Arc, Line, NeighborhoodContour, QuadratureSpec,
                               cauchy_eval, check_h1_decay, gamma_contour,
                               infinite_tube_boundary, integrate_path)
-from fraccal.errors import DomainError, PreconditionError
+from fraccal.errors import DomainError, PreconditionError, QuadratureError
 from fraccal.utils import dist_to_positive_ray
 
 
@@ -31,7 +32,7 @@ def test_spec_validation():
 
 def test_residue_integral():
     c = gamma_contour(1.0, 41.0)
-    res, err = integrate_path(lambda z: cmath.exp(-z) / z, c,
+    res, err = integrate_path(lambda z: np.exp(-z) / z, c,
                               QuadratureSpec(tol=1e-12), decay_rate=1.0)
     assert abs(res - 2j * math.pi) < 1e-10
     assert err < 1e-6
@@ -42,7 +43,7 @@ def test_zero_linearity_reversal():
     spec = QuadratureSpec(tol=1e-12)
     z0, _ = integrate_path(lambda z: 0.0, c, spec)
     assert z0 == 0.0
-    f = lambda z: cmath.exp(-z) * z
+    f = lambda z: np.exp(-z) * z
     v1, _ = integrate_path(f, c, spec, decay_rate=1.0)
     v2, _ = integrate_path(lambda z: 2.0 * f(z), c, spec, decay_rate=1.0)
     assert abs(v2 - 2.0 * v1) < 1e-13
@@ -51,7 +52,7 @@ def test_zero_linearity_reversal():
 
 
 def test_path_independence():
-    f = lambda z: cmath.exp(-1.3 * z) / (1.0 + z) ** 2
+    f = lambda z: np.exp(-1.3 * z) / (1.0 + z) ** 2
     spec = QuadratureSpec(tol=1e-12)
     ia, _ = integrate_path(f, gamma_contour(0.3, 35.0), spec, decay_rate=1.3)
     ib, _ = integrate_path(f, gamma_contour(0.7, 35.0), spec, decay_rate=1.3)
@@ -84,7 +85,7 @@ def test_err_est_covers_true_error():
     trials = 40
     for _ in range(trials):
         w = rng.uniform(0.5, 40.0)
-        f = lambda x: x * cmath.exp(1j * w * x)
+        f = lambda x: x * np.exp(1j * w * x)
         ref = (cmath.exp(1j * w) / (1j * w)
                - (cmath.exp(1j * w) - 1.0) / (1j * w) ** 2)
         val, err = integrate_path(f, [Line(0.0, 1.0)], QuadratureSpec(tol=1e-9))
@@ -100,3 +101,100 @@ def test_infinite_rays():
     # winds once around 0; poles at +-i lie outside the tube:
     # residue at 0 of 1/(z (1+z^2)) is 1
     assert abs(val - 2j * math.pi) < 1e-9
+
+
+# --- breadth-first refinement against a depth-first GK15 reference ----------
+
+_RX = (0.991455371120813, 0.949107912342759, 0.864864423359769,
+       0.741531185599394, 0.586087235467691, 0.405845151377397,
+       0.207784955007898, 0.0)
+_RWK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
+        0.140653259715525, 0.169004726639267, 0.190350578064785,
+        0.204432940075298, 0.209482141084728)
+_RWG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
+
+
+def _ref_panel(f, seg, s0, s1):
+    """One GK15 panel, nodes in the order +x_i, -x_i, summed in that order."""
+    mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
+    nodes, wk, wg = [], [], []
+    for i, x in enumerate(_RX):
+        for sgn in ((1.0,) if x == 0.0 else (1.0, -1.0)):
+            nodes.append(mid + sgn * half * x)
+            wk.append(_RWK[i])
+            wg.append(_RWG[i // 2] if i % 2 == 1 else 0.0)
+    s = np.array(nodes)
+    vals = f(np.asarray(seg.point(s), dtype=complex)) * seg.tangent(s)
+    fk = sum(w * v for w, v in zip(wk, vals)) * half
+    fg = sum(w * v for w, v in zip(wg, vals) if w) * half
+    return fk, abs(fk - fg)
+
+
+def _ref_adaptive(f, seg, s0, s1, tol, depth, max_depth, stats):
+    stats["panels"] += 1
+    stats["depth"] = max(stats["depth"], depth)
+    val, err = _ref_panel(f, seg, s0, s1)
+    if err <= max(tol, 2e-16 * (1.0 + abs(val))):
+        return val, err
+    if depth >= max_depth:
+        raise QuadratureError(
+            f"max_depth exceeded on segment piece [{s0:.4g}, {s1:.4g}] "
+            f"(err {err:.3e} vs tol {tol:.3e})")
+    sm = 0.5 * (s0 + s1)
+    v1, e1 = _ref_adaptive(f, seg, s0, sm, tol / 2.0, depth + 1, max_depth, stats)
+    v2, e2 = _ref_adaptive(f, seg, sm, s1, tol / 2.0, depth + 1, max_depth, stats)
+    return v1 + v2, e1 + e2
+
+
+def _ref_integrate(f, segs, spec):
+    stats = {"panels": 0, "depth": 0}
+    total, err = 0.0 + 0.0j, 0.0
+    for seg in segs:
+        v, e = _ref_adaptive(f, seg, 0.0, 1.0, spec.tol / len(segs), 0,
+                             spec.max_depth, stats)
+        total += v
+        err += e
+    return total, err, stats
+
+
+def _counting(f):
+    seen = []
+
+    def g(z):
+        seen.append(len(z))
+        return f(z)
+    return g, seen
+
+
+@pytest.mark.parametrize("case, tol", [("peak", 1e-10), ("contour", 1e-12),
+                                       ("endpoint", 1e-12)])
+def test_breadth_first_matches_recursive_gk15(case, tol):
+    if case == "peak":  # a Lorentzian of width 0.01 on [0, 1]: depth 8
+        f = lambda z: 1.0 / ((z - 0.3) ** 2 + 1e-4)
+        segs = [Line(0.0, 1.0)]
+    elif case == "contour":  # four segments of two kinds: depth 7
+        f = lambda z: np.exp(-1.3 * z) / (1.0 + z) ** 2
+        segs = gamma_contour(0.3, 35.0).segments()
+    else:  # z^{5/2} at the endpoint 0: depth 6
+        f = lambda z: z ** 2.5 * np.exp(1j * z)
+        segs = [Line(0.0, 0.5), Line(0.5, 2.0)]
+    spec = QuadratureSpec(tol=tol)
+    ref, ref_err, stats = _ref_integrate(f, segs, spec)
+    g, seen = _counting(f)
+    val, err = integrate_path(g, segs, spec)
+    assert stats["depth"] >= 4
+    assert sum(seen) == 15 * stats["panels"]
+    assert len(seen) == stats["depth"] + 1  # one integrand call per level
+    assert abs(val - ref) <= 1e-15 * abs(ref)
+    assert abs(err - ref_err) <= 1e-15 * ref_err + 1e-300
+
+
+def test_breadth_first_raises_where_the_recursion_does():
+    # 1/(z - 0.3) is not integrable; both schemes give up on the same piece
+    f = lambda z: 1.0 / (z - 0.3)
+    spec = QuadratureSpec(tol=1e-10, max_depth=8)
+    with pytest.raises(QuadratureError) as ref:
+        _ref_integrate(f, [Line(0.0, 1.0)], spec)
+    with pytest.raises(QuadratureError) as got:
+        integrate_path(f, [Line(0.0, 1.0)], spec)
+    assert str(got.value) == str(ref.value)

@@ -5,11 +5,13 @@ import sys
 import threading
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraccal import hyp
-from fraccal.errors import (BudgetError, DegenerateCaseError, DomainError)
+from fraccal.errors import (BudgetError, ConvergenceError, DegenerateCaseError,
+                            DomainError)
 from fraccal.hyp import (Hyp2F1Params, PFQParams, circle_path,
                          connection_coefficient, euler_ltf_check,
                          geom_alpha_check, hyp2f1, hyp2f1_continue, hyp_pfq,
@@ -204,6 +206,25 @@ def test_pfq_simplify():
     assert simple.den == ()
 
 
+@pytest.mark.parametrize("c", [-50.7, -80.25])
+def test_cancelling_series_raise(c):
+    # on the 1-z route at large negative Re c the connection series have
+    # terms about 4e15 times their sums: no digit survives, so hyp2f1 must
+    # raise rather than return values off by 1.25e2 (c = -50.7) or 3.6e26
+    a, b, z = -0.04099786621961243, 2.1694647751380387, 0.6 - 0.2j
+    with pytest.raises(ConvergenceError):
+        hyp2f1(Hyp2F1Params(a, b, c), z)
+    _, _, row_a, row_b = hyp._table(complex(a), complex(b), complex(c)).at1
+    u = np.array([1.0 - z])
+    (_, cond_a), (_, cond_b) = hyp._row_sums([(row_a, u, None), (row_b, u, None)],
+                                             1e-16, 20000)
+    assert max(cond_a[0], cond_b[0]) > 1e15
+    # a series of positive terms is perfectly conditioned
+    (_, cond), = hyp._row_sums([(hyp._table(1 + 0j, 1 + 0j, 1 + 0j).taylor,
+                                 np.array([0.3 + 0j]), None)], 1e-16, 20000)
+    assert cond[0] <= 1.0
+
+
 def test_direct_series_sums_past_rising_terms():
     # with Re c far below 0 the terms fall, then rise again near k = -Re c;
     # three small terms before that point must not end the sum
@@ -319,3 +340,28 @@ def test_table_cache_is_bounded():
     for k in range(hyp._CACHE_SIZE + 40):
         hyp2f1(Hyp2F1Params(0.3 + 0.01 * k, 0.7, 1.9), 0.4 + 0.2j)
     assert hyp._table.cache_info().currsize == hyp._CACHE_SIZE
+
+
+# points for every route of the triples above: direct, 1-z, Pfaff, the
+# crescent around e^{+-i pi/3}, the cut (with the side flag), and z = 0
+_ROUTE_Z = [0.3 + 0.2j, -0.5 + 0.1j, 0.8 - 0.3j, 0.9 + 0.05j, -2.0 + 0.5j,
+            -6.0 - 1.0j, 0.5 + 0.86j, 0.5 - 0.86j, 1.5, 3.0, 0.0]
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_batch_values_equal_single_calls(side):
+    for abc in _GRID_PARAMS:
+        p = Hyp2F1Params(*abc)
+        batch = hyp2f1(p, np.array(_ROUTE_Z), side=side)
+        single = [hyp2f1(p, z, side=side) for z in _ROUTE_Z]
+        assert [repr(complex(v)) for v in batch] == [repr(v) for v in single]
+        # any subset, order and shape gives the same values
+        rev = hyp2f1(p, np.array(_ROUTE_Z[::-1]).reshape(1, -1), side=side)
+        assert rev.shape == (1, len(_ROUTE_Z))
+        assert [repr(complex(v)) for v in rev[0, ::-1]] == [repr(v) for v in single]
+        for z, v in zip(_ROUTE_Z, single):
+            assert isinstance(v, complex)
+            if z.imag == 0.0 and z.real > 1.0:
+                z += side * 1e-25j
+            ref = complex(mp.hyp2f1(*abc, z))
+            assert abs(v - ref) <= 1e-11 * max(abs(ref), 1.0)
