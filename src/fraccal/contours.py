@@ -46,7 +46,7 @@ _NODES = np.array([sgn * _XGK[i] for i, sgn in _PAIRS])
 _K15 = np.array([_WGK[i] for i, _ in _PAIRS])
 _G7_COLS = [j for j, (i, _) in enumerate(_PAIRS) if i % 2 == 1]
 _G7 = np.array([_WG[_PAIRS[j][0] // 2] for j in _G7_COLS])
-_LEVEL_PANELS = 4096  # panels per integrand call on a (rare) very wide level
+_LEVEL_PANELS = 1024  # open panels per integrand call at most
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,10 @@ def integrate_path(f: Callable, path, spec: Optional[QuadratureSpec] = None,
     max(tol_seg / 2^d, 2e-16 (1 + |value|)), tol_seg = tol / #segments,
     otherwise it is halved; QuadratureError is raised for a panel at
     max_depth that is not accepted.  Accepted values are summed child pair
-    by child pair, as a depth-first recursion would.
+    by child pair, as a depth-first recursion would.  A level of more than
+    _LEVEL_PANELS open panels is cut into runs of that many, taken
+    depth-first from the left, so an integral that never converges fails
+    at the panel the recursion fails at, after bounded work.
 
     decay_rate r certifies |f| <~ |f(endpoint)| e^{-r (Re t - T)} beyond the
     ray truncation; the implied tail bound |f(end)| / r per ray is folded
@@ -237,52 +240,54 @@ def integrate_path(f: Callable, path, spec: Optional[QuadratureSpec] = None,
     else:
         segs = list(path)
         tails = ()
-    tol = spec.tol / max(len(segs), 1)
-    seg_of = np.arange(len(segs))
-    s0, s1 = np.zeros(len(segs)), np.ones(len(segs))
-    levels = []  # per depth: values, errors, index of the first child or -1
-    while seg_of.size:
-        if seg_of.size <= _LEVEL_PANELS:
-            val, err = _gk15_level(f, segs, seg_of, s0, s1, arclength)
-        else:
-            parts = [_gk15_level(f, segs, seg_of[i:i + _LEVEL_PANELS],
-                                 s0[i:i + _LEVEL_PANELS], s1[i:i + _LEVEL_PANELS], arclength)
-                     for i in range(0, seg_of.size, _LEVEL_PANELS)]
-            val, err = (np.concatenate(v) for v in zip(*parts))
+    n = len(segs)  # panels numbered in the order they are made
+    # runs of open panels at one depth: (first number, segments, s0, s1, depth)
+    todo = [(0, np.arange(n), np.zeros(n), np.ones(n), 0)] if n else []
+    done = []  # per run: first number, values, errors, first child's number or -1
+    while todo:
+        first, seg_of, s0, s1, depth = todo.pop()
+        val, err = _gk15_level(f, segs, seg_of, s0, s1, arclength)
+        tol = spec.tol / max(len(segs), 1) / 2.0 ** depth
         split = ~(err <= np.maximum(tol, 2e-16 * (1.0 + np.abs(val))))
         n_split = np.count_nonzero(split)
-        if n_split and len(levels) >= spec.max_depth:
+        if n_split and depth >= spec.max_depth:
             i = int(split.argmax())
             raise QuadratureError(
                 f"max_depth exceeded on segment piece [{s0[i]:.4g}, {s1[i]:.4g}] "
                 f"(err {err[i]:.3e} vs tol {tol:.3e})")
         child = np.full(len(s0), -1)
-        child[split] = np.arange(0, 2 * n_split, 2)
-        levels.append((val, err, child))
+        child[split] = np.arange(n, n + 2 * n_split, 2)
+        done.append((first, val, err, child))
         lo, hi = s0[split], s1[split]
         mid = 0.5 * (lo + hi)
         seg_of = np.repeat(seg_of[split], 2)
         s0, s1 = np.empty(2 * n_split), np.empty(2 * n_split)
         s0[0::2], s0[1::2] = lo, mid  # children [lo, mid] and [mid, hi]
         s1[0::2], s1[1::2] = mid, hi
-        tol /= 2.0
-    for (val, err, child), (cval, cerr, _) in zip(levels[-2::-1], levels[:0:-1]):
-        split = child >= 0
-        left = child[split]
-        val[split] = cval[left] + cval[left + 1]
-        err[split] = cerr[left] + cerr[left + 1]
+        # the leftmost run is taken next
+        todo += [(n + i, seg_of[i:i + _LEVEL_PANELS], s0[i:i + _LEVEL_PANELS],
+                  s1[i:i + _LEVEL_PANELS], depth + 1)
+                 for i in reversed(range(0, 2 * n_split, _LEVEL_PANELS))]
+        n += 2 * n_split
+    vals, errs = np.empty(n, dtype=complex), np.empty(n)
+    for first, val, err, _ in done:
+        vals[first:first + len(val)], errs[first:first + len(val)] = val, err
+    for first, _, _, child in reversed(done):  # children are numbered after parents
+        split = np.flatnonzero(child >= 0) + first
+        left = child[child >= 0]
+        vals[split] = vals[left] + vals[left + 1]
+        errs[split] = errs[left] + errs[left + 1]
     total = 0.0 + 0.0j
     err_total = 0.0
-    if levels:
-        for v, e in zip(*levels[0][:2]):
-            total += complex(v)
-            err_total += float(e)
+    for v, e in zip(vals[:len(segs)], errs[:len(segs)]):
+        total += complex(v)
+        err_total += float(e)
     if decay_rate:
         if decay_rate <= 0:
             raise PreconditionError("decay certificate must be positive")
         ends = np.array(tails, dtype=complex)
         for v in np.broadcast_to(f(ends), ends.shape):
-            err_total += abs(v) / decay_rate
+            err_total += float(abs(v)) / decay_rate
     return IntegralResult(total, err_total)
 
 

@@ -143,7 +143,7 @@ class _Row:
         self.absr = _EMPTY  # |r_n| for n < len(coef) - 1
         self.h = np.array([digamma(a) + digamma(b) - digamma(c) - digamma(e)]) \
             if brackets else None
-        self._rise = None  # (lookup,) of risers() for |x| <= _Q_RISE
+        self._rise = None  # (q_max, lookup) of the widest risers() call
         self._lock = threading.Lock()
 
     def grow(self, n: int) -> None:
@@ -177,26 +177,25 @@ class _Row:
         A terminating row has its candidates below its last term.  Otherwise
         |r_n| <= (n+|a|)(n+|b|) / ((n-|c|)(n-|e|)) bounds the last index k
         where |r_n| q can reach 1, so for every |x| <= q_max the candidates
-        lie below k(q_max); the lookup for q_max = _Q_RISE is kept.
+        lie below k(q_max).  The lookup for the largest q_max asked so far is
+        kept and serves every smaller one: past k(q) no ratio reaches 1/q.
         """
         if self.stop is not None:
             k = min(self.stop - 1, cap)
             self.grow(k + 1)
             return _rise_lookup(self.absr, np.arange(k))
-        if q_max <= _Q_RISE and self._rise is not None:
-            look, = self._rise
-        else:
-            qr = max(q_max, _Q_RISE)
+        kept = self._rise
+        if kept is None or q_max > kept[0]:
             ma, mb, mc, me = self.moduli
-            lin = mc + me + qr * (ma + mb)
-            const = mc * me - qr * ma * mb
-            root = (lin + math.sqrt(max(lin * lin - 4.0 * (1.0 - qr) * const, 0.0))) \
-                / (2.0 * (1.0 - qr))
+            lin = mc + me + q_max * (ma + mb)
+            const = mc * me - q_max * ma * mb
+            root = (lin + math.sqrt(max(lin * lin - 4.0 * (1.0 - q_max) * const, 0.0))) \
+                / (2.0 * (1.0 - q_max))
             k = int(max(root, mc, me)) + 1
             self.grow(k + 1)
-            look = _rise_lookup(self.absr, np.flatnonzero(self.absr[:k] >= 1.0 / qr))
-            if qr == _Q_RISE:
-                self._rise = (look,)
+            kept = self._rise = (q_max, _rise_lookup(
+                self.absr, np.flatnonzero(self.absr[:k] >= 1.0 / q_max)))
+        look = kept[1]
         if look is not None and look[1][-1] >= cap:  # a cap below a candidate
             j = look[1][1:]
             look = _rise_lookup(self.absr, j[j < cap])
@@ -213,9 +212,6 @@ def _rise_lookup(absr: np.ndarray, j: np.ndarray) -> Optional[tuple]:
     return -np.maximum.accumulate(absr[j][::-1])[::-1], np.concatenate(([-1], j))
 
 
-# the largest series argument of the 2F1 routes is 0.98: the rising terms
-# of a row are looked up for |x| up to this once and kept
-_Q_RISE = 0.99
 # padding (in terms) that costs less than summing one more block
 _MERGE_TERMS = 1024
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from fraccal import contours
 from fraccal.contours import (Arc, Line, NeighborhoodContour, QuadratureSpec,
                               cauchy_eval, check_h1_decay, gamma_contour,
                               infinite_tube_boundary, integrate_path)
@@ -168,7 +169,7 @@ def _counting(f):
 
 @pytest.mark.parametrize("case, tol", [("peak", 1e-10), ("contour", 1e-12),
                                        ("endpoint", 1e-12)])
-def test_breadth_first_matches_recursive_gk15(case, tol):
+def test_breadth_first_matches_recursive_gk15(case, tol, monkeypatch):
     if case == "peak":  # a Lorentzian of width 0.01 on [0, 1]: depth 8
         f = lambda z: 1.0 / ((z - 0.3) ** 2 + 1e-4)
         segs = [Line(0.0, 1.0)]
@@ -187,14 +188,25 @@ def test_breadth_first_matches_recursive_gk15(case, tol):
     assert len(seen) == stats["depth"] + 1  # one integrand call per level
     assert abs(val - ref) <= 1e-15 * abs(ref)
     assert abs(err - ref_err) <= 1e-15 * ref_err + 1e-300
+    # a level split over several integrand calls gives the same sums
+    monkeypatch.setattr(contours, "_LEVEL_PANELS", 3)
+    assert integrate_path(f, segs, spec) == (val, err)
 
 
-def test_breadth_first_raises_where_the_recursion_does():
-    # 1/(z - 0.3) is not integrable; both schemes give up on the same piece
-    f = lambda z: 1.0 / (z - 0.3)
-    spec = QuadratureSpec(tol=1e-10, max_depth=8)
+@pytest.mark.parametrize("case", ["pole", "noise"])
+def test_breadth_first_raises_where_the_recursion_does(case):
+    if case == "pole":  # 1/(z - 0.3) is not integrable
+        f = lambda z: 1.0 / (z - 0.3)
+        spec = QuadratureSpec(tol=1e-10, max_depth=8)
+    else:  # noise above the tolerance: every panel splits down to max_depth
+        f = lambda z: 1.0 + 1e-6 * np.sin(1e7 * z.real)
+        spec = QuadratureSpec(tol=1e-12, max_depth=16)
     with pytest.raises(QuadratureError) as ref:
         _ref_integrate(f, [Line(0.0, 1.0)], spec)
+    g, seen = _counting(f)
     with pytest.raises(QuadratureError) as got:
-        integrate_path(f, [Line(0.0, 1.0)], spec)
+        integrate_path(g, [Line(0.0, 1.0)], spec)
+    # both give up on the same piece; past _LEVEL_PANELS open panels a level
+    # is taken in runs from the left, so not all 2^16 panels are evaluated
     assert str(got.value) == str(ref.value)
+    assert sum(seen) <= 15 * contours._LEVEL_PANELS * (spec.max_depth + 2)
