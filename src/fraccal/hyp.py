@@ -248,8 +248,8 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
     its row, x, tol and max_terms alone, never on the other elements or on
     how far a row has been grown, so a value is the same in any batch.  All
     elements of all jobs are summed together in padded blocks of similar
-    term counts; a block whose sums have not all stopped is summed again
-    twice as wide.
+    term counts; elements whose sums have not stopped within their block are
+    summed again twice as wide.
 
     Returns per job the values and the condition estimates max |term| / |sum|
     over the summed terms.

@@ -359,9 +359,9 @@ def laplace_surface_ray(f: Callable[[np.ndarray, float], np.ndarray], zeta: comp
                         singular_exponent: Optional[float] = None) -> complex:
     """zeta * int over the ray arg t = ray_angle of e^{-zeta t} f(|t|, theta).
 
-    f takes (moduli, angle): an ndarray of moduli and one angle.  A declared algebraic singularity of exponent
-    singular_exponent at |t| = 1 is flattened by power substitutions on both
-    sides of the crossing.
+    f takes (moduli, angle): an ndarray of moduli and one angle.  A declared
+    algebraic singularity of exponent singular_exponent at |t| = 1 is
+    flattened by power substitutions on both sides of the crossing.
     """
     zeta = complex(zeta)
     e = cmath.exp(1j * ray_angle)
@@ -459,12 +459,13 @@ def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
         surf = WhittakerSurface(kappa, mu)
         k2 = 2.0 * complex(kappa)
         ts = [complex(t) for t in grid]
-        out = [t for t in ts if abs(t) > 1.0]
-        f2_side = [t for t in out if cmath.phase(t) <= 1e-14]  # F_2 sheet half-grid
+        outside = [t for t in ts if abs(t) > 1.0]
+        f2_side = [t for t in outside if cmath.phase(t) <= 1e-14]  # F_2 sheet half-grid
         # every function value on the grid at once; side flags act on the cut only
-        rho, phi = np.array([abs(t) for t in out]), np.array([cmath.phase(t) for t in out])
+        rho = np.array([abs(t) for t in outside])
+        phi = np.array([cmath.phase(t) for t in outside])
         lhs1 = surf.f1(rho, phi - math.pi) - surf.f1(rho, phi + math.pi)
-        in1 = hyp2f1(surf._inner1, 1.0 - np.array(out), side=-1)
+        in1 = hyp2f1(surf._inner1, 1.0 - np.array(outside), side=-1)
         rho2 = np.array([abs(t) for t in f2_side])
         phi2 = np.array([cmath.phase(t) for t in f2_side])
         lhs2 = surf.f2(rho2, phi2 - math.pi) - surf.f2(rho2, phi2 + math.pi)
