@@ -21,7 +21,8 @@ from .hyp import (Hyp2F1Params, PFQParams, connection_coefficient,
                   hyp_pfq, monodromic_jump_2f1)
 from .contours import (Arc, InfiniteRay, IntegralResult, Line,
                        NeighborhoodContour, QuadratureSpec, cauchy_eval,
-                       gamma_contour, infinite_tube_boundary, integrate_path)
+                       gamma_contour, infinite_tube_boundary, integrate_path,
+                       integrate_paths)
 from .fracops import (FractionalOrder, PsiPolynomial, frac_deriv_contour,
                       frac_deriv_series, frac_deriv_series_normalized,
                       frac_integ_contour, frac_integ_series, frac_h1,

@@ -96,28 +96,13 @@ def _emit(obj: dict, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_fracop(args, cfg: RunConfig) -> int:
-    if args.series:
-        F = PowerSeries.from_json(args.series)
-    else:
-        F = _builtin_series(args.builtin or "geometric", cfg.truncation,
-                            args.kappa, args.mu)
     alpha = complex(args.alpha)
-    op_series = frac_deriv_series if args.mode == "deriv" else frac_integ_series
     out = {"schema": SCHEMA, "command": "fracop", "version": __version__,
            "alpha": [alpha.real, alpha.imag], "mode": args.mode}
-    if args.eval is None:
-        G = op_series(F, alpha, precision=cfg.precision)
-        out["method"] = "series-coefficients"
-        out["coeffs"] = [[c.real, c.imag] for c in G.coeffs]
-    elif args.method == "series":
-        G = op_series(F, alpha, precision=cfg.precision)
-        t = complex(args.eval)
-        val = eval_series(G, t)
-        out["method"] = "series"
-        out["t"] = [t.real, t.imag]
-        out["value"] = [val.value.real, val.value.imag]
-        out["truncation_indicator"] = val.last_term
-    else:
+    if args.eval is not None and args.method == "contour":
+        if args.series:
+            raise DomainError("--method contour evaluates a --builtin function; "
+                              "a --series is evaluated with --method series")
         fn, a_width, rtype = _builtin_oracle(args.builtin or "geometric")
         t = complex(args.eval)
         op_contour = frac_deriv_contour if args.mode == "deriv" else frac_integ_contour
@@ -129,6 +114,25 @@ def cmd_fracop(args, cfg: RunConfig) -> int:
         out["r"] = r
         out["A"] = A
         out["value"] = [val.real, val.imag]
+        _emit(out, args)
+        return 0
+    if args.series:
+        F = PowerSeries.from_json(args.series)
+    else:
+        F = _builtin_series(args.builtin or "geometric", cfg.truncation,
+                            args.kappa, args.mu)
+    op_series = frac_deriv_series if args.mode == "deriv" else frac_integ_series
+    G = op_series(F, alpha, precision=cfg.precision)
+    if args.eval is None:
+        out["method"] = "series-coefficients"
+        out["coeffs"] = [[c.real, c.imag] for c in G.coeffs]
+    else:
+        t = complex(args.eval)
+        val = eval_series(G, t)
+        out["method"] = "series"
+        out["t"] = [t.real, t.imag]
+        out["value"] = [val.value.real, val.value.imag]
+        out["truncation_indicator"] = val.last_term
     _emit(out, args)
     return 0
 
@@ -196,6 +200,7 @@ def _suite_jumps(cfg: RunConfig) -> dict:
 
 
 def _suite_lm_duality(cfg: RunConfig) -> dict:
+    zetas = (2.0, 3.0, 5.0)
     cases = []
     worst = 0.0
     for alpha in (0.5, 1.5):
@@ -207,11 +212,13 @@ def _suite_lm_duality(cfg: RunConfig) -> dict:
         poly = lambda t: 1.0 + t
         dpoly = lambda t, g1=g1, g2=g2: g1 + g2 * t
         ipoly = lambda t, g1=g1, g2=g2: 1.0 / g1 + t / g2
-        for zeta in (2.0, 3.0, 5.0):
-            for name, trio in (("geometric", (F, dF, iF)),
-                               ("polynomial", (poly, dpoly, ipoly))):
-                out = verify_lm_duality(*trio, alpha, zeta, 0.0, 1e-12)
-                rd, ri = out["residual_deriv"], out["residual_integ"]
+        outs = {name: verify_lm_duality(*trio, alpha, np.array(zetas), 0.0, 1e-12)
+                for name, trio in (("geometric", (F, dF, iF)),
+                                   ("polynomial", (poly, dpoly, ipoly)))}
+        for i, zeta in enumerate(zetas):
+            for name, out in outs.items():
+                rd = float(out["residual_deriv"][i])
+                ri = float(out["residual_integ"][i])
                 cases.append({"function": name, "alpha": alpha, "zeta": zeta,
                               "residual_deriv": rd, "residual_integ": ri})
                 worst = max(worst, rd, ri)

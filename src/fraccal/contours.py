@@ -12,14 +12,16 @@ integrate_path is an adaptive Gauss-Kronrod 7-15 scheme over the segments,
 refined breadth-first: each level maps the nodes of every open panel of
 every segment to one array and calls the integrand once on it, so an
 integrand is a numpy expression in an ndarray of points (wrap a scalar-only
-callable in np.vectorize).
+callable in np.vectorize).  integrate_paths refines a family of integrals,
+such as one Laplace transform at several zeta, in the same levels: one call
+f(z, which) per level serves all of them, which[i] naming the path of z[i].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -190,11 +192,11 @@ class IntegralResult(NamedTuple):
     err_est: float
 
 
-def _gk15_level(f: Callable, segs: list, seg_of: np.ndarray, s0: np.ndarray,
-                s1: np.ndarray, arclength: bool) -> tuple:
+def _gk15_level(f: Callable, segs: list, member: np.ndarray, seg_of: np.ndarray,
+                s0: np.ndarray, s1: np.ndarray, arclength: bool) -> tuple:
     """GK15 value and error estimate of every panel [s0, s1] of segment
     segs[seg_of] (panels in segment order), from one integrand call on all
-    of their nodes."""
+    of their nodes; member[j] is the path that segment j belongs to."""
     mid = 0.5 * (s0 + s1)
     half = 0.5 * (s1 - s0)
     s = mid[:, None] + half[:, None] * _NODES
@@ -205,56 +207,64 @@ def _gk15_level(f: Callable, segs: list, seg_of: np.ndarray, s0: np.ndarray,
         if hi > lo:
             z[lo:hi] = seg.point(s[lo:hi])
             dz[lo:hi] = seg.tangent(s[lo:hi])
-    vals = (f(z.ravel()) * (np.abs(dz) if arclength else dz).ravel()).reshape(s.shape)
+    which = np.repeat(member[seg_of], len(_NODES))
+    vals = (f(z.ravel(), which) * (np.abs(dz) if arclength else dz).ravel()).reshape(s.shape)
     # sequential sums in node order, as a scalar panel loop adds them
     fk = (vals * _K15).cumsum(axis=1)[:, -1] * half
     fg = (vals[:, _G7_COLS] * _G7).cumsum(axis=1)[:, -1] * half
     return fk, np.abs(fk - fg)
 
 
-def integrate_path(f: Callable, path, spec: Optional[QuadratureSpec] = None,
-                   decay_rate: Optional[float] = None,
-                   arclength: bool = False) -> IntegralResult:
-    """Integrate f along a path (a NeighborhoodContour or segment list).
+def integrate_paths(f: Callable, paths: Sequence, specs: Sequence[QuadratureSpec],
+                    arclength: bool = False) -> list:
+    """Integrate one integrand family along several paths in lock-step.
 
-    f takes an ndarray of complex points and returns their values (a
-    constant may come back as a scalar).  Refinement is breadth-first:
-    every level evaluates all open panels of all segments in one call.  A
-    panel at depth d is accepted when its error estimate is at most
-    max(tol_seg / 2^d, 2e-16 (1 + |value|)), tol_seg = tol / #segments,
-    otherwise it is halved; QuadratureError is raised for a panel at
-    max_depth that is not accepted.  Accepted values are summed child pair
-    by child pair, as a depth-first recursion would.  A level of more than
-    _LEVEL_PANELS open panels is cut into runs of that many, taken
-    depth-first from the left, so an integral that never converges fails
-    at the panel the recursion fails at, after bounded work.
+    f(z, which) takes an ndarray of complex points and an equally long
+    integer array, which[i] being the index in paths of the path that z[i]
+    lies on, and returns their values (a constant may come back as a
+    scalar).  Returns one IntegralResult per path; specs[k] applies to
+    paths[k].
 
-    decay_rate r certifies |f| <~ |f(endpoint)| e^{-r (Re t - T)} beyond the
-    ray truncation; the implied tail bound |f(end)| / r per ray is folded
-    into err_est.  arclength=True integrates against |dt| instead of dt.
+    Refinement is breadth-first and shared: every level evaluates the open
+    panels of all segments of all paths in one call.  A panel at depth d of
+    path k is accepted when its error estimate is at most
+    max(tol_seg / 2^d, 2e-16 (1 + |value|)), tol_seg = specs[k].tol /
+    #segments of path k, otherwise it is halved; QuadratureError is raised
+    for a panel at specs[k].max_depth that is not accepted.  Accepted values
+    are summed child pair by child pair, as a depth-first recursion would,
+    then segment by segment.  Every panel of path k is therefore decided and
+    summed as in an integration of path k alone, so each result equals the
+    one-path result exactly.  A level of more than _LEVEL_PANELS open
+    panels is cut into runs of that many, taken depth-first from the left,
+    so an integral that never converges fails at the panel the recursion
+    fails at, after bounded work.  arclength=True integrates against |dt|
+    instead of dt.
     """
-    spec = spec or QuadratureSpec()
-    if isinstance(path, NeighborhoodContour):
-        segs = path.segments()
-        tails = path.ray_endpoints() if decay_rate else ()
-    else:
-        segs = list(path)
-        tails = ()
+    paths = [p.segments() if isinstance(p, NeighborhoodContour) else list(p)
+             for p in paths]
+    if len(specs) != len(paths):
+        raise DomainError(f"{len(specs)} specs for {len(paths)} paths")
+    segs = [seg for p in paths for seg in p]
+    member = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
+    seg_tol = np.array([specs[k].tol / len(paths[k]) for k in member.tolist()])
+    seg_depth = np.array([specs[k].max_depth for k in member.tolist()], dtype=int)
     n = len(segs)  # panels numbered in the order they are made
     # runs of open panels at one depth: (first number, segments, s0, s1, depth)
     todo = [(0, np.arange(n), np.zeros(n), np.ones(n), 0)] if n else []
     done = []  # per run: first number, values, errors, first child's number or -1
     while todo:
         first, seg_of, s0, s1, depth = todo.pop()
-        val, err = _gk15_level(f, segs, seg_of, s0, s1, arclength)
-        tol = spec.tol / max(len(segs), 1) / 2.0 ** depth
+        val, err = _gk15_level(f, segs, member, seg_of, s0, s1, arclength)
+        tol = seg_tol[seg_of] / 2.0 ** depth
         split = ~(err <= np.maximum(tol, 2e-16 * (1.0 + np.abs(val))))
-        n_split = np.count_nonzero(split)
-        if n_split and depth >= spec.max_depth:
-            i = int(split.argmax())
+        stuck = split & (depth >= seg_depth[seg_of])
+        if stuck.any():
+            i = int(stuck.argmax())
+            where = f" of path {member[seg_of[i]]}" if len(paths) > 1 else ""
             raise QuadratureError(
-                f"max_depth exceeded on segment piece [{s0[i]:.4g}, {s1[i]:.4g}] "
-                f"(err {err[i]:.3e} vs tol {tol:.3e})")
+                f"max_depth exceeded on segment piece [{s0[i]:.4g}, {s1[i]:.4g}]"
+                f"{where} (err {err[i]:.3e} vs tol {tol[i]:.3e})")
+        n_split = np.count_nonzero(split)
         child = np.full(len(s0), -1)
         child[split] = np.arange(n, n + 2 * n_split, 2)
         done.append((first, val, err, child))
@@ -277,15 +287,38 @@ def integrate_path(f: Callable, path, spec: Optional[QuadratureSpec] = None,
         left = child[child >= 0]
         vals[split] = vals[left] + vals[left + 1]
         errs[split] = errs[left] + errs[left + 1]
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    for v, e in zip(vals[:len(segs)], errs[:len(segs)]):
-        total += complex(v)
-        err_total += float(e)
-    if decay_rate:
-        if decay_rate <= 0:
-            raise PreconditionError("decay certificate must be positive")
-        ends = np.array(tails, dtype=complex)
+    out = []
+    lo = 0
+    for p in paths:
+        total = 0.0 + 0.0j
+        err_total = 0.0
+        for v, e in zip(vals[lo:lo + len(p)].tolist(), errs[lo:lo + len(p)].tolist()):
+            total += v
+            err_total += e
+        out.append(IntegralResult(total, err_total))
+        lo += len(p)
+    return out
+
+
+def integrate_path(f: Callable, path, spec: Optional[QuadratureSpec] = None,
+                   decay_rate: Optional[float] = None,
+                   arclength: bool = False) -> IntegralResult:
+    """Integrate f along a path (a NeighborhoodContour or segment list).
+
+    f takes an ndarray of complex points and returns their values (a
+    constant may come back as a scalar).  This is integrate_paths with one
+    path; see there for the refinement and its QuadratureError.
+
+    decay_rate r certifies |f| <~ |f(endpoint)| e^{-r (Re t - T)} beyond the
+    ray truncation; the implied tail bound |f(end)| / r per ray is folded
+    into err_est.  arclength=True integrates against |dt| instead of dt.
+    """
+    if decay_rate and decay_rate < 0:
+        raise PreconditionError("decay certificate must be positive")
+    total, err_total = integrate_paths(lambda z, which: f(z), [path],
+                                       [spec or QuadratureSpec()], arclength)[0]
+    if decay_rate and isinstance(path, NeighborhoodContour):
+        ends = np.array(path.ray_endpoints(), dtype=complex)
         for v in np.broadcast_to(f(ends), ends.shape):
             err_total += float(abs(v)) / decay_rate
     return IntegralResult(total, err_total)
@@ -299,8 +332,7 @@ def cauchy_eval(F: Callable[[np.ndarray], np.ndarray], a: float, t: complex,
 
     F must be integrable against |dxi|/|xi| on gamma(a) (Hardy-type
     condition, checked crudely via the sampled ray decay); t must lie in the
-    open tube of width a.  F is evaluated on ndarrays of boundary points and,
-    by the decay probe, on single points.
+    open tube of width a.  F is evaluated on ndarrays of boundary points.
     """
     t = complex(t)
     if dist_to_positive_ray(t) >= a:
@@ -324,8 +356,10 @@ def check_h1_decay(F, contour: NeighborhoodContour, n_probe: int = 6) -> None:
     A, T = contour.A, contour.T
     # geometric probe spacing so each sample stands for one dyadic block
     xs = [A + (T - A) * 2.0 ** (k - n_probe + 1) for k in range(n_probe)]
-    for sign in (1.0, -1.0):
-        vals = [abs(F(complex(x, sign * A))) for x in xs]
+    pts = np.array([complex(x, sign * A) for sign in (1.0, -1.0) for x in xs])
+    values = np.broadcast_to(F(pts), pts.shape).tolist()
+    for vals in (values[:n_probe], values[n_probe:]):
+        vals = [abs(v) for v in vals]
         head = sum(vals[: n_probe // 2]) / (n_probe // 2)
         tail = sum(vals[n_probe // 2:]) / (n_probe - n_probe // 2)
         if tail > 0.8 * head + 1e-12:

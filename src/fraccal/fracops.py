@@ -9,8 +9,8 @@ gamma(A) with Gauss hypergeometric kernels, each one a scalar coefficient row
 dotted with power sums of the quadrature nodes that are built once per
 evaluation; the simplified single-integral forms apply when F is integrable
 against |dxi|/|xi| on the boundary.  Boundary functions F are numpy
-expressions, evaluated on the whole ndarray of boundary points at once (and
-on single points by the decay probes).
+expressions, evaluated on the whole ndarray of boundary points at once (the
+decay probes included).
 """
 
 from __future__ import annotations
@@ -360,8 +360,10 @@ def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: f
         raise DomainError(f"t = {t:.6g} is outside the tube of width {A:.4g}")
     T = T if T is not None else A + 40.0 / r
     # the weighted integrand must decay along the rays, else r <= type(F)
-    g_mid = abs(F(complex(T / 2.0, A))) * math.exp(-r * T / 2.0)
-    g_end = abs(F(complex(T, A))) * math.exp(-r * T)
+    probe = np.array([complex(T / 2.0, A), complex(T, A)])
+    f_mid, f_end = np.broadcast_to(F(probe), probe.shape).tolist()
+    g_mid = abs(f_mid) * math.exp(-r * T / 2.0)
+    g_end = abs(f_end) * math.exp(-r * T)
     if g_end > g_mid + 1e-280:
         raise ConvergenceError(
             "weighted integrand grows along the contour rays; the declared "

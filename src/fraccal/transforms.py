@@ -24,10 +24,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .contours import (Line, QuadratureSpec, gamma_contour, integrate_path,
-                       IntegralResult)
+                       integrate_paths)
 from .errors import DomainError, PreconditionError
 from .gammafn import gamma
 from .series import PowerSeries
+from .utils import as_family, family_result
 
 _FACTORIAL_LIMIT = 170  # k! overflows double beyond this
 
@@ -99,55 +100,80 @@ def _truncation_horizon(re_margin: float, tol: float) -> float:
     return max(4.0, -math.log(0.01 * tol) / re_margin)
 
 
-def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta: complex,
-                       type_bound: float = 0.0, tol: float = 1e-12) -> complex:
-    """zeta * int_0^oo e^{-zeta t} F(t) dt for Re zeta > type_bound."""
-    zeta = complex(zeta)
-    margin = zeta.real - type_bound
-    if margin <= 0:
-        raise DomainError(f"Re zeta = {zeta.real} must exceed the type bound "
-                          f"{type_bound}")
-    T = _truncation_horizon(margin, tol)
-    segs = [Line(0.0, min(1.0, T)), Line(min(1.0, T), T)] if T > 1.0 else [Line(0.0, T)]
-    val, _ = integrate_path(lambda t: np.exp(-zeta * t) * F(t), segs,
-                            QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0))))
-    return zeta * val
+def _laplace_family(F: Callable[[np.ndarray], np.ndarray], zetas: list,
+                    type_bound: float, tol: float) -> list:
+    """laplace_quadrature at each complex of zetas, integrated as one
+    family."""
+    paths, specs = [], []
+    for zeta in zetas:
+        margin = zeta.real - type_bound
+        if margin <= 0:
+            raise DomainError(f"Re zeta = {zeta.real} must exceed the type bound "
+                              f"{type_bound}")
+        T = _truncation_horizon(margin, tol)
+        paths.append([Line(0.0, min(1.0, T)), Line(min(1.0, T), T)] if T > 1.0
+                     else [Line(0.0, T)])
+        specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0))))
+    rate = np.array([-zeta for zeta in zetas])
+    res = integrate_paths(lambda t, k: np.exp(rate[k] * t) * F(t), paths, specs)
+    return [zeta * r.value for zeta, r in zip(zetas, res)]
 
 
-def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta: complex,
-                  type_bound: float = 0.0, tol: float = 1e-12) -> complex:
-    """zeta^{1+alpha} int_0^oo e^{-zeta t} t^alpha F(t) dt (principal power).
+def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta,
+                       type_bound: float = 0.0, tol: float = 1e-12):
+    """zeta * int_0^oo e^{-zeta t} F(t) dt for Re zeta > type_bound.
 
-    The algebraic endpoint factor t^alpha is flattened by the substitution
-    t = u^p with p chosen so the integrand is C^1 at u = 0.
-    """
-    zeta = complex(zeta)
+    An array of zeta is integrated as one family (contours.integrate_paths)
+    and gives an ndarray of its shape, each element equal to the scalar
+    call's complex."""
+    zetas, shape = as_family(zeta)
+    return family_result(_laplace_family(F, zetas, type_bound, tol), shape)
+
+
+def _laplace_alpha_family(F: Callable[[np.ndarray], np.ndarray], alpha,
+                          zetas: list, type_bound: float, tol: float) -> list:
+    """laplace_alpha at each complex of zetas, integrated as one family."""
     alpha = complex(getattr(alpha, "alpha", alpha))
     if alpha.real <= -1.0:
         raise DomainError("Re alpha must exceed -1")
-    margin = zeta.real - type_bound
-    if margin <= 0:
-        raise DomainError(f"Re zeta = {zeta.real} must exceed the type bound "
-                          f"{type_bound}")
-    T = _truncation_horizon(margin, tol)
     p = max(1, math.ceil(2.0 / (alpha.real + 1.0)))
+    paths, specs = [], []
+    for zeta in zetas:
+        margin = zeta.real - type_bound
+        if margin <= 0:
+            raise DomainError(f"Re zeta = {zeta.real} must exceed the type bound "
+                              f"{type_bound}")
+        U = _truncation_horizon(margin, tol) ** (1.0 / p)
+        cuts = sorted({0.0, min(0.5, U), min(1.0, U), U})
+        paths.append([Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
+        specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0) ** (1 + max(alpha.real, 0)))))
+    rate = np.array([-zeta for zeta in zetas])
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, k: np.ndarray) -> np.ndarray:
         # u = 0 is an endpoint, never a node
         t = u ** p
-        return p * u ** (p * (alpha + 1.0) - 1.0) * np.exp(-zeta * t) * F(t)
+        return p * u ** (p * (alpha + 1.0) - 1.0) * np.exp(rate[k] * t) * F(t)
 
-    U = T ** (1.0 / p)
-    cuts = sorted({0.0, min(0.5, U), min(1.0, U), U})
-    segs = [Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-    val, _ = integrate_path(g, segs, QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0) ** (1 + max(alpha.real, 0)))))
-    return zeta ** (1.0 + alpha) * val
+    res = integrate_paths(g, paths, specs)
+    return [zeta ** (1.0 + alpha) * r.value for zeta, r in zip(zetas, res)]
+
+
+def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta,
+                  type_bound: float = 0.0, tol: float = 1e-12):
+    """zeta^{1+alpha} int_0^oo e^{-zeta t} t^alpha F(t) dt (principal power).
+
+    The algebraic endpoint factor t^alpha is flattened by the substitution
+    t = u^p with p chosen so the integrand is C^1 at u = 0.  An array of
+    zeta is integrated as one family, as in laplace_quadrature.
+    """
+    zetas, shape = as_family(zeta)
+    return family_result(_laplace_alpha_family(F, alpha, zetas, type_bound, tol), shape)
 
 
 def verify_lm_duality(F: Callable[[np.ndarray], np.ndarray],
                       d_alpha_F: Callable[[np.ndarray], np.ndarray],
                       i_alpha_F: Callable[[np.ndarray], np.ndarray],
-                      alpha, zeta: complex, type_bound: float = 0.0,
+                      alpha, zeta, type_bound: float = 0.0,
                       tol: float = 1e-12) -> dict:
     """Residuals of the two transform identities
 
@@ -157,15 +183,20 @@ def verify_lm_duality(F: Callable[[np.ndarray], np.ndarray],
             = zeta^{1+alpha} int e^{-zeta t} t^alpha I_alpha{F} dt,
 
     given closed-form (or series-backed) evaluators for the operator images.
+    An array of zeta gives ndarrays of its shape, from four family
+    integrations.
     """
-    lhs_d = laplace_alpha(F, alpha, zeta, type_bound, tol)
-    rhs_d = laplace_quadrature(d_alpha_F, zeta, type_bound, tol)
-    res_d = abs(lhs_d - rhs_d)
-    lhs_i = laplace_quadrature(F, zeta, type_bound, tol)
-    rhs_i = laplace_alpha(i_alpha_F, alpha, zeta, type_bound, tol)
-    res_i = abs(lhs_i - rhs_i)
-    return {"residual_deriv": res_d, "residual_integ": res_i,
-            "transform_value": lhs_d, "laplace_value": lhs_i}
+    zetas, shape = as_family(zeta)
+    lhs_d = _laplace_alpha_family(F, alpha, zetas, type_bound, tol)
+    rhs_d = _laplace_family(d_alpha_F, zetas, type_bound, tol)
+    lhs_i = _laplace_family(F, zetas, type_bound, tol)
+    rhs_i = _laplace_alpha_family(i_alpha_F, alpha, zetas, type_bound, tol)
+    res_d = [abs(a - b) for a, b in zip(lhs_d, rhs_d)]
+    res_i = [abs(a - b) for a, b in zip(lhs_i, rhs_i)]
+    return {"residual_deriv": family_result(res_d, shape, float),
+            "residual_integ": family_result(res_i, shape, float),
+            "transform_value": family_result(lhs_d, shape),
+            "laplace_value": family_result(lhs_i, shape)}
 
 
 def remainder(P: LaplaceOracle, p: AsymptoticSeries, n: int, zeta: complex) -> complex:
@@ -238,8 +269,10 @@ def h_norm(F: Callable[[np.ndarray], np.ndarray], r: float, A: float,
     T = A + _truncation_horizon(r - type_bound, tol)
     contour = gamma_contour(A, T)
     # empirical tail sanity on top of the declared bound
-    e1 = abs(F(complex(T, A))) * math.exp(-r * abs(complex(T, A)))
-    e0 = abs(F(complex(T / 2.0, A))) * math.exp(-r * abs(complex(T / 2.0, A)))
+    ends = np.array([complex(T, A), complex(T / 2.0, A)])
+    f1, f0 = np.broadcast_to(F(ends), ends.shape).tolist()
+    e1 = abs(f1) * math.exp(-r * abs(complex(T, A)))
+    e0 = abs(f0) * math.exp(-r * abs(complex(T / 2.0, A)))
     if e1 > max(e0, 1e-290) * 1.01 and e1 > tol:
         raise PreconditionError("sampled integrand grows along the ray; "
                                 "declared type looks too small")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 
 def dist_to_positive_ray(t: complex) -> float:
     """Distance from t to the closed ray [0, +inf) on the real axis."""
@@ -59,3 +61,18 @@ def near_integer(z: complex, tol: float = 1e-6) -> int | None:
     if abs(z.real - n) <= tol:
         return n
     return None
+
+
+def as_family(zeta) -> tuple:
+    """The members of a scalar or array argument as a list of complex, and
+    the shape to give the results (None for a scalar); see family_result."""
+    if np.ndim(zeta) == 0:
+        return [complex(zeta)], None
+    zeta = np.asarray(zeta)
+    return [complex(z) for z in zeta.ravel().tolist()], zeta.shape
+
+
+def family_result(values: list, shape, dtype=complex):
+    """values[0] for a scalar argument (shape None), else an ndarray of the
+    argument's shape."""
+    return values[0] if shape is None else np.array(values, dtype=dtype).reshape(shape)

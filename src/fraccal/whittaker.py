@@ -27,13 +27,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contours import Line, QuadratureSpec, integrate_path
+from .contours import Line, QuadratureSpec, integrate_path, integrate_paths
 from .errors import ConvergenceError, DomainError
 from .fracops import frac_integ_series
 from .gammafn import gamma, rgamma
 from .hyp import Hyp2F1Params, connection_coefficient, hyp2f1
 from .series import PowerSeries, eval_series, taylor_shift
-from .utils import cpow, principal_power
+from .utils import as_family, cpow, family_result, principal_power
 
 _BETA_ZERO_TOL = 1e-14
 
@@ -354,49 +354,60 @@ class _PowerLine:
         return self.direction * self.length * self.p * s ** (self.p - 1)
 
 
-def laplace_surface_ray(f: Callable[[np.ndarray, float], np.ndarray], zeta: complex,
+def laplace_surface_ray(f: Callable[[np.ndarray, float], np.ndarray], zeta,
                         ray_angle: float, tol: float = 1e-10,
-                        singular_exponent: Optional[float] = None) -> complex:
+                        singular_exponent: Optional[float] = None):
     """zeta * int over the ray arg t = ray_angle of e^{-zeta t} f(|t|, theta).
 
     f takes (moduli, angle): an ndarray of moduli and one angle.  A declared
     algebraic singularity of exponent singular_exponent at |t| = 1 is
-    flattened by power substitutions on both sides of the crossing.
+    flattened by power substitutions on both sides of the crossing.  An
+    array of zeta is integrated as one family (contours.integrate_paths) and
+    gives an ndarray of its shape; f is then called once per level on the
+    distinct moduli, which the rays of nearby zeta share.
     """
-    zeta = complex(zeta)
+    zetas, shape = as_family(zeta)
     e = cmath.exp(1j * ray_angle)
-    lam = (zeta * e).real
-    if lam <= 0:
-        raise DomainError("ray does not damp the exponential factor")
-    T = max(4.0, -math.log(1e-2 * max(tol, 1e-14)) / lam)
+    paths = []
+    for zeta in zetas:
+        lam = (zeta * e).real
+        if lam <= 0:
+            raise DomainError("ray does not damp the exponential factor")
+        T = max(4.0, -math.log(1e-2 * max(tol, 1e-14)) / lam)
+        if singular_exponent is None or singular_exponent <= 0 or T <= 1.0:
+            cuts = sorted({0.0, min(1.0, T), min(3.0, T), T})
+            paths.append([Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
+        else:
+            if singular_exponent >= 1.0:
+                raise DomainError("non-integrable ray singularity")
+            p = max(2, math.ceil(2.0 / (1.0 - singular_exponent)))
+            paths.append([Line(0.0, 0.5),
+                          _PowerLine(1.0, -1.0, 0.5, p),
+                          _PowerLine(1.0, 1.0, max(1e-3, min(2.0, T - 1.0)), p),
+                          Line(min(3.0, T), T)])
+    rate = np.array([-zeta * e for zeta in zetas])
 
-    def integrand(s: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         s = s.real  # |t| > 0: s = 0 is an endpoint, never a node
-        return np.exp(-zeta * e * s) * f(s, ray_angle)
+        moduli, where = np.unique(s, return_inverse=True)
+        return np.exp(rate[k] * s) * f(moduli, ray_angle)[where]
 
-    if singular_exponent is None or singular_exponent <= 0 or T <= 1.0:
-        cuts = sorted({0.0, min(1.0, T), min(3.0, T), T})
-        segs = [Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-    else:
-        if singular_exponent >= 1.0:
-            raise DomainError("non-integrable ray singularity")
-        p = max(2, math.ceil(2.0 / (1.0 - singular_exponent)))
-        segs = [Line(0.0, 0.5),
-                _PowerLine(1.0, -1.0, 0.5, p),
-                _PowerLine(1.0, 1.0, max(1e-3, min(2.0, T - 1.0)), p),
-                Line(min(3.0, T), T)]
-    val, _ = integrate_path(integrand, segs, QuadratureSpec(tol=max(1e-14, tol)))
-    return zeta * e * val
+    res = integrate_paths(integrand, paths,
+                          [QuadratureSpec(tol=max(1e-14, tol))] * len(paths))
+    return family_result([zeta * e * r.value for zeta, r in zip(zetas, res)], shape)
 
 
-def phase_amplitude_values(kappa: complex, mu: complex, zeta_abs: float,
+def phase_amplitude_values(kappa: complex, mu: complex, zeta_abs,
                            zeta_arg: float, which: int,
-                           tol: float = 1e-10) -> complex:
+                           tol: float = 1e-10):
     """P_1 or P_2 of the unperturbed equation at zeta_abs e^{i zeta_arg} by
-    Laplace quadrature of the dual function along an adapted ray."""
+    Laplace quadrature of the dual function along an adapted ray.  An array
+    of zeta_abs gives an ndarray of its shape, from one family integration
+    along the ray."""
     kappa, mu = complex(kappa), complex(mu)
     surf = WhittakerSurface(kappa, mu)
-    zeta = zeta_abs * cmath.exp(1j * zeta_arg)
+    moduli, shape = as_family(zeta_abs)
+    zeta = family_result([z * cmath.exp(1j * zeta_arg) for z in moduli], shape)
     ray = -zeta_arg
     if which == 1:
         # F_1 singular at arg t = +-pi; keep 0.5 rad clear of the cut
@@ -669,21 +680,26 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
                                else default_zeta_grid())]
     kappa, mu = complex(kappa), complex(mu)
 
-    def mw1_case(kap, T1_val, zeta):
-        p1p = phase_amplitude_values(kap, mu, zeta, math.pi, 1, tol)
-        p1m = phase_amplitude_values(kap, mu, zeta, -math.pi, 1, tol)
-        p2p = phase_amplitude_values(kap, mu, zeta, math.pi, 2, tol)
-        lhs = p1p - p1m
-        rhs = T1_val * cmath.exp(-zeta) * zeta ** (-2.0 * kap) * p2p
-        return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    def mw1_cases(kap, T1_val):
+        """(lhs, rhs, relative residual) per grid point, from one family
+        integration per ray."""
+        zs = np.array(grid)
+        p1p = phase_amplitude_values(kap, mu, zs, math.pi, 1, tol).tolist()
+        p1m = phase_amplitude_values(kap, mu, zs, -math.pi, 1, tol).tolist()
+        p2p = phase_amplitude_values(kap, mu, zs, math.pi, 2, tol).tolist()
+        out = []
+        for zeta, a, b, c in zip(grid, p1p, p1m, p2p):
+            lhs = a - b
+            rhs = T1_val * cmath.exp(-zeta) * zeta ** (-2.0 * kap) * c
+            out.append((lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)))
+        return out
 
     refl = stokes_multipliers_whittaker(-kappa, mu) if abs(kappa) > 0 else m
     cases = []
     jumps = []
     max_rel = 0.0
-    for z in grid:
-        lhs, rhs, rel = mw1_case(kappa, m.T1, z)
-        _, _, rel2 = mw1_case(-kappa, refl.T1, z)
+    for z, (lhs, rhs, rel), (_, _, rel2) in zip(grid, mw1_cases(kappa, m.T1),
+                                                 mw1_cases(-kappa, refl.T1)):
         below_floor = abs(rhs) < 1e-12
         cases.append({"zeta": z, "jump_p1": _c(lhs), "predicted": _c(rhs),
                       "relative_residual": rel,

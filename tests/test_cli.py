@@ -1,10 +1,17 @@
+import cmath
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
-from fraccal.cli import main
+from fraccal import cli
+from fraccal.cli import RunConfig, main
 from fraccal.gammafn import gamma
+from fraccal.transforms import verify_lm_duality
+from fraccal.whittaker import (phase_amplitude_values,
+                               stokes_multipliers_whittaker)
 
 
 def run_cli(capsys, *argv):
@@ -122,3 +129,62 @@ def test_verify_all_passes_with_warnings_as_errors(capsys):
         code, out = run_cli(capsys, "verify", "all")
     assert code == 0
     assert json.loads(out)["pass"]
+
+
+def test_fracop_series_with_contour_is_refused(capsys):
+    # the contour method evaluates builtin oracles only; a --series must not
+    # silently come back as the geometric oracle's value
+    series = json.dumps({"coeffs": [[1, 0], [2, 0], [3, 0]]})
+    argv = ["fracop", "--series", series, "--alpha", "0.5", "--eval", "0.3"]
+    assert main(argv + ["--method", "contour"]) == 2
+    assert "--series" in capsys.readouterr().err
+    code, out = run_cli(capsys, *argv, "--method", "series")
+    assert code == 0
+    assert abs(complex(*json.loads(out)["value"]) - 2.1325) < 1e-4
+
+
+def test_lm_duality_suite_matches_scalar_calls(monkeypatch):
+    scalar = {}
+
+    def spy(F, dF, iF, alpha, zeta, *rest):
+        name = "geometric" if F(np.array([1.0]))[0] == 0.5 else "polynomial"
+        for z in zeta.tolist():
+            scalar[name, alpha, z] = verify_lm_duality(F, dF, iF, alpha, z, *rest)
+        return verify_lm_duality(F, dF, iF, alpha, zeta, *rest)
+
+    monkeypatch.setattr(cli, "verify_lm_duality", spy)
+    rep = cli._suite_lm_duality(RunConfig())
+    expect = [{"function": name, "alpha": alpha, "zeta": z,
+               "residual_deriv": scalar[name, alpha, z]["residual_deriv"],
+               "residual_integ": scalar[name, alpha, z]["residual_integ"]}
+              for alpha in (0.5, 1.5) for z in (2.0, 3.0, 5.0)
+              for name in ("geometric", "polynomial")]
+    assert rep["cases"] == expect
+    assert rep["max_residual"] == max(max(c["residual_deriv"], c["residual_integ"])
+                                      for c in expect)
+
+
+def test_monodromy_suite_matches_scalar_calls():
+    rep = cli._suite_monodromy(RunConfig())["mw_system"]
+    kappa, mu = 0.3 + 0j, 0.1
+
+    def case(kap, T1, zeta):
+        p1p = phase_amplitude_values(kap, mu, zeta, math.pi, 1, 1e-10)
+        p1m = phase_amplitude_values(kap, mu, zeta, -math.pi, 1, 1e-10)
+        p2p = phase_amplitude_values(kap, mu, zeta, math.pi, 2, 1e-10)
+        lhs = p1p - p1m
+        rhs = T1 * cmath.exp(-zeta) * zeta ** (-2.0 * kap) * p2p
+        return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
+
+    T1 = stokes_multipliers_whittaker(kappa, mu).T1
+    T1_refl = stokes_multipliers_whittaker(-kappa, mu).T1
+    expect = []
+    for zeta in (3.0, 4.0, 5.0, 6.0):
+        lhs, rhs, rel = case(kappa, T1, zeta)
+        rel2 = case(-kappa, T1_refl, zeta)[2]
+        expect.append({"zeta": zeta, "jump_p1": [lhs.real, lhs.imag],
+                       "predicted": [rhs.real, rhs.imag],
+                       "relative_residual": rel,
+                       "mw2_companion_relative_residual": rel2,
+                       "below_measurable_threshold": abs(rhs) < 1e-12})
+    assert rep["cases"] == expect

@@ -5,12 +5,15 @@ import random
 import numpy as np
 import pytest
 
+import fraccal
 from fraccal import contours
-from fraccal.contours import (Arc, Line, NeighborhoodContour, QuadratureSpec,
-                              cauchy_eval, check_h1_decay, gamma_contour,
-                              infinite_tube_boundary, integrate_path)
+from fraccal.contours import (Arc, InfiniteRay, Line, NeighborhoodContour,
+                              QuadratureSpec, cauchy_eval, check_h1_decay,
+                              gamma_contour, infinite_tube_boundary,
+                              integrate_path, integrate_paths)
 from fraccal.errors import DomainError, PreconditionError, QuadratureError
 from fraccal.utils import dist_to_positive_ray
+from fraccal.whittaker import _PowerLine
 
 
 def test_contour_geometry():
@@ -210,3 +213,95 @@ def test_breadth_first_raises_where_the_recursion_does(case):
     # is taken in runs from the left, so not all 2^16 panels are evaluated
     assert str(got.value) == str(ref.value)
     assert sum(seen) <= 15 * contours._LEVEL_PANELS * (spec.max_depth + 2)
+
+
+# --- families of integrals refined in lock-step -----------------------------
+
+# (integrand, path, spec, integrand calls of the path alone); the paths lie
+# in disjoint regions, told apart by _region
+_FAMILY = [
+    # a cubic: GK15 is exact, every panel is accepted at level 0
+    (lambda z: z ** 3 - 2.0 * z, [Line(2.0, 2.4), Line(2.4, 3.0)],
+     QuadratureSpec(tol=1e-12), 1),
+    # a Lorentzian of width 0.01 on [0, 1]: depth 8
+    (lambda z: 1.0 / ((z - 0.3) ** 2 + 1e-4), [Line(0.0, 1.0)],
+     QuadratureSpec(tol=1e-10), 9),
+    (lambda z: np.exp(1j * z) / z, [Arc(10.0, 1.0, 0.0, math.pi),
+                                    Arc(10.0, 1.0, math.pi, 2.0 * math.pi)],
+     QuadratureSpec(tol=1e-11), None),
+    (lambda z: 1.0 / z ** 2, [InfiniteRay(20j, 1j, 5.0)],
+     QuadratureSpec(tol=1e-9), None),
+    # (z + 6)^{-1/2}, flattened at z = -6 by the power substitution
+    (lambda z: (z + 6.0) ** -0.5 * np.exp(z + 6.0),
+     [_PowerLine(-6.0, -1.0, 1.0, 2), Line(-7.0, -9.0), Line(-9.0, -12.0)],
+     QuadratureSpec(tol=1e-12, max_depth=20), None),
+]
+
+
+def _region(z):
+    """The member of _FAMILY whose path passes through z, else -1."""
+    if z.real <= -5.0:
+        return 4
+    if z.imag >= 20.0:
+        return 3
+    if abs(abs(z - 10.0) - 1.0) < 1e-9:
+        return 2
+    if abs(z.imag) < 1e-12:
+        return 0 if z.real >= 2.0 else 1
+    return -1
+
+
+def test_integrate_paths_matches_single_paths():
+    singles = []
+    for fk, path, spec, n_calls in _FAMILY:
+        g, seen = _counting(fk)
+        singles.append(integrate_path(g, path, spec))
+        if n_calls is not None:
+            assert len(seen) == n_calls
+    calls = []
+
+    def f(z, which):
+        calls.append(len(z))
+        assert which.shape == z.shape and which.dtype.kind == "i"
+        assert [_region(zi) for zi in z.tolist()] == which.tolist()
+        out = np.empty(z.shape, dtype=complex)
+        for k, (fk, *_) in enumerate(_FAMILY):
+            out[which == k] = fk(z[which == k])
+        return out
+
+    got = integrate_paths(f, [p for _, p, _, _ in _FAMILY],
+                          [s for _, _, s, _ in _FAMILY])
+    # one integrand call per level, as many levels as the deepest member
+    assert len(calls) == 9
+    assert len(got) == len(_FAMILY)
+    for res, ref in zip(got, singles):
+        assert repr(res.value) == repr(ref.value)
+        assert repr(res.err_est) == repr(ref.err_est)
+
+
+def test_integrate_paths_edge_cases():
+    assert fraccal.integrate_paths is integrate_paths
+    spec = QuadratureSpec()
+    assert integrate_paths(lambda z, k: z, [], []) == []
+    res = integrate_paths(lambda z, k: 1.0, [[], gamma_contour(1.0, 5.0)], [spec] * 2)
+    assert res[0] == (0.0, 0.0)
+    assert res[1] == integrate_path(lambda z: 1.0, gamma_contour(1.0, 5.0))
+    with pytest.raises(DomainError):
+        integrate_paths(lambda z, k: z, [[Line(0.0, 1.0)]], [])
+
+
+def test_integrate_paths_non_converging_member():
+    paths = [[Line(0.0, 1.0)], [Line(0.0, 1.0), Line(1.0, 2.0)], [Line(0.0, 1.0)]]
+    specs = [QuadratureSpec(tol=1e-12), QuadratureSpec(tol=1e-10, max_depth=8),
+             QuadratureSpec(tol=1e-12)]
+    seen = []
+
+    def f(z, which):
+        seen.append(len(z))
+        # member 1 carries 1/(z - 0.3), which is not integrable
+        return np.where(which == 1, 1.0 / (z - 0.3), np.exp(-z))
+
+    with pytest.raises(QuadratureError, match="of path 1"):
+        integrate_paths(f, paths, specs)
+    assert len(seen) <= specs[1].max_depth + 1
+    assert sum(seen) <= 15 * contours._LEVEL_PANELS * (specs[1].max_depth + 2)

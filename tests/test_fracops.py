@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fraccal.contours import cauchy_eval
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
 from fraccal.fracops import (FractionalOrder, _deriv_kernel, _integ_kernel,
@@ -18,6 +19,7 @@ from fraccal.gammafn import gamma
 from fraccal.hyp import Hyp2F1Params, PFQParams, hyp2f1, hyp_pfq
 from fraccal.series import (PowerSeries, estimate_growth, eval_series,
                             exp_series, geometric_series, monomial)
+from fraccal.transforms import h_norm
 
 mp.mp.dps = 30
 
@@ -146,7 +148,7 @@ def test_round_trip_polynomial_via_contour():
 def test_contour_detects_undeclared_type():
     # exp has type 1; r = 0.5 below it must fail to converge
     with pytest.raises(ConvergenceError):
-        frac_deriv_contour(lambda z: cmath.exp(z), 0.5, 0.5, 0.5, 0.1, T=80.5)
+        frac_deriv_contour(np.exp, 0.5, 0.5, 0.5, 0.1, T=80.5)
 
 
 def test_contour_series_agreement_grid():
@@ -300,3 +302,31 @@ def test_singular_set_stable_under_composition():
         assert abs(estimate_growth(F).a - 1.0) <= 0.2
         shifted = taylor_shift(F, 0.3).truncated(64)
         assert abs(estimate_growth(shifted).a - 1.3) <= 0.26
+
+
+def _arrays_only(F):
+    """F, refusing every call that does not pass an ndarray."""
+    def G(z):
+        if not isinstance(z, np.ndarray):
+            raise TypeError(f"F called on the single point {z!r}")
+        return F(z)
+    return G
+
+
+def test_boundary_probes_call_F_on_arrays():
+    # the decay and growth probes evaluate F once on an ndarray of points
+    for F, run in ((H1F, lambda F: cauchy_eval(F, 0.5, 0.2)),
+                   (H1F, lambda F: frac_h1(F, 0.5, 0.5, 0.2, "deriv")),
+                   (GEOM, lambda F: h_norm(F, 1.0, 0.5)),
+                   (lambda t: 1.0, lambda F: h_norm(F, 1.0, 0.5)),
+                   (GEOM, lambda F: frac_deriv_contour(F, 0.5, 1.0, 0.5, 0.2))):
+        assert repr(run(_arrays_only(F))) == repr(run(F))
+    # a scalar return is broadcast over the probe points; the decisions stand
+    with pytest.raises(PreconditionError):
+        cauchy_eval(_arrays_only(lambda z: 1.0), 0.5, 0.2)
+    with pytest.raises(PreconditionError):
+        frac_h1(_arrays_only(lambda z: 1.0), 0.5, 0.5, 0.1, "deriv")
+    with pytest.raises(PreconditionError):
+        h_norm(_arrays_only(np.exp), 0.5, 0.5)
+    with pytest.raises(ConvergenceError):
+        frac_deriv_contour(_arrays_only(np.exp), 0.5, 0.5, 0.5, 0.1, T=80.5)

@@ -163,3 +163,48 @@ def test_standard_transform_helper():
 def test_s_side_representation_probe():
     out = s_side_representation_check()
     assert out["pass"], out
+
+
+_ZETAS = np.array([2.0, 3.0 + 1.5j, 5.0, 40.0 - 3.0j])
+_P15 = Hyp2F1Params(1, 1, 1.5)
+
+
+@pytest.mark.parametrize("F", [GEOM, lambda t: hyp2f1(_P15, -t), lambda t: 1.0])
+def test_laplace_zeta_arrays_match_scalar_calls(F):
+    got = laplace_quadrature(F, _ZETAS, 0.0, 1e-12)
+    assert got.shape == _ZETAS.shape and got.dtype == complex
+    for z, g in zip(_ZETAS.tolist(), got.tolist()):
+        assert repr(g) == repr(laplace_quadrature(F, z, 0.0, 1e-12))
+    for alpha in (0.5, -0.4, 1.5 + 0.3j):
+        got = laplace_alpha(F, alpha, _ZETAS, 0.0, 1e-11)
+        assert got.shape == _ZETAS.shape
+        for z, g in zip(_ZETAS.tolist(), got.tolist()):
+            assert repr(g) == repr(laplace_alpha(F, alpha, z, 0.0, 1e-11))
+    # any shape; a scalar gives a complex
+    grid = laplace_quadrature(F, _ZETAS.reshape(2, 2), 0.0, 1e-12)
+    assert grid.shape == (2, 2)
+    assert repr(grid[1, 0]) == repr(laplace_quadrature(F, _ZETAS, 0.0, 1e-12)[2])
+    assert type(laplace_quadrature(F, np.float64(3.0))) is complex
+    assert type(laplace_alpha(F, 0.5, 3.0)) is complex
+
+
+def test_laplace_zeta_array_domain():
+    with pytest.raises(DomainError):
+        laplace_quadrature(GEOM, np.array([2.0, 0.5]), type_bound=1.0)
+    with pytest.raises(DomainError):
+        laplace_alpha(GEOM, 0.5, np.array([0.5, 2.0]), type_bound=1.0)
+    assert laplace_quadrature(GEOM, np.array([])).shape == (0,)
+
+
+def test_lm_duality_zeta_arrays_match_scalar_calls():
+    alpha = 0.5
+    g1 = gamma(alpha + 1.0)
+    trio = (GEOM, lambda t: g1 * (1.0 + t) ** (-alpha - 1.0),
+            lambda t: hyp2f1(_P15, -t) / g1)
+    out = verify_lm_duality(*trio, alpha, _ZETAS, 0.0, 1e-12)
+    for i, z in enumerate(_ZETAS.tolist()):
+        ref = verify_lm_duality(*trio, alpha, z, 0.0, 1e-12)
+        assert set(out) == set(ref)
+        for key, value in ref.items():
+            assert type(value) is type(out[key][i].item())
+            assert repr(out[key][i].item()) == repr(value)

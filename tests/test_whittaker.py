@@ -3,6 +3,7 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from fraccal.errors import ConvergenceError, DomainError
@@ -307,3 +308,15 @@ def test_f1_sectorial_growth_is_subexponential():
     slopes = [( _m.log(vals[i+1]) - _m.log(vals[i]) ) / (20.0 - 10.0)
               for i in range(len(vals) - 1)]
     assert all(abs(s) < 0.05 for s in slopes)
+
+
+@pytest.mark.parametrize("which, arg", [(1, math.pi), (1, -math.pi), (1, 0.3),
+                                        (2, math.pi), (2, -1.0), (2, -math.pi)])
+def test_phase_amplitude_zeta_arrays_match_scalar_calls(which, arg):
+    # (2, -1.0) and (2, -pi) take beyond-sheet rays with the flattened
+    # branch-point singularity
+    moduli = np.array([3.0, 4.0, 5.0, 6.0, 9.5])
+    got = phase_amplitude_values(0.3, 0.1, moduli, arg, which, 1e-10)
+    assert got.shape == moduli.shape
+    for z, g in zip(moduli.tolist(), got.tolist()):
+        assert repr(g) == repr(phase_amplitude_values(0.3, 0.1, z, arg, which, 1e-10))
