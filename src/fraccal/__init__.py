@@ -11,10 +11,10 @@ representations evaluated by adaptive contour quadrature.
 from .errors import (BudgetError, ConvergenceError, DegenerateCaseError,
                      DomainError, FraccalError, GammaPoleError,
                      PreconditionError, QuadratureError)
-from .series import (GrowthEstimate, GrowthProfile, PowerSeries, add,
-                     cauchy_product, estimate_growth, eval_series,
-                     exp_series, geometric_series, monomial, scale,
-                     series_arith, taylor_shift)
+from .series import (GrowthEstimate, PowerSeries, add, cauchy_product,
+                     estimate_growth, eval_series, exp_series,
+                     geometric_series, monomial, scale, series_arith,
+                     taylor_shift)
 from .gammafn import digamma, gamma, loggamma, pochhammer, rgamma
 from .hyp import (Hyp2F1Params, PFQParams, connection_coefficient,
                   euler_ltf_check, geom_alpha_check, hyp2f1, hyp2f1_continue,

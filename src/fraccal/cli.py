@@ -75,9 +75,13 @@ def _builtin_series(name: str, n: int, kappa=None, mu=None) -> PowerSeries:
                       "whittaker-f1, whittaker-f2)")
 
 
+def _geometric(t):
+    return 1.0 / (1.0 + t)
+
+
 def _builtin_oracle(name: str):
     if name == "geometric":
-        return lambda t: 1.0 / (1.0 + t), 1.0, 0.0  # (fn, a, R)
+        return _geometric, 1.0, 0.0  # (fn, a, R)
     if name == "exp":
         return np.exp, math.inf, 1.0
     raise DomainError(f"builtin {name!r} has no contour oracle")
@@ -158,20 +162,26 @@ def _suite_euler_ltf(cfg: RunConfig) -> dict:
             "tolerance": tol, "pass": worst <= tol}
 
 
-def _suite_jumps(cfg: RunConfig) -> dict:
-    rng = random.Random(cfg.seed)
-    cases = []
-    worst = 0.0
-    for _ in range(10):
+def _jump_cases(seed: int, n: int, shift: float):
+    """n seeded cut-jump cases (a, b, c, x, measured, predicted) of 2F1 at
+    x > 1; c is moved by shift when c - a - b is within 0.05 of an integer."""
+    rng = random.Random(seed)
+    for _ in range(n):
         a = rng.uniform(0.1, 2.0)
         b = rng.uniform(0.1, 2.0)
         c = rng.uniform(0.5, 3.0)
         if abs((c - a - b) - round(c - a - b)) < 0.05:
-            c += 0.11
+            c += shift
         x = rng.uniform(1.05, 1.9)
         p = Hyp2F1Params(a, b, c)
-        measured = hyp2f1(p, x, side=+1) - hyp2f1(p, x, side=-1)
-        predicted = monodromic_jump_2f1(p, x, -1)
+        yield (a, b, c, x, hyp2f1(p, x, side=+1) - hyp2f1(p, x, side=-1),
+               monodromic_jump_2f1(p, x, -1))
+
+
+def _suite_jumps(cfg: RunConfig) -> dict:
+    cases = []
+    worst = 0.0
+    for a, b, c, x, measured, predicted in _jump_cases(cfg.seed, 10, 0.11):
         rel = abs(measured - predicted) / max(abs(predicted), 1e-30)
         cases.append({"a": a, "b": b, "c": c, "t": x, "relative_residual": rel})
         worst = max(worst, rel)
@@ -208,12 +218,11 @@ def _suite_lm_duality(cfg: RunConfig) -> dict:
         p = Hyp2F1Params(1, 1, alpha + 1.0)
         dF = lambda t, al=alpha, g1=g1: g1 * (1.0 + t) ** (-al - 1.0)
         iF = lambda t, p=p, g1=g1: hyp2f1(p, -t) / g1
-        F = lambda t: 1.0 / (1.0 + t)
         poly = lambda t: 1.0 + t
         dpoly = lambda t, g1=g1, g2=g2: g1 + g2 * t
         ipoly = lambda t, g1=g1, g2=g2: 1.0 / g1 + t / g2
         outs = {name: verify_lm_duality(*trio, alpha, np.array(zetas), 0.0, 1e-12)
-                for name, trio in (("geometric", (F, dF, iF)),
+                for name, trio in (("geometric", (_geometric, dF, iF)),
                                    ("polynomial", (poly, dpoly, ipoly)))}
         for i, zeta in enumerate(zetas):
             for name, out in outs.items():
@@ -226,10 +235,17 @@ def _suite_lm_duality(cfg: RunConfig) -> dict:
             "tolerance": cfg.tol, "pass": worst <= cfg.tol}
 
 
+def _touchstone() -> tuple:
+    """(P, p) of the geometric Laplace touchstone F = 1/(1+t): the transform
+    P, integrated once per distinct zeta for the life of this pair, and
+    p = borel_map of F's Taylor series."""
+    P = LaplaceOracle(functools.cache(
+        lambda z: laplace_quadrature(_geometric, z, 0.0, 1e-13)), 0.0)
+    return P, borel_map(geometric_series(26))
+
+
 def _suite_watson(cfg: RunConfig, A: float = None) -> dict:
-    F = lambda t: 1.0 / (1.0 + t)
-    P = LaplaceOracle(lambda z: laplace_quadrature(F, z, 0.0, 1e-13), 0.0)
-    p = borel_map(geometric_series(26))
+    P, p = _touchstone()
     if A is not None:
         # explicit scale: pass iff the bound actually holds there
         res = watson_gevrey_check(P, p, A, 1.0)
@@ -317,9 +333,7 @@ def cmd_table(args, cfg: RunConfig) -> int:
     rows = []
     if args.what == "asymptotic-remainders":
         zeta = args.zeta if args.zeta is not None else 10.0
-        F = lambda t: 1.0 / (1.0 + t)
-        P = LaplaceOracle(lambda z: laplace_quadrature(F, z, 0.0, 1e-13), 0.0)
-        p = borel_map(geometric_series(26))
+        P, p = _touchstone()
         header = ["n", "abs_P_n"]
         for n in range(25):
             rows.append([n, abs(remainder(P, p, n, zeta))])

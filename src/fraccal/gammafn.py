@@ -76,18 +76,6 @@ def rgamma(z: complex) -> complex:
     return 1.0 / gamma(z)
 
 
-def gamma_ratio_pochhammer(alpha: complex, k: int) -> complex:
-    """Gamma(alpha + k + 1) / k! as Gamma(alpha+1) * prod_{j<=k} (alpha+j)/j.
-
-    Product form avoids the cancellation and overflow of a quotient of two
-    large Gammas; stable for k up to several hundred with moderate alpha.
-    """
-    r = gamma(alpha + 1.0)
-    for j in range(1, k + 1):
-        r *= (alpha + j) / j
-    return r
-
-
 def pochhammer(a: complex, k: int) -> complex:
     """(a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
     r = 1.0 + 0.0j

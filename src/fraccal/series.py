@@ -74,20 +74,6 @@ class PowerSeries:
         return PowerSeries(coeffs, obj.get("radius_hint"), obj.get("type_hint"))
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Distance-to-singularity a and exponential type R."""
-
-    a: float
-    R: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError("a must be positive")
-        if self.R < 0:
-            raise DomainError("R must be non-negative")
-
-
 class GrowthEstimate(NamedTuple):
     """estimate_growth output; values are estimates, never asserted exact.
 

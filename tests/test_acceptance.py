@@ -2,7 +2,9 @@
 [PASS]/[FAIL] line with its measured figure.
 
 Every tolerance here is pinned; run with `pytest tests/test_acceptance.py -s`
-to see the per-criterion lines.
+to see the per-criterion lines.  Criteria 04-06, 08, 09 and 11 take their
+cases from the `fraccal verify` suites in fraccal.cli and apply their own
+bounds to the figures those report.
 """
 
 import cmath
@@ -13,23 +15,20 @@ import warnings
 import mpmath as mp
 import pytest
 
+from fraccal import cli
+from fraccal.cli import RunConfig
 from fraccal.fracops import (frac_deriv_contour, frac_deriv_series, frac_h1,
                              frac_integ_series, psi_limit_check,
                              psi_polynomial)
 from fraccal.gammafn import gamma
-from fraccal.hyp import (Hyp2F1Params, euler_ltf_check, geom_alpha_check,
-                         hyp2f1, monodromic_jump_2f1)
+from fraccal.hyp import geom_alpha_check
 from fraccal.series import PowerSeries, eval_series, geometric_series
-from fraccal.transforms import (LaplaceOracle, borel_map, laplace_quadrature,
-                                verify_lm_duality, watson_gevrey_check)
+from fraccal.transforms import watson_gevrey_check
 from fraccal.whittaker import (stokes_multipliers_whittaker,
                                verify_dual_monodromy, verify_eg_ltf,
-                               verify_goursat_ltf, verify_mw_system,
-                               whittaker_dual_pair)
+                               verify_mw_system, whittaker_dual_pair)
 
 mp.mp.dps = 30
-
-GEOM = lambda t: 1.0 / (1.0 + t)
 
 
 def _report(num: int, label: str, ok: bool, figure: str) -> None:
@@ -66,6 +65,7 @@ def _tube_grid():
 def test_criterion_02_geometric_closed_form():
     grid = _tube_grid()
     assert len(grid) == 20
+    F = cli._geometric
     series = geometric_series(160)
     worst = 0.0
     for alpha in (0.5, 1.3, -0.4):
@@ -73,8 +73,8 @@ def test_criterion_02_geometric_closed_form():
         for t in grid:
             truth = gamma(alpha + 1.0) * (1.0 + t) ** (-alpha - 1.0)
             via_series = eval_series(D, t).value
-            via_contour = frac_deriv_contour(GEOM, alpha, 1.0, 0.5, t, tol=1e-10)
-            via_h1 = frac_h1(GEOM, alpha, 0.8, t, "deriv", tol=1e-10)
+            via_contour = frac_deriv_contour(F, alpha, 1.0, 0.5, t, tol=1e-10)
+            via_h1 = frac_h1(F, alpha, 0.8, t, "deriv", tol=1e-10)
             worst = max(worst, abs(via_series - truth), abs(via_contour - truth),
                         abs(via_h1 - truth))
     _report(2, "geometric derivative three ways", worst <= 1e-7,
@@ -96,45 +96,20 @@ def test_criterion_03_inverse_pair():
 
 
 def test_criterion_04_lm_duality():
-    worst = 0.0
-    for alpha in (0.5, 1.5):
-        dF = lambda t, al=alpha: gamma(al + 1.0) * (1.0 + t) ** (-al - 1.0)
-        iF = lambda t, al=alpha: hyp2f1(Hyp2F1Params(1, 1, al + 1.0), -t) / gamma(al + 1.0)
-        poly = lambda t: 1.0 + t
-        dpoly = lambda t, al=alpha: gamma(al + 1.0) + gamma(al + 2.0) * t
-        ipoly = lambda t, al=alpha: 1.0 / gamma(al + 1.0) + t / gamma(al + 2.0)
-        for zeta in (2.0, 3.0, 5.0):
-            for trio in ((GEOM, dF, iF), (poly, dpoly, ipoly)):
-                out = verify_lm_duality(*trio, alpha, zeta, 0.0, 1e-12)
-                worst = max(worst, out["residual_deriv"], out["residual_integ"])
+    worst = cli._suite_lm_duality(RunConfig())["max_residual"]
     _report(4, "transform duality for both operator directions", worst <= 1e-8,
             f"max residual {worst:.2e}")
 
 
 def test_criterion_05_euler_ltf():
-    params = [(0.3, 0.7, 1.9), (1.0, 1.0, 2.5), (0.5, 0.5, 1.3),
-              (1.2, 0.4, 2.1), (0.25, 1.5, 2.9)]
-    points = [0.4, 0.55 + 0.15j, 0.3 - 0.2j, 0.62 + 0.2j, 0.5 - 0.1j]
-    worst = max(euler_ltf_check(Hyp2F1Params(a, b, c), t)
-                for (a, b, c) in params for t in points)
+    worst = cli._suite_euler_ltf(RunConfig())["max_residual"]
     _report(5, "linear transformation identity", worst <= 1e-10,
             f"max residual {worst:.2e}")
 
 
 def test_criterion_06_monodromic_jump():
-    rng = random.Random(6)
-    worst = 0.0
-    for _ in range(12):
-        a = rng.uniform(0.1, 2.0)
-        b = rng.uniform(0.1, 2.0)
-        c = rng.uniform(0.5, 3.0)
-        if abs((c - a - b) - round(c - a - b)) < 0.05:
-            c += 0.13
-        x = rng.uniform(1.05, 1.9)
-        p = Hyp2F1Params(a, b, c)
-        measured = hyp2f1(p, x, side=1) - hyp2f1(p, x, side=-1)
-        predicted = monodromic_jump_2f1(p, x, -1)
-        worst = max(worst, abs(measured - predicted) / max(abs(predicted), 1e-12))
+    worst = max(abs(measured - predicted) / max(abs(predicted), 1e-12)
+                for *_, measured, predicted in cli._jump_cases(6, 12, 0.13))
     _report(6, "two-sided cut jump matches the connection formula",
             worst <= 1e-8, f"max rel {worst:.2e}")
 
@@ -175,8 +150,7 @@ def test_criterion_07_pole_limit_polynomials():
 
 
 def test_criterion_08_watson_bound_both_outcomes():
-    P = LaplaceOracle(lambda z: laplace_quadrature(GEOM, z, 0.0, 1e-13), 0.0)
-    p = borel_map(geometric_series(26))
+    P, p = cli._touchstone()
     good = watson_gevrey_check(P, p, 0.5, 1.0)
     bad = watson_gevrey_check(P, p, 2.0, 1.0)
     ok = good["pass"] and math.isfinite(good["M_fit"]) and not bad["pass"]
@@ -197,14 +171,7 @@ def test_criterion_09_whittaker_duality_closure():
             worst_eg = max(worst_eg, eg["max_residual"])
             worst_dm = max(worst_dm, dm["max_residual"])
     ok = worst_eg <= 1e-6 and worst_dm <= 1e-6
-    fits_ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for kap in (0.0, 0.5):
-            d = whittaker_dual_pair(kap, 0.17)
-            m = stokes_multipliers_whittaker(kap, 0.17)
-            rep = verify_goursat_ltf(d, m)
-            fits_ok = fits_ok and rep["pass"]
+    fits_ok = cli._suite_goursat(RunConfig())["pass"]
     _report(9, "duality closure on the 5x5 grid plus logarithmic cases",
             ok and fits_ok,
             f"eg max {worst_eg:.2e}, monodromy max {worst_dm:.2e}, "
@@ -223,7 +190,7 @@ def test_criterion_10_mw_jump_scaling():
 
 
 def test_criterion_11_uniqueness():
-    P1 = LaplaceOracle(lambda z: laplace_quadrature(GEOM, z, 0.0, 1e-13), 0.0)
+    P1, _ = cli._touchstone()
     coeffs = [(-1.0) ** k for k in range(16)]
     P2 = lambda z: sum(c * math.factorial(k) / z ** k
                        for k, c in enumerate(coeffs))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fraccal import cli
+from fraccal import cli, transforms
 from fraccal.cli import RunConfig, main
 from fraccal.gammafn import gamma
 from fraccal.transforms import verify_lm_duality
@@ -78,9 +78,27 @@ def test_verify_watson_default(capsys):
 
 
 def test_verify_report_is_byte_stable(capsys):
-    _, out1 = run_cli(capsys, "verify", "euler-ltf", "--seed", "7")
-    _, out2 = run_cli(capsys, "verify", "euler-ltf", "--seed", "7")
-    assert out1 == out2
+    # a second run in the same process must not see state left by the first
+    for suite in ("euler-ltf", "all"):
+        _, out1 = run_cli(capsys, "verify", suite, "--seed", "7")
+        _, out2 = run_cli(capsys, "verify", suite, "--seed", "7")
+        assert out1 == out2
+
+
+def test_touchstone_integrates_each_zeta_once(capsys, monkeypatch):
+    zetas = []
+    family = transforms._laplace_family
+
+    def counting(F, zs, *rest):
+        zetas.extend(zs)
+        return family(F, zs, *rest)
+
+    monkeypatch.setattr(transforms, "_laplace_family", counting)
+    run_cli(capsys, "table", "asymptotic-remainders", "--zeta", "10")
+    assert zetas == [10.0]
+    zetas.clear()
+    run_cli(capsys, "verify", "watson")
+    assert sorted(z.real for z in zetas) == [8.0, 16.0, 32.0]
 
 
 def test_table_psi_polys_csv(capsys):
