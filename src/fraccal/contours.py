@@ -1,12 +1,14 @@
 """Tube-boundary geometry and adaptive complex path quadrature.
 
-gamma_contour(A, T) builds the boundary {t : dist(t, (0,+inf)) = A} truncated
-at Re t = T: two horizontal rays at Im t = +-A joined by the left semicircle
-of radius A through -A.  Orientation "ccw" is positive: closed with the
-vertical segment at Re t = T, the curve winds once counterclockwise around
-every point of the tube, so Cauchy-type integrals come out with the usual
-sign (e.g. the residue check integral of e^{-xi}/xi gives +2*pi*i).  The
-parametrization then runs upper ray inward, cap through -A, lower ray out.
+gamma(A) = {t : dist(t, (0,+inf)) = A}, two rays at Im t = +-A joined by
+the left semicircle of radius A, is built here only: cut at Re t = T > A by
+gamma_contour(A, T), unbounded in infinite_tube_boundary.  Orientation "ccw"
+is positive: closed with the vertical segment at Re t = T, the curve winds
+once counterclockwise around every point of the tube, so Cauchy-type
+integrals come out with the usual sign (e.g. the residue check integral of
+e^{-xi}/xi gives +2*pi*i).  The pieces run upper ray inward (the outward
+ray reversed), cap through -A split at pi, lower ray out.  A segment has
+point(s) and tangent(s, z=None), z = point(s) sparing an Arc a second exp.
 
 integrate_path is an adaptive Gauss-Kronrod 7-15 scheme over the segments,
 refined breadth-first: each level maps the nodes of every open panel of
@@ -59,7 +61,7 @@ class Line:
     def point(self, s):
         return self.z0 + (self.z1 - self.z0) * s
 
-    def tangent(self, s):
+    def tangent(self, s, z=None):
         return self.z1 - self.z0  # constant, broadcasts against s
 
 
@@ -74,9 +76,9 @@ class Arc:
         th = self.theta0 + (self.theta1 - self.theta0) * s
         return self.center + self.radius * np.exp(1j * th)
 
-    def tangent(self, s):
-        th = self.theta0 + (self.theta1 - self.theta0) * s
-        return 1j * self.radius * (self.theta1 - self.theta0) * np.exp(1j * th)
+    def tangent(self, s, z=None):
+        z = self.point(s) if z is None else z
+        return 1j * (self.theta1 - self.theta0) * (z - self.center)
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class InfiniteRay:
     def point(self, s):
         return self.z0 + self.direction * self.scale * s / (1.0 - s)
 
-    def tangent(self, s):
+    def tangent(self, s, z=None):
         return self.direction * self.scale / (1.0 - s) ** 2
 
 
@@ -106,8 +108,8 @@ class ReversedSegment:
     def point(self, s):
         return self.seg.point(1.0 - s)
 
-    def tangent(self, s):
-        return -self.seg.tangent(1.0 - s)
+    def tangent(self, s, z=None):
+        return -self.seg.tangent(1.0 - s, z)
 
 
 @dataclass(frozen=True)
@@ -137,17 +139,7 @@ class NeighborhoodContour:
             raise DomainError("orientation must be 'ccw' or 'cw'")
 
     def segments(self) -> list:
-        A, T = self.A, self.T
-        # cap sampled at double density relative to the rays: split in two arcs
-        segs = [
-            Line(complex(T, A), complex(0.0, A)),
-            Arc(0.0, A, math.pi / 2.0, math.pi),
-            Arc(0.0, A, math.pi, 3.0 * math.pi / 2.0),
-            Line(complex(0.0, -A), complex(T, -A)),
-        ]
-        if self.orientation == "cw":
-            segs = [_reversed_segment(s) for s in reversed(segs)]
-        return segs
+        return _tube_pieces(self.A, lambda z0: Line(z0, z0 + self.T), self.orientation)
 
     def ray_endpoints(self) -> tuple:
         return complex(self.T, self.A), complex(self.T, -self.A)
@@ -156,12 +148,18 @@ class NeighborhoodContour:
         return dist_to_positive_ray(t) < self.A and t.real < self.T
 
 
-def _reversed_segment(seg):
-    if isinstance(seg, Line):
-        return Line(seg.z1, seg.z0)
-    if isinstance(seg, Arc):
-        return Arc(seg.center, seg.radius, seg.theta1, seg.theta0)
-    return ReversedSegment(seg)
+def _tube_pieces(A: float, ray: Callable, orientation: str) -> list:
+    """gamma(A) as [upper ray, cap to pi, cap from pi, lower ray] (GK15 samples
+    the cap at twice the rays' density), ray(z0) running out from z0 = +-iA."""
+    segs = [ReversedSegment(ray(complex(0.0, A))),
+            Arc(0.0, A, math.pi / 2.0, math.pi),
+            Arc(0.0, A, math.pi, 3.0 * math.pi / 2.0), ray(complex(0.0, -A))]
+    if orientation == "cw":
+        segs = [s.seg if isinstance(s, ReversedSegment) else ReversedSegment(s)
+                for s in reversed(segs)]
+    elif orientation != "ccw":
+        raise DomainError("orientation must be 'ccw' or 'cw'")
+    return segs
 
 
 def infinite_tube_boundary(A: float, orientation: str = "ccw",
@@ -170,17 +168,17 @@ def infinite_tube_boundary(A: float, orientation: str = "ccw",
     integrands with algebraic decay where no finite T is adequate."""
     if not A > 0:
         raise DomainError("A must be positive")
-    segs = [
-        ReversedSegment(InfiniteRay(complex(0.0, A), 1.0, scale)),
-        Arc(0.0, A, math.pi / 2.0, math.pi),
-        Arc(0.0, A, math.pi, 3.0 * math.pi / 2.0),
-        InfiniteRay(complex(0.0, -A), 1.0, scale),
-    ]
-    if orientation == "cw":
-        segs = [_reversed_segment(s) for s in reversed(segs)]
-    elif orientation != "ccw":
-        raise DomainError("orientation must be 'ccw' or 'cw'")
-    return segs
+    return _tube_pieces(A, lambda z0: InfiniteRay(z0, 1.0, scale), orientation)
+
+
+def _require_in_tube(t, A: float, T: float = math.inf) -> complex:
+    """complex(t), refused unless t lies inside gamma(A) cut at Re t = T."""
+    t = complex(t)
+    if dist_to_positive_ray(t) >= A:
+        raise DomainError(f"t = {t:.6g} is outside the tube of width {A:.4g}")
+    if t.real >= T:
+        raise DomainError(f"t = {t:.6g} lies beyond the truncation Re t = {T:.4g}")
+    return t
 
 
 def gamma_contour(A: float, T: float, orientation: str = "ccw") -> NeighborhoodContour:
@@ -206,7 +204,7 @@ def _gk15_level(f: Callable, segs: list, member: np.ndarray, seg_of: np.ndarray,
     for seg, lo, hi in zip(segs, cuts, cuts[1:]):
         if hi > lo:
             z[lo:hi] = seg.point(s[lo:hi])
-            dz[lo:hi] = seg.tangent(s[lo:hi])
+            dz[lo:hi] = seg.tangent(s[lo:hi], z[lo:hi])
     which = np.repeat(member[seg_of], len(_NODES))
     vals = (f(z.ravel(), which) * (np.abs(dz) if arclength else dz).ravel()).reshape(s.shape)
     # sequential sums in node order, as a scalar panel loop adds them
@@ -334,9 +332,7 @@ def cauchy_eval(F: Callable[[np.ndarray], np.ndarray], a: float, t: complex,
     condition, checked crudely via the sampled ray decay); t must lie in the
     open tube of width a.  F is evaluated on ndarrays of boundary points.
     """
-    t = complex(t)
-    if dist_to_positive_ray(t) >= a:
-        raise DomainError(f"t = {t:.6g} is outside the tube of width {a:.4g}")
+    t = _require_in_tube(t, a)
     probe = gamma_contour(a, T if T is not None else max(40.0, 4.0 * abs(t) + 10.0 * a))
     check_h1_decay(F, probe)
     spec = spec or QuadratureSpec(tol=1e-11)

@@ -7,10 +7,11 @@ with Gamma(alpha+1), which continues analytically to every alpha off the
 negative integers.  The contour representations sum kernel integrals over
 gamma(A) with Gauss hypergeometric kernels, each one a scalar coefficient row
 dotted with power sums of the quadrature nodes that are built once per
-evaluation; the simplified single-integral forms apply when F is integrable
-against |dxi|/|xi| on the boundary.  Boundary functions F are numpy
-expressions, evaluated on the whole ndarray of boundary points at once (the
-decay probes included).
+evaluation on the pieces of contours.gamma_contour(A, T), which refuse T <= A
+(as the operators refuse Re t >= T); the simplified single-integral forms
+apply when F is integrable against |dxi|/|xi| on the boundary.  Boundary
+functions F are numpy expressions, evaluated on the whole ndarray of
+boundary points at once (the decay probes included).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .contours import (QuadratureSpec, gamma_contour, infinite_tube_boundary,
-                       integrate_path, check_h1_decay)
+from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
+                       check_h1_decay, gamma_contour, infinite_tube_boundary,
+                       integrate_path)
 from .errors import ConvergenceError, DomainError
 from .gammafn import gamma
 from .hyp import PFQParams, hyp2f1, hyp2f1_continue, Hyp2F1Params
@@ -158,29 +160,30 @@ def frac_of_pfq(params: PFQParams, alpha, mode: str):
 
 def _insert_dyadic(edges: list, x0: float, scale: float, span: float,
                    lo: float, hi: float) -> list:
-    """Add edges x0 +- scale * 2^j up to span around x0, clipped to [lo, hi]."""
-    extra = set(edges)
-    s = scale
+    """Add edges x0 +- scale * 2^j up to span around x0, clipped to [lo, hi];
+    edges within 4 ulps of the larger end merge, a given edge winning."""
+    new, s = [x0], scale
     while s <= span:
-        for x in (x0 - s, x0 + s):
-            if lo < x < hi:
-                extra.add(x)
+        new += (x0 - s, x0 + s)
         s *= 2.0
-    if lo < x0 < hi:
-        extra.add(x0)
-    return sorted(extra)
+    out = sorted(set(edges).union(x for x in new if lo < x < hi))
+    tol = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    for i in reversed([i for i in range(1, len(out)) if out[i] - out[i - 1] <= tol]):
+        del out[i - (out[i] in edges)]
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n: int):
-    # numpy.polynomial loads on first use, so importing fraccal does not pay for it
-    return np.polynomial.legendre.leggauss(n)
+    # the rule on [0, 1]; numpy.polynomial loads on first use, not at import
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
                              refine_near: Optional[complex] = None):
-    """Fixed Gauss-Legendre nodes xi and oriented weights dw on the truncated
-    boundary gamma(A), positively oriented.
+    """Fixed Gauss-Legendre nodes xi and oriented weights dw on the pieces of
+    gamma_contour(A, T), positively oriented.
 
     The node set is shared across the kernel integrals of a contour-series
     evaluation, so each kernel sum reduces to scalar coefficients dotted with
@@ -188,18 +191,7 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
     shrinking panels towards the contour point closest to the given t: the
     kernels blow up like a power of 1/(1 - t/xi) there.
     """
-    x_gl, w_gl = _gauss_legendre(n_per_panel)
-
-    def panels(edges, reverse=False):
-        """Parameters s and weights of every panel between consecutive edges,
-        panel by panel; reverse walks each panel from its upper edge."""
-        e = np.asarray(edges, dtype=float)
-        a0, a1 = (e[1:], e[:-1]) if reverse else (e[:-1], e[1:])
-        mid, half = 0.5 * (a0 + a1), 0.5 * (a1 - a0)
-        s = (mid[:, None] + half[:, None] * x_gl).ravel()
-        return s, (w_gl * half[:, None]).ravel()
-
-    # ray panel edges: fine near the cap, geometric growth outward
+    # ray panel edges in x = Re t: fine near the cap, geometric growth outward
     edges = [0.0, 0.5 * A, A]
     while edges[-1] < T:
         edges.append(min(2.0 * edges[-1], T))
@@ -219,14 +211,28 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
                                            max(d / (2.0 * A * math.pi), 1e-4),
                                            0.5, 0.5, 1.5)
 
-    s_top, w_top = panels(edges, reverse=True)
-    s_cap, w_cap = panels(cap_edges)
-    s_bot, w_bot = panels(edges)
-    arc = np.exp(1j * math.pi * s_cap)
-    xs = np.concatenate((s_top + 1j * A, A * arc, s_bot - 1j * A))
-    ws = np.concatenate((w_top.astype(complex), 1j * math.pi * A * arc * w_cap,
-                         w_bot.astype(complex)))
-    return xs, ws
+    # Gauss-Legendre panels in each piece's own parameter: x / T on a ray,
+    # 2 theta - 1 and 2 theta - 2 on the cap halves; panel starts and widths
+    # come from the edges in x and theta, so narrow panels keep their digits
+    k = cap_edges.index(1.0)
+    lo = ([x / T for x in edges[:-1]] + [2.0 * c - 1.0 for c in cap_edges[:k]]
+          + [2.0 * c - 2.0 for c in cap_edges[k:-1]])
+    h = np.array([(b - a) / T for a, b in zip(edges, edges[1:])]
+                 + [2.0 * (b - a) for a, b in zip(cap_edges, cap_edges[1:])])
+    u, w = _gauss_legendre(n_per_panel)
+    s, ds = (np.array(lo)[:, None] + h[:, None] * u).ravel(), (h[:, None] * w).ravel()
+    i, j = (len(edges) - 1) * n_per_panel, (len(edges) - 1 + k) * n_per_panel
+    ray, cap = (s[:i], ds[:i]), ((s[i:j], ds[i:j]), (s[j:], ds[j:]))
+
+    def mapped(seg, s, ds):  # a reversed segment walks its inner one back
+        if isinstance(seg, ReversedSegment):
+            return mapped(seg.seg, s[::-1], -ds[::-1])
+        xi = seg.point(s)
+        return xi, seg.tangent(s, xi) * ds
+
+    parts = [mapped(seg, *p) for seg, p in zip(gamma_contour(A, T).segments(),
+                                               (ray, *cap, ray))]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 class _PowerSums:
@@ -353,12 +359,11 @@ def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: f
     al = FractionalOrder(_alpha_of(alpha))
     al.require_base()
     a = al.alpha
-    t = complex(t)
     if r <= 0:
         raise DomainError("r must be positive")
-    if dist_to_positive_ray(t) >= A:
-        raise DomainError(f"t = {t:.6g} is outside the tube of width {A:.4g}")
     T = T if T is not None else A + 40.0 / r
+    t = _require_in_tube(t, A, T)
+    xi, dw = contour_quadrature_nodes(A, T, n_per_panel, refine_near=t)  # refuses T <= A
     # the weighted integrand must decay along the rays, else r <= type(F)
     probe = np.array([complex(T / 2.0, A), complex(T, A)])
     f_mid, f_end = np.broadcast_to(F(probe), probe.shape).tolist()
@@ -368,7 +373,6 @@ def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: f
         raise ConvergenceError(
             "weighted integrand grows along the contour rays; the declared "
             "rate r does not exceed the exponential type of F")
-    xi, dw = contour_quadrature_nodes(A, T, n_per_panel, refine_near=t)
     base = F(xi) * np.exp(-r * xi) / xi * dw / (2j * math.pi)
     w_arg = t / xi
 
@@ -429,9 +433,7 @@ def frac_h1(F: Callable[[np.ndarray], np.ndarray], alpha, a: float, t: complex,
     al = FractionalOrder(_alpha_of(alpha))
     al.require_base()
     av = al.alpha
-    t = complex(t)
-    if dist_to_positive_ray(t) >= a:
-        raise DomainError(f"t = {t:.6g} is outside the tube of width {a:.4g}")
+    t = _require_in_tube(t, a)
     check_h1_decay(F, gamma_contour(a, max(40.0, 4.0 * abs(t))))
     segs = infinite_tube_boundary(a, scale=max(10.0, 2.0 * abs(t)))
     if mode == "deriv":

@@ -453,6 +453,14 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
     return complex(_summed([(row, np.array([complex(z)]), None)], tol, max_terms)[0][0])
 
 
+def _series_seed(a: complex, b: complex, c: complex, z: complex,
+                 tol: float = 1e-16, max_terms: int = 20000) -> tuple:
+    """(F, F') of 2F1(a, b; c) at z from the direct series, to start an ODE
+    continuation; the caller guarantees |z| < 1."""
+    return (_series_2f1(a, b, c, z, tol, max_terms),
+            _series_2f1(a + 1, b + 1, c + 1, z, tol, max_terms) * a * b / c)
+
+
 def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[int], jobs: list):
     """The z -> 1-z route on an array of z: appends its row sums to jobs and
     returns the function that assembles the values from their results."""
@@ -581,8 +589,7 @@ def _plan(t: _Table, z: np.ndarray, side: Optional[int], jobs: list, tol: float,
         sgn = 1.0 if zi.imag > 0 else -1.0
         seed = 0.45j * sgn
         if sgn not in starts:
-            starts[sgn] = (_series_2f1(a, b, c, seed, tol, max_terms),
-                           _series_2f1(a + 1, b + 1, c + 1, seed, tol, max_terms) * a * b / c)
+            starts[sgn] = _series_seed(a, b, c, seed, tol, max_terms)
         out[rest[i]], _ = hyp2f1_continue(Hyp2F1Params(a, b, c), [seed, 1.2j * sgn, zi],
                                           start=starts[sgn])
 
@@ -734,8 +741,7 @@ def hyp2f1_continue(p: Hyp2F1Params, path: Sequence[complex],
         z0 = pts[0]
         if abs(z0) >= 0.95:
             raise DomainError("path must start inside the unit disk for series seeding")
-        f = _series_2f1(p.a, p.b, p.c, z0)
-        fp = _series_2f1(p.a + 1, p.b + 1, p.c + 1, z0) * p.a * p.b / p.c
+        f, fp = _series_seed(p.a, p.b, p.c, z0)
     else:
         f, fp = start
         z0 = pts[0]
@@ -791,11 +797,9 @@ def geom_alpha_check(alpha: complex, t: complex, convention: str = "rotate") -> 
         loop = circle_path(-1.0, z0, turns=1.0)
     else:
         raise DomainError(f"unknown convention {convention!r}")
-    f_start = _series_2f1(p.a, p.b, p.c, z0) if abs(z0) < 0.95 else hyp2f1(p, z0)
-    fp_start = _series_2f1(p.a + 1, p.b + 1, p.c + 1, z0) * p.a * p.b / p.c \
-        if abs(z0) < 0.95 else None
-    if fp_start is None:
+    if abs(z0) >= 0.95:
         raise DomainError("check needs |t| < 0.95")
+    f_start, fp_start = _series_seed(p.a, p.b, p.c, z0)
     f_end, _ = hyp2f1_continue(p, loop, start=(f_start, fp_start))
     measured = f_end - f_start
     claimed = 2j * math.pi * cmath.exp(1j * math.pi * alpha) / (1.0 + t)

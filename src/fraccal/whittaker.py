@@ -350,7 +350,7 @@ class _PowerLine:
     def point(self, s):
         return self.z0 + self.direction * self.length * s ** self.p
 
-    def tangent(self, s):
+    def tangent(self, s, z=None):
         return self.direction * self.length * self.p * s ** (self.p - 1)
 
 

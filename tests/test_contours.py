@@ -98,6 +98,33 @@ def test_err_est_covers_true_error():
     assert covered >= 0.95 * trials
 
 
+@pytest.mark.parametrize("pieces", [
+    lambda o: gamma_contour(0.5, 6.0, o).segments(),
+    lambda o: infinite_tube_boundary(0.5, o, scale=3.0)])
+def test_tube_pieces_join_up_and_reverse(pieces):
+    s = np.array([0.05, 0.2, 0.7, 0.95])
+    ccw, cw = pieces("ccw"), pieces("cw")
+    assert len(ccw) == len(cw) == 4
+    for a, b in zip(ccw, ccw[1:]):  # upper ray in, cap halves, lower ray out
+        assert abs(a.point(1.0) - b.point(0.0)) < 1e-15
+    assert abs(ccw[1].point(1.0) + 0.5) < 1e-15
+    for fwd, back in zip(ccw, reversed(cw)):  # cw walks the same pieces back
+        assert np.allclose(back.point(1.0 - s), fwd.point(s), rtol=0, atol=1e-15)
+        assert np.allclose(back.tangent(1.0 - s), -fwd.tangent(s), rtol=1e-15)
+    with pytest.raises(DomainError):
+        pieces("up")
+
+
+def test_arc_tangent_reuses_the_point():
+    arc = Arc(0.3 - 0.1j, 0.7, 0.4, 2.9)
+    s = np.linspace(0.0, 1.0, 11)
+    z = arc.point(s)
+    th = 0.4 + 2.5 * s
+    exact = 1j * 0.7 * 2.5 * np.exp(1j * th)
+    assert np.allclose(arc.tangent(s, z), exact, rtol=1e-15, atol=0)
+    assert np.array_equal(arc.tangent(s), arc.tangent(s, z))
+
+
 def test_infinite_rays():
     segs = infinite_tube_boundary(0.5)
     val, _ = integrate_path(lambda z: 1.0 / (z * (1.0 + z ** 2)), segs,

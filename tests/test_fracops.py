@@ -10,7 +10,8 @@ from fraccal.contours import cauchy_eval
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
 from fraccal.fracops import (FractionalOrder, _deriv_kernel, _integ_kernel,
-                             frac_deriv_contour, frac_deriv_series,
+                             contour_quadrature_nodes, frac_deriv_contour,
+                             frac_deriv_series,
                              frac_deriv_series_normalized, frac_h1,
                              frac_integ_contour, frac_integ_series,
                              frac_of_pfq, psi_coefficients_contour,
@@ -20,6 +21,7 @@ from fraccal.hyp import Hyp2F1Params, PFQParams, hyp2f1, hyp_pfq
 from fraccal.series import (PowerSeries, estimate_growth, eval_series,
                             exp_series, geometric_series, monomial)
 from fraccal.transforms import h_norm
+from fraccal.utils import dist_to_positive_ray
 
 mp.mp.dps = 30
 
@@ -149,6 +151,65 @@ def test_contour_detects_undeclared_type():
     # exp has type 1; r = 0.5 below it must fail to converge
     with pytest.raises(ConvergenceError):
         frac_deriv_contour(np.exp, 0.5, 0.5, 0.5, 0.1, T=80.5)
+
+
+# (A, t) pairs whose refinement reaches the rays only, the cap only, or both
+NODE_CASES = [(0.3, 0.8 + 0.2j), (0.5, 0.9 + 0.4j), (0.5, 0.2 + 0.4j),
+              (0.3, 0.1 - 0.25j), (1.0, 0.9 + 0.5j), (0.5, -0.3 - 0.35j), (0.5, -0.45)]
+
+
+@pytest.mark.parametrize("A, t", NODE_CASES)
+def test_node_rule_on_the_boundary(A, t):
+    T = A + 40.0
+    xi, dw = contour_quadrature_nodes(A, T, refine_near=t)
+    dist = np.where(xi.real <= 0.0, np.abs(xi), np.abs(xi.imag))
+    assert np.all(np.abs(dist - A) <= 1e-15 * np.maximum(1.0, np.abs(xi)))
+    assert np.all(xi.real <= T)
+    # the weights integrate dxi from T + iA to T - iA, and the residue of e^{-xi}/xi
+    assert abs(dw.sum() + 2j * A) <= 1e-13
+    assert abs(np.sum(dw * np.exp(-xi) / xi) / (2j * math.pi) - 1.0) <= 1e-13
+
+
+def test_node_rule_has_no_sliver_panels():
+    # rounding copies of one panel edge (0.6 and 0.6000000000000001 at A = 0.3,
+    # t = 0.8+0.2i) made panels about 1e-16 wide; a panel's arc length is the
+    # sum of its |weights|
+    n = 24
+    for A in (0.3, 0.5):
+        T = A + 40.0
+        ts = [complex(x, y) for x in np.linspace(-0.45, 3.0, 24)
+              for y in np.linspace(-0.95, 0.95, 9) * A]
+        ts += [0.8 + 0.2j, 0.9 + 0.4j]
+        for t in ts:
+            if dist_to_positive_ray(t) >= A:
+                continue
+            _, dw = contour_quadrature_nodes(A, T, n, refine_near=t)
+            width = np.abs(dw).reshape(-1, n).sum(axis=1)
+            assert width.min() > 1e-12 * T, (A, t)
+
+
+@pytest.mark.parametrize("op", [frac_deriv_contour, frac_integ_contour])
+def test_contour_operators_refuse_points_off_the_truncated_contour(op):
+    # T <= A: the rays would end inside the cap (this returned 0.5665 for
+    # the derivative, against Gamma(1.5) 1.2^-1.5 = 0.6742)
+    for T in (0.4, 0.5):
+        with pytest.raises(DomainError):
+            op(GEOM, 0.5, 1.0, 0.5, 0.2, T=T)
+    # Re t >= T: t lies outside the truncated contour (the derivative
+    # returned -0.0373+0.0126i and -0.0731 against 0.1351-0.0058i and 0.0928)
+    for t, T in ((2.5 + 0.1j, 2.0), (3.5, 3.0), (2.0, 2.0)):
+        with pytest.raises(DomainError):
+            op(GEOM, 0.5, 1.0, 0.5, t, T=T)
+    with pytest.raises(DomainError):
+        op(GEOM, 0.5, 1.0, 0.5, 0.3 + 0.5j)
+
+
+def test_boundary_integrals_refuse_points_outside_the_tube():
+    for t in (0.3 + 0.5j, -0.6, 0.0 - 0.8j):
+        with pytest.raises(DomainError):
+            frac_h1(GEOM, 0.5, 0.5, t, "deriv")
+        with pytest.raises(DomainError):
+            cauchy_eval(GEOM, 0.5, t)
 
 
 def test_contour_series_agreement_grid():

@@ -15,7 +15,7 @@ from fraccal.errors import (BudgetError, ConvergenceError, DegenerateCaseError,
 from fraccal.hyp import (Hyp2F1Params, PFQParams, circle_path,
                          connection_coefficient, euler_ltf_check,
                          geom_alpha_check, hyp2f1, hyp2f1_continue, hyp_pfq,
-                         monodromic_jump_2f1, _series_2f1)
+                         monodromic_jump_2f1, _series_2f1, _series_seed)
 
 mp.mp.dps = 30
 
@@ -171,6 +171,26 @@ def test_geom_alpha_conventions():
         lit = geom_alpha_check(alpha, 0.3, "literal")
         assert abs(lit["measured"]) < 1e-12  # loop encloses no branch point
         assert lit["residual_claimed"] > 1e-2
+
+
+def test_geom_alpha_check_refuses_large_t_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hyp, "_series_2f1", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(hyp, "hyp2f1", lambda *a, **k: calls.append(a))
+    for t in (0.95, -0.97, 0.6 + 0.8j):
+        with pytest.raises(DomainError):
+            geom_alpha_check(0.5, t)
+    assert calls == []
+
+
+@pytest.mark.parametrize("a, b, c, z", [(1.0, 1.0, 1.5, -0.3), (0.3 + 0.2j, -1.7, 2.4, 0.45j),
+                                        (2.5, 0.5, -0.5 + 1j, 0.6 - 0.3j)])
+def test_series_seed_matches_mpmath(a, b, c, z):
+    f, fp = _series_seed(a, b, c, z)
+    ref = mp.hyp2f1(a, b, c, z)
+    dref = mp.diff(lambda x: mp.hyp2f1(a, b, c, x), z)
+    assert abs(f - complex(ref)) <= 1e-14 * abs(ref)
+    assert abs(fp - complex(dref)) <= 1e-13 * abs(dref)
 
 
 def test_hyp_pfq():
