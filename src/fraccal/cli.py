@@ -174,8 +174,8 @@ def _jump_cases(seed: int, n: int, shift: float):
             c += shift
         x = rng.uniform(1.05, 1.9)
         p = Hyp2F1Params(a, b, c)
-        yield (a, b, c, x, hyp2f1(p, x, side=+1) - hyp2f1(p, x, side=-1),
-               monodromic_jump_2f1(p, x, -1))
+        upper, lower = hyp2f1(p, [x, x], side=[+1, -1])
+        yield a, b, c, x, complex(upper - lower), monodromic_jump_2f1(p, x, -1)
 
 
 def _suite_jumps(cfg: RunConfig) -> dict:

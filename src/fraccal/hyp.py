@@ -5,8 +5,16 @@ the rest of the cut plane through the z -> 1-z linear transformation and the
 Pfaff map z -> z/(z-1), composed at most once.  Arguments on the cut (1, oo)
 carry a side flag selecting lim_{eps->0+} of z +- i*eps.  When c-a-b is
 within 1e-6 of an integer the z -> 1-z formula is replaced by the logarithmic
-(Goursat) expansions.  A Taylor-step continuation of the hypergeometric ODE
-along arbitrary polyline paths is provided for monodromy measurements.
+(Goursat) expansions.  The crescent around e^{+-i pi/3}, where no series
+converges fast, is reached by continuing the hypergeometric ODE.
+
+One engine continues (F, F') along polylines ("lanes") by Taylor steps of
+the ODE: it serves hyp2f1's crescent, hyp2f1_continue (monodromy loops) and
+the integral kernel of fracops.  Each lane's step schedule is fixed by its
+path alone (steps of at most 0.3 dist(z, {0, 1})); the transfer matrices of
+every step of every lane are built in one numpy pass over (term, step)
+arrays, and the states are then carried step by step across all lanes at
+once.  A lane's value equals running it alone, bit for bit.
 
 Every series is a sum over a coefficient row: the Taylor coefficients
 (a)_n (b)_n / ((c)_n n!), built by one vectorised ratio cumprod and grown by
@@ -95,21 +103,29 @@ class PFQParams:
         return PFQParams(tuple(num), tuple(den))
 
 
-def _cut_side_log(u: np.ndarray, z_side: Optional[int]) -> np.ndarray:
+def _cut_side_log(u: np.ndarray, z_side: Optional[np.ndarray]) -> np.ndarray:
     """Principal log u elementwise (u != 0); on the negative real axis the
-    z-side flag fixes the branch (z = x + i*eps, x > 1  =>  arg u -> -pi)."""
+    z-side flags, one per element, fix the branch
+    (z = x + i*eps, x > 1  =>  arg u -> -pi)."""
     lg = np.log(u)
     if z_side is not None:
-        lg.imag[(u.imag == 0.0) & (u.real < 0.0)] = -z_side * math.pi
+        neg = (u.imag == 0.0) & (u.real < 0.0)
+        lg.imag[neg] = -z_side[neg] * math.pi
     return lg
 
 
-def _cut_side_power(u: np.ndarray, exponent: complex, z_side: Optional[int]) -> np.ndarray:
+def _cut_side_power(u: np.ndarray, exponent: complex,
+                    z_side: Optional[np.ndarray]) -> np.ndarray:
     """u**exponent elementwise, u = 1-z, on the branch of _cut_side_log."""
     out = np.full(u.shape, 0.0 if exponent != 0 else 1.0, dtype=complex)
     nz = u != 0
-    out[nz] = np.exp(exponent * _cut_side_log(u[nz], z_side))
+    out[nz] = np.exp(exponent * _cut_side_log(u[nz], _part(z_side, nz)))
     return out
+
+
+def _part(side: Optional[np.ndarray], sel) -> Optional[np.ndarray]:
+    """The side flags of the elements sel, or None without flags."""
+    return None if side is None else side[sel]
 
 
 _CACHE_SIZE = 128  # parameter triples whose coefficient tables are kept
@@ -445,23 +461,21 @@ def _table(a: complex, b: complex, c: complex) -> _Table:
     return _Table(a, b, c)
 
 
-def _series_2f1(a: complex, b: complex, c: complex, z: complex,
-                tol: float = 1e-16, max_terms: int = 20000) -> complex:
-    """Direct Gauss series at one point; caller guarantees |z| < 1 or a
-    terminating a/b."""
-    row = _table(complex(a), complex(b), complex(c)).taylor
-    return complex(_summed([(row, np.array([complex(z)]), None)], tol, max_terms)[0][0])
-
-
-def _series_seed(a: complex, b: complex, c: complex, z: complex,
+def _series_seed(a: complex, b: complex, c: complex, z,
                  tol: float = 1e-16, max_terms: int = 20000) -> tuple:
-    """(F, F') of 2F1(a, b; c) at z from the direct series, to start an ODE
-    continuation; the caller guarantees |z| < 1."""
-    return (_series_2f1(a, b, c, z, tol, max_terms),
-            _series_2f1(a + 1, b + 1, c + 1, z, tol, max_terms) * a * b / c)
+    """(F, F') of 2F1(a, b; c) at z, a point or a 1-d array, from the direct
+    series, to start an ODE continuation; the caller guarantees |z| < 1.
+    F' = a b / c 2F1(a+1, b+1; c+1; z), and both rows are summed together."""
+    a, b, c = complex(a), complex(b), complex(c)
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    f, g = _summed([(_table(a, b, c).taylor, zs, None),
+                    (_table(a + 1.0, b + 1.0, c + 1.0).taylor, zs, None)], tol, max_terms)
+    if np.ndim(z) == 0:
+        return complex(f[0]), complex(g[0]) * a * b / c
+    return f, g * a * b / c
 
 
-def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[int], jobs: list):
+def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[np.ndarray], jobs: list):
     """The z -> 1-z route on an array of z: appends its row sums to jobs and
     returns the function that assembles the values from their results."""
     u = 1.0 - z
@@ -500,13 +514,14 @@ def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[int], jobs: list):
     return lambda sums: finite - pref * u ** m * sums[i]
 
 
-def hyp2f1(p: Hyp2F1Params, z, side: Optional[int] = None,
+def hyp2f1(p: Hyp2F1Params, z, side=None,
            tol: float = 1e-16, max_terms: int = 20000):
     """2F1(a, b; c; z) on the plane cut along (1, +oo), for a scalar z (a
     complex is returned) or elementwise on an array of any shape.
 
-    side (+1/-1) selects the boundary value from the upper/lower half-plane
-    where z lies on the cut; elsewhere it is ignored.  Each element takes the
+    side (+1/-1, or an array of them that broadcasts against z) selects the
+    boundary value from the upper/lower half-plane where an element lies on
+    the cut; elsewhere it is ignored.  Each element takes the
     route with the smallest series argument, all series of all elements are
     summed together, and a value does not depend on the other elements.
     Raises ConvergenceError when a series cancels so far that fewer than 10
@@ -520,12 +535,14 @@ def hyp2f1(p: Hyp2F1Params, z, side: Optional[int] = None,
     nz = flat != 0
     if nz.any():
         jobs = []
+        if side is not None:
+            side = np.broadcast_to(side, zs.shape).ravel()[nz]
         assemble = _plan(_table(p.a, p.b, p.c), flat[nz], side, jobs, tol, max_terms)
         out[nz] = assemble(_summed(jobs, tol, max_terms))
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def _plan(t: _Table, z: np.ndarray, side: Optional[int], jobs: list, tol: float,
+def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, tol: float,
           max_terms: int, depth: int = 0):
     """Routes of 2F1 on the table t at a 1-d array of z != 0: appends the row
     sums they need to jobs and returns the function that assembles the
@@ -547,7 +564,7 @@ def _plan(t: _Table, z: np.ndarray, side: Optional[int], jobs: list, tol: float,
             raise DomainError("2F1 singular at z = 1 for Re(c-a-b) <= 0")
         out[at_one] = gamma(c) * gamma(t.s) * rgamma(c - a) * rgamma(c - b)
     rest = np.flatnonzero(~at_one)
-    z = z[rest]
+    z, side = z[rest], _part(side, rest)
     on_cut = (z.imag == 0.0) & (z.real > 1.0)
     if side is None and on_cut.any():
         raise DomainError("z on the cut (1, oo): a side flag (+1/-1) is required")
@@ -570,28 +587,31 @@ def _plan(t: _Table, z: np.ndarray, side: Optional[int], jobs: list, tol: float,
         jobs.append((t.taylor, z[direct], None))
         parts.append((rest[direct], lambda sums, i=i: sums[i]))
     if at1.any():
-        parts.append((rest[at1], _plan_at_1(t, z[at1], side, jobs)))
+        parts.append((rest[at1], _plan_at_1(t, z[at1], _part(side, at1), jobs)))
     if pfaff.any():
         # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
-        w_side = -side if side is not None else None
+        z_side = _part(side, pfaff)
+        w_side = None if z_side is None else -z_side
         inner = _plan(_table(*t.pfaff), w[pfaff], w_side, jobs, tol, max_terms, depth + 1)
-        pw = _cut_side_power(1.0 - z[pfaff], -a, side)
+        pw = _cut_side_power(1.0 - z[pfaff], -a, z_side)
         parts.append((rest[pfaff], lambda sums: pw * inner(sums)))
     # crescent around e^{+-i pi/3} where every ratio is ~1: continue the ODE
     # from a series-seeded point, detouring through +-1.2i to stay clear of
-    # both singular points (off-cut arguments only; |1-z| >= 0.98 here)
-    starts = {}  # (F, F') at the seed +-0.45i, per half-plane
-    for i in np.flatnonzero(~series):
-        zi = complex(z[i])
-        if on_cut[i] or not abs(zi.imag) > 1e-13 * abs(zi):
+    # both singular points (off-cut arguments only; |1-z| >= 0.98 here); the
+    # crescent elements are the lanes of one continuation
+    cres = np.flatnonzero(~series)
+    if cres.size:
+        zc = z[cres]
+        stuck = on_cut[cres] | ~(np.abs(zc.imag) > 1e-13 * np.abs(zc))
+        if stuck.any():
+            zi = complex(zc[stuck][0])
             raise ConvergenceError(f"no convergent 2F1 route for z = {zi:.6g} "
                                    f"(|z|, |1-z| = {abs(zi):.3g}, {abs(1.0 - zi):.3g})")
-        sgn = 1.0 if zi.imag > 0 else -1.0
-        seed = 0.45j * sgn
-        if sgn not in starts:
-            starts[sgn] = _series_seed(a, b, c, seed, tol, max_terms)
-        out[rest[i]], _ = hyp2f1_continue(Hyp2F1Params(a, b, c), [seed, 1.2j * sgn, zi],
-                                          start=starts[sgn])
+        sgn = np.where(zc.imag > 0, 1.0, -1.0).tolist()
+        starts = {g: _series_seed(a, b, c, 0.45j * g, tol, max_terms) for g in set(sgn)}
+        paths = [[0.45j * g, 1.2j * g, zi] for g, zi in zip(sgn, zc.tolist())]
+        out[rest[cres]] = _continue(a, b, c, _Schedule(paths), [starts[g][0] for g in sgn],
+                                    [starts[g][1] for g in sgn])[0]
 
     def assemble(sums):
         for idx, part in parts:
@@ -654,7 +674,7 @@ def monodromic_jump_2f1(p: Hyp2F1Params, t: complex, sign: int) -> complex:
     s = p.s
     inner = Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0)  # raises on degenerate c
     pw = _cut_side_power(np.array([1.0 - t]), s,
-                         sign if (t.imag == 0.0 and t.real > 1.0) else None)
+                         np.array([sign]) if (t.imag == 0.0 and t.real > 1.0) else None)
     return connection_coefficient(p, sign) * complex(pw[0]) * hyp2f1(inner, 1.0 - t)
 
 
@@ -699,29 +719,192 @@ def hyp_pfq(params: PFQParams, t: complex, tol: float = 1e-14,
 # Continuation of 2F1 along paths (Taylor stepping of the Gauss ODE)
 # ---------------------------------------------------------------------------
 
-def _taylor_step(p: Hyp2F1Params, z0: complex, u0: complex, u1: complex,
-                 h: complex, n_terms: int = 42):
-    """Advance (F, F') by h using the local Taylor solution of
-    z(1-z) F'' + (c - (a+b+1) z) F' - a b F = 0."""
-    a, b, c = p.a, p.b, p.c
-    p0 = z0 * (1.0 - z0)
-    p1 = 1.0 - 2.0 * z0
-    q0 = c - (a + b + 1.0) * z0
-    q1 = -(a + b + 1.0)
-    r = -a * b
-    u = [u0, u1]
-    for n in range(n_terms - 2):
-        num = (p1 * n + q0) * (n + 1.0) * u[n + 1] + ((-1.0) * n * (n - 1.0) + q1 * n + r) * u[n]
-        u.append(-num / (p0 * (n + 2.0) * (n + 1.0)))
-    f = 0.0 + 0.0j
-    fp = 0.0 + 0.0j
-    for n in range(len(u) - 1, -1, -1):
-        f = f * h + u[n]
-        if n >= 1:
-            fp = fp * h + n * u[n]
-    # tail indicator: magnitude of the last term kept
-    tail = abs(u[-1]) * abs(h) ** (len(u) - 1)
-    return f, fp, tail
+_TAYLOR_TERMS = 42   # terms of every local Taylor solution
+_STEP_BLOCK = 1024   # steps whose transfer matrices are built together
+_WIDE = 12.0         # |a| + |b| + |c| above which a lane's states are corrected
+
+
+def _steps(path: Sequence[complex]) -> tuple:
+    """The step schedule of a polyline: lists of the start z0, the step h
+    and the index of the path point each step heads for.
+
+    Steps head straight for the next point and never exceed
+    0.3 * dist(z0, {0, 1}), so the schedule depends on the geometry alone.
+    Raises ConvergenceError where the path pinches a singular point.
+    """
+    pts = [complex(z) for z in path]
+    z0, zs, hs, seg = pts[0], [], [], []
+    for j in range(1, len(pts)):
+        target = pts[j]
+        while z0 != target:
+            dist = min(abs(z0), abs(z0 - 1.0))
+            if dist < 1e-9:
+                raise ConvergenceError(f"continuation path pinches a singular point at {z0:.4g}")
+            h = target - z0
+            hmax = 0.3 * dist
+            if abs(h) > hmax:
+                h *= hmax / abs(h)
+            zs.append(z0)
+            hs.append(h)
+            seg.append(j)
+            z0 = z0 + h
+    return zs, hs, seg
+
+
+def _taylor(a: np.ndarray, b: np.ndarray, c: np.ndarray, z0: np.ndarray,
+            h: np.ndarray, x: np.ndarray) -> tuple:
+    """Per step, the local Taylor solution of
+    z(1-z) F'' + (c - (a+b+1) z) F' - a b F = 0 from z0 by h, for starting
+    values x = (F, F') at z0 of shape (2, ..., S): returns (F, F') at z0 + h,
+    of the shape of x, and the last kept term.  a, b, c hold one entry per
+    step, or one for all steps.
+
+    The scaled terms v_n = u_n h^n start from v_0 = F, v_1 = h F' and obey
+    v_{n+2} = alpha_n v_{n+1} + beta_n v_n; both sums take the terms
+    smallest first, h F' as the sum of the tail sums sum_{m >= n} v_m.
+    """
+    n = np.arange(_TAYLOR_TERMS - 2.0)[:, None]
+    s = a + b + 1.0
+    ph = h / (z0 * (1.0 - z0))
+    alpha = n * (-(1.0 - 2.0 * z0) * ph)
+    alpha += -(c - s * z0) * ph
+    alpha *= 1.0 / (n + 2.0)
+    beta = (n * (n - 1.0 + s) + a * b) * (1.0 / ((n + 2.0) * (n + 1.0)))
+    beta = beta * (ph * h)
+    top = _TAYLOR_TERMS - 1
+    v = np.empty((_TAYLOR_TERMS, *x.shape[1:]), dtype=complex)  # v[top - n] = v_n
+    v[top] = x[0]
+    np.multiply(x[1], h, out=v[top - 1])
+    tmp = np.empty(v.shape[1:], dtype=complex)
+    for i in range(top - 2, -1, -1):
+        np.multiply(alpha[top - 2 - i], v[i + 1], out=v[i])
+        np.multiply(beta[top - 2 - i], v[i + 2], out=tmp)
+        v[i] += tmp
+    out = np.empty(x.shape, dtype=complex)
+    f, df = out  # F and h F', as running tail sums
+    f[...] = v[0]
+    df[...] = v[0]
+    for i in range(1, top):
+        f += v[i]
+        df += f
+    f += v[top]
+    df /= h
+    return out, v[0]
+
+
+_BASIS = np.eye(2, dtype=complex)[:, :, None]  # the columns (1, 0) and (0, 1)
+
+
+class _Schedule:
+    """The _steps of a list of polylines ("lanes"), flattened lane by lane,
+    with the layout that carries all lanes step by step: lanes sorted by
+    falling step count, so the lanes still moving at step i are a prefix."""
+
+    def __init__(self, paths: list):
+        self.paths = [[complex(z) for z in p] for p in paths]
+        plans = [_steps(p) for p in self.paths]
+        self.counts = counts = np.array([len(pl[0]) for pl in plans], dtype=int)
+        self.z0 = np.array([z for pl in plans for z in pl[0]], dtype=complex)
+        self.h = np.array([z for pl in plans for z in pl[1]], dtype=complex)
+        self.seg = [j for pl in plans for j in pl[2]]
+        self.lane = np.repeat(np.arange(len(plans)), counts)
+        self.first = counts.cumsum() - counts
+        self.order = np.argsort(-counts, kind="stable")
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(plans))
+        self.at = np.arange(len(self.h)) - np.repeat(self.first, counts)
+        width = int(counts.max(initial=0))
+        self.moving = counts[self.order][None, :] > np.arange(width)[:, None]
+        self.active = self.moving.sum(axis=1).tolist()
+
+    def padded(self, x: np.ndarray) -> np.ndarray:
+        """Per-step data x (..., S) laid out as (step, ..., lane)."""
+        out = np.zeros((len(self.active), *x.shape[:-1], len(self.order)), dtype=x.dtype)
+        out[self.at, ..., self.rank[self.lane]] = np.moveaxis(x, -1, 0)
+        return out
+
+    def flat(self, x: np.ndarray) -> np.ndarray:
+        """Padded data x (step, ..., lane) back to per step (..., S)."""
+        return np.moveaxis(x[self.at, ..., self.rank[self.lane]], 0, -1)
+
+
+def _continue(a, b, c, lanes: _Schedule, f, fp, tol: float = 1e-12) -> tuple:
+    """(F, F') of 2F1(a, b; c) at the end of each lane of the schedule,
+    continued by Taylor steps of the Gauss ODE from (f, fp) at its start.
+
+    a, b, c, f and fp are scalars or arrays of one entry per lane.  One pass
+    builds the transfer matrix M_i of every step of every lane (the local
+    Taylor solutions of the basis (1, 0), (0, 1)) and the linear form of its
+    last kept term, and carries the states x_i across all lanes at once.
+    The local series of the basis carry both solutions of the ODE; where
+    |a| + |b| + |c| > _WIDE they grow far beyond x before they cancel, and
+    so does their rounding, so for those lanes a second pass evaluates the
+    local solution y_{i+1} = T_i(x_i) of every step at its state and
+    corrects x'_{i+1} = y_{i+1} + M_i (x'_i - x_i).  The tail check compares
+    the last kept term at the state with tol * max(1, |F|) after each step;
+    where it fails, that step is halved and the lane re-planned from there,
+    and ConvergenceError is raised if the half step fails too.  Every
+    operation acts per step or per lane, so a lane's value is the same in
+    any batch.
+    """
+    n_lanes = len(lanes.paths)
+    prm = [np.broadcast_to(np.asarray(x, dtype=complex), (n_lanes,)) for x in (a, b, c)]
+    shared = all((x == x[0]).all() for x in prm)
+    wide = np.abs(prm[0]) + np.abs(prm[1]) + np.abs(prm[2]) > _WIDE
+    state = np.array([np.broadcast_to(f, (n_lanes,)), np.broadcast_to(fp, (n_lanes,))],
+                     dtype=complex)
+    ids = np.arange(n_lanes)  # the lanes of the schedule in state
+    while True:
+        sch = lanes
+
+        def local(x):  # T_i(x_i) for every step, in blocks of steps
+            out = np.empty(x.shape, dtype=complex)
+            last = np.empty(x.shape[1:], dtype=complex)
+            for lo in range(0, len(sch.h), _STEP_BLOCK):
+                sl = slice(lo, lo + _STEP_BLOCK)
+                out[..., sl], last[..., sl] = _taylor(
+                    *(p[:1] if shared else p[ids][sch.lane[sl]] for p in prm),
+                    sch.z0[sl], sch.h[sl], x[..., sl])
+            return out, last
+
+        def carry(x0, y=None, x=None):  # states (step, 2, lane) from x0:
+            # x_{i+1} = M_i x_i, or y_{i+1} + M_i (x'_i - x_i) given y and x
+            out = np.zeros((len(sch.active) + 1, 2, len(ids)), dtype=complex)
+            out[0] = x0
+            for i, k in enumerate(sch.active):
+                d = out[i, :, :k] if x is None else out[i, :, :k] - x[i, :, :k]
+                nxt = m0[i, :, :k] * d[0] + m1[i, :, :k] * d[1]
+                out[i + 1, :, :k] = nxt if y is None else y[i, :, :k] + nxt
+            return out
+
+        m, t = (sch.padded(v) for v in local(np.broadcast_to(_BASIS, (2, 2, len(sch.h)))))
+        m0, m1 = m[:, :, 0].copy(), m[:, :, 1].copy()  # the columns of M_i
+        xc = xs = carry(state[:, ids[sch.order]])
+        err = np.abs(t[:, 0] * xs[:-1, 0] + t[:, 1] * xs[:-1, 1])
+        fix = wide[ids[sch.order]]
+        if fix.any():
+            y, last = local(sch.flat(xs[:-1]))
+            xc = np.where(fix, carry(xs[0], sch.padded(y), xs), xs)
+            err = np.where(fix, np.abs(sch.padded(last)), err)
+        bad = ~(err <= tol * np.maximum(1.0, np.abs(xc[1:, 0]))) & sch.moving
+        failed = bad.any(axis=0)
+        done = sch.order[~failed]
+        state[:, ids[done]] = xc[sch.counts[done], :, sch.rank[done]].T
+        if not failed.any():
+            return state[0], state[1]
+        # halve each failing lane's first failing step and re-plan from there
+        redo = sch.order[failed]
+        i = bad[:, failed].argmax(axis=0)
+        g = sch.first[redo] + i
+        z0, half = sch.z0[g], sch.h[g] / 2.0
+        x0 = xc[i, :, failed].T
+        nx, th = _taylor(*(p[:1] if shared else p[ids[redo]] for p in prm), z0, half, x0)
+        if not (np.abs(th) <= tol * np.maximum(1.0, np.abs(nx[0]))).all():
+            raise ConvergenceError("continuation step failed its tail check")
+        ids = ids[redo]
+        state[:, ids] = nx
+        lanes = _Schedule([[z] + sch.paths[r][sch.seg[j]:] for r, j, z in
+                           zip(redo.tolist(), g.tolist(), (z0 + half).tolist())])
 
 
 def hyp2f1_continue(p: Hyp2F1Params, path: Sequence[complex],
@@ -729,8 +912,12 @@ def hyp2f1_continue(p: Hyp2F1Params, path: Sequence[complex],
     """Analytic continuation of (2F1, 2F1') along a polyline of points.
 
     Starting values default to the direct series at path[0] (requires
-    |path[0]| < 1).  Steps never exceed 0.3 * dist(z, {0, 1}); raises
-    ConvergenceError if the path pinches a singular point.
+    |path[0]| < 1).  The path is one lane of the batched Taylor-ODE engine,
+    and its value equals that lane's in any batch, bit for bit: its steps
+    never exceed 0.3 * dist(z, {0, 1}) and are fixed by the path alone, a
+    step whose last kept term fails the tail check is halved, and
+    ConvergenceError is raised if the path pinches a singular point or a
+    half step fails too.
     """
     if not isinstance(p, Hyp2F1Params):
         p = Hyp2F1Params(*p)
@@ -738,32 +925,11 @@ def hyp2f1_continue(p: Hyp2F1Params, path: Sequence[complex],
     if len(pts) < 2:
         raise DomainError("path needs at least two points")
     if start is None:
-        z0 = pts[0]
-        if abs(z0) >= 0.95:
+        if abs(pts[0]) >= 0.95:
             raise DomainError("path must start inside the unit disk for series seeding")
-        f, fp = _series_seed(p.a, p.b, p.c, z0)
-    else:
-        f, fp = start
-        z0 = pts[0]
-    for target in pts[1:]:
-        while z0 != target:
-            dist = min(abs(z0), abs(z0 - 1.0))
-            if dist < 1e-9:
-                raise ConvergenceError(f"continuation path pinches a singular point at {z0:.4g}")
-            step = target - z0
-            hmax = 0.3 * dist
-            if abs(step) > hmax:
-                step *= hmax / abs(step)
-            nf, nfp, tail = _taylor_step(p, z0, f, fp, step)
-            if tail > tol * max(1.0, abs(nf)):
-                # order-42 Taylor rarely needs this; halve once and re-check
-                nf, nfp, tail = _taylor_step(p, z0, f, fp, step / 2.0)
-                if tail > tol * max(1.0, abs(nf)):
-                    raise ConvergenceError("continuation step failed its tail check")
-                step = step / 2.0
-            f, fp = nf, nfp
-            z0 = z0 + step
-    return f, fp
+        start = _series_seed(p.a, p.b, p.c, pts[0])
+    f, fp = _continue(p.a, p.b, p.c, _Schedule([pts]), *start, tol=tol)
+    return complex(f[0]), complex(fp[0])
 
 
 def circle_path(center: complex, start: complex, turns: float = 1.0,

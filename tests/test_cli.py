@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,6 +30,16 @@ def test_fracop_builtin_contour(capsys):
     expect = gamma(1.5) * 1.2 ** -1.5
     assert abs(complex(*doc["value"]) - expect) < 1e-8
     assert doc["method"] == "contour"
+
+
+def test_fracop_builtin_contour_integral_beyond_the_unit_disk(capsys):
+    # at t = 1.2-0.3i 372 of the 912 kernel nodes take the ODE fallback
+    code, out = run_cli(capsys, "fracop", "--builtin", "geometric", "--alpha=0.5",
+                        "--mode", "integ", "--eval=1.2-0.3j", "--method", "contour")
+    assert code == 0
+    t = 1.2 - 0.3j
+    expect = complex(mp.hyp2f1(1, 1, 1.5, -t) / mp.gamma(1.5))
+    assert abs(complex(*json.loads(out)["value"]) - expect) <= 1e-8
 
 
 def test_fracop_alpha_zero_echo(capsys):

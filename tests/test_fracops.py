@@ -258,6 +258,22 @@ def test_kernel_moment_sums_match_mpmath(branch, alpha):
         assert abs(kernel_sum(k) - sum(terms)) <= 1e-13 * sum(abs(x) for x in terms)
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_integ_kernel_matches_the_euler_integral(k):
+    # for Re alpha > 0 Cauchy's formula turns the kernel sum into
+    # Gamma(alpha+k+1)/(k! Gamma(alpha)) int_0^1 s^k (1-s)^{alpha-1} F(ts) e^{-rts} ds,
+    # an oracle free of 2F1; at t = 0.8+0.2i many nodes take the ODE fallback
+    a, t, r, A = 0.5, 0.8 + 0.2j, 1.0, 0.5
+    xi, dw = contour_quadrature_nodes(A, A + 40.0 / r, 24, refine_near=t)
+    w = t / xi
+    assert ((np.abs(w) > 0.9) & (np.abs(w / (w - 1.0)) > 0.9)).sum() > 100
+    kernel_sum = _integ_kernel(a, w, GEOM(xi) * np.exp(-r * xi) / xi * dw / (2j * math.pi))
+    euler = mp.quad(lambda s: s ** k * (1 - s) ** (a - 1) / (1 + t * s) * mp.exp(-r * t * s),
+                    [0, 1])
+    ref = complex(mp.gamma(a + k + 1) / (mp.factorial(k) * mp.gamma(a)) * euler)
+    assert abs(kernel_sum(k) - ref) <= 1e-11 * abs(ref)
+
+
 H1F = lambda z: z / (1.0 + z * z) ** 2
 
 

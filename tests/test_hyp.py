@@ -15,7 +15,7 @@ from fraccal.errors import (BudgetError, ConvergenceError, DegenerateCaseError,
 from fraccal.hyp import (Hyp2F1Params, PFQParams, circle_path,
                          connection_coefficient, euler_ltf_check,
                          geom_alpha_check, hyp2f1, hyp2f1_continue, hyp_pfq,
-                         monodromic_jump_2f1, _series_2f1, _series_seed)
+                         monodromic_jump_2f1, _series_seed)
 
 mp.mp.dps = 30
 
@@ -111,9 +111,8 @@ def test_gauss_ode_residual():
         b = rng.uniform(0.2, 2.0)
         c = rng.uniform(0.6, 3.0)
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4))
-        f = _series_2f1(a, b, c, z)
-        fp = _series_2f1(a + 1, b + 1, c + 1, z) * a * b / c
-        fpp = _series_2f1(a + 2, b + 2, c + 2, z) * a * (a + 1) * b * (b + 1) / (c * (c + 1))
+        f, fp = _series_seed(a, b, c, z)
+        fpp = _series_seed(a + 1, b + 1, c + 1, z)[1] * a * b / c
         res = z * (1 - z) * fpp + (c - (a + b + 1) * z) * fp - a * b * f
         assert abs(res) <= 1e-8 * max(1.0, abs(f))
 
@@ -175,7 +174,7 @@ def test_geom_alpha_conventions():
 
 def test_geom_alpha_check_refuses_large_t_before_evaluating(monkeypatch):
     calls = []
-    monkeypatch.setattr(hyp, "_series_2f1", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(hyp, "_series_seed", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(hyp, "hyp2f1", lambda *a, **k: calls.append(a))
     for t in (0.95, -0.97, 0.6 + 0.8j):
         with pytest.raises(DomainError):
@@ -385,3 +384,120 @@ def test_batch_values_equal_single_calls(side):
                 z += side * 1e-25j
             ref = complex(mp.hyp2f1(*abc, z))
             assert abs(v - ref) <= 1e-11 * max(abs(ref), 1.0)
+
+
+# --- batched Taylor-ODE continuation ------------------------------------------
+
+def _mp_loop_around_1(a, b, c, z):
+    """2F1 continued once counterclockwise around z = 1 from z, by the z -> 1-z
+    connection formula in mpmath: the (1-z)^{c-a-b} term gains e^{2 pi i s}."""
+    s = c - a - b
+    g = mp.gamma
+    first = g(c) * g(s) / (g(c - a) * g(c - b)) * mp.hyp2f1(a, b, 1 - s, 1 - z)
+    second = (g(c) * g(-s) / (g(a) * g(b)) * (1 - mp.mpc(z)) ** s
+              * mp.hyp2f1(c - a, c - b, 1 + s, 1 - z))
+    return complex(first + mp.exp(2j * mp.pi * s) * second)
+
+
+def _rel(got, ref):
+    return abs(got - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("abc", [(0.3, 0.7, 1.9), (1.2 + 0.3j, -0.4 + 0.2j, 2.1 - 0.2j),
+                                 (0.5 + 0.2j, 0.8, 0.9 + 0.35j)])
+def test_continuation_along_loops_matches_mpmath(abc):
+    p = Hyp2F1Params(*abc)
+    # once around 1: the branch jump of the z -> 1-z connection
+    for z0 in (0.4, 0.3 - 0.2j):
+        f, _ = hyp2f1_continue(p, circle_path(1.0, z0))
+        assert _rel(f, _mp_loop_around_1(*abc, z0)) <= 1e-12
+    # around 0 alone 2F1 is single-valued; an open arc ends on the principal sheet
+    f, _ = hyp2f1_continue(p, circle_path(0.0, -0.6))
+    assert _rel(f, complex(mp.hyp2f1(*abc, -0.6))) <= 1e-12
+    f, fp = hyp2f1_continue(p, circle_path(0.0, 0.45j, turns=0.7)[:-1] + [-0.9 - 2.2j])
+    z = -0.9 - 2.2j
+    assert _rel(f, complex(mp.hyp2f1(*abc, z))) <= 1e-12
+    assert _rel(fp, complex(mp.diff(lambda x: mp.hyp2f1(*abc, x), z))) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0445, -0.0445, 0.5, 1.0, -2.5])
+def test_radial_continuation_matches_mpmath(theta):
+    # the integral kernel's rays: from 0.45 e^{i theta} out to |w| = 2.7; at
+    # theta = +-0.0445 the end lies 0.12 from the cut
+    u = cmath.exp(1j * theta)
+    for abc in [(0.3, 0.7, 1.9), (0.2 + 0.5j, 1.3 - 0.4j, 0.7 + 0.9j)]:
+        f, _ = hyp2f1_continue(Hyp2F1Params(*abc), [0.45 * u, 2.7 * u])
+        assert _rel(f, complex(mp.hyp2f1(*abc, 2.7 * u))) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j])
+def test_kernel_triples_continue_to_mpmath(alpha):
+    # the parameters (k+1, 1; alpha+k+1) of the integral kernel, k <= 40; from
+    # k = 5 on, |a| + |b| + |c| > 12 and the lanes take the corrected states
+    for k in (0, 5, 17, 40):
+        abc = (k + 1.0, 1.0, alpha + k + 1.0)
+        for w in (2.7 * cmath.exp(0.0445j), 1.8 - 1.1j, -1.9 + 1.7j, 0.6 + 1.2j):
+            f, _ = hyp2f1_continue(Hyp2F1Params(*abc), [0.45 * w / abs(w), w])
+            with mp.workdps(20):
+                ref = complex(mp.hyp2f1(*abc, w))
+            assert _rel(f, ref) <= 1e-12, (k, w)
+
+
+def test_lanes_equal_single_runs_bit_for_bit():
+    # mixed parameters and path lengths in one batch
+    cases = [((0.3, 0.7, 1.9), circle_path(1.0, 0.4)),
+             ((2.0, 1.0, 2.5 + 0.4j), [0.45j, 2.5 + 0.12j]),
+             ((0.2 + 0.5j, 1.3 - 0.4j, 0.7 + 0.9j), [-0.3, -0.3 + 2.0j, 1.6 + 0.8j]),
+             ((0.3, 0.7, 1.9), [0.1, 0.2]),
+             ((41.0, 1.0, 41.3 + 0.4j), [-0.45, -2.7])]
+    starts = [_series_seed(*abc, path[0]) for abc, path in cases]
+    a, b, c = (np.array([abc[i] for abc, _ in cases], dtype=complex) for i in range(3))
+    f, fp = hyp._continue(a, b, c, hyp._Schedule([path for _, path in cases]),
+                          [s[0] for s in starts], [s[1] for s in starts])
+    for i, (abc, path) in enumerate(cases):
+        alone = hyp2f1_continue(Hyp2F1Params(*abc), path, start=starts[i])
+        assert (repr(complex(f[i])), repr(complex(fp[i]))) == tuple(map(repr, alone))
+    # and a lane's value does not depend on where it sits in the batch
+    rev = hyp._continue(a[::-1], b[::-1], c[::-1],
+                        hyp._Schedule([path for _, path in cases][::-1]),
+                        [s[0] for s in starts][::-1], [s[1] for s in starts][::-1])
+    assert [repr(v) for v in rev[0][::-1]] == [repr(v) for v in f]
+
+
+def test_failing_tail_check_halves_the_step(monkeypatch):
+    p = Hyp2F1Params(0.3, 0.7, 1.9)
+    path = [0.4, 0.5 + 0.6j, -0.5 + 0.3j]
+    default, _ = hyp2f1_continue(p, path)
+    passes = []
+    taylor = hyp._taylor
+    monkeypatch.setattr(hyp, "_taylor", lambda *a: passes.append(1) or taylor(*a))
+    # full steps (0.3 dist) leave a last term near 1e-25, half steps 1e-37:
+    # 1e-28 fails some full steps and passes their halves
+    f, _ = hyp2f1_continue(p, path, tol=1e-28)
+    assert len(passes) > 2  # the two passes of the planned steps, then halves
+    assert _rel(f, default) <= 1e-12
+    with pytest.raises(ConvergenceError):
+        hyp2f1_continue(p, path, tol=1e-40)
+
+
+def test_continuation_through_a_singular_point_raises():
+    p = Hyp2F1Params(0.3, 0.7, 1.9)
+    for path in ([0.5, 1.0], [0.4, 0.4j, 0.0, -0.3], [0.3, 1.0 + 1e-12j, 1.2j]):
+        with pytest.raises(ConvergenceError):
+            hyp2f1_continue(p, path)
+
+
+def test_mixed_sides_equal_scalar_calls():
+    xs = [1.5, 3.0, 1.5, 3.0, 0.3 + 0.2j, 1.05, 7.0]
+    sides = [1, 1, -1, -1, 1, -1, 1]
+    for abc in _GRID_PARAMS:
+        p = Hyp2F1Params(*abc)
+        batch = hyp2f1(p, xs, side=sides)
+        single = [hyp2f1(p, x, side=s) for x, s in zip(xs, sides)]
+        assert [repr(complex(v)) for v in batch] == [repr(v) for v in single]
+        # a side array broadcasts against z
+        grid = hyp2f1(p, np.array([xs, xs]), side=np.array([[1], [-1]]))
+        assert [repr(complex(v)) for v in grid[1]] == \
+            [repr(hyp2f1(p, x, side=-1)) for x in xs]
+    with pytest.raises(DomainError):
+        hyp2f1(Hyp2F1Params(0.4, 0.9, 1.7), [0.3, 1.5])  # an on-cut element, no side
