@@ -30,8 +30,7 @@ from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
                        integrate_path)
 from .errors import ConvergenceError, DomainError
 from .gammafn import gamma
-from .hyp import (PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule,
-                  _series_seed)
+from .hyp import PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule
 from .series import PowerSeries, eval_series
 from .utils import dist_to_positive_ray, is_nonpositive_int
 
@@ -345,15 +344,13 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], c
     pfaff = _PowerSums(v[pf], br[pf] / (1.0 - wr[pf]))
     hard_w, hard_b = wr[~pf], br[~pf]
     if hard_w.size:
-        seeds = 0.45 * hard_w / np.abs(hard_w)
-        lanes = _Schedule([[s, wi] for s, wi in zip(seeds.tolist(), hard_w.tolist())])
+        lanes = _Schedule([[0.45 * wi / abs(wi), wi] for wi in hard_w.tolist()])
 
     def kernel_sum(k: int) -> complex:
         total = _series_b1_sum(direct, k + 1.0, a + k + 1.0)
         total += _series_b1_sum(pfaff, a, a + k + 1.0)
         if hard_w.size:
-            prm = (k + 1.0, 1.0, a + k + 1.0)
-            f, _ = _continue(*prm, lanes, *_series_seed(*prm, seeds))
+            f, _ = _continue(k + 1.0, 1.0, a + k + 1.0, lanes)
             total += complex(np.dot(f, hard_b))
         return total
     return kernel_sum

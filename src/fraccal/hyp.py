@@ -13,8 +13,9 @@ the ODE: it serves hyp2f1's crescent, hyp2f1_continue (monodromy loops) and
 the integral kernel of fracops.  Each lane's step schedule is fixed by its
 path alone (steps of at most 0.3 dist(z, {0, 1})); the transfer matrices of
 every step of every lane are built in one numpy pass over (term, step)
-arrays, and the states are then carried step by step across all lanes at
-once.  A lane's value equals running it alone, bit for bit.
+arrays and the states carried step by step across all lanes at once, then
+a second pass evaluates every step at its carried state and corrects the
+states.  A lane's value equals running it alone, bit for bit.
 
 Every series is a sum over a coefficient row: the Taylor coefficients
 (a)_n (b)_n / ((c)_n n!), built by one vectorised ratio cumprod and grown by
@@ -461,18 +462,27 @@ def _table(a: complex, b: complex, c: complex) -> _Table:
     return _Table(a, b, c)
 
 
-def _series_seed(a: complex, b: complex, c: complex, z,
-                 tol: float = 1e-16, max_terms: int = 20000) -> tuple:
+def _series_seed(a, b, c, z, tol: float = 1e-16, max_terms: int = 20000) -> tuple:
     """(F, F') of 2F1(a, b; c) at z, a point or a 1-d array, from the direct
     series, to start an ODE continuation; the caller guarantees |z| < 1.
-    F' = a b / c 2F1(a+1, b+1; c+1; z), and both rows are summed together."""
-    a, b, c = complex(a), complex(b), complex(c)
+    a, b and c are numbers or arrays of one entry per z.
+    F' = a b / c 2F1(a+1, b+1; c+1; z), and the rows of every triple are
+    summed together."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    f, g = _summed([(_table(a, b, c).taylor, zs, None),
-                    (_table(a + 1.0, b + 1.0, c + 1.0).taylor, zs, None)], tol, max_terms)
-    if np.ndim(z) == 0:
-        return complex(f[0]), complex(g[0]) * a * b / c
-    return f, g * a * b / c
+    prm = np.array(np.broadcast_arrays(a, b, c, zs)[:3], dtype=complex)
+    groups = {}
+    for i, abc in enumerate(prm.T.tolist()):
+        groups.setdefault(tuple(abc), []).append(i)
+    jobs = []
+    for (a1, b1, c1), idx in groups.items():
+        jobs += [(_table(a1, b1, c1).taylor, zs[idx], None),
+                 (_table(a1 + 1.0, b1 + 1.0, c1 + 1.0).taylor, zs[idx], None)]
+    sums = _summed(jobs, tol, max_terms)
+    f, g = np.empty((2, zs.size), dtype=complex)
+    for j, idx in enumerate(groups.values()):
+        f[idx], g[idx] = sums[2 * j], sums[2 * j + 1]
+    g = g * prm[0] * prm[1] / prm[2]
+    return (complex(f[0]), complex(g[0])) if np.ndim(z) == 0 else (f, g)
 
 
 def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[np.ndarray], jobs: list):
@@ -608,10 +618,8 @@ def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, tol:
             raise ConvergenceError(f"no convergent 2F1 route for z = {zi:.6g} "
                                    f"(|z|, |1-z| = {abs(zi):.3g}, {abs(1.0 - zi):.3g})")
         sgn = np.where(zc.imag > 0, 1.0, -1.0).tolist()
-        starts = {g: _series_seed(a, b, c, 0.45j * g, tol, max_terms) for g in set(sgn)}
         paths = [[0.45j * g, 1.2j * g, zi] for g, zi in zip(sgn, zc.tolist())]
-        out[rest[cres]] = _continue(a, b, c, _Schedule(paths), [starts[g][0] for g in sgn],
-                                    [starts[g][1] for g in sgn])[0]
+        out[rest[cres]] = _continue(a, b, c, _Schedule(paths))[0]
 
     def assemble(sums):
         for idx, part in parts:
@@ -721,7 +729,6 @@ def hyp_pfq(params: PFQParams, t: complex, tol: float = 1e-14,
 
 _TAYLOR_TERMS = 42   # terms of every local Taylor solution
 _STEP_BLOCK = 1024   # steps whose transfer matrices are built together
-_WIDE = 12.0         # |a| + |b| + |c| above which a lane's states are corrected
 
 
 def _steps(path: Sequence[complex]) -> tuple:
@@ -771,25 +778,18 @@ def _taylor(a: np.ndarray, b: np.ndarray, c: np.ndarray, z0: np.ndarray,
     alpha *= 1.0 / (n + 2.0)
     beta = (n * (n - 1.0 + s) + a * b) * (1.0 / ((n + 2.0) * (n + 1.0)))
     beta = beta * (ph * h)
-    top = _TAYLOR_TERMS - 1
-    v = np.empty((_TAYLOR_TERMS, *x.shape[1:]), dtype=complex)  # v[top - n] = v_n
-    v[top] = x[0]
-    np.multiply(x[1], h, out=v[top - 1])
-    tmp = np.empty(v.shape[1:], dtype=complex)
-    for i in range(top - 2, -1, -1):
-        np.multiply(alpha[top - 2 - i], v[i + 1], out=v[i])
-        np.multiply(beta[top - 2 - i], v[i + 2], out=tmp)
-        v[i] += tmp
-    out = np.empty(x.shape, dtype=complex)
-    f, df = out  # F and h F', as running tail sums
-    f[...] = v[0]
-    df[...] = v[0]
-    for i in range(1, top):
-        f += v[i]
+    v = [x[0], x[1] * h]  # v[n] = v_n
+    for i in range(_TAYLOR_TERMS - 2):
+        nxt = alpha[i] * v[i + 1]
+        nxt += beta[i] * v[i]
+        v.append(nxt)
+    f, df = v[-1].copy(), v[-1].copy()  # F and h F', as running tail sums
+    for term in v[-2:0:-1]:
+        f += term
         df += f
-    f += v[top]
+    f += v[0]
     df /= h
-    return out, v[0]
+    return np.array([f, df]), v[-1]
 
 
 _BASIS = np.eye(2, dtype=complex)[:, :, None]  # the columns (1, 0) and (0, 1)
@@ -828,31 +828,33 @@ class _Schedule:
         return np.moveaxis(x[self.at, ..., self.rank[self.lane]], 0, -1)
 
 
-def _continue(a, b, c, lanes: _Schedule, f, fp, tol: float = 1e-12) -> tuple:
+def _continue(a, b, c, lanes: _Schedule, start: Optional[tuple] = None,
+              tol: float = 1e-12) -> tuple:
     """(F, F') of 2F1(a, b; c) at the end of each lane of the schedule,
-    continued by Taylor steps of the Gauss ODE from (f, fp) at its start.
+    continued by Taylor steps of the Gauss ODE from start = (F, F') at the
+    lane's first point, by default the direct series there.
 
-    a, b, c, f and fp are scalars or arrays of one entry per lane.  One pass
-    builds the transfer matrix M_i of every step of every lane (the local
-    Taylor solutions of the basis (1, 0), (0, 1)) and the linear form of its
-    last kept term, and carries the states x_i across all lanes at once.
-    The local series of the basis carry both solutions of the ODE; where
-    |a| + |b| + |c| > _WIDE they grow far beyond x before they cancel, and
-    so does their rounding, so for those lanes a second pass evaluates the
-    local solution y_{i+1} = T_i(x_i) of every step at its state and
-    corrects x'_{i+1} = y_{i+1} + M_i (x'_i - x_i).  The tail check compares
-    the last kept term at the state with tol * max(1, |F|) after each step;
-    where it fails, that step is halved and the lane re-planned from there,
-    and ConvergenceError is raised if the half step fails too.  Every
-    operation acts per step or per lane, so a lane's value is the same in
-    any batch.
+    a, b, c and the entries of start are scalars or arrays of one entry per
+    lane.  A first pass builds the transfer matrix M_i of every step of
+    every lane (the local Taylor solutions of the basis (1, 0), (0, 1)) and
+    carries the states x_i across all lanes at once.  The local series of
+    the basis carry both solutions of the ODE, which at large parameters
+    grow far beyond x before they cancel, and so does their rounding; so a
+    second pass evaluates the local solution y_{i+1} = T_i(x_i) of every
+    step at its state and carries the correction e_i = x'_i - x_i by
+    e_{i+1} = M_i e_i + (y_{i+1} - x_{i+1}): exact as T_i is linear, and
+    e is small, so the rounding of M_i no longer counts.  The tail check
+    compares the last kept term of y_{i+1} with tol * max(1, |F|); where it
+    fails, that step is halved and the lane re-planned from there, and
+    ConvergenceError is raised if the half step fails too.  Every operation
+    acts per step or per lane, so a lane's value is the same in any batch.
     """
     n_lanes = len(lanes.paths)
     prm = [np.broadcast_to(np.asarray(x, dtype=complex), (n_lanes,)) for x in (a, b, c)]
     shared = all((x == x[0]).all() for x in prm)
-    wide = np.abs(prm[0]) + np.abs(prm[1]) + np.abs(prm[2]) > _WIDE
-    state = np.array([np.broadcast_to(f, (n_lanes,)), np.broadcast_to(fp, (n_lanes,))],
-                     dtype=complex)
+    if start is None:
+        start = _series_seed(*prm, [pth[0] for pth in lanes.paths])
+    state = np.array([np.broadcast_to(x, (n_lanes,)) for x in start], dtype=complex)
     ids = np.arange(n_lanes)  # the lanes of the schedule in state
     while True:
         sch = lanes
@@ -867,26 +869,22 @@ def _continue(a, b, c, lanes: _Schedule, f, fp, tol: float = 1e-12) -> tuple:
                     sch.z0[sl], sch.h[sl], x[..., sl])
             return out, last
 
-        def carry(x0, y=None, x=None):  # states (step, 2, lane) from x0:
-            # x_{i+1} = M_i x_i, or y_{i+1} + M_i (x'_i - x_i) given y and x
-            out = np.zeros((len(sch.active) + 1, 2, len(ids)), dtype=complex)
+        def carry(x0, r=0.0):  # (step, 2, lane): x_{i+1} = M_i x_i + r_i
+            out = np.empty((len(sch.active) + 1, 2, len(ids)), dtype=complex)
             out[0] = x0
+            out[1:] = r
             for i, k in enumerate(sch.active):
-                d = out[i, :, :k] if x is None else out[i, :, :k] - x[i, :, :k]
-                nxt = m0[i, :, :k] * d[0] + m1[i, :, :k] * d[1]
-                out[i + 1, :, :k] = nxt if y is None else y[i, :, :k] + nxt
+                nxt = out[i + 1, :, :k]
+                nxt += m0[i, :, :k] * out[i, 0, :k]
+                nxt += m1[i, :, :k] * out[i, 1, :k]
             return out
 
-        m, t = (sch.padded(v) for v in local(np.broadcast_to(_BASIS, (2, 2, len(sch.h)))))
+        m = sch.padded(local(np.broadcast_to(_BASIS, (2, 2, len(sch.h))))[0])
         m0, m1 = m[:, :, 0].copy(), m[:, :, 1].copy()  # the columns of M_i
-        xc = xs = carry(state[:, ids[sch.order]])
-        err = np.abs(t[:, 0] * xs[:-1, 0] + t[:, 1] * xs[:-1, 1])
-        fix = wide[ids[sch.order]]
-        if fix.any():
-            y, last = local(sch.flat(xs[:-1]))
-            xc = np.where(fix, carry(xs[0], sch.padded(y), xs), xs)
-            err = np.where(fix, np.abs(sch.padded(last)), err)
-        bad = ~(err <= tol * np.maximum(1.0, np.abs(xc[1:, 0]))) & sch.moving
+        xs = carry(state[:, ids[sch.order]])
+        y, last = (sch.padded(v) for v in local(sch.flat(xs[:-1])))
+        xc = xs + carry(0.0, y - xs[1:])  # x'_i = x_i + e_i
+        bad = ~(np.abs(last) <= tol * np.maximum(1.0, np.abs(xc[1:, 0]))) & sch.moving
         failed = bad.any(axis=0)
         done = sch.order[~failed]
         state[:, ids[done]] = xc[sch.counts[done], :, sch.rank[done]].T
@@ -924,11 +922,9 @@ def hyp2f1_continue(p: Hyp2F1Params, path: Sequence[complex],
     pts = [complex(z) for z in path]
     if len(pts) < 2:
         raise DomainError("path needs at least two points")
-    if start is None:
-        if abs(pts[0]) >= 0.95:
-            raise DomainError("path must start inside the unit disk for series seeding")
-        start = _series_seed(p.a, p.b, p.c, pts[0])
-    f, fp = _continue(p.a, p.b, p.c, _Schedule([pts]), *start, tol=tol)
+    if start is None and abs(pts[0]) >= 0.95:
+        raise DomainError("path must start inside the unit disk for series seeding")
+    f, fp = _continue(p.a, p.b, p.c, _Schedule([pts]), start, tol=tol)
     return complex(f[0]), complex(fp[0])
 
 

@@ -432,9 +432,8 @@ def test_radial_continuation_matches_mpmath(theta):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j])
 def test_kernel_triples_continue_to_mpmath(alpha):
-    # the parameters (k+1, 1; alpha+k+1) of the integral kernel, k <= 40; from
-    # k = 5 on, |a| + |b| + |c| > 12 and the lanes take the corrected states
-    for k in (0, 5, 17, 40):
+    # the parameters (k+1, 1; alpha+k+1) of the integral kernel, k <= 40
+    for k in (0, 4, 5, 17, 40):
         abc = (k + 1.0, 1.0, alpha + k + 1.0)
         for w in (2.7 * cmath.exp(0.0445j), 1.8 - 1.1j, -1.9 + 1.7j, 0.6 + 1.2j):
             f, _ = hyp2f1_continue(Hyp2F1Params(*abc), [0.45 * w / abs(w), w])
@@ -450,17 +449,17 @@ def test_lanes_equal_single_runs_bit_for_bit():
              ((0.2 + 0.5j, 1.3 - 0.4j, 0.7 + 0.9j), [-0.3, -0.3 + 2.0j, 1.6 + 0.8j]),
              ((0.3, 0.7, 1.9), [0.1, 0.2]),
              ((41.0, 1.0, 41.3 + 0.4j), [-0.45, -2.7])]
-    starts = [_series_seed(*abc, path[0]) for abc, path in cases]
     a, b, c = (np.array([abc[i] for abc, _ in cases], dtype=complex) for i in range(3))
-    f, fp = hyp._continue(a, b, c, hyp._Schedule([path for _, path in cases]),
-                          [s[0] for s in starts], [s[1] for s in starts])
+    # seeded by the direct series at each lane's start, all triples at once
+    f, fp = hyp._continue(a, b, c, hyp._Schedule([path for _, path in cases]))
     for i, (abc, path) in enumerate(cases):
-        alone = hyp2f1_continue(Hyp2F1Params(*abc), path, start=starts[i])
+        alone = hyp2f1_continue(Hyp2F1Params(*abc), path)
         assert (repr(complex(f[i])), repr(complex(fp[i]))) == tuple(map(repr, alone))
     # and a lane's value does not depend on where it sits in the batch
+    starts = [_series_seed(*abc, path[0]) for abc, path in cases][::-1]
     rev = hyp._continue(a[::-1], b[::-1], c[::-1],
                         hyp._Schedule([path for _, path in cases][::-1]),
-                        [s[0] for s in starts][::-1], [s[1] for s in starts][::-1])
+                        ([s[0] for s in starts], [s[1] for s in starts]))
     assert [repr(v) for v in rev[0][::-1]] == [repr(v) for v in f]
 
 
