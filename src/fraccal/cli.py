@@ -23,8 +23,8 @@ from .errors import ConvergenceError, DomainError
 from .fracops import frac_deriv_contour, frac_deriv_series, frac_integ_contour, \
     frac_integ_series, psi_polynomial
 from .gammafn import gamma
-from .hyp import (Hyp2F1Params, euler_ltf_check, geom_alpha_check, hyp2f1,
-                  monodromic_jump_2f1)
+from .hyp import (Hyp2F1Params, _geom_alpha_checks, _hyp2f1_calls, _jump_factors,
+                  euler_ltf_check, hyp2f1)
 from .series import PowerSeries, eval_series, exp_series, geometric_series
 from .transforms import (LaplaceOracle, borel_map, laplace_quadrature,
                          remainder, verify_lm_duality, watson_gevrey_check)
@@ -164,8 +164,11 @@ def _suite_euler_ltf(cfg: RunConfig) -> dict:
 
 def _jump_cases(seed: int, n: int, shift: float):
     """n seeded cut-jump cases (a, b, c, x, measured, predicted) of 2F1 at
-    x > 1; c is moved by shift when c - a - b is within 0.05 of an integer."""
+    x > 1; c is moved by shift when c - a - b is within 0.05 of an integer.
+    Both sides of every case and the inner 2F1 of every predicted jump are
+    summed in one pass."""
     rng = random.Random(seed)
+    cases = []
     for _ in range(n):
         a = rng.uniform(0.1, 2.0)
         b = rng.uniform(0.1, 2.0)
@@ -173,9 +176,13 @@ def _jump_cases(seed: int, n: int, shift: float):
         if abs((c - a - b) - round(c - a - b)) < 0.05:
             c += shift
         x = rng.uniform(1.05, 1.9)
-        p = Hyp2F1Params(a, b, c)
-        upper, lower = hyp2f1(p, [x, x], side=[+1, -1])
-        yield a, b, c, x, complex(upper - lower), monodromic_jump_2f1(p, x, -1)
+        cases.append((a, b, c, x, Hyp2F1Params(a, b, c)))
+    factors = [_jump_factors(p, x, -1) for *_, x, p in cases]
+    vals = _hyp2f1_calls([(p, [x, x], [+1, -1]) for *_, x, p in cases]
+                         + [call for _, call in factors])
+    for (a, b, c, x, _), (upper, lower), (pref, _), inner in zip(
+            cases, vals, factors, vals[n:]):
+        yield a, b, c, x, complex(upper - lower), pref * inner
 
 
 def _suite_jumps(cfg: RunConfig) -> dict:
@@ -185,20 +192,19 @@ def _suite_jumps(cfg: RunConfig) -> dict:
         rel = abs(measured - predicted) / max(abs(predicted), 1e-30)
         cases.append({"a": a, "b": b, "c": c, "t": x, "relative_residual": rel})
         worst = max(worst, rel)
+    grid = [(alpha, t, conv) for alpha in (0.5, 0.3 + 0.2j) for t in (0.3, 0.1)
+            for conv in ("rotate", "literal")]
     geom = []
     geom_ok = True
-    for alpha in (0.5, 0.3 + 0.2j):
-        for t in (0.3, 0.1):
-            for conv in ("rotate", "literal"):
-                r = geom_alpha_check(alpha, t, conv)
-                geom.append({
-                    "alpha": [complex(alpha).real, complex(alpha).imag],
-                    "t": t, "convention": conv,
-                    "residual_printed_form": r["residual_claimed"],
-                    "residual_derived_form": r["residual_derived"],
-                })
-                if conv == "rotate":
-                    geom_ok = geom_ok and r["residual_derived"] <= 1e-10
+    for (alpha, t, conv), r in zip(grid, _geom_alpha_checks(grid)):
+        geom.append({
+            "alpha": [complex(alpha).real, complex(alpha).imag],
+            "t": t, "convention": conv,
+            "residual_printed_form": r["residual_claimed"],
+            "residual_derived_form": r["residual_derived"],
+        })
+        if conv == "rotate":
+            geom_ok = geom_ok and r["residual_derived"] <= 1e-10
     tol = min(cfg.tol, 1e-8)
     return {"suite": "jumps", "cases": cases, "max_residual": worst,
             "geometric_jump": geom,

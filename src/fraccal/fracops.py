@@ -368,30 +368,41 @@ def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: f
     t = _require_in_tube(t, A, T)
     xi, dw = contour_quadrature_nodes(A, T, n_per_panel, refine_near=t)  # refuses T <= A
     # the weighted integrand must decay along the rays, else r <= type(F)
-    probe = np.array([complex(T / 2.0, A), complex(T, A)])
-    f_mid, f_end = np.broadcast_to(F(probe), probe.shape).tolist()
+    probe = np.array([complex(T / 2.0, A), complex(T, A), complex(T, -A)])
+    f_mid, f_end, f_low = np.broadcast_to(F(probe), probe.shape).tolist()
     g_mid = abs(f_mid) * math.exp(-r * T / 2.0)
     g_end = abs(f_end) * math.exp(-r * T)
     if g_end > g_mid + 1e-280:
         raise ConvergenceError(
             "weighted integrand grows along the contour rays; the declared "
             "rate r does not exceed the exponential type of F")
+    # the ray tails beyond T that the contour drops, per unit of the kernel
+    # there (the sum of the weights), to leading order: |G(T-iA)/(T-iA) -
+    # G(T+iA)/(T+iA)| / (2 pi lam), G = F e^{-r xi} decaying at the rate
+    # lam = log(g_mid/g_end) / (T/2) seen between the probes
+    tail = abs(f_low * cmath.exp(-r * probe[2]) / probe[2]
+               - f_end * cmath.exp(-r * probe[1]) / probe[1]) / (2.0 * math.pi)
+    if tail:
+        tail *= (T / 2.0 / math.log(g_mid / g_end) if 0.0 < g_end < g_mid
+                 else 0.0 if g_end == 0.0 else math.inf)
     base = F(xi) * np.exp(-r * xi) / xi * dw / (2j * math.pi)
     w_arg = t / xi
 
-    if mode == "deriv":
-        weight = gamma(a + 1.0)
-    else:
-        weight = 1.0 / gamma(a + 1.0)
+    weight = gamma(a + 1.0) if mode == "deriv" else 1.0 / gamma(a + 1.0)
     kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(a, w_arg, base)
     total = 0.0 + 0.0j
+    weights = 0.0 + 0.0j
     small_run = 0
     for k in range(k_max + 1):
         term = weight * kernel_sum(k)
         total += term
+        weights += weight
         if abs(term) <= tol * max(abs(total), 1e-300):
             small_run += 1
             if small_run >= 3:
+                if tail * abs(weights) > tol * abs(total):
+                    raise ConvergenceError(f"the contour drops ray tails beyond T = {T:.4g} "
+                                           f"of {tail * abs(weights):.3g}; raise T")
                 return total
         else:
             small_run = 0

@@ -21,14 +21,16 @@ Every series is a sum over a coefficient row: the Taylor coefficients
 (a)_n (b)_n / ((c)_n n!), built by one vectorised ratio cumprod and grown by
 doubling, and for the Goursat forms the digamma brackets as a cumsum.  The
 rows and the constants of each parameter triple (the 1-z connection
-constants, the Goursat prefactors, the Pfaff inner parameters, the
-connection coefficients T^{+-}) are kept in a table per (a, b, c) among the
-_CACHE_SIZE most recently used.  hyp2f1 takes an array of arguments: each
-element picks its route by masks, and every series route sums all of its
-elements at once, in blocks of power vectors z^n grouped by term count.
-Where a sum stops depends on z, tol and the parameters only, so a value
-never depends on what the cache holds or on the other elements of its
-batch; a scalar call is a batch of one.
+constants, the Goursat prefactors, the connection coefficients T^{+-}) are
+kept in a table per (a, b, c) among the _CACHE_SIZE most recently used.
+Every evaluation is a batch of one: hyp2f1 is the one-call case of a
+planner over a list of calls (parameters, array of arguments, sides), where
+each element picks its route by masks and the series of all elements of all
+calls are summed in one pass, in blocks of power vectors z^n grouped by term
+count; geom_alpha_check is the one-case call of a check whose loops are the
+lanes of one continuation.  Where a sum stops depends on z, tol and the
+parameters only, so a value never depends on what the cache holds or on
+the other elements or calls of its batch.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (BudgetError, ConvergenceError, DegenerateCaseError,
-                     DomainError, GammaPoleError)
+from .errors import BudgetError, ConvergenceError, DegenerateCaseError, DomainError
 from .gammafn import digamma, gamma, rgamma
 from .utils import cpow, is_nonpositive_int, near_integer
 
@@ -403,9 +404,8 @@ def _summed(jobs: list, tol: float, max_terms: int) -> list:
 
 class _Table:
     """What 2F1(a, b; c; .) needs that does not depend on z: the Taylor row,
-    the constants and rows of the z -> 1-z connection, the Pfaff inner
-    parameters and the connection coefficients T^{+-}; each piece is built
-    on first use."""
+    the constants and rows of the z -> 1-z connection and the connection
+    coefficients T^{+-}; each piece is built on first use."""
 
     def __init__(self, a: complex, b: complex, c: complex):
         self.a, self.b, self.c = a, b, c
@@ -440,11 +440,6 @@ class _Table:
                     coeff *= (a + n) * (b + n) / ((n + 1.0) * (n - m + 1.0))
         pref = (-1.0) ** m * gamma(c) * rgamma(a) * rgamma(b) / math.factorial(m)
         return tuple(reversed(fin)), pref, _Row(a + m, b + m, 1.0, m + 1.0, brackets=True)
-
-    @cached_property
-    def pfaff(self) -> tuple:
-        """Parameters of 2F1(a, c-b; c; z/(z-1))."""
-        return self.a, self.c - self.b, self.c
 
     @cached_property
     def connection(self) -> dict:
@@ -535,21 +530,32 @@ def hyp2f1(p: Hyp2F1Params, z, side=None,
     route with the smallest series argument, all series of all elements are
     summed together, and a value does not depend on the other elements.
     Raises ConvergenceError when a series cancels so far that fewer than 10
-    digits would survive rounding.
+    digits would survive rounding.  This is the one-call case of _hyp2f1_calls.
     """
-    if not isinstance(p, Hyp2F1Params):
-        p = Hyp2F1Params(*p)
-    zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
-    out = np.ones(flat.shape, dtype=complex)
-    nz = flat != 0
-    if nz.any():
-        jobs = []
-        if side is not None:
-            side = np.broadcast_to(side, zs.shape).ravel()[nz]
-        assemble = _plan(_table(p.a, p.b, p.c), flat[nz], side, jobs, tol, max_terms)
-        out[nz] = assemble(_summed(jobs, tol, max_terms))
-    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+    return _hyp2f1_calls([(p, z, side)], tol, max_terms)[0]
+
+
+def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000) -> list:
+    """hyp2f1(p, z, side) for each (p, z, side) of calls: every call is
+    planned first and the row sums of all of them are summed in one pass;
+    a value does not depend on the other calls."""
+    jobs, outs, fills = [], [], []
+    for p, z, side in calls:
+        p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.ravel()
+        out = np.ones(flat.shape, dtype=complex)
+        nz = flat != 0
+        if nz.any():
+            if side is not None:
+                side = np.broadcast_to(side, zs.shape).ravel()[nz]
+            fills.append((out, nz, _plan(_table(p.a, p.b, p.c), flat[nz], side, jobs, tol,
+                                         max_terms)))
+        outs.append(out.reshape(zs.shape))  # a view of out, filled below
+    sums = _summed(jobs, tol, max_terms)
+    for out, nz, assemble in fills:
+        out[nz] = assemble(sums)
+    return [complex(v) if v.ndim == 0 else v for v in outs]
 
 
 def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, tol: float,
@@ -602,7 +608,7 @@ def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, tol:
         # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
         z_side = _part(side, pfaff)
         w_side = None if z_side is None else -z_side
-        inner = _plan(_table(*t.pfaff), w[pfaff], w_side, jobs, tol, max_terms, depth + 1)
+        inner = _plan(_table(a, c - b, c), w[pfaff], w_side, jobs, tol, max_terms, depth + 1)
         pw = _cut_side_power(1.0 - z[pfaff], -a, z_side)
         parts.append((rest[pfaff], lambda sums: pw * inner(sums)))
     # crescent around e^{+-i pi/3} where every ratio is ~1: continue the ODE
@@ -676,6 +682,13 @@ def monodromic_jump_2f1(p: Hyp2F1Params, t: complex, sign: int) -> complex:
     sign: arg(1-t) = -sign*pi.  The measured two-sided difference
     hyp2f1(side +) - hyp2f1(side -) equals the sign = -1 value.
     """
+    pref, call = _jump_factors(p, t, sign)
+    return pref * hyp2f1(*call)
+
+
+def _jump_factors(p: Hyp2F1Params, t: complex, sign: int) -> tuple:
+    """The prefactor T^{sign} (1-t)^{c-a-b} of monodromic_jump_2f1 and the
+    hyp2f1 arguments (inner parameters, 1-t, None) of the 2F1 it multiplies."""
     if not isinstance(p, Hyp2F1Params):
         p = Hyp2F1Params(*p)
     t = complex(t)
@@ -683,7 +696,7 @@ def monodromic_jump_2f1(p: Hyp2F1Params, t: complex, sign: int) -> complex:
     inner = Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0)  # raises on degenerate c
     pw = _cut_side_power(np.array([1.0 - t]), s,
                          np.array([sign]) if (t.imag == 0.0 and t.real > 1.0) else None)
-    return connection_coefficient(p, sign) * complex(pw[0]) * hyp2f1(inner, 1.0 - t)
+    return connection_coefficient(p, sign) * complex(pw[0]), (inner, 1.0 - t, None)
 
 
 def hyp_pfq(params: PFQParams, t: complex, tol: float = 1e-14,
@@ -948,32 +961,38 @@ def geom_alpha_check(alpha: complex, t: complex, convention: str = "rotate") -> 
     2 pi i e^{i pi alpha} / (1+t), the derived form
     2 pi i alpha e^{i pi alpha} (1+t)^{alpha-1} (-t)^{-alpha}, and both
     residuals.  Nothing is asserted here; callers decide what validates.
+    This is the one-case call of _geom_alpha_checks.
     """
-    alpha = complex(alpha)
-    t = complex(t)
-    p = Hyp2F1Params(1.0, 1.0, alpha + 1.0)
-    z0 = -t
-    if convention == "rotate":
-        loop = circle_path(1.0, z0, turns=1.0)
-    elif convention == "literal":
-        loop = circle_path(-1.0, z0, turns=1.0)
-    else:
-        raise DomainError(f"unknown convention {convention!r}")
-    if abs(z0) >= 0.95:
-        raise DomainError("check needs |t| < 0.95")
-    f_start, fp_start = _series_seed(p.a, p.b, p.c, z0)
-    f_end, _ = hyp2f1_continue(p, loop, start=(f_start, fp_start))
-    measured = f_end - f_start
-    claimed = 2j * math.pi * cmath.exp(1j * math.pi * alpha) / (1.0 + t)
-    # branch of -t fixed as t e^{+i pi}, matching the counterclockwise loop
-    derived = (2j * math.pi * alpha * cmath.exp(1j * math.pi * alpha)
-               * (1.0 + t) ** (alpha - 1.0)
-               * cpow(abs(t), cmath.phase(t) + math.pi, -alpha))
-    return {
-        "convention": convention,
-        "measured": measured,
-        "claimed_form": claimed,
-        "derived_form": derived,
-        "residual_claimed": abs(measured - claimed),
-        "residual_derived": abs(measured - derived),
-    }
+    return _geom_alpha_checks([(alpha, t, convention)])[0]
+
+
+def _geom_alpha_checks(cases: list) -> list:
+    """geom_alpha_check for each (alpha, t, convention) of cases.  Every case
+    is validated before any is evaluated; then all are seeded at z = -t in
+    one series pass and their loops are the lanes of one continuation, so a
+    report equals its one-case call, bit for bit."""
+    centers = {"rotate": 1.0, "literal": -1.0}
+    cases = [(complex(alpha), complex(t), conv) for alpha, t, conv in cases]
+    for alpha, t, conv in cases:
+        Hyp2F1Params(1.0, 1.0, alpha + 1.0)  # refuses a non-positive integer c
+        if conv not in centers:
+            raise DomainError(f"unknown convention {conv!r}")
+        if abs(t) >= 0.95:
+            raise DomainError("check needs |t| < 0.95")
+    c = np.array([alpha + 1.0 for alpha, _, _ in cases])
+    start = _series_seed(1.0, 1.0, c, np.array([-t for _, t, _ in cases]))
+    loops = _Schedule([circle_path(centers[conv], -t) for _, t, conv in cases])
+    f_end, _ = _continue(1.0, 1.0, c, loops, start)
+    reports = []
+    for (alpha, t, conv), f1, f0 in zip(cases, f_end.tolist(), start[0].tolist()):
+        measured = f1 - f0
+        claimed = 2j * math.pi * cmath.exp(1j * math.pi * alpha) / (1.0 + t)
+        # branch of -t fixed as t e^{+i pi}, matching the counterclockwise loop
+        derived = (2j * math.pi * alpha * cmath.exp(1j * math.pi * alpha)
+                   * (1.0 + t) ** (alpha - 1.0)
+                   * cpow(abs(t), cmath.phase(t) + math.pi, -alpha))
+        reports.append({"convention": conv, "measured": measured,
+                        "claimed_form": claimed, "derived_form": derived,
+                        "residual_claimed": abs(measured - claimed),
+                        "residual_derived": abs(measured - derived)})
+    return reports

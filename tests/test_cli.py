@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraccal import cli, transforms
+from fraccal import cli, hyp, transforms
 from fraccal.cli import RunConfig, main
 from fraccal.gammafn import gamma
 from fraccal.transforms import verify_lm_duality
@@ -191,6 +191,21 @@ def test_lm_duality_suite_matches_scalar_calls(monkeypatch):
     assert rep["cases"] == expect
     assert rep["max_residual"] == max(max(c["residual_deriv"], c["residual_integ"])
                                       for c in expect)
+
+
+def test_jumps_suite_runs_one_continuation_and_one_row_sum_pass(monkeypatch):
+    counts = dict.fromkeys(("_continue", "_summed"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(hyp, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(hyp, name, counted)
+    cli._suite_jumps(RunConfig())
+    assert counts["_continue"] == 1  # the eight loops are its lanes
+    for seed in (6, 42):
+        counts["_summed"] = 0
+        list(cli._jump_cases(seed, 12, 0.13))
+        assert counts["_summed"] == 1  # both sides and inner 2F1 of every case
 
 
 def test_monodromy_suite_matches_scalar_calls():

@@ -153,6 +153,25 @@ def test_contour_detects_undeclared_type():
         frac_deriv_contour(np.exp, 0.5, 0.5, 0.5, 0.1, T=80.5)
 
 
+def test_contour_refuses_a_dropped_ray_tail():
+    # T this close to t drops ray tails far above tol: these returned
+    # 0.0096-0.0357i and 0.5893 against Gamma(1.5) (1+t)^-1.5 =
+    # 0.1791-0.0093i and 0.6742
+    for t, T in ((1.9 + 0.1j, 2.0), (0.2, 0.6)):
+        with pytest.raises(ConvergenceError):
+            frac_deriv_contour(GEOM, 0.5, 1.0, 0.5, t, T=T)
+    # at the default T = A + 20 the tails of exp at r = 2 are 7.9e-11 of
+    # this value: enough for tol 1e-10, not for 1e-11
+    t = 1.41 - 0.251j
+    ref = complex(mp.gamma(2.5) * mp.hyp1f1(2.5, 1, t))
+    val = frac_deriv_contour(np.exp, 1.5, 2.0, 0.5, t)
+    assert 1e-11 < abs(val - ref) / abs(ref) < 1e-10
+    with pytest.raises(ConvergenceError):
+        frac_deriv_contour(np.exp, 1.5, 2.0, 0.5, t, tol=1e-11)
+    with pytest.raises(ConvergenceError):
+        frac_integ_contour(np.exp, -0.5, 2.0, 0.5, 1.37 - 0.0616j, tol=1e-11)
+
+
 # (A, t) pairs whose refinement reaches the rays only, the cap only, or both
 NODE_CASES = [(0.3, 0.8 + 0.2j), (0.5, 0.9 + 0.4j), (0.5, 0.2 + 0.4j),
               (0.3, 0.1 - 0.25j), (1.0, 0.9 + 0.5j), (0.5, -0.3 - 0.35j), (0.5, -0.45)]

@@ -172,14 +172,38 @@ def test_geom_alpha_conventions():
         assert lit["residual_claimed"] > 1e-2
 
 
+# the grid of the jumps suite and the inputs of criterion 06b
+_GEOM_CASES = [(alpha, t, conv) for alpha in (0.5, 0.3 + 0.2j) for t in (0.3, 0.1)
+               for conv in ("rotate", "literal")] + \
+    [(0.5, t, conv) for t in (0.05, 0.02) for conv in ("rotate", "literal")]
+
+
 def test_geom_alpha_check_refuses_large_t_before_evaluating(monkeypatch):
     calls = []
-    monkeypatch.setattr(hyp, "_series_seed", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(hyp, "hyp2f1", lambda *a, **k: calls.append(a))
+    for name in ("_series_seed", "_continue", "hyp2f1"):
+        monkeypatch.setattr(hyp, name, lambda *a, **k: calls.append(a))
     for t in (0.95, -0.97, 0.6 + 0.8j):
         with pytest.raises(DomainError):
             geom_alpha_check(0.5, t)
+    # one bad case refuses the whole batch before any case is evaluated
+    for bad in ((0.5, 0.95, "rotate"), (0.5, 0.3, "sideways"), (-1.0, 0.3, "rotate")):
+        for cases in (_GEOM_CASES + [bad], [bad] + _GEOM_CASES):
+            with pytest.raises(DomainError):
+                hyp._geom_alpha_checks(cases)
     assert calls == []
+
+
+def test_batched_geom_checks_equal_one_case_calls():
+    alone = [geom_alpha_check(*case) for case in _GEOM_CASES]
+    for cases, expect in ((_GEOM_CASES, alone), (_GEOM_CASES[::-1], alone[::-1])):
+        assert [repr(r) for r in hyp._geom_alpha_checks(cases)] == \
+            [repr(r) for r in expect]
+    # and the jump is that of the loop continued alone from the seed at -t
+    for (alpha, t, conv), r in zip(_GEOM_CASES, alone):
+        p = Hyp2F1Params(1.0, 1.0, alpha + 1.0)
+        start = _series_seed(p.a, p.b, p.c, -t)
+        loop = circle_path(1.0 if conv == "rotate" else -1.0, -t)
+        assert repr(hyp2f1_continue(p, loop, start)[0] - start[0]) == repr(r["measured"])
 
 
 @pytest.mark.parametrize("a, b, c, z", [(1.0, 1.0, 1.5, -0.3), (0.3 + 0.2j, -1.7, 2.4, 0.45j),
@@ -500,3 +524,38 @@ def test_mixed_sides_equal_scalar_calls():
             [repr(hyp2f1(p, x, side=-1)) for x in xs]
     with pytest.raises(DomainError):
         hyp2f1(Hyp2F1Params(0.4, 0.9, 1.7), [0.3, 1.5])  # an on-cut element, no side
+
+
+def test_batched_calls_equal_separate_calls():
+    # direct, 1-z, Pfaff, logarithmic (c-a-b = 1 and -1), terminating,
+    # crescent, both cut sides and z = 0, scalar and array arguments
+    calls = [((0.3, 0.7, 1.9), 0.3 + 0.2j, None),
+             ((0.3, 0.7, 1.9), [0.8 - 0.3j, -2.0 + 0.5j, 0.0], None),
+             (Hyp2F1Params(0.5, 0.25, 1.75), 0.8 + 0.3j, None),
+             ((0.5, 0.75, 0.25), np.array([[0.7 - 0.2j], [-3.0 + 0.1j]]), None),
+             ((-3.0, 0.7, 1.3), 5.0 + 2.0j, None),
+             ((0.3, 0.7, 1.9), [0.5 + 0.86j, 0.5 - 0.86j], None),
+             ((0.4, 0.9, 1.7), [1.5, 1.5, 3.0], [1, -1, -1]),
+             ((1.2 + 0.3j, -0.4, 2.1 - 0.2j), 0.0, None)]
+    batch = hyp._hyp2f1_calls(calls)
+    for (p, z, side), got in zip(calls, batch):
+        alone = hyp2f1(p, z, side)
+        assert np.shape(got) == np.shape(alone)
+        assert repr(np.ravel(got).tolist()) == repr(np.ravel(alone).tolist())
+    rev = hyp._hyp2f1_calls(calls[::-1])[::-1]
+    assert repr([np.ravel(v).tolist() for v in rev]) == \
+        repr([np.ravel(v).tolist() for v in batch])
+    # one cancelling call refuses the batch
+    cancelling = ((-0.04099786621961243, 2.1694647751380387, -50.7), 0.6 - 0.2j, None)
+    with pytest.raises(ConvergenceError):
+        hyp._hyp2f1_calls(calls[:3] + [cancelling] + calls[3:])
+
+
+@pytest.mark.parametrize("abc, t, sign, old", [
+    ((0.3, 0.7, 1.9), 1.2, -1, 0.3159515771569251j),
+    ((0.3, 0.7, 1.9), 0.4, 1, 0.7846307797930225 + 2.414845233729962j),
+    ((1.2 + 0.3j, -0.4 + 0.2j, 2.1 - 0.2j), 1.6, 1, -0.5416470139725791 + 0.5275261253894521j),
+    ((0.5, 0.25, 1.75), 0.3 - 0.2j, -1, 1.191490126074376 - 1.1667206293623866j)])
+def test_monodromic_jump_keeps_its_values(abc, t, sign, old):
+    # prefactor times the inner 2F1, bit for bit as one product
+    assert repr(monodromic_jump_2f1(Hyp2F1Params(*abc), t, sign)) == repr(old)
