@@ -17,10 +17,12 @@ arrays and the states carried step by step across all lanes at once, then
 a second pass evaluates every step at its carried state and corrects the
 states.  A lane's value equals running it alone, bit for bit.
 
-Every series is a sum over a coefficient row: the Taylor coefficients
-(a)_n (b)_n / ((c)_n n!), built by one vectorised ratio cumprod and grown by
-doubling, and for the Goursat forms the digamma brackets as a cumsum.  The
-rows and the constants of each parameter triple (the 1-z connection
+Every series, of 2F1 or of p+1Fp (hyp_pfq, scalar or array t), is a sum
+over a coefficient row prod (a_i)_n / prod (b_j)_n of a list of upper and
+one of lower parameters, built by one vectorised ratio cumprod and grown by
+doubling, and for the Goursat forms the digamma brackets as a cumsum; one
+row-sum engine sums them all and raises ConvergenceError on cancellation.
+The rows and the constants of each parameter triple (the 1-z connection
 constants, the Goursat prefactors, the connection coefficients T^{+-}) are
 kept in a table per (a, b, c) among the _CACHE_SIZE most recently used.
 Every evaluation is a batch of one: hyp2f1 is the one-call case of a
@@ -99,9 +101,6 @@ class PFQParams:
                     num.remove(ai)
                     den.remove(bj)
                     break
-        if len(num) != len(den) + 1:
-            # cancellation below 2F1 level is not representable; keep original
-            return self
         return PFQParams(tuple(num), tuple(den))
 
 
@@ -140,28 +139,26 @@ _ONE.flags.writeable = _EMPTY.flags.writeable = False
 
 class _Row:
     """Coefficients d_n of sum_n d_n x^n: d_0 = 1 and d_{n+1} = d_n r_n with
-    r_n = (a+n)(b+n) / ((c+n)(e+n)).
+    r_n = prod_i (a_i+n) / prod_j (b_j+n) over the upper parameters num and
+    the lower parameters den, as many of each: ((a, b), (c, 1)) is the
+    Taylor row of 2F1(a, b; c), (num, den + (1,)) that of a p+1Fp.
 
     With brackets=True the row also holds the digamma brackets
-    h_n = psi(a+n) + psi(b+n) - psi(c+n) - psi(e+n) of the logarithmic
-    series.  A row grows by doubling from a fixed length, and each block
-    continues both recurrences with a sequential accumulate seeded by the
-    last entry, so entry n has the same value however far the row has grown.
+    h_n = sum_i psi(a_i+n) - sum_j psi(b_j+n) of the logarithmic series.  A
+    row grows by doubling from a fixed length, and each block continues both
+    recurrences with a sequential accumulate seeded by the last entry, so
+    entry n has the same value however far the row has grown.
     """
 
-    def __init__(self, a: complex, b: complex, c: complex, e: complex,
-                 brackets: bool = False):
-        self.abce = (a, b, c, e)
-        self.moduli = (abs(a), abs(b), abs(c), abs(e))
-        ends = [n for n in (is_nonpositive_int(a), is_nonpositive_int(b))
-                if n is not None]
+    def __init__(self, num: tuple, den: tuple, brackets: bool = False):
+        self.num, self.den = num, den
+        ends = [n for n in map(is_nonpositive_int, num) if n is not None]
         # a terminating row has 1 - n nonzero terms
         self.stop = min(1 - n for n in ends) if ends else None
         self.coef = _ONE
         self.absr = _EMPTY  # |r_n| for n < len(coef) - 1
-        self.h = np.array([digamma(a) + digamma(b) - digamma(c) - digamma(e)]) \
-            if brackets else None
-        self._rise = None  # (q_max, lookup) of the widest risers() call
+        self.h = np.array([_signed_sum(digamma, num, den)]) if brackets else None
+        self._rise = None  # (q_max, cap, lookup) of the last lookup worked out
         self._lock = threading.Lock()
 
     def grow(self, n: int) -> None:
@@ -173,15 +170,14 @@ class _Row:
         """
         if len(self.coef) >= n:
             return
-        a, b, c, e = self.abce
         with self._lock:
             while len(self.coef) < n:
                 j = np.arange(len(self.coef) - 1,
                               max(2 * len(self.coef), _ROW_START) - 1, dtype=float)
-                r = (a + j) * (b + j) / ((c + j) * (e + j))
+                r = math.prod([v + j for v in self.num]) / math.prod([v + j for v in self.den])
                 self.absr = np.concatenate((self.absr, abs(r)))
                 if self.h is not None:
-                    inc = 1.0 / (a + j) + 1.0 / (b + j) - 1.0 / (c + j) - 1.0 / (e + j)
+                    inc = _signed_sum(lambda v: 1.0 / (v + j), self.num, self.den)
                     self.h = np.concatenate(
                         (self.h, np.concatenate((self.h[-1:], inc)).cumsum()[1:]))
                 self.coef = np.concatenate(
@@ -193,31 +189,46 @@ class _Row:
         |r_j| can reach 1/|x|.  The row is grown past them.
 
         A terminating row has its candidates below its last term.  Otherwise
-        |r_n| <= (n+|a|)(n+|b|) / ((n-|c|)(n-|e|)) bounds the last index k
-        where |r_n| q can reach 1, so for every |x| <= q_max the candidates
-        lie below k(q_max).  The lookup for the largest q_max asked so far is
-        kept and serves every smaller one: past k(q) no ratio reaches 1/q.
+        |r_n| <= prod_i (n+|a_i|) / prod_j (n-|b_j|) past M = max_j |b_j|, a
+        bound that falls with n, so for every |x| <= q_max the candidates lie
+        below k, the first n > M where q_max times it is below 1 (bisected).
+        The row is grown to min(k, cap) only.  The lookup of the last call is
+        kept and serves every call with no larger q_max and cap: past k(q) no
+        ratio reaches 1/q.
         """
         if self.stop is not None:
             k = min(self.stop - 1, cap)
             self.grow(k + 1)
             return _rise_lookup(self.absr, np.arange(k))
+        if q_max == 0.0:  # every term past the first vanishes
+            return None
         kept = self._rise
-        if kept is None or q_max > kept[0]:
-            ma, mb, mc, me = self.moduli
-            lin = mc + me + q_max * (ma + mb)
-            const = mc * me - q_max * ma * mb
-            root = (lin + math.sqrt(max(lin * lin - 4.0 * (1.0 - q_max) * const, 0.0))) \
-                / (2.0 * (1.0 - q_max))
-            k = int(max(root, mc, me)) + 1
+        if kept is None or q_max > kept[0] or cap > kept[1]:
+            def below(n):  # q_max times the bound on |r_n| is below 1 (n > M)
+                return q_max * math.prod(n + abs(v) for v in self.num) \
+                    < math.prod(n - abs(v) for v in self.den)
+            k = hi = int(max(abs(v) for v in self.den)) + 1
+            while not below(hi):
+                hi *= 2
+            k = min(k + bisect.bisect_left(range(k, hi), True, key=below), cap)
             self.grow(k + 1)
-            kept = self._rise = (q_max, _rise_lookup(
+            kept = self._rise = (q_max, cap, _rise_lookup(
                 self.absr, np.flatnonzero(self.absr[:k] >= 1.0 / q_max)))
-        look = kept[1]
+        look = kept[2]
         if look is not None and look[1][-1] >= cap:  # a cap below a candidate
             j = look[1][1:]
             look = _rise_lookup(self.absr, j[j < cap])
         return look
+
+
+def _signed_sum(f, num: tuple, den: tuple):
+    """f(a_1) + f(a_2) + ... - f(b_1) - f(b_2) - ..., summed in this order."""
+    out = f(num[0])
+    for v in num[1:]:
+        out = out + f(v)
+    for v in den:
+        out = out - f(v)
+    return out
 
 
 def _rise_lookup(absr: np.ndarray, j: np.ndarray) -> Optional[tuple]:
@@ -286,7 +297,7 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
     for row, cap, lo, hi in zip(rows, caps, bounds, bounds[1:]):
         q_max = float(np.maximum.reduce(q[lo:hi]))
         if row.stop is None and q_max >= 1.0:
-            raise BudgetError(f"2F1 series does not converge (|x| = {q_max:.4g})")
+            raise BudgetError(f"hypergeometric series does not converge (|x| = {q_max:.4g})")
         look = row.risers(q_max, cap)
         if look is not None:  # past the last index with |r_j| >= 1/q
             neg_m, j = look
@@ -363,7 +374,7 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
         if full is not None and full.any():  # every allowed term summed, no stop
             last = np.repeat([row.stop == c for row, c in zip(rows, caps)], sizes)[ix]
             if (full & ~last).any():
-                raise BudgetError("2F1 series did not converge "
+                raise BudgetError("hypergeometric series did not converge "
                                   f"(|x| = {q[ix[full & ~last]].max():.4g})")
             at[full] = (np.broadcast_to(cap_ix, (m,)) - 1)[full]  # a terminating row's end
             hit |= full
@@ -392,7 +403,7 @@ def _checked(vals: np.ndarray, cond: np.ndarray) -> np.ndarray:
     bad = ~(2.2e-16 * cond <= 1e-10)
     if bad.any():
         raise ConvergenceError(
-            f"2F1 series cancels: max|term|/|sum| = {cond[bad].max():.3g} "
+            f"hypergeometric series cancels: max|term|/|sum| = {cond[bad].max():.3g} "
             "leaves fewer than 10 correct digits")
     return vals
 
@@ -410,7 +421,7 @@ class _Table:
     def __init__(self, a: complex, b: complex, c: complex):
         self.a, self.b, self.c = a, b, c
         self.s = c - a - b
-        self.taylor = _Row(a, b, c, 1.0)
+        self.taylor = _Row((a, b), (c, 1.0))
 
     @cached_property
     def gap(self) -> Optional[int]:
@@ -427,7 +438,7 @@ class _Table:
         if m is None:
             A = gamma(c) * gamma(a + b - c) * rgamma(a) * rgamma(b)
             B = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b)
-            return A, B, _Row(c - a, c - b, s + 1.0, 1.0), _Row(a, b, 1.0 - s, 1.0)
+            return A, B, _Row((c - a, c - b), (s + 1.0, 1.0)), _Row((a, b), (1.0 - s, 1.0))
         if m < 0:
             return c - a, c - b, c
         c = a + b + m
@@ -439,7 +450,7 @@ class _Table:
                 if n < m - 1:
                     coeff *= (a + n) * (b + n) / ((n + 1.0) * (n - m + 1.0))
         pref = (-1.0) ** m * gamma(c) * rgamma(a) * rgamma(b) / math.factorial(m)
-        return tuple(reversed(fin)), pref, _Row(a + m, b + m, 1.0, m + 1.0, brackets=True)
+        return tuple(reversed(fin)), pref, _Row((a + m, b + m), (1.0, m + 1.0), brackets=True)
 
     @cached_property
     def connection(self) -> dict:
@@ -699,41 +710,28 @@ def _jump_factors(p: Hyp2F1Params, t: complex, sign: int) -> tuple:
     return connection_coefficient(p, sign) * complex(pw[0]), (inner, 1.0 - t, None)
 
 
-def hyp_pfq(params: PFQParams, t: complex, tol: float = 1e-14,
-            max_terms: int = 100000) -> complex:
+def hyp_pfq(params: PFQParams, t, tol: float = 1e-14, max_terms: int = 100000):
     """Alternating-sign generalized hypergeometric series
 
         sum_k (-1)^k prod (a_i)_k / prod (b_j)_k * t^k / k!
 
-    i.e. the standard p+1Fp at argument -t.  Direct summation only; |t| < 1
-    unless an upper parameter terminates the series.
+    i.e. the standard p+1Fp at argument -t, for a scalar t (a complex is
+    returned) or elementwise on an array of any shape, as one row sum of the
+    series engine of hyp2f1; |t| < 1 unless an upper parameter terminates
+    the series.  Raises ConvergenceError when the series cancels so far that
+    fewer than 10 digits would survive rounding, or BudgetError (a
+    ConvergenceError) when it has not converged within max_terms terms.
     """
     if not isinstance(params, PFQParams):
         params = PFQParams(*params)
-    t = complex(t)
-    terminating = any(is_nonpositive_int(ai) is not None for ai in params.num)
-    if abs(t) >= 1.0 and not terminating:
+    ts = np.asarray(t, dtype=complex)
+    if not ts.size:
+        return np.empty(ts.shape, dtype=complex)
+    row = _Row(params.num, params.den + (1.0,))
+    if row.stop is None and (np.abs(ts) >= 1.0).any():
         raise DomainError("direct series needs |t| < 1")
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    small = 0
-    for k in range(max_terms):
-        ratio = (-t) / (k + 1.0)
-        for ai in params.num:
-            ratio *= ai + k
-        for bj in params.den:
-            ratio /= bj + k
-        term *= ratio
-        if term == 0:
-            return total
-        total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise BudgetError("pFq series did not converge within the term budget")
+    vals = _summed([(row, -ts.ravel(), None)], tol, max_terms)[0]
+    return complex(vals[0]) if ts.ndim == 0 else vals.reshape(ts.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -559,3 +559,77 @@ def test_batched_calls_equal_separate_calls():
 def test_monodromic_jump_keeps_its_values(abc, t, sign, old):
     # prefactor times the inner 2F1, bit for bit as one product
     assert repr(monodromic_jump_2f1(Hyp2F1Params(*abc), t, sign)) == repr(old)
+
+
+@pytest.mark.parametrize("abc, z, side, old", [
+    ((0.3, 0.45, 1.7), 0.4 + 0.2j, None, 1.0351056448345457 + 0.021964767796531746j),  # direct
+    ((0.3, 0.45, 1.7), 0.8 + 0.3j, None, 1.0798007131877652 + 0.05327046544374925j),  # 1-z
+    ((0.3, 0.45, 1.7), -2.0 + 0.5j, None, 0.8980554923033197 + 0.01703202531689765j),  # Pfaff
+    ((0.3, 0.45, -0.25), 0.8 + 0.3j, None, 0.852454499988318 - 1.6205163859458325j),  # m = -1
+    ((0.3, 0.45, 0.75), 0.8 + 0.3j, None, 1.1855339101551123 + 0.18924256443561804j),  # m = 0
+    ((0.3, 0.45, 2.75), 0.8 + 0.3j, None, 1.0469785503974134 + 0.025538868810424033j),  # m = 2
+    ((-3.0, 0.7, 1.3), 5.0 + 2.0j, None, -3.169352386743693 - 25.590757069017943j),
+    ((0.3, 0.45, 1.7), 0.5 + 0.85j, None, 1.0143916723602595 + 0.08261189390726634j),  # crescent
+    ((0.3, 0.45, 1.7), 2.5, 1, 1.1090882136251137 + 0.31154008306740505j),
+    ((0.3, 0.45, 1.7), 2.5, -1, 1.1090882136251137 - 0.31154008306740505j),
+    ((0.3, 0.7, -30.5), -0.5, None, 1.003509581685243 + 0j)])  # rising terms
+def test_routes_keep_their_values(abc, z, side, old):
+    # one input per route, pinned by repr: the coefficient rows built from
+    # parameter lists must keep every 2F1 value bit for bit
+    assert repr(hyp2f1(Hyp2F1Params(*abc), z, side)) == repr(old)
+
+
+# each of these sums has a largest term 7e11 to 2e53 times the sum (5e5 for
+# the last): a plain summation returns them off by 2e37 ... 1.7e-4 relative
+_PFQ_CANCELLING = [((20, 20), (1,), 0.9), ((30, -0.5), (2,), 0.95),
+                   ((12.5, 9.3), (1.5,), 0.8), ((0.5, 2, 3), (-20.5, 1.5), 0.7),
+                   ((0.4, 1.1, 2.2), (-9.6, -14.2), 0.5), ((1, 1), (-25.7,), 0.6)]
+_PFQ_ACCURATE = [((0.3, 0.7), (-30.5,), 0.5), ((0.5, 0.5, 1.5), (1, 1), 0.25),
+                 ((2, 0.5, 0.5), (-7.5, 3), 0.8), ((1, 1, 1), (-18.4, 2), 0.45)]
+
+
+def _pfq_cases():
+    """The pinned inputs and 80 seeded ones (p = 0, 1, 2; lower parameters
+    down to -25 so that terms rise; |t| < 0.95)."""
+    rng = random.Random(2017)
+    cases = _PFQ_CANCELLING + _PFQ_ACCURATE
+    for _ in range(80):
+        p = rng.randrange(3)
+        num = tuple(complex(rng.uniform(-3, 12), rng.uniform(-1, 1)) for _ in range(p + 1))
+        den = tuple(rng.uniform(-25, 6) for _ in range(p))
+        cases.append((num, den, cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(-3, 3))))
+    return cases
+
+
+@pytest.mark.parametrize("num, den, t", _pfq_cases())
+def test_hyp_pfq_matches_mpmath_or_raises(num, den, t):
+    ref = complex(mp.hyper(num, den, -t))
+    try:
+        got = hyp_pfq(PFQParams(num, den), t)
+    except ConvergenceError:
+        assert (num, den, t) not in _PFQ_ACCURATE
+        return
+    assert (num, den, t) not in _PFQ_CANCELLING[:5]
+    bound = 1e-12 if (num, den, t) in _PFQ_ACCURATE else 1e-10
+    assert abs(got - ref) <= bound * abs(ref)
+
+
+def test_hyp_pfq_arrays_and_the_unit_disk():
+    prm = PFQParams((0.5, 0.5, 1.5), (1.0, 1.0))
+    ts = np.array([[0.25, -0.6 + 0.3j, 0.0], [0.9j, 0.5, 1e-3]])
+    got = hyp_pfq(prm, ts)
+    assert got.shape == ts.shape
+    assert [repr(v) for v in got.ravel().tolist()] == [repr(hyp_pfq(prm, t)) for t in ts.ravel()]
+    assert hyp_pfq(prm, np.zeros((2, 0))).shape == (2, 0)
+    # a terminating series evaluates anywhere, a non-terminating one needs |t| < 1
+    poly = PFQParams((-3.0, 1.3), (0.7,))
+    for t in (2.5, -1.5 + 2j, np.array([1.0, 3.0j])):
+        ref = np.vectorize(lambda x: complex(mp.hyp2f1(-3, 1.3, 0.7, -x)))(t)
+        assert np.all(np.abs(hyp_pfq(poly, t) - ref) <= 1e-14 * np.abs(ref))
+    for t in (1.0, -1.2, np.array([0.5, 1.1j])):
+        with pytest.raises(DomainError):
+            hyp_pfq(prm, t)
+    # near |t| = 1 the rising-term bound is far past max_terms: the row stops
+    # at max_terms and the sum runs out of its budget
+    with pytest.raises(BudgetError):
+        hyp_pfq(PFQParams((1.0, 1.0), (1.0,)), 1 - 1e-9)

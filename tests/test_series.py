@@ -71,7 +71,7 @@ def test_json_round_trip():
 _coeff = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.lists(_coeff, min_size=1, max_size=10),
        st.lists(_coeff, min_size=1, max_size=10),
        st.lists(_coeff, min_size=1, max_size=10))
@@ -87,7 +87,7 @@ def test_cauchy_product_assoc_comm(a, b, c):
         assert abs(x - y) <= 1e-13 * max(1.0, abs(x), abs(y))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 1000), st.integers(0, 1000))
 def test_eval_of_product_is_product_of_evals(seed_a, seed_b):
     import random
