@@ -26,8 +26,8 @@ from .gammafn import gamma
 from .hyp import (Hyp2F1Params, _geom_alpha_checks, _hyp2f1_calls, _jump_factors,
                   euler_ltf_check, hyp2f1)
 from .series import PowerSeries, eval_series, exp_series, geometric_series
-from .transforms import (LaplaceOracle, borel_map, laplace_quadrature,
-                         remainder, verify_lm_duality, watson_gevrey_check)
+from .transforms import (LaplaceOracle, _lm_duality_reports, borel_map,
+                         laplace_quadrature, remainder, watson_gevrey_check)
 from .whittaker import (stokes_multipliers_whittaker,
                         verify_dual_monodromy, verify_eg_ltf,
                         verify_goursat_ltf, verify_mw_system,
@@ -215,28 +215,32 @@ def _suite_jumps(cfg: RunConfig) -> dict:
             "tolerance": tol, "pass": worst <= tol and geom_ok}
 
 
-def _suite_lm_duality(cfg: RunConfig) -> dict:
-    zetas = (2.0, 3.0, 5.0)
-    cases = []
-    worst = 0.0
+def _lm_duality_cases():
+    """(function name, alpha, (F, D_alpha F, I_alpha F)) of each lm-duality
+    case; both alpha share each F, so its plain transform is integrated once."""
+    poly = lambda t: 1.0 + t
     for alpha in (0.5, 1.5):
         g1, g2 = gamma(alpha + 1.0), gamma(alpha + 2.0)
         p = Hyp2F1Params(1, 1, alpha + 1.0)
         dF = lambda t, al=alpha, g1=g1: g1 * (1.0 + t) ** (-al - 1.0)
         iF = lambda t, p=p, g1=g1: hyp2f1(p, -t) / g1
-        poly = lambda t: 1.0 + t
         dpoly = lambda t, g1=g1, g2=g2: g1 + g2 * t
         ipoly = lambda t, g1=g1, g2=g2: 1.0 / g1 + t / g2
-        outs = {name: verify_lm_duality(*trio, alpha, np.array(zetas), 0.0, 1e-12)
-                for name, trio in (("geometric", (_geometric, dF, iF)),
-                                   ("polynomial", (poly, dpoly, ipoly)))}
-        for i, zeta in enumerate(zetas):
-            for name, out in outs.items():
-                rd = float(out["residual_deriv"][i])
-                ri = float(out["residual_integ"][i])
-                cases.append({"function": name, "alpha": alpha, "zeta": zeta,
-                              "residual_deriv": rd, "residual_integ": ri})
-                worst = max(worst, rd, ri)
+        yield "geometric", alpha, (_geometric, dF, iF)
+        yield "polynomial", alpha, (poly, dpoly, ipoly)
+
+
+def _suite_lm_duality(cfg: RunConfig) -> dict:
+    zetas = (2.0, 3.0, 5.0)
+    table = list(_lm_duality_cases())
+    reps = _lm_duality_reports([(*trio, alpha, np.array(zetas)) for _, alpha, trio in table],
+                               0.0, 1e-12)
+    cases = [{"function": name, "alpha": alpha, "zeta": zeta,
+              "residual_deriv": float(rep["residual_deriv"][i]),
+              "residual_integ": float(rep["residual_integ"][i])}
+             for (name, alpha, _), rep in zip(table, reps) for i, zeta in enumerate(zetas)]
+    cases.sort(key=lambda c: (c["alpha"], c["zeta"]))  # stable: functions keep their order
+    worst = max([0.0] + [max(c["residual_deriv"], c["residual_integ"]) for c in cases])
     return {"suite": "lm-duality", "cases": cases, "max_residual": worst,
             "tolerance": cfg.tol, "pass": worst <= cfg.tol}
 

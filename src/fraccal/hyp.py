@@ -24,15 +24,15 @@ doubling, and for the Goursat forms the digamma brackets as a cumsum; one
 row-sum engine sums them all and raises ConvergenceError on cancellation.
 The rows and the constants of each parameter triple (the 1-z connection
 constants, the Goursat prefactors, the connection coefficients T^{+-}) are
-kept in a table per (a, b, c) among the _CACHE_SIZE most recently used.
-Every evaluation is a batch of one: hyp2f1 is the one-call case of a
-planner over a list of calls (parameters, array of arguments, sides), where
-each element picks its route by masks and the series of all elements of all
-calls are summed in one pass, in blocks of power vectors z^n grouped by term
-count; geom_alpha_check is the one-case call of a check whose loops are the
-lanes of one continuation.  Where a sum stops depends on z, tol and the
-parameters only, so a value never depends on what the cache holds or on
-the other elements or calls of its batch.
+kept in a table per (a, b, c) among the _CACHE_SIZE most recently used, as
+is each p+1Fp row.  Every evaluation is a batch of one: hyp2f1 is the
+one-call case of a planner over a list of calls (parameters, array of
+arguments, sides), where each element picks its route by masks and the
+series of all elements of all calls are summed in one pass, in blocks of
+power vectors z^n grouped by term count; geom_alpha_check is the one-case
+call of a check whose loops are the lanes of one continuation.  Where a sum
+stops depends on z, tol and the parameters only, so a value never depends on
+what the cache holds or on the other elements or calls of its batch.
 """
 
 from __future__ import annotations
@@ -468,6 +468,12 @@ def _table(a: complex, b: complex, c: complex) -> _Table:
     return _Table(a, b, c)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _pfq_row(num: tuple, den: tuple) -> _Row:
+    """The row of the p+1Fp (num; den), kept as _table keeps 2F1 tables."""
+    return _Row(num, den + (1.0,))
+
+
 def _series_seed(a, b, c, z, tol: float = 1e-16, max_terms: int = 20000) -> tuple:
     """(F, F') of 2F1(a, b; c) at z, a point or a 1-d array, from the direct
     series, to start an ODE continuation; the caller guarantees |z| < 1.
@@ -727,7 +733,7 @@ def hyp_pfq(params: PFQParams, t, tol: float = 1e-14, max_terms: int = 100000):
     ts = np.asarray(t, dtype=complex)
     if not ts.size:
         return np.empty(ts.shape, dtype=complex)
-    row = _Row(params.num, params.den + (1.0,))
+    row = _pfq_row(params.num, params.den)
     if row.stop is None and (np.abs(ts) >= 1.0).any():
         raise DomainError("direct series needs |t| < 1")
     vals = _summed([(row, -ts.ravel(), None)], tol, max_terms)[0]

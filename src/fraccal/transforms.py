@@ -100,23 +100,58 @@ def _truncation_horizon(re_margin: float, tol: float) -> float:
     return max(4.0, -math.log(0.01 * tol) / re_margin)
 
 
-def _laplace_family(F: Callable[[np.ndarray], np.ndarray], zetas: list,
-                    type_bound: float, tol: float) -> list:
-    """laplace_quadrature at each complex of zetas, integrated as one
-    family."""
-    paths, specs = [], []
-    for zeta in zetas:
+def _laplace_members(members: Sequence[tuple]) -> list:
+    """The value of each member (F, alpha, zeta, type_bound, tol), that is
+    laplace_quadrature (alpha None) or laplace_alpha of F at zeta, from one
+    integrate_paths call over the distinct members.  Each distinct F is
+    evaluated once per level, on the union of its members' nodes."""
+    distinct = list(dict.fromkeys(members))
+    paths, specs, rate, scale, kinds, kind_of, fns, fn_of = [], [], [], [], {}, [], {}, []
+    for F, alpha, zeta, type_bound, tol in distinct:
+        if alpha is not None:
+            alpha = complex(getattr(alpha, "alpha", alpha))
+            if alpha.real <= -1.0:
+                raise DomainError("Re alpha must exceed -1")
         margin = zeta.real - type_bound
         if margin <= 0:
             raise DomainError(f"Re zeta = {zeta.real} must exceed the type bound "
                               f"{type_bound}")
         T = _truncation_horizon(margin, tol)
-        paths.append([Line(0.0, min(1.0, T)), Line(min(1.0, T), T)] if T > 1.0
-                     else [Line(0.0, T)])
-        specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0))))
-    rate = np.array([-zeta for zeta in zetas])
-    res = integrate_paths(lambda t, k: np.exp(rate[k] * t) * F(t), paths, specs)
-    return [zeta * r.value for zeta, r in zip(zetas, res)]
+        if alpha is None:
+            paths.append([Line(0.0, min(1.0, T)), Line(min(1.0, T), T)] if T > 1.0
+                         else [Line(0.0, T)])
+            specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0))))
+            p = None
+        else:
+            p = max(1, math.ceil(2.0 / (alpha.real + 1.0)))
+            U = T ** (1.0 / p)
+            cuts = sorted({0.0, min(0.5, U), min(1.0, U), U})
+            paths.append([Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
+            specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0) ** (1 + max(alpha.real, 0)))))
+        rate.append(-zeta)
+        scale.append(zeta if alpha is None else zeta ** (1.0 + alpha))
+        kind_of.append(kinds.setdefault((alpha, p), len(kinds)))
+        fn_of.append(fns.setdefault(F, len(fns)))
+    rate, kind_of, fn_of = np.array(rate), np.array(kind_of), np.array(fn_of)
+
+    def g(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+        t, out = np.empty_like(u), np.empty_like(u)
+        for (alpha, p), sel in zip(kinds, kind_of[k] == np.arange(len(kinds))[:, None]):
+            us = u[sel]
+            if alpha is None:
+                t[sel] = us
+                out[sel] = np.exp(rate[k[sel]] * us)
+            else:  # t = u^p; u = 0 is an endpoint, never a node
+                t[sel] = ts = us ** p
+                out[sel] = p * us ** (p * (alpha + 1.0) - 1.0) * np.exp(rate[k[sel]] * ts)
+        for F, sel in zip(fns, fn_of[k] == np.arange(len(fns))[:, None]):
+            if sel.any():  # a function whose members are all done sits out
+                out[sel] = out[sel] * F(t[sel])
+        return out
+
+    res = integrate_paths(g, paths, specs)
+    value = {m: a * r.value for m, a, r in zip(distinct, scale, res)}
+    return [value[m] for m in members]
 
 
 def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta,
@@ -127,35 +162,7 @@ def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta,
     and gives an ndarray of its shape, each element equal to the scalar
     call's complex."""
     zetas, shape = as_family(zeta)
-    return family_result(_laplace_family(F, zetas, type_bound, tol), shape)
-
-
-def _laplace_alpha_family(F: Callable[[np.ndarray], np.ndarray], alpha,
-                          zetas: list, type_bound: float, tol: float) -> list:
-    """laplace_alpha at each complex of zetas, integrated as one family."""
-    alpha = complex(getattr(alpha, "alpha", alpha))
-    if alpha.real <= -1.0:
-        raise DomainError("Re alpha must exceed -1")
-    p = max(1, math.ceil(2.0 / (alpha.real + 1.0)))
-    paths, specs = [], []
-    for zeta in zetas:
-        margin = zeta.real - type_bound
-        if margin <= 0:
-            raise DomainError(f"Re zeta = {zeta.real} must exceed the type bound "
-                              f"{type_bound}")
-        U = _truncation_horizon(margin, tol) ** (1.0 / p)
-        cuts = sorted({0.0, min(0.5, U), min(1.0, U), U})
-        paths.append([Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
-        specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0) ** (1 + max(alpha.real, 0)))))
-    rate = np.array([-zeta for zeta in zetas])
-
-    def g(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # u = 0 is an endpoint, never a node
-        t = u ** p
-        return p * u ** (p * (alpha + 1.0) - 1.0) * np.exp(rate[k] * t) * F(t)
-
-    res = integrate_paths(g, paths, specs)
-    return [zeta ** (1.0 + alpha) * r.value for zeta, r in zip(zetas, res)]
+    return family_result(_laplace_members([(F, None, z, type_bound, tol) for z in zetas]), shape)
 
 
 def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta,
@@ -167,7 +174,27 @@ def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta,
     zeta is integrated as one family, as in laplace_quadrature.
     """
     zetas, shape = as_family(zeta)
-    return family_result(_laplace_alpha_family(F, alpha, zetas, type_bound, tol), shape)
+    return family_result(_laplace_members([(F, alpha, z, type_bound, tol) for z in zetas]), shape)
+
+
+def _lm_duality_reports(cases: Sequence[tuple], type_bound: float = 0.0,
+                        tol: float = 1e-12) -> list:
+    """verify_lm_duality's report for each case (F, d_alpha_F, i_alpha_F,
+    alpha, zeta), from one integration of the members of all cases."""
+    fams = [(as_family(zeta), ((F, alpha), (d_alpha_F, None), (F, None), (i_alpha_F, alpha)))
+            for F, d_alpha_F, i_alpha_F, alpha, zeta in cases]
+    vals = iter(_laplace_members([(G, a, z, type_bound, tol) for (zetas, _), pairs in fams
+                                  for G, a in pairs for z in zetas]))
+    reports = []
+    for (zetas, shape), _ in fams:
+        lhs_d, rhs_d, lhs_i, rhs_i = [[next(vals) for _ in zetas] for _ in range(4)]
+        res_d = [abs(a - b) for a, b in zip(lhs_d, rhs_d)]
+        res_i = [abs(a - b) for a, b in zip(lhs_i, rhs_i)]
+        reports.append({"residual_deriv": family_result(res_d, shape, float),
+                        "residual_integ": family_result(res_i, shape, float),
+                        "transform_value": family_result(lhs_d, shape),
+                        "laplace_value": family_result(lhs_i, shape)})
+    return reports
 
 
 def verify_lm_duality(F: Callable[[np.ndarray], np.ndarray],
@@ -183,20 +210,11 @@ def verify_lm_duality(F: Callable[[np.ndarray], np.ndarray],
             = zeta^{1+alpha} int e^{-zeta t} t^alpha I_alpha{F} dt,
 
     given closed-form (or series-backed) evaluators for the operator images.
-    An array of zeta gives ndarrays of its shape, from four family
-    integrations.
+    An array of zeta gives ndarrays of its shape; the four transforms at
+    every zeta are integrated as one family.
     """
-    zetas, shape = as_family(zeta)
-    lhs_d = _laplace_alpha_family(F, alpha, zetas, type_bound, tol)
-    rhs_d = _laplace_family(d_alpha_F, zetas, type_bound, tol)
-    lhs_i = _laplace_family(F, zetas, type_bound, tol)
-    rhs_i = _laplace_alpha_family(i_alpha_F, alpha, zetas, type_bound, tol)
-    res_d = [abs(a - b) for a, b in zip(lhs_d, rhs_d)]
-    res_i = [abs(a - b) for a, b in zip(lhs_i, rhs_i)]
-    return {"residual_deriv": family_result(res_d, shape, float),
-            "residual_integ": family_result(res_i, shape, float),
-            "transform_value": family_result(lhs_d, shape),
-            "laplace_value": family_result(lhs_i, shape)}
+    return _lm_duality_reports([(F, d_alpha_F, i_alpha_F, alpha, zeta)],
+                               type_bound, tol)[0]
 
 
 def remainder(P: LaplaceOracle, p: AsymptoticSeries, n: int, zeta: complex) -> complex:

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -354,22 +354,20 @@ class _PowerLine:
         return self.direction * self.length * self.p * s ** (self.p - 1)
 
 
-def laplace_surface_ray(f: Callable[[np.ndarray, float], np.ndarray], zeta,
-                        ray_angle: float, tol: float = 1e-10,
-                        singular_exponent: Optional[float] = None):
-    """zeta * int over the ray arg t = ray_angle of e^{-zeta t} f(|t|, theta).
+def laplace_surface_ray(rays: Sequence[tuple], tol: float = 1e-10) -> list:
+    """zeta * int over the ray arg t = angle of e^{-zeta t} f(|t|, angle) for
+    each ray (f, angle, zeta, singular_exponent), as one family
+    (contours.integrate_paths).
 
-    f takes (moduli, angle): an ndarray of moduli and one angle.  A declared
-    algebraic singularity of exponent singular_exponent at |t| = 1 is
-    flattened by power substitutions on both sides of the crossing.  An
-    array of zeta is integrated as one family (contours.integrate_paths) and
-    gives an ndarray of its shape; f is then called once per level on the
-    distinct moduli, which the rays of nearby zeta share.
+    f takes (moduli, angles), two ndarrays of one length.  A declared
+    algebraic singularity of exponent singular_exponent (or None) at |t| = 1
+    is flattened by power substitutions on both sides of the crossing.  Each
+    distinct f is called once per level, on the distinct (modulus, angle)
+    pairs of its rays' nodes, which the rays of nearby zeta share.
     """
-    zetas, shape = as_family(zeta)
-    e = cmath.exp(1j * ray_angle)
-    paths = []
-    for zeta in zetas:
+    paths, scale, angles, fns, fn_of = [], [], [], {}, []
+    for f, angle, zeta, singular_exponent in rays:
+        e = cmath.exp(1j * angle)
         lam = (zeta * e).real
         if lam <= 0:
             raise DomainError("ray does not damp the exponential factor")
@@ -385,16 +383,46 @@ def laplace_surface_ray(f: Callable[[np.ndarray, float], np.ndarray], zeta,
                           _PowerLine(1.0, -1.0, 0.5, p),
                           _PowerLine(1.0, 1.0, max(1e-3, min(2.0, T - 1.0)), p),
                           Line(min(3.0, T), T)])
-    rate = np.array([-zeta * e for zeta in zetas])
+        scale.append(zeta * e)
+        angles.append(angle)
+        fn_of.append(fns.setdefault(f, len(fns)))
+    rate, angles, fn_of = -np.array(scale), np.array(angles, dtype=float), np.array(fn_of)
 
     def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         s = s.real  # |t| > 0: s = 0 is an endpoint, never a node
-        moduli, where = np.unique(s, return_inverse=True)
-        return np.exp(rate[k] * s) * f(moduli, ray_angle)[where]
+        vals = np.empty(len(s), dtype=complex)
+        for f, sel in zip(fns, fn_of[k] == np.arange(len(fns))[:, None]):
+            if sel.any():  # on the distinct (angle, modulus) pairs
+                pairs, where = np.unique(angles[k[sel]] + 1j * s[sel], return_inverse=True)
+                vals[sel] = f(pairs.imag, pairs.real)[where]
+        return np.exp(rate[k] * s) * vals
 
     res = integrate_paths(integrand, paths,
                           [QuadratureSpec(tol=max(1e-14, tol))] * len(paths))
-    return family_result([zeta * e * r.value for zeta, r in zip(zetas, res)], shape)
+    return [a * r.value for a, r in zip(scale, res)]
+
+
+def _phase_amplitude_rays(surf: WhittakerSurface, moduli: list, zeta_arg: float,
+                          which: int) -> list:
+    """The rays of laplace_surface_ray that give P_which of surf's equation
+    at each zeta = modulus e^{i zeta_arg}."""
+    zetas = [z * cmath.exp(1j * zeta_arg) for z in moduli]
+    ray = -zeta_arg
+    if which == 1:
+        # F_1 singular at arg t = +-pi; keep 0.5 rad clear of the cut
+        ray = max(-math.pi + 0.5, min(math.pi - 0.5, ray))
+        return [(surf.f1, ray, zeta, None) for zeta in zetas]
+    if which == 2:
+        # F_2 regular on (-2 pi, 0); beyond-sheet rays carry the branch-point
+        # factor |t-1|^{-2 Re kappa}
+        ray = max(-2.0 * math.pi + 0.5, min(math.pi - 0.5, ray))
+        sing = None
+        if ray > 1e-12:
+            sing = 2.0 * surf.kappa.real
+            if sing >= 1.0:
+                raise DomainError("2 Re kappa >= 1: beyond-sheet ray diverges")
+        return [(surf.f2, ray, zeta, sing) for zeta in zetas]
+    raise DomainError("which must be 1 or 2")
 
 
 def phase_amplitude_values(kappa: complex, mu: complex, zeta_abs,
@@ -405,25 +433,9 @@ def phase_amplitude_values(kappa: complex, mu: complex, zeta_abs,
     of zeta_abs gives an ndarray of its shape, from one family integration
     along the ray."""
     kappa, mu = complex(kappa), complex(mu)
-    surf = WhittakerSurface(kappa, mu)
     moduli, shape = as_family(zeta_abs)
-    zeta = family_result([z * cmath.exp(1j * zeta_arg) for z in moduli], shape)
-    ray = -zeta_arg
-    if which == 1:
-        # F_1 singular at arg t = +-pi; keep 0.5 rad clear of the cut
-        ray = max(-math.pi + 0.5, min(math.pi - 0.5, ray))
-        return laplace_surface_ray(surf.f1, zeta, ray, tol)
-    if which == 2:
-        # F_2 regular on (-2 pi, 0); beyond-sheet rays carry the branch-point
-        # factor |t-1|^{-2 Re kappa}
-        ray = max(-2.0 * math.pi + 0.5, min(math.pi - 0.5, ray))
-        sing = None
-        if ray > 1e-12:
-            sing = 2.0 * kappa.real
-            if sing >= 1.0:
-                raise DomainError("2 Re kappa >= 1: beyond-sheet ray diverges")
-        return laplace_surface_ray(surf.f2, zeta, ray, tol, singular_exponent=sing)
-    raise DomainError("which must be 1 or 2")
+    rays = _phase_amplitude_rays(WhittakerSurface(kappa, mu), moduli, zeta_arg, which)
+    return family_result(laplace_surface_ray(rays, tol), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -673,20 +685,20 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
     The P_1 relation is measured directly through rotated-ray Laplace
     integrals of the dual functions.  The P_2 relation is verified as the
     P_1 relation of the kappa-reflected companion system (P_2(z; kappa) =
-    P_1(z e^{-i pi}; -kappa) is an exact substitution identity).  The report
-    includes the log-slope of the measured jump against e^{-zeta}.
+    P_1(z e^{-i pi}; -kappa) is an exact substitution identity).  All rays,
+    six per grid point, are one family integration; the report includes the
+    log-slope of the measured jump against e^{-zeta}.
     """
     grid = [float(z) for z in (zeta_grid if zeta_grid is not None
                                else default_zeta_grid())]
     kappa, mu = complex(kappa), complex(mu)
+    surfs = [WhittakerSurface(kap, mu) for kap in (kappa, -kappa)]
+    rays = [ray for surf in surfs for arg, which in ((math.pi, 1), (-math.pi, 1), (math.pi, 2))
+            for ray in _phase_amplitude_rays(surf, as_family(grid)[0], arg, which)]
+    vals = np.array(laplace_surface_ray(rays, tol)).reshape(2, 3, len(grid)).tolist()
 
-    def mw1_cases(kap, T1_val):
-        """(lhs, rhs, relative residual) per grid point, from one family
-        integration per ray."""
-        zs = np.array(grid)
-        p1p = phase_amplitude_values(kap, mu, zs, math.pi, 1, tol).tolist()
-        p1m = phase_amplitude_values(kap, mu, zs, -math.pi, 1, tol).tolist()
-        p2p = phase_amplitude_values(kap, mu, zs, math.pi, 2, tol).tolist()
+    def mw1_cases(kap, T1_val, p1p, p1m, p2p):
+        """(lhs, rhs, relative residual) per zeta from P_1(+-pi), P_2(pi)."""
         out = []
         for zeta, a, b, c in zip(grid, p1p, p1m, p2p):
             lhs = a - b
@@ -698,8 +710,8 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
     cases = []
     jumps = []
     max_rel = 0.0
-    for z, (lhs, rhs, rel), (_, _, rel2) in zip(grid, mw1_cases(kappa, m.T1),
-                                                 mw1_cases(-kappa, refl.T1)):
+    for z, (lhs, rhs, rel), (_, _, rel2) in zip(grid, mw1_cases(kappa, m.T1, *vals[0]),
+                                                 mw1_cases(-kappa, refl.T1, *vals[1])):
         below_floor = abs(rhs) < 1e-12
         cases.append({"zeta": z, "jump_p1": _c(lhs), "predicted": _c(rhs),
                       "relative_residual": rel,

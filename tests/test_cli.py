@@ -9,6 +9,7 @@ import pytest
 
 from fraccal import cli, hyp, transforms
 from fraccal.cli import RunConfig, main
+from fraccal.contours import integrate_paths
 from fraccal.gammafn import gamma
 from fraccal.transforms import verify_lm_duality
 from fraccal.whittaker import (phase_amplitude_values,
@@ -98,13 +99,13 @@ def test_verify_report_is_byte_stable(capsys):
 
 def test_touchstone_integrates_each_zeta_once(capsys, monkeypatch):
     zetas = []
-    family = transforms._laplace_family
+    members = transforms._laplace_members
 
-    def counting(F, zs, *rest):
-        zetas.extend(zs)
-        return family(F, zs, *rest)
+    def counting(ms):
+        zetas.extend(zeta for _, _, zeta, _, _ in ms)
+        return members(ms)
 
-    monkeypatch.setattr(transforms, "_laplace_family", counting)
+    monkeypatch.setattr(transforms, "_laplace_members", counting)
     run_cli(capsys, "table", "asymptotic-remainders", "--zeta", "10")
     assert zetas == [10.0]
     zetas.clear()
@@ -172,16 +173,10 @@ def test_fracop_series_with_contour_is_refused(capsys):
     assert abs(complex(*json.loads(out)["value"]) - 2.1325) < 1e-4
 
 
-def test_lm_duality_suite_matches_scalar_calls(monkeypatch):
-    scalar = {}
-
-    def spy(F, dF, iF, alpha, zeta, *rest):
-        name = "geometric" if F(np.array([1.0]))[0] == 0.5 else "polynomial"
-        for z in zeta.tolist():
-            scalar[name, alpha, z] = verify_lm_duality(F, dF, iF, alpha, z, *rest)
-        return verify_lm_duality(F, dF, iF, alpha, zeta, *rest)
-
-    monkeypatch.setattr(cli, "verify_lm_duality", spy)
+def test_lm_duality_suite_matches_scalar_calls():
+    scalar = {(name, alpha, z): verify_lm_duality(*trio, alpha, z, 0.0, 1e-12)
+              for name, alpha, trio in cli._lm_duality_cases()
+              for z in (2.0, 3.0, 5.0)}
     rep = cli._suite_lm_duality(RunConfig())
     expect = [{"function": name, "alpha": alpha, "zeta": z,
                "residual_deriv": scalar[name, alpha, z]["residual_deriv"],
@@ -191,6 +186,20 @@ def test_lm_duality_suite_matches_scalar_calls(monkeypatch):
     assert rep["cases"] == expect
     assert rep["max_residual"] == max(max(c["residual_deriv"], c["residual_integ"])
                                       for c in expect)
+
+
+def test_lm_duality_suite_integrates_once(monkeypatch):
+    calls = []
+
+    def counted(f, paths, *rest):
+        calls.append(len(paths))
+        return integrate_paths(f, paths, *rest)
+
+    monkeypatch.setattr(transforms, "integrate_paths", counted)
+    cli._suite_lm_duality(RunConfig())
+    # 4 cases x 4 transforms x 3 zeta, less the plain transform of each F,
+    # which both alpha share
+    assert calls == [42]
 
 
 def test_jumps_suite_runs_one_continuation_and_one_row_sum_pass(monkeypatch):

@@ -614,6 +614,18 @@ def test_hyp_pfq_matches_mpmath_or_raises(num, den, t):
     assert abs(got - ref) <= bound * abs(ref)
 
 
+def test_hyp_pfq_keeps_its_rows():
+    prm = PFQParams((0.5, 0.5, 1.5), (1.0, 1.0))
+    hyp._pfq_row.cache_clear()
+    fresh = [hyp_pfq(prm, t) for t in (0.25, -0.6 + 0.3j)]
+    hyp._pfq_row.cache_clear()
+    hyp_pfq(prm, 0.9j)  # grows the kept row past what 0.25 needs
+    hits = hyp._pfq_row.cache_info().hits
+    again = [hyp_pfq(prm, t) for t in (0.25, -0.6 + 0.3j)]
+    assert hyp._pfq_row.cache_info().hits == hits + 2
+    assert [repr(v) for v in again] == [repr(v) for v in fresh]
+
+
 def test_hyp_pfq_arrays_and_the_unit_disk():
     prm = PFQParams((0.5, 0.5, 1.5), (1.0, 1.0))
     ts = np.array([[0.25, -0.6 + 0.3j, 0.0], [0.9j, 0.5, 1e-3]])

@@ -10,7 +10,7 @@ from fraccal.gammafn import gamma
 from fraccal.hyp import Hyp2F1Params, hyp2f1
 from fraccal.series import PowerSeries, exp_series, geometric_series
 from fraccal.transforms import (AsymptoticSeries, LaplaceOracle,
-                                borel_log_scaled, borel_map, h_norm,
+                                _laplace_members, borel_log_scaled, borel_map, h_norm,
                                 inverse_borel, laplace_alpha,
                                 laplace_quadrature, remainder,
                                 s_side_representation_check,
@@ -208,3 +208,28 @@ def test_lm_duality_zeta_arrays_match_scalar_calls():
         for key, value in ref.items():
             assert type(value) is type(out[key][i].item())
             assert repr(out[key][i].item()) == repr(value)
+
+
+def test_laplace_members_match_one_member_integrations():
+    hyp_F = lambda t: hyp2f1(_P15, -t)
+    one = lambda t: 1.0  # a constant comes back as a scalar
+    members = [(one, None, 3.0 + 1.5j, 0.0, 1e-12),
+               (GEOM, 0.5 + 0j, 2.0 + 0j, 0.0, 1e-11),
+               (hyp_F, None, 5.0 + 0j, 0.0, 1e-12),
+               (hyp_F, 1.5 + 0.3j, 40.0 - 3.0j, 0.0, 1e-11),
+               (GEOM, 0.5 + 0j, 2.0 + 0j, 0.0, 1e-11)]  # a repeat
+    got = _laplace_members(members)
+    assert [repr(g) for g in got] == [repr(_laplace_members([m])[0]) for m in members]
+    assert repr(got[0]) == repr(laplace_quadrature(one, 3.0 + 1.5j, 0.0, 1e-12))
+    assert repr(got[3]) == repr(laplace_alpha(hyp_F, 1.5 + 0.3j, 40.0 - 3.0j, 0.0, 1e-11))
+
+
+def test_laplace_member_domain_error_in_a_batch():
+    bad = (GEOM, 0.5 + 0j, 0.5 + 0j, 1.0, 1e-12)
+    good = [(GEOM, None, 2.0 + 0j, 1.0, 1e-12),
+            (lambda t: 1.0, 0.5 + 0j, 3.0 + 0j, 0.0, 1e-12)]
+    with pytest.raises(DomainError) as alone:
+        _laplace_members([bad])
+    with pytest.raises(DomainError) as batch:
+        _laplace_members([good[0], bad, good[1]])
+    assert str(batch.value) == str(alone.value)
