@@ -82,6 +82,22 @@ class Arc:
 
 
 @dataclass(frozen=True)
+class _PowerLine:
+    """z0 + direction * (length * s^p); flattens an endpoint singularity."""
+
+    z0: complex
+    direction: complex
+    length: float
+    p: int
+
+    def point(self, s):
+        return self.z0 + self.direction * self.length * s ** self.p
+
+    def tangent(self, s, z=None):
+        return self.direction * self.length * self.p * s ** (self.p - 1)
+
+
+@dataclass(frozen=True)
 class InfiniteRay:
     """Ray z0 + direction * scale * s/(1-s); s in [0, 1) compresses [0, inf).
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
                        check_h1_decay, gamma_contour, infinite_tube_boundary,
-                       integrate_path)
+                       integrate_path, integrate_paths)
 from .errors import ConvergenceError, DomainError
 from .gammafn import gamma
 from .hyp import PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule
@@ -519,12 +519,10 @@ def psi_coefficients_contour(F: Callable[[np.ndarray], np.ndarray], n: int, r: f
     if r <= 0:
         raise DomainError("r must be positive")
     contour = gamma_contour(A, T if T is not None else A + 40.0 / r)
-    spec = QuadratureSpec(tol=tol)
-    loop_vals = []
-    for s in range(n + 1):
-        val, _ = integrate_path(lambda xi, s=s: F(xi) * np.exp(-r * xi) / xi ** (1 + s),
-                                contour, spec, decay_rate=r)
-        loop_vals.append(val / (2j * math.pi))
+    # the n + 1 loop integrals as one family over the same contour
+    res = integrate_paths(lambda xi, s: F(xi) * np.exp(-r * xi) / xi ** (1 + s),
+                          [contour] * (n + 1), [QuadratureSpec(tol=tol)] * (n + 1))
+    loop_vals = [val / (2j * math.pi) for val, _ in res]
     out = []
     for j in range(n + 1):
         acc = sum(r ** (j - s) / math.factorial(j - s) * loop_vals[s] for s in range(j + 1))

@@ -9,8 +9,11 @@ so that L{1} = 1 and the large-zeta expansion of P has coefficients
 p_k = f_k k! directly.  to_standard_transform converts to the classical
 normalization (divide by zeta).
 
-The functions integrated here (F and the operator images) are numpy
-expressions: they receive an ndarray of quadrature nodes, see
+Every Laplace integral of the library, along the positive axis here and
+along rotated rays of the log-Riemann surface in whittaker, is a member of
+_laplace_members: one path rule, one integrate_paths family per batch.  The
+functions integrated (F, the operator images, the surface functions) are
+numpy expressions: they receive an ndarray of quadrature nodes, see
 contours.integrate_path.
 """
 
@@ -23,8 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contours import (Line, QuadratureSpec, gamma_contour, integrate_path,
-                       integrate_paths)
+from .contours import (Line, QuadratureSpec, _PowerLine, gamma_contour,
+                       integrate_path, integrate_paths)
 from .errors import DomainError, PreconditionError
 from .gammafn import gamma
 from .series import PowerSeries
@@ -95,63 +98,113 @@ def to_standard_transform(P: Callable[[complex], complex]) -> Callable[[complex]
     return lambda zeta: P(zeta) / zeta
 
 
-def _truncation_horizon(re_margin: float, tol: float) -> float:
-    # e^{-margin T} < 0.01 tol
-    return max(4.0, -math.log(0.01 * tol) / re_margin)
+def _truncation_horizon(re_margin: float, tol: float, power: float = 0.0) -> float:
+    # e^{-margin T} T^power < 0.01 tol, by fixed-point steps from power = 0
+    T = max(4.0, -math.log(0.01 * tol) / re_margin)
+    for _ in range(4 if power > 0 else 0):
+        T = max(4.0, (power * math.log(T) - math.log(0.01 * tol)) / re_margin)
+    return T
+
+
+def _ray_path(T: float, p0: Optional[int], p1: Optional[int]) -> list:
+    """The moduli [0, T] (T >= 4) of a Laplace ray, cut at 1 and 3: a
+    _PowerLine of exponent p0 flattens t^alpha at 0, and _PowerLines of
+    exponent p1 a singularity at |t| = 1 on both sides, where set."""
+    if p1 is None:
+        head = [_PowerLine(0.0, 1.0, 1.0, p0) if p0 else Line(0.0, 1.0), Line(1.0, 3.0)]
+    else:
+        head = [_PowerLine(0.0, 1.0, 0.5, p0) if p0 else Line(0.0, 0.5),
+                _PowerLine(1.0, -1.0, 0.5, p1), _PowerLine(1.0, 1.0, 2.0, p1)]
+    return head + [Line(3.0, T)]
 
 
 def _laplace_members(members: Sequence[tuple]) -> list:
-    """The value of each member (F, alpha, zeta, type_bound, tol), that is
-    laplace_quadrature (alpha None) or laplace_alpha of F at zeta, from one
-    integrate_paths call over the distinct members.  Each distinct F is
-    evaluated once per level, on the union of its members' nodes."""
+    """The value of each member (F, alpha, zeta, type_bound, tol, theta,
+    singular), from one integrate_paths call over the distinct members.
+
+    A member is the transform along the ray arg t = theta, at w = zeta
+    e^{i theta}, of F on that ray:
+
+        w^{1+alpha} int_0^oo e^{-w s} s^alpha F(s e^{i theta}) ds,
+
+    with prefactor w and no power for alpha None.  theta None is the
+    positive axis and F a function of t; otherwise F takes the (moduli,
+    angles) of surface points.  tol (at least 1e-14) bounds the integral:
+    it is truncated where e^{-(Re w - type_bound) T} T^{max(Re alpha, 0)}
+    < 0.01 tol and refined to GK tolerance tol along _ray_path, which
+    flattens s^alpha and a declared singularity |t - 1|^{-singular}
+    (0 < singular < 1).  Each distinct F is evaluated once per level, on
+    the distinct (modulus, angle) pairs of its members' nodes."""
     distinct = list(dict.fromkeys(members))
-    paths, specs, rate, scale, kinds, kind_of, fns, fn_of = [], [], [], [], {}, [], {}, []
-    for F, alpha, zeta, type_bound, tol in distinct:
+    paths, specs, rate, scale, angle, alphas, fn_of = [], [], [], [], [], [], []
+    fns, plane = {}, {}  # index and kind of each distinct F
+    for F, alpha, zeta, type_bound, tol, theta, singular in distinct:
+        w = zeta if theta is None else zeta * cmath.exp(1j * theta)
+        margin = w.real - type_bound
+        if margin <= 0:
+            raise DomainError(f"Re(zeta e^(i theta)) = {w.real} must exceed the "
+                              f"type bound {type_bound}")
+        p0 = p1 = None
         if alpha is not None:
-            alpha = complex(getattr(alpha, "alpha", alpha))
             if alpha.real <= -1.0:
                 raise DomainError("Re alpha must exceed -1")
-        margin = zeta.real - type_bound
-        if margin <= 0:
-            raise DomainError(f"Re zeta = {zeta.real} must exceed the type bound "
-                              f"{type_bound}")
-        T = _truncation_horizon(margin, tol)
-        if alpha is None:
-            paths.append([Line(0.0, min(1.0, T)), Line(min(1.0, T), T)] if T > 1.0
-                         else [Line(0.0, T)])
-            specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0))))
-            p = None
-        else:
-            p = max(1, math.ceil(2.0 / (alpha.real + 1.0)))
-            U = T ** (1.0 / p)
-            cuts = sorted({0.0, min(0.5, U), min(1.0, U), U})
-            paths.append([Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
-            specs.append(QuadratureSpec(tol=max(1e-14, tol / max(abs(zeta), 1.0) ** (1 + max(alpha.real, 0)))))
-        rate.append(-zeta)
-        scale.append(zeta if alpha is None else zeta ** (1.0 + alpha))
-        kind_of.append(kinds.setdefault((alpha, p), len(kinds)))
+            p0 = max(1, math.ceil(2.0 / (alpha.real + 1.0)))
+        if singular is not None and singular > 0:
+            if singular >= 1.0:
+                raise DomainError(f"|t-1|^(-{singular}) at |t| = 1: the ray integral "
+                                  "diverges")
+            p1 = max(2, math.ceil(2.0 / (1.0 - singular)))
+        tol = max(1e-14, tol)
+        T = _truncation_horizon(margin, tol, 0.0 if alpha is None else alpha.real)
+        paths.append(_ray_path(T, p0, p1))
+        specs.append(QuadratureSpec(tol=tol))
+        rate.append(-w)
+        scale.append(w if alpha is None else w ** (1.0 + alpha))
+        angle.append(0.0 if theta is None else theta)
+        alphas.append(alpha)
+        plane[F] = theta is None
         fn_of.append(fns.setdefault(F, len(fns)))
-    rate, kind_of, fn_of = np.array(rate), np.array(kind_of), np.array(fn_of)
+    rate, fn_of = np.array(rate), np.array(fn_of)
+    angle = np.array(angle, dtype=float) + 0.0  # rays -0.0 and 0.0 are one: F sees 0.0
+    powered = np.array([a is not None for a in alphas])
+    alphas = np.array([0.0 if a is None else a for a in alphas], dtype=complex)
 
-    def g(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-        t, out = np.empty_like(u), np.empty_like(u)
-        for (alpha, p), sel in zip(kinds, kind_of[k] == np.arange(len(kinds))[:, None]):
-            us = u[sel]
-            if alpha is None:
-                t[sel] = us
-                out[sel] = np.exp(rate[k[sel]] * us)
-            else:  # t = u^p; u = 0 is an endpoint, never a node
-                t[sel] = ts = us ** p
-                out[sel] = p * us ** (p * (alpha + 1.0) - 1.0) * np.exp(rate[k[sel]] * ts)
-        for F, sel in zip(fns, fn_of[k] == np.arange(len(fns))[:, None]):
-            if sel.any():  # a function whose members are all done sits out
-                out[sel] = out[sel] * F(t[sel])
-        return out
+    def g(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        s = s.real  # moduli: s = 0 is an endpoint, never a node
+        # the distinct (function, angle, modulus) triples, one sort for all
+        key = (fn_of[k], angle[k], s)
+        order = np.lexsort(key[::-1])
+        fid, ang, mod = (x[order] for x in key)
+        new = np.ones(len(s), dtype=bool)
+        new[1:] = (fid[1:] != fid[:-1]) | (ang[1:] != ang[:-1]) | (mod[1:] != mod[:-1])
+        where = np.empty(len(s), dtype=int)
+        where[order] = np.cumsum(new) - 1
+        fid, ang, mod = fid[new], ang[new], mod[new]
+        vals = np.empty(len(mod), dtype=complex)
+        cuts = np.searchsorted(fid, np.arange(len(fns) + 1)).tolist()
+        for F, lo, hi in zip(fns, cuts, cuts[1:]):
+            if hi > lo:  # a function whose members are all done sits out
+                vals[lo:hi] = F(mod[lo:hi] + 0j) if plane[F] else F(mod[lo:hi], ang[lo:hi])
+        out = np.exp(rate[k] * s)
+        sel = powered[k]
+        if sel.any():
+            out[sel] *= s[sel] ** alphas[k[sel]]
+        return out * vals[where]
 
     res = integrate_paths(g, paths, specs)
     value = {m: a * r.value for m, a, r in zip(distinct, scale, res)}
     return [value[m] for m in members]
+
+
+def _plane_member(F: Callable[[np.ndarray], np.ndarray], alpha, zeta: complex,
+                  type_bound: float, tol: float) -> tuple:
+    """The _laplace_members member of laplace_alpha (laplace_quadrature for
+    alpha None) of F at zeta: tol on the transform is tol / max(|zeta|,
+    1)^{1 + max(Re alpha, 0)} on the integral."""
+    if alpha is not None:
+        alpha = complex(getattr(alpha, "alpha", alpha))
+    weight = max(abs(zeta), 1.0) ** (1.0 + max(0.0 if alpha is None else alpha.real, 0.0))
+    return F, alpha, zeta, type_bound, tol / weight, None, None
 
 
 def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta,
@@ -162,19 +215,21 @@ def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta,
     and gives an ndarray of its shape, each element equal to the scalar
     call's complex."""
     zetas, shape = as_family(zeta)
-    return family_result(_laplace_members([(F, None, z, type_bound, tol) for z in zetas]), shape)
+    return family_result(_laplace_members([_plane_member(F, None, z, type_bound, tol)
+                                           for z in zetas]), shape)
 
 
 def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta,
                   type_bound: float = 0.0, tol: float = 1e-12):
     """zeta^{1+alpha} int_0^oo e^{-zeta t} t^alpha F(t) dt (principal power).
 
-    The algebraic endpoint factor t^alpha is flattened by the substitution
-    t = u^p with p chosen so the integrand is C^1 at u = 0.  An array of
-    zeta is integrated as one family, as in laplace_quadrature.
+    The algebraic endpoint factor t^alpha is flattened by a power piece
+    t = s^p of the path, p chosen so the integrand is C^1 at s = 0.  An
+    array of zeta is integrated as one family, as in laplace_quadrature.
     """
     zetas, shape = as_family(zeta)
-    return family_result(_laplace_members([(F, alpha, z, type_bound, tol) for z in zetas]), shape)
+    return family_result(_laplace_members([_plane_member(F, alpha, z, type_bound, tol)
+                                           for z in zetas]), shape)
 
 
 def _lm_duality_reports(cases: Sequence[tuple], type_bound: float = 0.0,
@@ -183,7 +238,8 @@ def _lm_duality_reports(cases: Sequence[tuple], type_bound: float = 0.0,
     alpha, zeta), from one integration of the members of all cases."""
     fams = [(as_family(zeta), ((F, alpha), (d_alpha_F, None), (F, None), (i_alpha_F, alpha)))
             for F, d_alpha_F, i_alpha_F, alpha, zeta in cases]
-    vals = iter(_laplace_members([(G, a, z, type_bound, tol) for (zetas, _), pairs in fams
+    vals = iter(_laplace_members([_plane_member(G, a, z, type_bound, tol)
+                                  for (zetas, _), pairs in fams
                                   for G, a in pairs for z in zetas]))
     reports = []
     for (zetas, shape), _ in fams:
@@ -311,11 +367,10 @@ def s_side_representation_check(zeta: complex = 6.0, alpha: complex = 0.5,
     the representation converges too slowly for production use.
     """
     F = lambda t: 1.0 / (1.0 + t)
-    P = lambda z: laplace_quadrature(F, z, 0.0, 1e-10)
     lhs = laplace_alpha(F, alpha, zeta, 0.0, 1e-11)
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        Pz = np.array([P(x) for x in z])  # one Laplace quadrature per node
+        Pz = laplace_quadrature(F, z, 0.0, 1e-10)  # the level's nodes as one family
         return (1.0 - z / zeta) ** (-alpha - 1.0) * Pz / z
 
     segs = [Line(complex(r, -y_max), complex(r, -2.0)),

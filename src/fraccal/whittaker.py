@@ -9,7 +9,9 @@ with solutions u_1 = e^{-z/2} z^{kappa} P_1(z), u_2 = e^{z/2} z^{-kappa}
 P_2(z).  For beta = 0 the Borel duals of P_1, P_2 are Gauss hypergeometric
 functions, which makes every monodromic relation checkable numerically; the
 surface evaluators below were pinned against direct ODE continuation, and
-the Stokes multipliers against measured jumps.
+the Stokes multipliers against measured jumps.  The phase-amplitudes are
+Laplace integrals of the duals along rotated rays, members of
+transforms._laplace_members.
 
 Branch bookkeeping: surface points are passed as (modulus, continuous
 argument).  Canonical sheets: arg t in (-pi, pi) for F_1, (-2 pi, 0) for
@@ -27,12 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contours import Line, QuadratureSpec, integrate_path, integrate_paths
 from .errors import ConvergenceError, DomainError
 from .fracops import frac_integ_series
 from .gammafn import gamma, rgamma
 from .hyp import Hyp2F1Params, connection_coefficient, hyp2f1
 from .series import PowerSeries, eval_series, taylor_shift
+from .transforms import _laplace_members
 from .utils import as_family, cpow, family_result, principal_power
 
 _BETA_ZERO_TOL = 1e-14
@@ -338,90 +340,22 @@ def _shaped(rho, theta, values: np.ndarray):
 # Laplace evaluation of the phase-amplitudes along rotated rays
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _PowerLine:
-    """z0 + direction * (length * s^p); flattens an endpoint singularity."""
-
-    z0: complex
-    direction: complex
-    length: float
-    p: int
-
-    def point(self, s):
-        return self.z0 + self.direction * self.length * s ** self.p
-
-    def tangent(self, s, z=None):
-        return self.direction * self.length * self.p * s ** (self.p - 1)
-
-
-def laplace_surface_ray(rays: Sequence[tuple], tol: float = 1e-10) -> list:
-    """zeta * int over the ray arg t = angle of e^{-zeta t} f(|t|, angle) for
-    each ray (f, angle, zeta, singular_exponent), as one family
-    (contours.integrate_paths).
-
-    f takes (moduli, angles), two ndarrays of one length.  A declared
-    algebraic singularity of exponent singular_exponent (or None) at |t| = 1
-    is flattened by power substitutions on both sides of the crossing.  Each
-    distinct f is called once per level, on the distinct (modulus, angle)
-    pairs of its rays' nodes, which the rays of nearby zeta share.
-    """
-    paths, scale, angles, fns, fn_of = [], [], [], {}, []
-    for f, angle, zeta, singular_exponent in rays:
-        e = cmath.exp(1j * angle)
-        lam = (zeta * e).real
-        if lam <= 0:
-            raise DomainError("ray does not damp the exponential factor")
-        T = max(4.0, -math.log(1e-2 * max(tol, 1e-14)) / lam)
-        if singular_exponent is None or singular_exponent <= 0 or T <= 1.0:
-            cuts = sorted({0.0, min(1.0, T), min(3.0, T), T})
-            paths.append([Line(a, b) for a, b in zip(cuts, cuts[1:]) if b > a])
-        else:
-            if singular_exponent >= 1.0:
-                raise DomainError("non-integrable ray singularity")
-            p = max(2, math.ceil(2.0 / (1.0 - singular_exponent)))
-            paths.append([Line(0.0, 0.5),
-                          _PowerLine(1.0, -1.0, 0.5, p),
-                          _PowerLine(1.0, 1.0, max(1e-3, min(2.0, T - 1.0)), p),
-                          Line(min(3.0, T), T)])
-        scale.append(zeta * e)
-        angles.append(angle)
-        fn_of.append(fns.setdefault(f, len(fns)))
-    rate, angles, fn_of = -np.array(scale), np.array(angles, dtype=float), np.array(fn_of)
-
-    def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        s = s.real  # |t| > 0: s = 0 is an endpoint, never a node
-        vals = np.empty(len(s), dtype=complex)
-        for f, sel in zip(fns, fn_of[k] == np.arange(len(fns))[:, None]):
-            if sel.any():  # on the distinct (angle, modulus) pairs
-                pairs, where = np.unique(angles[k[sel]] + 1j * s[sel], return_inverse=True)
-                vals[sel] = f(pairs.imag, pairs.real)[where]
-        return np.exp(rate[k] * s) * vals
-
-    res = integrate_paths(integrand, paths,
-                          [QuadratureSpec(tol=max(1e-14, tol))] * len(paths))
-    return [a * r.value for a, r in zip(scale, res)]
-
-
 def _phase_amplitude_rays(surf: WhittakerSurface, moduli: list, zeta_arg: float,
-                          which: int) -> list:
-    """The rays of laplace_surface_ray that give P_which of surf's equation
-    at each zeta = modulus e^{i zeta_arg}."""
+                          which: int, tol: float) -> list:
+    """The transforms._laplace_members members that give P_which of surf's
+    equation at each zeta = modulus e^{i zeta_arg}."""
     zetas = [z * cmath.exp(1j * zeta_arg) for z in moduli]
     ray = -zeta_arg
     if which == 1:
         # F_1 singular at arg t = +-pi; keep 0.5 rad clear of the cut
         ray = max(-math.pi + 0.5, min(math.pi - 0.5, ray))
-        return [(surf.f1, ray, zeta, None) for zeta in zetas]
+        return [(surf.f1, None, zeta, 0.0, tol, ray, None) for zeta in zetas]
     if which == 2:
         # F_2 regular on (-2 pi, 0); beyond-sheet rays carry the branch-point
         # factor |t-1|^{-2 Re kappa}
         ray = max(-2.0 * math.pi + 0.5, min(math.pi - 0.5, ray))
-        sing = None
-        if ray > 1e-12:
-            sing = 2.0 * surf.kappa.real
-            if sing >= 1.0:
-                raise DomainError("2 Re kappa >= 1: beyond-sheet ray diverges")
-        return [(surf.f2, ray, zeta, sing) for zeta in zetas]
+        sing = 2.0 * surf.kappa.real if ray > 1e-12 else None
+        return [(surf.f2, None, zeta, 0.0, tol, ray, sing) for zeta in zetas]
     raise DomainError("which must be 1 or 2")
 
 
@@ -434,8 +368,8 @@ def phase_amplitude_values(kappa: complex, mu: complex, zeta_abs,
     along the ray."""
     kappa, mu = complex(kappa), complex(mu)
     moduli, shape = as_family(zeta_abs)
-    rays = _phase_amplitude_rays(WhittakerSurface(kappa, mu), moduli, zeta_arg, which)
-    return family_result(laplace_surface_ray(rays, tol), shape)
+    rays = _phase_amplitude_rays(WhittakerSurface(kappa, mu), moduli, zeta_arg, which, tol)
+    return family_result(_laplace_members(rays), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +628,8 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
     kappa, mu = complex(kappa), complex(mu)
     surfs = [WhittakerSurface(kap, mu) for kap in (kappa, -kappa)]
     rays = [ray for surf in surfs for arg, which in ((math.pi, 1), (-math.pi, 1), (math.pi, 2))
-            for ray in _phase_amplitude_rays(surf, as_family(grid)[0], arg, which)]
-    vals = np.array(laplace_surface_ray(rays, tol)).reshape(2, 3, len(grid)).tolist()
+            for ray in _phase_amplitude_rays(surf, as_family(grid)[0], arg, which, tol)]
+    vals = np.array(_laplace_members(rays)).reshape(2, 3, len(grid)).tolist()
 
     def mw1_cases(kap, T1_val, p1p, p1m, p2p):
         """(lhs, rhs, relative residual) per zeta from P_1(+-pi), P_2(pi)."""
@@ -749,20 +683,13 @@ def mon1_mw1_consistency(kappa: complex, mu: complex, zeta: float = 4.0,
     surf = WhittakerSurface(kappa, mu)
     m = stokes_multipliers_whittaker(kappa, mu)
     g = gamma(1.0 + k2)
-    p = max(1, math.ceil(2.0 / (k2.real + 1.0)))
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        u = u.real  # u = 0 is an endpoint, never a node
-        w = u ** p
-        return (p * u ** (p * (k2 + 1.0) - 1.0) * np.exp(-zeta * w)
-                * hyp2f1(surf._inner1, -w) / g)
-
-    U = (40.0 / zeta) ** (1.0 / p)
-    segs = [Line(0.0, min(1.0, U))] + ([Line(1.0, U)] if U > 1.0 else [])
-    val, _ = integrate_path(integrand, segs, QuadratureSpec(tol=1e-12))
-    lhs = m.T1 * zeta * cmath.exp(-zeta) * val
-    rhs = m.T1 * cmath.exp(-zeta) * zeta ** (-k2) * \
-        phase_amplitude_values(kappa, mu, zeta, math.pi, 2, 1e-11)
+    # the t^{2 kappa} transform of 2F1(inner1; -t) / Gamma(1 + 2 kappa) and
+    # the P_2 ray at arg zeta = pi, as one family
+    left = (lambda t: hyp2f1(surf._inner1, -t) / g, k2, complex(zeta), 0.0, 1e-12, None, None)
+    lap, p2 = _laplace_members([left] + _phase_amplitude_rays(surf, [complex(zeta)], math.pi,
+                                                             2, 1e-11))
+    shift = m.T1 * cmath.exp(-zeta) * zeta ** (-k2)
+    lhs, rhs = shift * lap, shift * p2
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return {"suite": "mon1-mw1-consistency", "zeta": zeta, "lhs": _c(lhs),
             "rhs": _c(rhs), "relative_residual": rel, "pass": rel <= tol}

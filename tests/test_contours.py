@@ -8,12 +8,11 @@ import pytest
 import fraccal
 from fraccal import contours
 from fraccal.contours import (Arc, InfiniteRay, Line, NeighborhoodContour,
-                              QuadratureSpec, cauchy_eval, check_h1_decay,
+                              QuadratureSpec, _PowerLine, cauchy_eval, check_h1_decay,
                               gamma_contour, infinite_tube_boundary,
                               integrate_path, integrate_paths)
 from fraccal.errors import DomainError, PreconditionError, QuadratureError
 from fraccal.utils import dist_to_positive_ray
-from fraccal.whittaker import _PowerLine
 
 
 def test_contour_geometry():

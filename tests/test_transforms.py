@@ -16,6 +16,7 @@ from fraccal.transforms import (AsymptoticSeries, LaplaceOracle,
                                 s_side_representation_check,
                                 to_standard_transform, verify_lm_duality,
                                 watson_gevrey_check)
+from fraccal.whittaker import WhittakerSurface, phase_amplitude_values
 
 mp.mp.dps = 30
 
@@ -47,6 +48,9 @@ def test_laplace_alpha():
     assert abs(a0 - laplace_quadrature(GEOM, 3.0)) < 1e-10
     # singular-endpoint order handled for negative alpha
     assert abs(laplace_alpha(lambda t: 1.0, -0.4, 3.0) - gamma(0.6)) < 1e-10
+    # the truncation horizon covers the growth of t^alpha: tol holds
+    got = laplace_alpha(lambda t: 1.0 + t, 1.5, 2.0, 0.0, 1e-12)
+    assert abs(got - (gamma(2.5) + gamma(3.5) / 2.0)) <= 1e-12
 
 
 def test_lm_duality():
@@ -213,21 +217,30 @@ def test_lm_duality_zeta_arrays_match_scalar_calls():
 def test_laplace_members_match_one_member_integrations():
     hyp_F = lambda t: hyp2f1(_P15, -t)
     one = lambda t: 1.0  # a constant comes back as a scalar
-    members = [(one, None, 3.0 + 1.5j, 0.0, 1e-12),
-               (GEOM, 0.5 + 0j, 2.0 + 0j, 0.0, 1e-11),
-               (hyp_F, None, 5.0 + 0j, 0.0, 1e-12),
-               (hyp_F, 1.5 + 0.3j, 40.0 - 3.0j, 0.0, 1e-11),
-               (GEOM, 0.5 + 0j, 2.0 + 0j, 0.0, 1e-11)]  # a repeat
+    up, down = WhittakerSurface(0.3, 0.1), WhittakerSurface(-0.3, 0.1)
+    members = [(one, None, 0.8 + 0.5j, 0.0, 1e-12, None, None),  # |zeta| < 1
+               (GEOM, 0.5 + 0j, 2.0 + 0j, 0.0, 1e-11, None, None),
+               (hyp_F, None, 5.0 + 0j, 0.0, 1e-12, None, None),
+               (hyp_F, 1.5 + 0.3j, 40.0 - 3.0j, 0.0, 1e-11, None, None),
+               # surface rays: rotated, beyond-sheet with a singularity at |t| = 1
+               (up.f1, None, 3.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi + 0.5, None),
+               (down.f2, None, 4.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi, None),
+               (up.f2, None, 5.0 * cmath.exp(-1j), 0.0, 1e-10, 1.0, 0.6),
+               (up.f2, 0.5 + 0j, 5.0 * cmath.exp(-1j), 0.0, 1e-10, 1.0, 0.6),
+               (up.f1, None, 6.0 + 0j, 0.0, 1e-10, 0.2, None),
+               (up.f1, None, 4.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi + 0.5, None),
+               (GEOM, 0.5 + 0j, 2.0 + 0j, 0.0, 1e-11, None, None),  # repeats
+               (up.f1, None, 3.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi + 0.5, None)]
     got = _laplace_members(members)
     assert [repr(g) for g in got] == [repr(_laplace_members([m])[0]) for m in members]
-    assert repr(got[0]) == repr(laplace_quadrature(one, 3.0 + 1.5j, 0.0, 1e-12))
-    assert repr(got[3]) == repr(laplace_alpha(hyp_F, 1.5 + 0.3j, 40.0 - 3.0j, 0.0, 1e-11))
+    assert repr(got[0]) == repr(laplace_quadrature(one, 0.8 + 0.5j, 0.0, 1e-12))
+    assert repr(got[4]) == repr(phase_amplitude_values(0.3, 0.1, 3.0, math.pi, 1, 1e-10))
 
 
 def test_laplace_member_domain_error_in_a_batch():
-    bad = (GEOM, 0.5 + 0j, 0.5 + 0j, 1.0, 1e-12)
-    good = [(GEOM, None, 2.0 + 0j, 1.0, 1e-12),
-            (lambda t: 1.0, 0.5 + 0j, 3.0 + 0j, 0.0, 1e-12)]
+    bad = (GEOM, 0.5 + 0j, 0.5 + 0j, 1.0, 1e-12, None, None)
+    good = [(GEOM, None, 2.0 + 0j, 1.0, 1e-12, None, None),
+            (lambda t: 1.0, 0.5 + 0j, 3.0 + 0j, 0.0, 1e-12, None, None)]
     with pytest.raises(DomainError) as alone:
         _laplace_members([bad])
     with pytest.raises(DomainError) as batch:

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraccal import whittaker
+from fraccal import transforms
 from fraccal.contours import integrate_paths
 from fraccal.errors import ConvergenceError, DomainError
 from fraccal.gammafn import pochhammer
@@ -14,7 +14,7 @@ from fraccal.hyp import Hyp2F1Params, hyp2f1, hyp2f1_continue
 from fraccal.series import PowerSeries, estimate_growth
 from fraccal.whittaker import (DualPair, MonodromyTriple, PWDEParams,
                                WhittakerSurface, borel_duals,
-                               continue_series_along, laplace_surface_ray,
+                               continue_series_along,
                                mon1_mw1_consistency,
                                normalize_ode, phase_amplitude_recurrence,
                                phase_amplitude_values,
@@ -293,7 +293,7 @@ def test_mw_system_integrates_its_rays_once(monkeypatch):
         calls.append(len(paths))
         return integrate_paths(f, paths, *rest)
 
-    monkeypatch.setattr(whittaker, "integrate_paths", counted)
+    monkeypatch.setattr(transforms, "integrate_paths", counted)
     verify_mw_system(0.3, 0.1, stokes_multipliers_whittaker(0.3, 0.1))
     # {P_1 at arg zeta = +-pi, P_2 at pi} x {kappa, -kappa} x 4 zeta
     assert calls == [24]
@@ -301,19 +301,32 @@ def test_mw_system_integrates_its_rays_once(monkeypatch):
 
 def test_surface_rays_of_several_evaluators_match_one_ray_calls():
     up, down = WhittakerSurface(0.3, 0.1), WhittakerSurface(-0.3, 0.1)
-    rays = [(up.f1, -math.pi + 0.5, 3.0 * cmath.exp(1j * math.pi), None),
-            (down.f2, -math.pi, 4.0 * cmath.exp(1j * math.pi), None),
-            (up.f2, 1.0, 5.0 * cmath.exp(-1j), 0.6),
-            (up.f1, 0.2, 6.0 + 0j, None),
-            (up.f1, -math.pi + 0.5, 4.0 * cmath.exp(1j * math.pi), None)]
-    got = laplace_surface_ray(rays, 1e-10)
-    assert [repr(g) for g in got] == [repr(laplace_surface_ray([r], 1e-10)[0])
+    rays = [(up.f1, None, 3.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi + 0.5, None),
+            (down.f2, None, 4.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi, None),
+            (up.f2, None, 5.0 * cmath.exp(-1j), 0.0, 1e-10, 1.0, 0.6),
+            (up.f1, None, 6.0 + 0j, 0.0, 1e-10, 0.2, None),
+            (up.f1, None, 4.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi + 0.5, None)]
+    got = transforms._laplace_members(rays)
+    assert [repr(g) for g in got] == [repr(transforms._laplace_members([r])[0])
                                       for r in rays]
 
 
 def test_mon1_mw1_consistency():
     rep = mon1_mw1_consistency(0.3, 0.1)
     assert rep["pass"] and rep["relative_residual"] <= 1e-5
+
+
+def test_mon1_mw1_consistency_integrates_once(monkeypatch):
+    calls = []
+
+    def counted(f, paths, *rest):
+        calls.append(len(paths))
+        return integrate_paths(f, paths, *rest)
+
+    monkeypatch.setattr(transforms, "integrate_paths", counted)
+    mon1_mw1_consistency(0.3, 0.1)
+    # the t^{2 kappa} transform of the Mon-1 side and the P_2 ray
+    assert calls == [2]
 
 
 def test_continue_series_along():
