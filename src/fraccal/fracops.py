@@ -6,12 +6,14 @@ computed by the stable product recurrence r_k = r_{k-1} (alpha+k)/k seeded
 with Gamma(alpha+1), which continues analytically to every alpha off the
 negative integers.  The contour representations sum kernel integrals over
 gamma(A) with Gauss hypergeometric kernels, each one a scalar coefficient row
-dotted with power sums of the quadrature nodes that are built once per
-evaluation on the pieces of contours.gamma_contour(A, T), which refuse T <= A
-(as the operators refuse Re t >= T); the simplified single-integral forms
-apply when F is integrable against |dxi|/|xi| on the boundary.  Boundary
-functions F are numpy expressions, evaluated on the whole ndarray of
-boundary points at once (the decay probes included).
+dotted with power sums of the quadrature nodes on the pieces of
+contours.gamma_contour(A, T), which refuse T <= A (as the operators refuse
+Re t >= T).  The power sums are built once per evaluation, 32 at a time as
+one product of a 32-by-node power table with a running power vector.  The
+simplified single-integral forms apply when F is integrable against
+|dxi|/|xi| on the boundary.  Boundary functions F are numpy expressions,
+evaluated on the whole ndarray of boundary points at once (the decay probes
+included).
 """
 
 from __future__ import annotations
@@ -235,25 +237,36 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-class _PowerSums:
-    """Node moments s_n = sum_j b_j v_j^n, extended on demand.
+_BLOCK = 32  # moments per matrix-vector product in _PowerSums
 
-    A running power vector builds them one n at a time, so no n-by-node
-    table is ever held.
+
+class _PowerSums:
+    """Node moments s_n = sum_j b_j v_j^n, extended on demand a block at a time.
+
+    A _BLOCK-by-node table P[i, j] = v_j^i and the step v_j^_BLOCK are built
+    once; each block of moments is then one product P @ p with the running
+    vector p_j = b_j v_j^n0, so no longer table is ever held.
     """
 
     def __init__(self, v: np.ndarray, b: np.ndarray):
-        self.v = v
         self.rho = float(np.abs(v).max(initial=0.0))
+        pw = np.empty((_BLOCK + 1, v.size), dtype=complex)
+        pw[0] = 1.0
+        for i in range(1, _BLOCK + 1):
+            np.multiply(pw[i - 1], v, out=pw[i])
+        self._table, self._step = pw[:_BLOCK], pw[_BLOCK]
         self._p = np.array(b, dtype=complex)
-        self._s = []
+        self._s = np.empty(0, dtype=complex)
         self.span = 64  # coefficient-row length a series sum tries first
 
-    def upto(self, n: int) -> list:
-        """s_0 .. s_{n-1}."""
-        while len(self._s) < n:
-            self._s.append(self._p.sum())
-            self._p *= self.v
+    def upto(self, n: int) -> np.ndarray:
+        """s_0 .. s_{n-1}, as a view of the stored moments."""
+        if n > self._s.size:
+            blocks = [self._s]
+            for _ in range(-(-(n - self._s.size) // _BLOCK)):
+                blocks.append(self._table @ self._p)
+                self._p *= self._step
+            self._s = np.concatenate(blocks)
         return self._s[:n]
 
 

@@ -132,7 +132,8 @@ def _laplace_members(members: Sequence[tuple]) -> list:
     angles) of surface points.  tol (at least 1e-14) bounds the integral:
     it is truncated where e^{-(Re w - type_bound) T} T^{max(Re alpha, 0)}
     < 0.01 tol and refined to GK tolerance tol along _ray_path, which
-    flattens s^alpha and a declared singularity |t - 1|^{-singular}
+    flattens s^alpha (to order p (Re alpha + 1) - 1 >= 1 in t = s^p, p >= 2,
+    as in laplace_alpha) and a declared singularity |t - 1|^{-singular}
     (0 < singular < 1).  Each distinct F is evaluated once per level, on
     the distinct (modulus, angle) pairs of its members' nodes."""
     distinct = list(dict.fromkeys(members))
@@ -148,7 +149,7 @@ def _laplace_members(members: Sequence[tuple]) -> list:
         if alpha is not None:
             if alpha.real <= -1.0:
                 raise DomainError("Re alpha must exceed -1")
-            p0 = max(1, math.ceil(2.0 / (alpha.real + 1.0)))
+            p0 = max(2, math.ceil(2.0 / (alpha.real + 1.0)))
         if singular is not None and singular > 0:
             if singular >= 1.0:
                 raise DomainError(f"|t-1|^(-{singular}) at |t| = 1: the ray integral "
@@ -224,8 +225,10 @@ def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta,
     """zeta^{1+alpha} int_0^oo e^{-zeta t} t^alpha F(t) dt (principal power).
 
     The algebraic endpoint factor t^alpha is flattened by a power piece
-    t = s^p of the path, p chosen so the integrand is C^1 at s = 0.  An
-    array of zeta is integrated as one family, as in laplace_quadrature.
+    t = s^p of the path, p = max(2, ceil(2 / (Re alpha + 1))): the integrand
+    then starts as s^{p (alpha + 1) - 1}, of real order at least 1, and at
+    least 3 for Re alpha >= 1, where p = 1 would leave s^alpha unflattened.
+    An array of zeta is integrated as one family, as in laplace_quadrature.
     """
     zetas, shape = as_family(zeta)
     return family_result(_laplace_members([_plane_member(F, alpha, z, type_bound, tol)

@@ -9,7 +9,8 @@ import pytest
 from fraccal.contours import cauchy_eval
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
-from fraccal.fracops import (FractionalOrder, _deriv_kernel, _integ_kernel,
+from fraccal.fracops import (FractionalOrder, _PowerSums, _deriv_kernel,
+                             _integ_kernel,
                              contour_quadrature_nodes, frac_deriv_contour,
                              frac_deriv_series,
                              frac_deriv_series_normalized, frac_h1,
@@ -259,7 +260,8 @@ KERNEL_BRANCHES = {
 @pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
 def test_kernel_moment_sums_match_mpmath(branch, alpha):
     # sum_j b_j f_k(w_j) from node moments against per-node mpmath 2F1; the
-    # direct-series sets include a node at |w| = 0.9, where truncation is latest
+    # direct-series sets include a node at |w| = 0.9, where truncation is latest.
+    # All nodes lie in one branch, so the kernel's other moment sets are empty
     mode, keep = KERNEL_BRANCHES[branch]
     rng = random.Random(branch)
     w = [0.9 * cmath.exp(2.5j)] if branch.endswith("direct") else []
@@ -275,6 +277,48 @@ def test_kernel_moment_sums_match_mpmath(branch, alpha):
         A, C = (a + k + 1, k + 1) if mode == "deriv" else (k + 1, a + k + 1)
         terms = [bj * complex(mp.hyp2f1(A, 1, C, wj)) for wj, bj in zip(w, b)]
         assert abs(kernel_sum(k) - sum(terms)) <= 1e-13 * sum(abs(x) for x in terms)
+
+
+def _moment_nodes(n_nodes, seed):
+    rng = random.Random(seed)
+    v = [rng.uniform(0.0, 1.1) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+         for _ in range(n_nodes)]
+    return np.array(v), np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in v])
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 400])
+def test_power_sums_across_block_edges(n):
+    # moments are built 32 at a time; any request is a prefix of a longer
+    # one and agrees with a running power vector summed one n at a time
+    v, b = _moment_nodes(40, n)
+    m = _PowerSums(v, b)
+    got = m.upto(n)
+    assert isinstance(got, np.ndarray) and got.shape == (n,)
+    assert repr(got.tolist()) == repr(_PowerSums(v, b).upto(400)[:n].tolist())
+    assert np.shares_memory(m.upto(n), m.upto(n))  # a view, not a copy
+    p = b.copy()
+    for s_n in got.tolist():
+        assert abs(s_n - p.sum()) <= 1e-14 * np.abs(p).sum()
+        p *= v
+
+
+def test_power_sums_do_not_depend_on_request_order():
+    v, b = _moment_nodes(60, 7)
+    m = _PowerSums(v, b)
+    m.upto(5)
+    m.upto(40)
+    assert repr(m.upto(100).tolist()) == repr(_PowerSums(v, b).upto(100).tolist())
+    assert repr(m.upto(3).tolist()) == repr(_PowerSums(v, b).upto(3).tolist())
+
+
+def test_power_sums_match_mpmath():
+    # per-n 30-digit sums; the error is measured against sum_j |b_j| |v_j|^n
+    v, b = _moment_nodes(512, 5)
+    s = _PowerSums(v, b).upto(400)
+    for n in (0, 1, 31, 32, 33, 64, 65, 128, 399):
+        ref = complex(mp.fsum(mp.mpc(bj) * mp.mpc(vj) ** n
+                              for vj, bj in zip(v.tolist(), b.tolist())))
+        assert abs(s[n] - ref) <= 1e-14 * float(np.sum(np.abs(b) * np.abs(v) ** n))
 
 
 @pytest.mark.parametrize("k", [0, 1, 5])

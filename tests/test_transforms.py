@@ -53,6 +53,24 @@ def test_laplace_alpha():
     assert abs(got - (gamma(2.5) + gamma(3.5) / 2.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha, max_levels", [(1.2 + 0.5j, 8), (1.5, 6), (2.3, 7)])
+def test_laplace_alpha_flattens_orders_of_one_and_above(alpha, max_levels):
+    # t = s^p with p >= 2 also for Re alpha >= 1: with p = 1 the first order
+    # ran past the GK15 depth limit on [0, 1.5e-5] and 1.5 took 15 levels;
+    # F is called once per level of the one-member family
+    calls = []
+
+    def F(t):
+        calls.append(len(t))
+        return GEOM(t)
+
+    got = laplace_alpha(F, alpha, 1.0, 0.0, 1e-12)
+    assert len(calls) <= max_levels
+    a = mp.mpc(alpha)
+    ref = complex(mp.quad(lambda t: mp.exp(-t) * t ** a / (1 + t), [0, 1, mp.inf]))
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_lm_duality():
     alpha = 0.5
     dF = lambda t: gamma(1.5) * (1.0 + t) ** -1.5
