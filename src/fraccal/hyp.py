@@ -33,6 +33,12 @@ power vectors z^n grouped by term count; geom_alpha_check is the one-case
 call of a check whose loops are the lanes of one continuation.  Where a sum
 stops depends on z, tol and the parameters only, so a value never depends on
 what the cache holds or on the other elements or calls of its batch.
+
+This module alone knows how a 2F1 value crosses its cut: the jump
+T^{+-} (1-z)^{c-a-b} 2F1(c-a, c-b; c-a-b+1; 1-z) (DLMF 15.2.3) is built in
+_jump_factors only.  monodromic_jump_2f1 returns it, and _surface_2f1
+continues 2F1 on the log-Riemann surface of its argument (the cut plane,
+both rims and one crossing either way), as the Whittaker duals need.
 """
 
 from __future__ import annotations
@@ -703,17 +709,47 @@ def monodromic_jump_2f1(p: Hyp2F1Params, t: complex, sign: int) -> complex:
     return pref * hyp2f1(*call)
 
 
-def _jump_factors(p: Hyp2F1Params, t: complex, sign: int) -> tuple:
+def _jump_factors(p: Hyp2F1Params, t, sign) -> tuple:
     """The prefactor T^{sign} (1-t)^{c-a-b} of monodromic_jump_2f1 and the
-    hyp2f1 arguments (inner parameters, 1-t, None) of the 2F1 it multiplies."""
+    hyp2f1 arguments (inner parameters, 1-t, None) of the 2F1 it multiplies,
+    at a point t or an array of them with one sign each.  A point keeps
+    Python's complex product, whose last bit numpy's may not reproduce."""
     if not isinstance(p, Hyp2F1Params):
         p = Hyp2F1Params(*p)
-    t = complex(t)
-    s = p.s
-    inner = Hyp2F1Params(p.c - p.a, p.c - p.b, s + 1.0)  # raises on degenerate c
-    pw = _cut_side_power(np.array([1.0 - t]), s,
-                         np.array([sign]) if (t.imag == 0.0 and t.real > 1.0) else None)
-    return connection_coefficient(p, sign) * complex(pw[0]), (inner, 1.0 - t, None)
+    ts = np.asarray(t, dtype=complex)
+    signs = np.broadcast_to(sign, ts.shape)
+    inner = Hyp2F1Params(p.c - p.a, p.c - p.b, p.s + 1.0)  # raises on degenerate c
+    if not np.isin(signs, (1, -1)).all():
+        raise DomainError("sign must be +1 or -1")
+    u = 1.0 - ts
+    # the sign picks arg(1-t) = -sign*pi where 1-t < 0, i.e. on the cut only
+    pw = _cut_side_power(np.atleast_1d(u), p.s, np.atleast_1d(signs))
+    T = _table(p.a, p.b, p.c).connection
+    if ts.ndim == 0:
+        return T[int(sign)] * complex(pw[0]), (inner, complex(u), None)
+    return np.where(signs > 0, T[1], T[-1]) * pw, (inner, u, None)
+
+
+def _surface_2f1(p: Hyp2F1Params, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """2F1(p; x = r e^{i phi}) for 1-d arrays r > 0, -3 pi < phi <= pi: the
+    cut plane for -2 pi < phi < 0, its rims phi = 0 (side -1) and -2 pi
+    (side +1), and one crossing either way, which adds the jump T^{+-} of
+    _jump_factors where |x| > 1, its inner 2F1 on side -1 so that x = -r
+    (phi = pi) works.  All values are summed in one pass; the inner
+    parameters are built only when a jump is added."""
+    top = np.abs(phi) <= 1e-14
+    bottom = np.abs(phi + 2.0 * math.pi) <= 1e-14
+    x = np.where(np.abs(phi - math.pi) <= 1e-14, -r + 0j, r * np.exp(1j * phi))
+    calls = [(p, np.where(top | bottom, r + 0j, x), np.where(bottom, 1.0, -1.0))]
+    up = phi > 1e-14
+    far = np.flatnonzero((up | (phi < -2.0 * math.pi - 1e-14)) & (r > 1.0))
+    if far.size:
+        pref, (inner, u, _) = _jump_factors(p, x[far], np.where(up[far], 1, -1))
+        calls.append((inner, u, -1.0))
+    vals = _hyp2f1_calls(calls)
+    if far.size:
+        vals[0][far] += pref * vals[1]
+    return vals[0]
 
 
 def hyp_pfq(params: PFQParams, t, tol: float = 1e-14, max_terms: int = 100000):

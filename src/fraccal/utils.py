@@ -30,16 +30,10 @@ def cpow(modulus: float, arg: float, exponent: complex) -> complex:
     return cmath.exp(exponent * (math.log(modulus) + 1j * arg))
 
 
-def principal_power(z: complex, exponent: complex, side: int | None = None) -> complex:
-    """z**exponent with principal log; on the negative real axis `side`
-    selects the limit from above (+1, arg -> +pi) or below (-1, arg -> -pi).
-
-    The default (side None) uses the +pi convention of cmath.
-    """
+def principal_power(z: complex, exponent: complex) -> complex:
+    """z**exponent with the principal log of cmath."""
     if z == 0:
         return 0.0 + 0.0j if exponent != 0 else 1.0 + 0.0j
-    if side is not None and z.imag == 0.0 and z.real < 0.0:
-        return cpow(abs(z), side * math.pi, exponent)
     return cmath.exp(exponent * cmath.log(z))
 
 

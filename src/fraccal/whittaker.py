@@ -15,7 +15,9 @@ transforms._laplace_members.
 
 Branch bookkeeping: surface points are passed as (modulus, continuous
 argument).  Canonical sheets: arg t in (-pi, pi) for F_1, (-2 pi, 0) for
-F_2, each extended by one cut crossing.
+F_2, each extended by one cut crossing.  Both duals are one continued 2F1,
+hyp._surface_2f1, in two frames: F_1(t) = 2F1(p1; -t) with -t = rho
+e^{i(theta - pi)}, and F_2(t) = 2F1(p2; t); the cut-crossing jump is hyp's.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .fracops import frac_integ_series
 from .gammafn import gamma, rgamma
-from .hyp import Hyp2F1Params, connection_coefficient, hyp2f1
+from .hyp import Hyp2F1Params, _surface_2f1, hyp2f1
 from .series import PowerSeries, eval_series, taylor_shift
 from .transforms import _laplace_members
 from .utils import as_family, cpow, family_result, principal_power
@@ -189,14 +191,6 @@ def borel_duals(pa: PhaseAmplitudePair) -> DualPair:
     return DualPair(PowerSeries(f1), PowerSeries(f2), family=None)
 
 
-def hyp_params_f1(kappa: complex, mu: complex) -> Hyp2F1Params:
-    return Hyp2F1Params(0.5 - kappa - mu, 0.5 - kappa + mu, 1.0)
-
-
-def hyp_params_f2(kappa: complex, mu: complex) -> Hyp2F1Params:
-    return Hyp2F1Params(0.5 + kappa - mu, 0.5 + kappa + mu, 1.0)
-
-
 def whittaker_dual_pair(kappa: complex, mu: complex, N: int = 32) -> DualPair:
     """Dual pair of the unperturbed equation; the Taylor data comes from the
     recurrence while evaluation and continuation use the hypergeometric
@@ -248,8 +242,8 @@ class WhittakerSurface:
     def __init__(self, kappa: complex, mu: complex):
         self.kappa = complex(kappa)
         self.mu = complex(mu)
-        self.p1 = hyp_params_f1(kappa, mu)
-        self.p2 = hyp_params_f2(kappa, mu)
+        self.p1 = Hyp2F1Params(0.5 - kappa - mu, 0.5 - kappa + mu, 1.0)
+        self.p2 = Hyp2F1Params(0.5 + kappa - mu, 0.5 + kappa + mu, 1.0)
 
     @cached_property
     def _inner1(self) -> Hyp2F1Params:
@@ -261,65 +255,22 @@ class WhittakerSurface:
         return Hyp2F1Params(self.p1.a, self.p1.b, 1.0 - 2.0 * self.kappa)
 
     def f1(self, rho, theta):
-        """F_1 at the surface points rho e^{i theta}, |theta| < 2 pi.  rho and
-        theta broadcast against each other; two scalars give a complex."""
+        """F_1 at the surface points rho e^{i theta}, |theta| < 2 pi: F_1(t) =
+        2F1(p1; -t) with -t = rho e^{i(theta - pi)}.  rho and theta broadcast
+        against each other; two scalars give a complex."""
         r, th = _surface_points(rho, theta)
-        mag = np.abs(th)
-        if (mag >= 2.0 * math.pi - 1e-14).any():
+        if (np.abs(th) >= 2.0 * math.pi - 1e-14).any():
             raise DomainError("F_1 evaluator covers |arg t| < 2 pi only")
-        out = np.empty(r.shape, dtype=complex)
-        sheet = mag < math.pi - 1e-14
-        cut = ~sheet & (np.abs(mag - math.pi) <= 1e-14)
-        if sheet.any():
-            out[sheet] = hyp2f1(self.p1, -r[sheet] * np.exp(1j * th[sheet]))
-        for sgn in (1, -1):
-            up = th * sgn > 0
-            on = cut & up
-            if on.any():  # the side flag acts on rho > 1 only
-                out[on] = hyp2f1(self.p1, r[on], side=-sgn)
-            past = up & ~sheet & ~cut
-            if past.any():
-                x = r[past] * np.exp(1j * (th[past] - sgn * math.pi))
-                out[past] = hyp2f1(self.p1, x) + self._jump(
-                    r[past] > 1.0, 1.0 - x, connection_coefficient(self.p1, sgn),
-                    2.0 * self.kappa, "_inner1", None)
-        return _shaped(rho, theta, out)
+        return _shaped(rho, theta, _surface_2f1(self.p1, r, th - math.pi))
 
     def f2(self, rho, theta):
-        """F_2 at the surface points; canonical sheet -2 pi < arg t < 0,
-        extended by one upward crossing to arg t <= pi."""
+        """F_2 = 2F1(p2; t) at the surface points; canonical sheet -2 pi < arg
+        t < 0, extended by one upward crossing to arg t <= pi."""
         r, th = _surface_points(rho, theta)
-        sheet = (th > -2.0 * math.pi + 1e-14) & (th < -1e-14)
-        cut_up = np.abs(th) <= 1e-14
-        cut_down = np.abs(th + 2.0 * math.pi) <= 1e-14
-        past = ~sheet & ~cut_up & ~cut_down
-        if (past & ~((th > 0.0) & (th <= math.pi + 1e-14))).any():
+        if not (((th > -2.0 * math.pi + 1e-14) & (th <= math.pi + 1e-14))
+                | (np.abs(th + 2.0 * math.pi) <= 1e-14)).all():
             raise DomainError("F_2 evaluator covers -2 pi < arg t <= pi only")
-        out = np.empty(r.shape, dtype=complex)
-        if sheet.any():
-            out[sheet] = hyp2f1(self.p2, r[sheet] * np.exp(1j * th[sheet]))
-        for on, side in ((cut_up, -1), (cut_down, 1)):
-            if on.any():
-                out[on] = hyp2f1(self.p2, r[on], side=side)
-        if past.any():
-            rp, tp = r[past], th[past]
-            x = np.where(np.abs(tp - math.pi) <= 1e-14, -rp + 0j, rp * np.exp(1j * tp))
-            # the side flag acts where 1-x lies on the cut (1, oo) only
-            out[past] = hyp2f1(self.p2, x) + self._jump(
-                rp > 1.0, 1.0 - x, connection_coefficient(self.p2, 1),
-                -2.0 * self.kappa, "_inner2", -1)
-        return _shaped(rho, theta, out)
-
-    def _jump(self, far: np.ndarray, u: np.ndarray, coeff: complex, power: complex,
-              inner: str, side: Optional[int]) -> np.ndarray:
-        """coeff u^power 2F1(self.<inner>; u) where far (beyond |t| = 1), else
-        0; the inner parameters are only built when needed."""
-        out = np.zeros(u.shape, dtype=complex)
-        if far.any():
-            uf = u[far]
-            out[far] = coeff * np.exp(power * np.log(uf)) * \
-                hyp2f1(getattr(self, inner), uf, side=side)
-        return out
+        return _shaped(rho, theta, _surface_2f1(self.p2, r, th))
 
 
 def _surface_points(rho, theta) -> tuple:

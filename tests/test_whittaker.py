@@ -149,6 +149,83 @@ def test_surface_evaluators_match_continuation():
         assert abs(got - ref) < 1e-11
 
 
+def _mp_surface(p, r, phi):
+    """2F1(p; r e^{i phi}) at 30 digits: the cut plane for -2 pi < phi < 0,
+    the rims phi = 0 (from below) and -2 pi (from above), and beyond them
+    one crossing, which adds T^{+-} (1-x)^s 2F1(c-a, c-b; s+1; 1-x) where
+    |x| > 1, the inner 2F1 taken from below on its cut."""
+    a, b, c = (mp.mpc(v) for v in (p.a, p.b, p.c))
+    if phi in (0.0, -2.0 * math.pi):
+        return complex(mp.hyp2f1(a, b, c, mp.mpc(r, 1e-40 if phi else -1e-40)))
+    x = mp.mpc(-r) if phi == math.pi else mp.mpf(r) * mp.expj(phi)
+    val = mp.hyp2f1(a, b, c, x)
+    if r > 1.0 and not -2.0 * math.pi < phi < 0.0:
+        sign, s, u = (1 if phi > 0 else -1), c - a - b, 1 - x
+        T = (-sign * 2j * mp.pi * mp.expj(sign * mp.pi * s) * mp.gamma(c)
+             / (mp.gamma(a) * mp.gamma(b) * mp.gamma(s + 1)))
+        inner = mp.hyp2f1(c - a, c - b, s + 1, u - 1e-40j if u.imag == 0 else u)
+        val += T * mp.exp(s * mp.log(u)) * inner
+    return complex(val)
+
+
+# (kappa, mu), then arg t of F_1 and of F_2 at a rim or past it
+_SURFACE_PAIRS = [(0.3, 0.1), (0.17 + 0.05j, 0.4)]
+_F1_ARGS = (math.pi, -math.pi, 3.7, 5.9, -3.3, -6.0)
+_F2_ARGS = (0.0, -2.0 * math.pi, math.pi, 0.4, 2.5)
+
+
+@pytest.mark.parametrize("kappa, mu", _SURFACE_PAIRS)
+@pytest.mark.parametrize("rho", (0.6, 1.5))
+def test_surface_rims_and_crossings_match_the_jump_formula(kappa, mu, rho):
+    # F_1(t) = 2F1(p1; -t), -t = rho e^{i(theta - pi)}; F_2(t) = 2F1(p2; t).
+    # Rims theta = +-pi of F_1 and 0, -2 pi of F_2; pi of F_2 puts the inner
+    # 2F1 on its cut; rho < 1 crosses without a jump
+    surf = WhittakerSurface(kappa, mu)
+    for f, p, args, shift in ((surf.f1, surf.p1, _F1_ARGS, math.pi),
+                              (surf.f2, surf.p2, _F2_ARGS, 0.0)):
+        for theta in args:
+            ref = _mp_surface(p, rho, theta - shift)
+            assert abs(f(rho, theta) - ref) <= 1e-13 * abs(ref), theta
+
+
+def test_surface_f1_evaluates_its_sheet_when_the_inner_2f1_is_degenerate():
+    # kappa = -1/2: the inner 2F1(c-a, c-b; 2 kappa + 1; .) has c = 0, so only
+    # a crossing beyond |t| = 1 may need it
+    surf = WhittakerSurface(-0.5, 0.2)
+    for rho, theta in ((1.5, 0.4), (1.5, -2.9), (0.6, math.pi), (0.7, 3.7)):
+        ref = _mp_surface(surf.p1, rho, theta - math.pi)
+        assert abs(surf.f1(rho, theta) - ref) <= 1e-13 * abs(ref)
+    with pytest.raises(DomainError):
+        surf.f1(1.5, 3.7)
+
+
+def test_surface_domain_refusals():
+    surf = WhittakerSurface(0.3, 0.1)
+    for theta in (2.0 * math.pi, -2.0 * math.pi, 2.0 * math.pi - 5e-15, -7.0):
+        with pytest.raises(DomainError, match="F_1 evaluator covers"):
+            surf.f1(1.5, theta)
+    for theta in (math.pi + 1e-13, -2.0 * math.pi - 1e-13, -7.0, 4.0):
+        with pytest.raises(DomainError, match="F_2 evaluator covers"):
+            surf.f2(1.5, theta)
+    # within 1e-14 of its ends F_2 takes their values: the lower rim, and
+    # t = -rho reached from arg t < pi
+    assert surf.f2(1.5, -2.0 * math.pi - 5e-15) == surf.f2(1.5, -2.0 * math.pi)
+    assert surf.f2(1.5, math.pi + 5e-15) == surf.f2(1.5, math.pi)
+    for f in (surf.f1, surf.f2):
+        with pytest.raises(DomainError, match="rho must be positive"):
+            f(np.array([1.5, 0.0]), -1.0)
+
+
+def test_surface_batch_equals_point_calls():
+    surf = WhittakerSurface(0.17 + 0.05j, 0.4)
+    for f, args in ((surf.f1, _F1_ARGS + (0.3, -2.0)), (surf.f2, _F2_ARGS + (-1.0, -5.0))):
+        rho, theta = np.meshgrid((0.6, 1.5, 2.3), args)
+        batch = f(rho, theta)
+        assert batch.shape == rho.shape
+        single = [f(r, th) for r, th in zip(rho.ravel().tolist(), theta.ravel().tolist())]
+        assert repr(batch.ravel().tolist()) == repr(single)
+
+
 def test_phase_amplitude_against_whittaker_w():
     kap, mu = 0.3, 0.1
     for z in (5.0, 8.0):
