@@ -5,15 +5,15 @@ Gamma(alpha+k+1)/k! (derivative) and its reciprocal (integral); both are
 computed by the stable product recurrence r_k = r_{k-1} (alpha+k)/k seeded
 with Gamma(alpha+1), which continues analytically to every alpha off the
 negative integers.  The contour representations sum kernel integrals over
-gamma(A) with Gauss hypergeometric kernels, each one a scalar coefficient row
-dotted with power sums of the quadrature nodes on the pieces of
-contours.gamma_contour(A, T), which refuse T <= A (as the operators refuse
-Re t >= T).  The power sums are built once per evaluation, 32 at a time as
-one product of a 32-by-node power table with a running power vector.  The
-simplified single-integral forms apply when F is integrable against
-|dxi|/|xi| on the boundary.  Boundary functions F are numpy expressions,
-evaluated on the whole ndarray of boundary points at once (the decay probes
-included).
+gamma(A) with Gauss hypergeometric kernels, each one a coefficient row dotted
+with power sums of the quadrature nodes on the pieces of gamma_contour(A, T),
+which refuse T <= A (as the operators refuse Re t >= T).  The power sums are
+built once per evaluation, 32 at a time as one product of a 32-by-node power
+table with a running power vector, and the rows of 24 consecutive k as one
+matrix.  The simplified single-integral forms apply when F is integrable
+against |dxi|/|xi| on the boundary.  Boundary functions F are numpy
+expressions, evaluated on the whole ndarray of boundary points at once (the
+decay probes included).
 """
 
 from __future__ import annotations
@@ -238,6 +238,7 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
 
 
 _BLOCK = 32  # moments per matrix-vector product in _PowerSums
+_K_BLOCK = 24  # series indices k whose kernel sums are built together
 
 
 class _PowerSums:
@@ -257,7 +258,6 @@ class _PowerSums:
         self._table, self._step = pw[:_BLOCK], pw[_BLOCK]
         self._p = np.array(b, dtype=complex)
         self._s = np.empty(0, dtype=complex)
-        self.span = 64  # coefficient-row length a series sum tries first
 
     def upto(self, n: int) -> np.ndarray:
         """s_0 .. s_{n-1}, as a view of the stored moments."""
@@ -270,50 +270,68 @@ class _PowerSums:
         return self._s[:n]
 
 
-def _series_b1_sum(m: _PowerSums, A: complex, C: complex,
-                   tol: float = 1e-16, budget: int = 20000) -> complex:
-    """sum_j b_j 2F1(A, 1; C; v_j) as sum_n (A)_n/(C)_n s_n.
+def _series_rows(m: _PowerSums, A: np.ndarray, C: np.ndarray,
+                 tol: float = 1e-16, budget: int = 20000) -> np.ndarray:
+    """[sum_j b_j 2F1(A_i, 1; C_i; v_j) for each i] as sum_n d_in s_n, with
+    d_in = (A_i)_n/(C_i)_n one matrix built by one cumprod along n.
 
-    Stops at the first n > 4 with |(A)_n/(C)_n| rho^n <= tol, rho = max|v_j|;
+    Row i stops at the first n > 4 with |d_in| rho^n <= tol, rho = max|v_j|;
     the caller guarantees convergence and a transient-free term ratio.
     """
-    n = m.span
+    n = 64  # the terms fall like n^e rho^n, e = max Re(A_i - C_i): reach tol
+    if 0.0 < m.rho < 1.0:
+        n0 = math.log(tol) / math.log(m.rho)  # where rho^n alone reaches tol
+        e = max(0.0, float((A - C).real.max()))
+        n = max(n, int(n0 + e * math.log(n0) / -math.log(m.rho)) + 16)
     while True:
-        j = np.arange(n - 1)
-        d = np.concatenate(([1.0 + 0.0j], np.cumprod((A + j) / (C + j))))
-        small = np.flatnonzero(np.abs(d[5:]) * m.rho ** np.arange(5, n) <= tol)
-        if small.size:
-            stop = 6 + small[0]
-            m.span = stop + 16  # the stop moves little from one k to the next
-            return complex(np.dot(d[:stop], m.upto(stop)))
+        j = np.arange(n - 1.0)
+        d = np.ones((A.size, n), dtype=complex)
+        if C.dtype.kind == "f":  # numpy's complex division by a real, to the bit
+            inv = 1.0 / (C[:, None] + j)
+            d.real[:, 1:] = (A.real[:, None] + j) * inv
+            d.imag[:, 1:] = A.imag[:, None] * inv
+        else:
+            np.divide(A[:, None] + j, C[:, None] + j, out=d[:, 1:])
+        np.cumprod(d, axis=1, out=d)
+        small = np.abs(d[:, 5:]) * m.rho ** np.arange(5, n) <= tol
+        if small.any(axis=1).all():
+            break
         if n > budget:
             raise ConvergenceError("kernel series stalled")
         n = min(2 * n, budget + 1)
+    stop = (6 + small.argmax(axis=1)).tolist()
+    s = m.upto(max(stop))
+    return np.array([np.dot(row[:st], s[:st]) for row, st in zip(d, stop)])
+
+
+def _blockwise(block: Callable[[np.ndarray], list]) -> Callable[[int], complex]:
+    """k -> block(ks)[k - ks[0]], ks the aligned run of _K_BLOCK indices that
+    holds k, built on its first request: no value depends on request order."""
+    blocks = functools.cache(lambda i: block(np.arange(i * _K_BLOCK, (i + 1) * _K_BLOCK)))
+    return lambda k: blocks(k // _K_BLOCK)[k % _K_BLOCK]
 
 
 def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], complex]:
     """k -> sum_j b_j 2F1(alpha+k+1, 1; k+1; w_j) off the cut [1, oo), stable
-    in k; the node moments are built once and shared by every k.
+    in k; node moments are built once, coefficients _K_BLOCK k at a time.
 
-    Integer alpha >= 0 has the terminating rational form
-    (1-w)^{-alpha-1} 2F1(-alpha, k; k+1; w).  Otherwise the direct series is
-    transient-free for |w| <= 0.9 and the 1/w expansion (whose second series
-    terminates because c - b = k is a positive integer) covers the rest; in
-    q = -1/w its first term is a power q^k of the node and its second a
-    polynomial in 1/w, so both become moment sums too.
+    Integer alpha >= 0 has the terminating rational form (1-w)^{-alpha-1}
+    2F1(-alpha, k; k+1; w), a moment sum in 1-w.  Otherwise the direct series
+    is transient-free for |w| <= 0.9 and the 1/w expansion (whose second
+    series terminates because c - b = k is a positive integer) covers the
+    rest; in q = -1/w its first term is a power q^k of the node and its
+    second a polynomial in 1/w, so both become moment sums too.
     """
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and a.real >= 0:
         m = round(a.real)
-        scaled = (1.0 - w) ** (-m - 1.0) * b
-
-        def terminating(k: int) -> complex:
-            poly = np.ones_like(w)
-            coeff = np.ones_like(w)
-            for j in range(m):
-                coeff = coeff * ((j - m) * (k + j)) / ((k + 1.0 + j) * (j + 1.0)) * w
-                poly += coeff
-            return complex(np.sum(poly * scaled))
-        return terminating
+        u = 1.0 - w
+        moments = np.array([np.sum(u ** (n - m - 1) * b) for n in range(m + 1)])
+        i = np.arange(m)
+        # 2F1(-m, k; k+1; w) = m!/(k+1)_m sum_n (k)_n/n! (1-w)^n; in this basis
+        # the coefficients are positive and nothing cancels near w = 1
+        return _blockwise(lambda ks: (np.cumprod(np.hstack((
+            np.prod((i + 1.0) / (ks[:, None] + 1.0 + i), axis=1)[:, None],
+            (ks[:, None] + i) / (i + 1.0))), axis=1) @ moments).tolist())
 
     near = np.abs(w) <= 0.9
     direct = _PowerSums(w[near], b[near])
@@ -324,30 +342,34 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], c
     # term2 = k/(a+k) (-w)^{-1} 2F1(1, 1-k; 1-a-k; 1/w), a polynomial of degree k-1
     far2 = _PowerSums(1.0 / wf, bf * q)
 
-    def kernel_sum(k: int) -> complex:
+    def block(ks: np.ndarray) -> list:
+        k1 = int(ks[-1]) + 1
         # Gamma(k+1) Gamma(1-a')/Gamma(k+1-a') with a' = a+k+1 reduces to
         # (-1)^k k! / (a+1)_k; built as a product to stay Gamma-free
-        r1 = (-1.0) ** k * math.prod(j / (a + j) for j in range(1, k + 1))
-        total = _series_b1_sum(direct, a + k + 1.0, k + 1.0) + r1 * far1.upto(k + 1)[k]
-        if k > 0:
-            j = np.arange(k - 1)
-            c = np.concatenate(([1.0 + 0.0j], np.cumprod(
-                ((1.0 + j) * (1.0 - k + j)) / ((1.0 - a - k + j) * (j + 1.0)))))
-            total += (k / (a + k)) * complex(np.dot(c, far2.upto(k)))
-        return total
-    return kernel_sum
+        r1 = np.cumprod([1.0] + [j / (a + j) for j in range(1, k1)]).tolist()
+        # row k: term2's coefficients, zero past degree k-1 (lower triangular)
+        j = np.arange(k1 - 1)
+        c = np.ones((ks.size, k1), dtype=complex)
+        np.cumprod(((1.0 + j) * (1.0 - ks[:, None] + j))
+                   / ((1.0 - a - ks[:, None] + j) * (j + 1.0)), axis=1, out=c[:, 1:])
+        p1, p2 = far1.upto(k1).tolist(), far2.upto(k1)
+        sums = _series_rows(direct, a + ks + 1.0, ks + 1.0)
+        return [s + (-1.0) ** k * r1[k] * p1[k]
+                + (k / (a + k)) * complex(np.dot(row[:k], p2[:k]))  # 0 at k = 0
+                for s, k, row in zip(sums.tolist(), ks.tolist(), c)]
+    return _blockwise(block)
 
 
 def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], complex]:
     """k -> sum_j b_j 2F1(k+1, 1; alpha+k+1; w_j) off the cut, stable in k.
 
     Direct series and the Pfaff map v = w/(w-1) are both transient-free and
-    summed through node moments.  The nodes outside both disks are not a
-    small crescent (at A = 0.5, t = 1.2-0.3i they are 372 of 912, with |w| up
-    to 2.5 and some within 0.16 of the cut): each is continued along its ray
-    from 0.45 w/|w| by the batched Taylor-ODE engine, all of them as the
-    lanes of one continuation per k, on radial step schedules built once
-    for the kernel.
+    summed through node moments, _K_BLOCK values of k at a time.  The nodes
+    outside both disks are not a small crescent (at A = 0.5, t = 1.2-0.3i
+    they are 372 of 912, with |w| up to 2.5 and some within 0.16 of the
+    cut): each is continued along its ray from 0.45 w/|w| by the batched
+    Taylor-ODE engine, all of them as the lanes of one continuation per k,
+    on radial step schedules built once for the kernel.
     """
     near = np.abs(w) <= 0.9
     direct = _PowerSums(w[near], b[near])
@@ -358,10 +380,11 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], c
     hard_w, hard_b = wr[~pf], br[~pf]
     if hard_w.size:
         lanes = _Schedule([[0.45 * wi / abs(wi), wi] for wi in hard_w.tolist()])
+    series = _blockwise(lambda ks: (_series_rows(direct, ks + 1.0, a + ks + 1.0) + _series_rows(
+        pfaff, np.full(ks.size, a), a + ks + 1.0)).tolist())
 
     def kernel_sum(k: int) -> complex:
-        total = _series_b1_sum(direct, k + 1.0, a + k + 1.0)
-        total += _series_b1_sum(pfaff, a, a + k + 1.0)
+        total = series(k)
         if hard_w.size:
             f, _ = _continue(k + 1.0, 1.0, a + k + 1.0, lanes)
             total += complex(np.dot(f, hard_b))

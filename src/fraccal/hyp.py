@@ -1021,7 +1021,7 @@ def _geom_alpha_checks(cases: list) -> list:
             raise DomainError("check needs |t| < 0.95")
     c = np.array([alpha + 1.0 for alpha, _, _ in cases])
     start = _series_seed(1.0, 1.0, c, np.array([-t for _, t, _ in cases]))
-    loops = _Schedule([circle_path(centers[conv], -t) for _, t, conv in cases])
+    loops = _Schedule([circle_path(centers[conv], -t, n=24) for _, t, conv in cases])
     f_end, _ = _continue(1.0, 1.0, c, loops, start)
     reports = []
     for (alpha, t, conv), f1, f0 in zip(cases, f_end.tolist(), start[0].tolist()):

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fraccal import fracops
 from fraccal.contours import cauchy_eval
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
@@ -267,21 +268,26 @@ def test_contour_series_agreement_grid():
 
 
 # kernel branch -> (mode, node filter); the contour kernels pick the branch
-# per node from |w| (and |w/(w-1)| for the integral)
+# per node from |w| (and |w/(w-1)| for the integral), except that an integer
+# alpha >= 0 takes the terminating form of the derivative at every node
 KERNEL_BRANCHES = {
     "deriv-direct": ("deriv", lambda w: abs(w) <= 0.9),
     "deriv-inverse": ("deriv", lambda w: abs(w) > 0.9 and abs(w.imag) > 0.05),
+    "deriv-terminating": ("deriv", lambda w: abs(w.imag) > 0.05),
     "integ-direct": ("integ", lambda w: abs(w) <= 0.9),
     "integ-pfaff": ("integ", lambda w: abs(w) > 0.9 and abs(w / (w - 1.0)) <= 0.9),
 }
+KERNEL_CASES = [(branch, alpha) for branch in sorted(KERNEL_BRANCHES)
+                for alpha in ((0, 1, 2, 3) if branch.endswith("terminating")
+                              else (-0.5, 0.3 + 0.4j, 1.5))]
 
 
-@pytest.mark.parametrize("alpha", (-0.5, 0.3 + 0.4j, 1.5))
-@pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
+@pytest.mark.parametrize("branch, alpha", KERNEL_CASES)
 def test_kernel_moment_sums_match_mpmath(branch, alpha):
-    # sum_j b_j f_k(w_j) from node moments against per-node mpmath 2F1; the
-    # direct-series sets include a node at |w| = 0.9, where truncation is latest.
-    # All nodes lie in one branch, so the kernel's other moment sets are empty
+    # sum_j b_j f_k(w_j) from node moments against per-node mpmath 2F1, for
+    # every k up to 40, so that the blocks of k cross their edges; the direct
+    # sets include a node at |w| = 0.9, where truncation is latest.  All nodes
+    # lie in one branch, so the kernel's other moment sets are empty
     mode, keep = KERNEL_BRANCHES[branch]
     rng = random.Random(branch)
     w = [0.9 * cmath.exp(2.5j)] if branch.endswith("direct") else []
@@ -293,10 +299,65 @@ def test_kernel_moment_sums_match_mpmath(branch, alpha):
     a = complex(alpha)
     kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(
         a, np.array(w), np.array(b))
-    for k in (0, 1, 7, 30):
-        A, C = (a + k + 1, k + 1) if mode == "deriv" else (k + 1, a + k + 1)
-        terms = [bj * complex(mp.hyp2f1(A, 1, C, wj)) for wj, bj in zip(w, b)]
+    for k in range(41):
+        if branch.endswith("terminating"):  # Euler's transformation, exact
+            f = lambda wj: (1 - wj) ** (-a - 1) * mp.hyp2f1(-a, k, k + 1, wj)
+        elif branch.endswith("pfaff"):  # mpmath is slow at |w| > 1 here
+            f = lambda wj: mp.hyp2f1(a, 1, a + k + 1, wj / (wj - 1)) / (1 - wj)
+        elif mode == "deriv":
+            f = lambda wj: mp.hyp2f1(a + k + 1, 1, k + 1, wj)
+        else:
+            f = lambda wj: mp.hyp2f1(k + 1, 1, a + k + 1, wj)
+        terms = [bj * complex(f(mp.mpc(wj))) for wj, bj in zip(w, b)]
         assert abs(kernel_sum(k) - sum(terms)) <= 1e-13 * sum(abs(x) for x in terms)
+
+
+def _kernel_nodes(seed):
+    # nodes in every branch of both kernels, away from the cut [1, oo)
+    rng = random.Random(seed)
+    w = []
+    while len(w) < 40:
+        z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+        if abs(z.imag) > 0.2 or z.real < 0.8:
+            w.append(z)
+    return np.array(w), np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in w])
+
+
+@pytest.mark.parametrize("mode, alpha", [("deriv", 0.3 + 0.4j), ("deriv", 2.0),
+                                         ("integ", 0.5)])
+def test_kernel_sums_do_not_depend_on_request_order(mode, alpha):
+    kernel = _deriv_kernel if mode == "deriv" else _integ_kernel
+    w, b = _kernel_nodes(3)
+    first = kernel(complex(alpha), w, b)
+    first(40)
+    got = [first(k) for k in range(41)]
+    fresh = kernel(complex(alpha), w, b)
+    assert repr(got) == repr([fresh(k) for k in range(41)])
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_contour_kernel_builds_coefficients_a_block_of_k_at_a_time(monkeypatch, block):
+    # one frac_deriv_contour evaluation builds one coefficient matrix per
+    # block of k it asks for, never one coefficient row per k
+    if block is not None:
+        monkeypatch.setattr(fracops, "_K_BLOCK", block)
+    rows, asked = [], []
+    series_rows, deriv_kernel = fracops._series_rows, fracops._deriv_kernel
+
+    def counting(m, A, C, *args):
+        rows.append(A.size)
+        return series_rows(m, A, C, *args)
+
+    def recording(*args):
+        kernel_sum = deriv_kernel(*args)
+        return lambda k: asked.append(k) or kernel_sum(k)
+
+    monkeypatch.setattr(fracops, "_series_rows", counting)
+    monkeypatch.setattr(fracops, "_deriv_kernel", recording)
+    frac_deriv_contour(GEOM, 0.5, 1.0, 0.5, 1.2 - 0.3j)
+    K, size = len(asked), fracops._K_BLOCK
+    assert asked == list(range(K)) and K > 5
+    assert rows == [size] * -(-K // size)
 
 
 def _moment_nodes(n_nodes, seed):

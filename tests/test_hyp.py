@@ -202,7 +202,7 @@ def test_batched_geom_checks_equal_one_case_calls():
     for (alpha, t, conv), r in zip(_GEOM_CASES, alone):
         p = Hyp2F1Params(1.0, 1.0, alpha + 1.0)
         start = _series_seed(p.a, p.b, p.c, -t)
-        loop = circle_path(1.0 if conv == "rotate" else -1.0, -t)
+        loop = circle_path(1.0 if conv == "rotate" else -1.0, -t, n=24)
         assert repr(hyp2f1_continue(p, loop, start)[0] - start[0]) == repr(r["measured"])
 
 
