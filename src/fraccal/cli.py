@@ -87,8 +87,9 @@ def _builtin_oracle(name: str):
     raise DomainError(f"builtin {name!r} has no contour oracle")
 
 
-def _emit(obj: dict, args) -> None:
-    text = json.dumps(obj, indent=2)
+def _emit(obj, args) -> None:
+    """Print a report (a dict, as JSON, or CSV text) and write it to --out."""
+    text = obj if isinstance(obj, str) else json.dumps(obj, indent=2)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -372,11 +373,7 @@ def cmd_table(args, cfg: RunConfig) -> int:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_csv_cell(v) for v in row))
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
+        _emit("\n".join(lines), args)
     else:
         _emit({"schema": SCHEMA, "command": "table", "version": __version__,
                "what": args.what, "header": header, "rows": rows}, args)

@@ -1,19 +1,21 @@
 """Fractional derivative and integral operators on the tube spaces.
 
 At series level the operators scale Taylor coefficients by
-Gamma(alpha+k+1)/k! (derivative) and its reciprocal (integral); both are
-computed by the stable product recurrence r_k = r_{k-1} (alpha+k)/k seeded
-with Gamma(alpha+1), which continues analytically to every alpha off the
-negative integers.  The contour representations sum kernel integrals over
-gamma(A) with Gauss hypergeometric kernels, each one a coefficient row dotted
-with power sums of the quadrature nodes on the pieces of gamma_contour(A, T),
-which refuse T <= A (as the operators refuse Re t >= T).  The power sums are
-built once per evaluation, 32 at a time as one product of a 32-by-node power
-table with a running power vector, and the rows of 24 consecutive k as one
-matrix.  The simplified single-integral forms apply when F is integrable
-against |dxi|/|xi| on the boundary.  Boundary functions F are numpy
-expressions, evaluated on the whole ndarray of boundary points at once (the
-decay probes included).
+Gamma(alpha+k+1)/k! (derivative) and its reciprocal (integral), all through
+one product recurrence r_k = r_{k-1} (alpha+k)/k in double or 34-digit
+precision: seeded with Gamma(alpha+1) off the negative integers, with 1 for
+the Gamma-free normalized transform, and at alpha = -s, where the integral
+is 0 for k < s, with s! at k = s (k!/(k-s)!, exact below 2^53).  The contour
+representations sum kernel integrals over gamma(A) with Gauss hypergeometric
+kernels, each one a coefficient row dotted with power sums of the quadrature
+nodes on the pieces of gamma_contour(A, T), which refuse T <= A (as the
+operators refuse Re t >= T).  The power sums are built once per evaluation,
+32 at a time as one product of a 32-by-node power table with a running power
+vector, and the rows of 24 consecutive k as one matrix.  The simplified
+single-integral forms apply when F is integrable against |dxi|/|xi| on the
+boundary.  Boundary functions F are numpy expressions, evaluated on the whole
+ndarray of boundary points at once (the decay probes included); the contour
+operators and psi_coefficients_contour share one ray probe and tail bound.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +31,7 @@ import numpy as np
 from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
                        check_h1_decay, gamma_contour, infinite_tube_boundary,
                        integrate_path, integrate_paths)
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, GammaPoleError
 from .gammafn import gamma
 from .hyp import PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule
 from .series import PowerSeries, eval_series
@@ -62,29 +63,29 @@ def _alpha_of(value) -> complex:
     return FractionalOrder(complex(value)).alpha
 
 
-def _gamma_ratio_row(alpha: complex, n: int) -> list:
-    """[Gamma(alpha+k+1)/k! for k < n], product recurrence."""
-    r = gamma(alpha + 1.0)  # raises GammaPoleError at negative integer alpha
-    out = [r]
+def _ratio_row(alpha, n: int, r0) -> list:
+    """[r_0 .. r_{n-1}] with r_k = r_{k-1} (alpha+k)/k, i.e. r0 times
+    Gamma(alpha+k+1)/(Gamma(alpha+1) k!): the one coefficient law of the
+    series maps, on doubles or on mpmath numbers alike."""
+    out = [r0]
     for k in range(1, n):
-        r = r * (alpha + k) / k
-        out.append(r)
+        r0 = r0 * (alpha + k) / k
+        out.append(r0)
     return out
 
 
-def _gamma_ratio_row_extended(alpha: complex, n: int) -> list:
-    """Quad-equivalent (34-digit) version of the ratio row for ill-conditioned
-    recurrences; returns doubles rounded from mpmath intermediates."""
+def _gamma_ratio_row(alpha: complex, n: int, precision: str = "double") -> list:
+    """[Gamma(alpha+k+1)/k! for k < n]; "extended" runs the recurrence on
+    34-digit mpmath numbers and rounds each entry to a double."""
+    pole = is_nonpositive_int(alpha + 1.0)  # refused in either precision
+    if pole is not None:
+        raise GammaPoleError(pole)
+    if precision != "extended":
+        return _ratio_row(alpha, n, gamma(alpha + 1.0))
     import mpmath as mp
-
     with mp.workdps(34):
         a = mp.mpc(alpha)
-        r = mp.gamma(a + 1)
-        out = [complex(r)]
-        for k in range(1, n):
-            r = r * (a + k) / k
-            out.append(complex(r))
-    return out
+        return [complex(r) for r in _ratio_row(a, n, mp.gamma(a + 1))]
 
 
 def frac_deriv_series(F: PowerSeries, alpha, precision: str = "double") -> PowerSeries:
@@ -93,48 +94,34 @@ def frac_deriv_series(F: PowerSeries, alpha, precision: str = "double") -> Power
     Valid for Re(alpha) > -1 and, by analytic continuation of the ratio, for
     every alpha that is not a negative integer.
     """
-    a = _alpha_of(alpha)
-    row = (_gamma_ratio_row_extended if precision == "extended"
-           else _gamma_ratio_row)(a, F.truncation)
+    row = _gamma_ratio_row(_alpha_of(alpha), F.truncation, precision)
     return F.map_coeffs(lambda k, c: c * row[k])
 
 
 def frac_integ_series(F: PowerSeries, alpha, precision: str = "double") -> PowerSeries:
     """Inverse coefficient map f_k -> f_k * k! / Gamma(alpha+k+1).
 
-    Entire in alpha: at alpha = -m the leading coefficients multiply the
+    Entire in alpha: at alpha = -s the leading coefficients multiply the
     zeros of 1/Gamma, so the transform stays finite where the derivative
     transform has poles.
     """
     a = _alpha_of(alpha)
     m = is_nonpositive_int(a + 1.0)
-    if m is not None:
-        # k!/Gamma(alpha+k+1) = 0 for k < -alpha-... below the pole line,
-        # k!/(k+alpha)! above it
-        shift = 1 - m  # alpha = m - 1, coefficients vanish for k < shift
-        out = []
-        for k, c in enumerate(F.coeffs):
-            if k < shift:
-                out.append(0.0 + 0.0j)
-            else:
-                out.append(c * math.factorial(k) / math.factorial(k - shift))
-        return PowerSeries(tuple(out), F.radius_hint, F.type_hint)
-    row = (_gamma_ratio_row_extended if precision == "extended"
-           else _gamma_ratio_row)(a, F.truncation)
-    return F.map_coeffs(lambda k, c: c / row[k])
+    if m is None:
+        row = _gamma_ratio_row(a, F.truncation, precision)
+        return F.map_coeffs(lambda k, c: c / row[k])
+    s = 1 - m  # alpha = -s: 0 for k < s, then k!/(k-s)!, the row of order s from s!
+    if s > 170 and F.truncation > s:
+        raise DomainError(f"k!/(k-{s})! overflows double precision")
+    row = _ratio_row(s, F.truncation - s, math.factorial(s))  # exact below 2^53
+    return F.map_coeffs(lambda k, c: c * row[k - s] if k >= s else 0j)
 
 
 def frac_deriv_series_normalized(F: PowerSeries, alpha) -> PowerSeries:
     """Coefficients f_k (alpha+1)_k / k!, i.e. the derivative transform divided
     by Gamma(alpha+1); entire in alpha, used for the pole-limit checks."""
-    a = _alpha_of(alpha)
-    out = []
-    r = 1.0 + 0.0j
-    for k, c in enumerate(F.coeffs):
-        if k > 0:
-            r = r * (a + k) / k
-        out.append(c * r)
-    return PowerSeries(tuple(out), F.radius_hint, F.type_hint)
+    row = _ratio_row(_alpha_of(alpha), F.truncation, 1.0 + 0.0j)
+    return F.map_coeffs(lambda k, c: c * row[k])
 
 
 def frac_of_pfq(params: PFQParams, alpha, mode: str):
@@ -392,6 +379,34 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], c
     return kernel_sum
 
 
+def _ray_tails(F: Callable[[np.ndarray], np.ndarray], r: float, A: float, T: float,
+               n: int = 1) -> list:
+    """Bounds of the ray tails beyond T that gamma_contour(A, T) drops from
+    (1/2 pi i) \\oint F(xi) e^{-r xi} xi^{-1-s} dxi, one for each s < n.
+
+    Raises ConvergenceError when F e^{-r xi} grows along the rays, i.e. r
+    does not exceed the exponential type of F.  To leading order a tail is
+    |G(T-iA)/(T-iA)^{1+s} - G(T+iA)/(T+iA)^{1+s}| / (2 pi lam), G = F e^{-r xi}
+    decaying at the rate lam = log(g_mid/g_end) / (T/2) seen between the probes.
+    """
+    probe = np.array([complex(T / 2.0, A), complex(T, A), complex(T, -A)])
+    f_mid, f_end, f_low = np.broadcast_to(F(probe), probe.shape).tolist()
+    g_mid = abs(f_mid) * math.exp(-r * T / 2.0)
+    g_end = abs(f_end) * math.exp(-r * T)
+    if g_end > g_mid + 1e-280:
+        raise ConvergenceError(
+            "weighted integrand grows along the contour rays; the declared "
+            "rate r does not exceed the exponential type of F")
+    scale = (T / 2.0 / math.log(g_mid / g_end) if 0.0 < g_end < g_mid
+             else 0.0 if g_end == 0.0 else math.inf)
+    low, end, tails = f_low * cmath.exp(-r * probe[2]), f_end * cmath.exp(-r * probe[1]), []
+    for _ in range(n):
+        low, end = low / probe[2], end / probe[1]
+        tail = abs(low - end) / (2.0 * math.pi)
+        tails.append(tail * scale if tail else 0.0)
+    return tails
+
+
 def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: float,
                     t: complex, mode: str, tol: float, k_max: int,
                     n_per_panel: int, T: Optional[float]) -> complex:
@@ -403,24 +418,7 @@ def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: f
     T = T if T is not None else A + 40.0 / r
     t = _require_in_tube(t, A, T)
     xi, dw = contour_quadrature_nodes(A, T, n_per_panel, refine_near=t)  # refuses T <= A
-    # the weighted integrand must decay along the rays, else r <= type(F)
-    probe = np.array([complex(T / 2.0, A), complex(T, A), complex(T, -A)])
-    f_mid, f_end, f_low = np.broadcast_to(F(probe), probe.shape).tolist()
-    g_mid = abs(f_mid) * math.exp(-r * T / 2.0)
-    g_end = abs(f_end) * math.exp(-r * T)
-    if g_end > g_mid + 1e-280:
-        raise ConvergenceError(
-            "weighted integrand grows along the contour rays; the declared "
-            "rate r does not exceed the exponential type of F")
-    # the ray tails beyond T that the contour drops, per unit of the kernel
-    # there (the sum of the weights), to leading order: |G(T-iA)/(T-iA) -
-    # G(T+iA)/(T+iA)| / (2 pi lam), G = F e^{-r xi} decaying at the rate
-    # lam = log(g_mid/g_end) / (T/2) seen between the probes
-    tail = abs(f_low * cmath.exp(-r * probe[2]) / probe[2]
-               - f_end * cmath.exp(-r * probe[1]) / probe[1]) / (2.0 * math.pi)
-    if tail:
-        tail *= (T / 2.0 / math.log(g_mid / g_end) if 0.0 < g_end < g_mid
-                 else 0.0 if g_end == 0.0 else math.inf)
+    tail, = _ray_tails(F, r, A, T)  # per unit of the kernel: times the summed weights
     base = F(xi) * np.exp(-r * xi) / xi * dw / (2j * math.pi)
     w_arg = t / xi
 
@@ -536,13 +534,8 @@ def psi_limit_check(F: PowerSeries, n: int, t: complex, eps: float) -> float:
     pole-limit identity holds."""
     if not 0 < eps <= 1e-3:
         raise DomainError("eps must be in (0, 1e-3]")
-    if eps < 1e-9:
-        warnings.warn("eps below 1e-9 risks cancellation in the Gamma ratio",
-                      RuntimeWarning, stacklevel=2)
-    alpha = -(n + 1.0) + eps
-    G = frac_deriv_series(F, alpha)
-    val = eval_series(G, t).value / gamma(alpha + 1.0)
-    return abs(val - psi_polynomial(F, n)(t))
+    G = frac_deriv_series_normalized(F, -(n + 1.0) + eps)
+    return abs(eval_series(G, t).value - psi_polynomial(F, n)(t))
 
 
 def psi_coefficients_contour(F: Callable[[np.ndarray], np.ndarray], n: int, r: float,
@@ -554,7 +547,12 @@ def psi_coefficients_contour(F: Callable[[np.ndarray], np.ndarray], n: int, r: f
         raise DomainError("n must be non-negative")
     if r <= 0:
         raise DomainError("r must be positive")
-    contour = gamma_contour(A, T if T is not None else A + 40.0 / r)
+    T = T if T is not None else A + 40.0 / r
+    contour = gamma_contour(A, T)  # refuses T <= A
+    tail = max(_ray_tails(F, r, A, T, n + 1))
+    if tail > tol:
+        raise ConvergenceError(f"the contour drops ray tails beyond T = {T:.4g} "
+                               f"of {tail:.3g}; raise T")
     # the n + 1 loop integrals as one family over the same contour
     res = integrate_paths(lambda xi, s: F(xi) * np.exp(-r * xi) / xi ** (1 + s),
                           [contour] * (n + 1), [QuadratureSpec(tol=tol)] * (n + 1))

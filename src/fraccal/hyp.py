@@ -480,7 +480,7 @@ def _pfq_row(num: tuple, den: tuple) -> _Row:
     return _Row(num, den + (1.0,))
 
 
-def _series_seed(a, b, c, z, tol: float = 1e-16, max_terms: int = 20000) -> tuple:
+def _series_seed(a, b, c, z) -> tuple:
     """(F, F') of 2F1(a, b; c) at z, a point or a 1-d array, from the direct
     series, to start an ODE continuation; the caller guarantees |z| < 1.
     a, b and c are numbers or arrays of one entry per z.
@@ -495,7 +495,7 @@ def _series_seed(a, b, c, z, tol: float = 1e-16, max_terms: int = 20000) -> tupl
     for (a1, b1, c1), idx in groups.items():
         jobs += [(_table(a1, b1, c1).taylor, zs[idx], None),
                  (_table(a1 + 1.0, b1 + 1.0, c1 + 1.0).taylor, zs[idx], None)]
-    sums = _summed(jobs, tol, max_terms)
+    sums = _summed(jobs, 1e-16, 20000)
     f, g = np.empty((2, zs.size), dtype=complex)
     for j, idx in enumerate(groups.values()):
         f[idx], g[idx] = sums[2 * j], sums[2 * j + 1]
@@ -572,8 +572,7 @@ def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000) -> li
         if nz.any():
             if side is not None:
                 side = np.broadcast_to(side, zs.shape).ravel()[nz]
-            fills.append((out, nz, _plan(_table(p.a, p.b, p.c), flat[nz], side, jobs, tol,
-                                         max_terms)))
+            fills.append((out, nz, _plan(_table(p.a, p.b, p.c), flat[nz], side, jobs)))
         outs.append(out.reshape(zs.shape))  # a view of out, filled below
     sums = _summed(jobs, tol, max_terms)
     for out, nz, assemble in fills:
@@ -581,8 +580,7 @@ def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000) -> li
     return [complex(v) if v.ndim == 0 else v for v in outs]
 
 
-def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, tol: float,
-          max_terms: int, depth: int = 0):
+def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, depth: int = 0):
     """Routes of 2F1 on the table t at a 1-d array of z != 0: appends the row
     sums they need to jobs and returns the function that assembles the
     values from their results.  depth 1 is the inner function of the Pfaff
@@ -631,7 +629,7 @@ def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, tol:
         # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
         z_side = _part(side, pfaff)
         w_side = None if z_side is None else -z_side
-        inner = _plan(_table(a, c - b, c), w[pfaff], w_side, jobs, tol, max_terms, depth + 1)
+        inner = _plan(_table(a, c - b, c), w[pfaff], w_side, jobs, depth + 1)
         pw = _cut_side_power(1.0 - z[pfaff], -a, z_side)
         parts.append((rest[pfaff], lambda sums: pw * inner(sums)))
     # crescent around e^{+-i pi/3} where every ratio is ~1: continue the ODE

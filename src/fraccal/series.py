@@ -236,7 +236,7 @@ def geometric_series(n: int = DEFAULT_TRUNCATION) -> PowerSeries:
 
 def exp_series(n: int = DEFAULT_TRUNCATION) -> PowerSeries:
     """e^t: f_k = 1/k!, entire of type 1."""
-    return PowerSeries(tuple(1.0 / math.factorial(k) for k in range(n)), type_hint=1.0)
+    return PowerSeries(tuple(1 / math.factorial(k) for k in range(n)), type_hint=1.0)
 
 
 def monomial(k: int, n: Optional[int] = None) -> PowerSeries:

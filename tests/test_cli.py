@@ -121,6 +121,22 @@ def test_table_psi_polys_csv(capsys):
     assert lines[1] == "1,3,3,1"
 
 
+def test_table_csv_out_file(tmp_path, capsys):
+    path = tmp_path / "psi.csv"
+    code, out = run_cli(capsys, "table", "psi-polys", "--n", "2", "--output", "csv",
+                        "--out", str(path))
+    assert code == 0
+    assert path.read_text() == out == "c0,c1,c2\n1,2,1\n"
+
+
+def test_fracop_exp_series_past_k_170(capsys):
+    code, out = run_cli(capsys, "fracop", "--builtin", "exp", "--alpha", "0.5",
+                        "--truncation", "200", "--eval", "0.3")
+    assert code == 0
+    expect = complex(mp.gamma(1.5) * mp.hyp1f1(1.5, 1, 0.3))
+    assert abs(complex(*json.loads(out)["value"]) - expect) < 1e-13
+
+
 def test_table_remainders(capsys):
     code, out = run_cli(capsys, "table", "asymptotic-remainders",
                         "--zeta", "10", "--output", "csv")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fraccal import fracops
+from fraccal.cli import main
 from fraccal.contours import cauchy_eval
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
@@ -474,8 +475,19 @@ def test_psi_limit_check():
 def test_psi_limit_eps_validation():
     with pytest.raises(DomainError):
         psi_limit_check(geometric_series(16), 1, 0.2, 1e-2)
-    with pytest.warns(RuntimeWarning):
-        psi_limit_check(geometric_series(16), 1, 0.2, 1e-10)
+    # the Gamma-free normalized transform stays first order down to tiny eps,
+    # where Gamma(alpha+1) would snap to its pole
+    assert 1e-14 <= psi_limit_check(geometric_series(16), 1, 0.2, 1e-13) <= 1e-13
+
+
+def test_psi_limit_check_first_order_at_tiny_eps():
+    for F, t in ((geometric_series(16), 0.2), (exp_series(24), 0.3)):
+        for n in (0, 1, 2, 3):
+            for eps in (1e-12, 1e-13):
+                r1 = psi_limit_check(F, n, t, eps)
+                r2 = psi_limit_check(F, n, t, eps / 2.0)
+                assert 0.0 < r1 <= 10.0 * eps
+                assert 1.8 <= r1 / r2 <= 2.2
 
 
 def test_psi_coefficients_contour():
@@ -485,6 +497,18 @@ def test_psi_coefficients_contour():
     assert abs(ones[0] - 1.0) < 1e-10 and abs(ones[1]) < 1e-10 and abs(ones[2]) < 1e-10
     expc = psi_coefficients_contour(lambda z: np.exp(z), 3, 2.0, 0.5)
     assert max(abs(g - 1.0 / math.factorial(j)) for j, g in enumerate(expc)) <= 1e-8
+
+
+def test_psi_coefficients_contour_probes_the_rays():
+    # F = e^t at A = 0.5: r at or near the type of F must raise, not return
+    # 1/k! to a few digits (r = 0.9: the weighted integrand grows; r = 1.5:
+    # the dropped s = 0 ray tail is 7.8e-9 against tol 1e-11)
+    E = lambda z: np.exp(z)
+    for r in (0.9, 1.2, 1.5):
+        with pytest.raises(ConvergenceError):
+            psi_coefficients_contour(E, 2, r, 0.5)
+    got = psi_coefficients_contour(E, 2, 3.0, 0.5)
+    assert max(abs(g - 1.0 / math.factorial(j)) for j, g in enumerate(got)) <= 1e-11
 
 
 def test_entire_in_alpha():
@@ -506,11 +530,40 @@ def test_entire_in_alpha():
 
 
 def test_extended_precision_mode():
+    # the extended row is Gamma(alpha+k+1)/k! at 34 digits, rounded to doubles
     F = geometric_series(48)
-    a = frac_deriv_series(F, 0.5, precision="double")
-    b = frac_deriv_series(F, 0.5, precision="extended")
-    worst = max(abs(x - y) / max(abs(x), 1e-30) for x, y in zip(a.coeffs, b.coeffs))
-    assert worst < 1e-13
+    for alpha in (0.5, 0.3 + 0.4j, -1.7, 2.25):
+        d = frac_deriv_series(F, alpha, precision="extended")
+        i = frac_integ_series(F, alpha, precision="extended")
+        with mp.workdps(34):
+            for k in range(48):
+                ref = complex((-1) ** k * mp.gamma(mp.mpc(alpha) + k + 1) / mp.factorial(k))
+                assert abs(d.coeffs[k] - ref) <= 1e-15 * abs(ref)
+                assert abs(i.coeffs[k] - 1.0 / ref) <= 1e-15 * abs(1.0 / ref)
+
+
+def test_extended_precision_refuses_poles_like_double():
+    for precision in ("double", "extended"):
+        with pytest.raises(GammaPoleError):
+            frac_deriv_series(geometric_series(8), -2.0, precision=precision)
+        assert main(["fracop", "--alpha=-2", "--precision", precision]) == 2
+
+
+def test_integ_series_at_negative_integers_any_truncation():
+    # k!/Gamma(k-s+1) = k!/(k-s)!, exact in doubles, past k = 170 too
+    rng = random.Random(16)
+    F = PowerSeries([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(200)])
+    for s in (1, 2, 3):
+        for precision in ("double", "extended"):
+            G = frac_integ_series(F, -s, precision=precision)
+            assert G.coeffs == tuple(0j if k < s else c * math.perm(k, s)
+                                     for k, c in enumerate(F.coeffs))
+    assert main(["fracop", "--alpha=-2", "--mode", "integ", "--truncation", "200",
+                 "--eval", "0.3"]) == 0
+    # order s > 170: all zeros up to k = s, past it s! leaves the double range
+    assert frac_integ_series(F.truncated(171), -171).coeffs == (0j,) * 171
+    with pytest.raises(DomainError):
+        frac_integ_series(F, -171)
 
 
 def test_singular_set_stable_under_composition():

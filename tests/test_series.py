@@ -20,6 +20,13 @@ def test_arith_examples():
     assert series_arith("add", A, B).coeffs == (1.0 + 0j, 0.0 + 0j)
 
 
+def test_exp_series_past_the_double_range_of_k_factorial():
+    # 1/k! as int/int true division: correctly rounded, 0 past k ~ 177
+    e = exp_series(200)
+    assert e.coeffs == tuple(complex(1 / math.factorial(k)) for k in range(200))
+    assert e.coeffs[199] == 0.0
+
+
 def test_eval_series():
     g = geometric_series(64)
     v = eval_series(g, 0.5)
