@@ -348,15 +348,19 @@ def cauchy_eval(F: Callable[[np.ndarray], np.ndarray], a: float, t: complex,
     condition, checked crudely via the sampled ray decay); t must lie in the
     open tube of width a.  F is evaluated on ndarrays of boundary points.
     """
+    return _single_integral(lambda xi: F(xi) / (xi - t), F, a, t,
+                            spec or QuadratureSpec(tol=1e-11), T)
+
+
+def _single_integral(integrand, F, a: float, t: complex, spec: QuadratureSpec,
+                     T: Optional[float] = None) -> complex:
+    """(1/2 pi i) \\oint_{gamma(a)} integrand(xi) dxi on the untruncated boundary for a
+    single-integral form of F at t; refuses t outside the open tube of width a, and F
+    if sampled |F| does not decay along the rays out to T (default max(40, 4|t| + 10a))."""
     t = _require_in_tube(t, a)
-    probe = gamma_contour(a, T if T is not None else max(40.0, 4.0 * abs(t) + 10.0 * a))
-    check_h1_decay(F, probe)
-    spec = spec or QuadratureSpec(tol=1e-11)
+    check_h1_decay(F, gamma_contour(a, T if T is not None else
+                                    max(40.0, 4.0 * abs(t) + 10.0 * a)))
     segs = infinite_tube_boundary(a, scale=max(10.0, 2.0 * abs(t)))
-
-    def integrand(xi: complex) -> complex:
-        return F(xi) / (xi - t)
-
     val, _ = integrate_path(integrand, segs, spec)
     return val / (2j * math.pi)
 

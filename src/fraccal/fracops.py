@@ -29,8 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
-                       check_h1_decay, gamma_contour, infinite_tube_boundary,
-                       integrate_path, integrate_paths)
+                       _single_integral, gamma_contour, integrate_paths)
 from .errors import ConvergenceError, DomainError, GammaPoleError
 from .gammafn import gamma
 from .hyp import PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule
@@ -481,9 +480,6 @@ def frac_h1(F: Callable[[np.ndarray], np.ndarray], alpha, a: float, t: complex,
     al = FractionalOrder(_alpha_of(alpha))
     al.require_base()
     av = al.alpha
-    t = _require_in_tube(t, a)
-    check_h1_decay(F, gamma_contour(a, max(40.0, 4.0 * abs(t))))
-    segs = infinite_tube_boundary(a, scale=max(10.0, 2.0 * abs(t)))
     if mode == "deriv":
         g = gamma(av + 1.0)
 
@@ -497,8 +493,7 @@ def frac_h1(F: Callable[[np.ndarray], np.ndarray], alpha, a: float, t: complex,
             return g * hyp2f1(prm, t / xi) * F(xi) / xi
     else:
         raise DomainError(f"mode must be 'deriv' or 'integ', got {mode!r}")
-    val, _ = integrate_path(integrand, segs, QuadratureSpec(tol=tol))
-    return val / (2j * math.pi)
+    return _single_integral(integrand, F, a, t, QuadratureSpec(tol=tol))
 
 
 # ---------------------------------------------------------------------------

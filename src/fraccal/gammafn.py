@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import GammaPoleError
+from .errors import DomainError, GammaPoleError
 from .utils import is_nonpositive_int
 
 _LANCZOS_G = 7.0
@@ -38,17 +38,31 @@ def _lanczos_series(z: complex) -> complex:
 
 
 def gamma(z: complex) -> complex:
-    """Gamma(z) for complex z; raises GammaPoleError at non-positive integers."""
+    """Gamma(z) for complex z; GammaPoleError at its poles, DomainError on overflow."""
     z = complex(z)
     pole = is_nonpositive_int(z)
     if pole is not None:
         raise GammaPoleError(pole)
     if z.real < 0.5:
-        # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)); logs where Gamma(1 - z) overflows
+        try:
+            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        except DomainError:
+            return cmath.exp(loggamma(z))
     s = _lanczos_series(z)
     t = z + _LANCZOS_G - 0.5
-    return _SQRT_2PI * t ** (z - 0.5) * cmath.exp(-t) * s
+    try:
+        return _SQRT_2PI * t ** (z - 0.5) * cmath.exp(-t) * s
+    except OverflowError:  # the power alone overflows from Re z ~ 141
+        pass
+    try:  # so split it in halves around e^{-t}
+        h = t ** (0.5 * (z - 0.5))
+        g = _SQRT_2PI * h * cmath.exp(-t) * h * s
+        if cmath.isfinite(g):
+            return g
+    except OverflowError:
+        pass
+    raise DomainError(f"Gamma({z:.6g}) overflows a double")
 
 
 def loggamma(z: complex) -> complex:

@@ -55,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, DegenerateCaseError, DomainError
-from .gammafn import digamma, gamma, rgamma
+from .gammafn import digamma, gamma, pochhammer, rgamma
 from .utils import cpow, is_nonpositive_int, near_integer
 
 _PARAM_TOL = 1e-13
@@ -556,6 +556,21 @@ def hyp2f1(p: Hyp2F1Params, z, side=None,
     digits would survive rounding.  This is the one-call case of _hyp2f1_calls.
     """
     return _hyp2f1_calls([(p, z, side)], tol, max_terms)[0]
+
+
+def _hyp2f1_regularized(a, b, c, z, side=None):
+    """2F1(a, b; c; z) / Gamma(c), entire in c: at c = 1-n the limit (a)_n (b)_n
+    z^n / n! 2F1(a+n, b+n; 1+n; z) (DLMF 15.2.3_5).  z and side are as for
+    hyp2f1, and a scalar z is an array of one element."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    pole = is_nonpositive_int(complex(c))
+    if pole is None:
+        v = hyp2f1(Hyp2F1Params(a, b, c), zs, side) / gamma(c)
+    else:
+        n = 1 - pole
+        v = (pochhammer(a, n) * pochhammer(b, n) / math.factorial(n) * zs ** n
+             * hyp2f1(Hyp2F1Params(a + n, b + n, 1 + n), zs, side))
+    return complex(v[0]) if np.ndim(z) == 0 else v
 
 
 def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000) -> list:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -78,7 +79,13 @@ def borel_map(F: PowerSeries) -> AsymptoticSeries:
 
 
 def inverse_borel(p: AsymptoticSeries, radius_hint: Optional[float] = None) -> PowerSeries:
-    return PowerSeries(tuple(v / math.factorial(k) for k, v in enumerate(p.p)),
+    """f_k = p_k / k!, each part one correctly rounded division by the exact
+    integer k!, so that k past 170 works too."""
+    def over(x: float, k: int) -> float:
+        return float(Fraction(x) / math.factorial(k)) if math.isfinite(x) else x
+
+    return PowerSeries(tuple(complex(over(v.real, k), over(v.imag, k))
+                             for k, v in enumerate(p.p)),
                        radius_hint=radius_hint if radius_hint is not None else p.gevrey_scale)
 
 

@@ -18,23 +18,22 @@ argument).  Canonical sheets: arg t in (-pi, pi) for F_1, (-2 pi, 0) for
 F_2, each extended by one cut crossing.  Both duals are one continued 2F1,
 hyp._surface_2f1, in two frames: F_1(t) = 2F1(p1; -t) with -t = rho
 e^{i(theta - pi)}, and F_2(t) = 2F1(p2; t); the cut-crossing jump is hyp's.
+Their fractional integrals I_q F_j, in which the monodromic relations are
+stated, are regularized 2F1 (hyp._hyp2f1_regularized), entire in the order q.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .fracops import frac_integ_series
-from .gammafn import gamma, rgamma
-from .hyp import Hyp2F1Params, _surface_2f1, hyp2f1
+from .gammafn import rgamma
+from .hyp import Hyp2F1Params, _hyp2f1_regularized, _surface_2f1, hyp2f1
 from .series import PowerSeries, eval_series, taylor_shift
 from .transforms import _laplace_members
 from .utils import as_family, cpow, family_result, principal_power
@@ -222,12 +221,7 @@ def stokes_multipliers_whittaker(kappa: complex, mu: complex) -> MonodromyTriple
     T1 = 2j * math.pi * rgamma(0.5 - kappa - mu) * rgamma(0.5 - kappa + mu)
     T2 = 2j * math.pi * cmath.exp(2j * math.pi * kappa) * \
         rgamma(0.5 + kappa - mu) * rgamma(0.5 + kappa + mu)
-    triple = MonodromyTriple(T1, T2, kappa)
-    if triple.goursat:
-        warnings.warn("2*kappa is an integer: route to the logarithmic "
-                      "(Goursat) transformation checks", RuntimeWarning,
-                      stacklevel=2)
-    return triple
+    return MonodromyTriple(T1, T2, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +238,6 @@ class WhittakerSurface:
         self.mu = complex(mu)
         self.p1 = Hyp2F1Params(0.5 - kappa - mu, 0.5 - kappa + mu, 1.0)
         self.p2 = Hyp2F1Params(0.5 + kappa - mu, 0.5 + kappa + mu, 1.0)
-
-    @cached_property
-    def _inner1(self) -> Hyp2F1Params:
-        # degenerate when 2 kappa is a negative integer; constructed lazily
-        return Hyp2F1Params(self.p2.a, self.p2.b, 1.0 + 2.0 * self.kappa)
-
-    @cached_property
-    def _inner2(self) -> Hyp2F1Params:
-        return Hyp2F1Params(self.p1.a, self.p1.b, 1.0 - 2.0 * self.kappa)
 
     def f1(self, rho, theta):
         """F_1 at the surface points rho e^{i theta}, |theta| < 2 pi: F_1(t) =
@@ -373,13 +358,14 @@ def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
         rho = np.array([abs(t) for t in outside])
         phi = np.array([cmath.phase(t) for t in outside])
         lhs1 = surf.f1(rho, phi - math.pi) - surf.f1(rho, phi + math.pi)
-        in1 = hyp2f1(surf._inner1, 1.0 - np.array(outside), side=-1)
+        a1, b1, a2, b2 = surf.p1.a, surf.p1.b, surf.p2.a, surf.p2.b
+        # I_{2k} F_2 at (t-1) e^{-i pi} and I_{-2k} F_j at (1+t) e^{-i pi}
+        in1 = _hyp2f1_regularized(a2, b2, 1.0 + k2, 1.0 - np.array(outside), side=-1)
         rho2 = np.array([abs(t) for t in f2_side])
         phi2 = np.array([cmath.phase(t) for t in f2_side])
         lhs2 = surf.f2(rho2, phi2 - math.pi) - surf.f2(rho2, phi2 + math.pi)
-        in2 = hyp2f1(surf._inner2, 1.0 + np.array(f2_side), side=-1)
-        in2_f2 = hyp2f1(Hyp2F1Params(surf.p2.a, surf.p2.b, 1.0 - k2),
-                        -(1.0 + np.array(f2_side)))
+        in2 = _hyp2f1_regularized(a1, b1, 1.0 - k2, 1.0 + np.array(f2_side), side=-1)
+        in2_f2 = _hyp2f1_regularized(a2, b2, 1.0 - k2, -(1.0 + np.array(f2_side)))
         i = j = 0
         for t in ts:
             if abs(t) <= 1.0:
@@ -387,7 +373,7 @@ def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
                               "inside the unit disk"})
                 continue
             entry = {"t": _c(t)}
-            rhs1 = m.T1 * principal_power(t - 1.0, k2) * complex(in1[i]) / gamma(1.0 + k2)
+            rhs1 = m.T1 * principal_power(t - 1.0, k2) * complex(in1[i])
             res1 = abs(complex(lhs1[i]) - rhs1)
             i += 1
             entry["mon1_residual"] = res1
@@ -395,10 +381,10 @@ def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
             if cmath.phase(t) <= 1e-14:
                 inner, left = complex(in2[j]), complex(lhs2[j])
                 mark = cpow(abs(1.0 + t), math.pi + cmath.phase(1.0 + t), -k2)
-                printed_f1 = m.T2 * mark * inner / gamma(1.0 - k2)
-                printed_f2 = m.T2 * mark * complex(in2_f2[j]) / gamma(1.0 - k2)
+                printed_f1 = m.T2 * mark * inner
+                printed_f2 = m.T2 * mark * complex(in2_f2[j])
                 valid = m.T2 * cmath.exp(-2j * math.pi * k2) * \
-                    principal_power(1.0 + t, -k2) * inner / gamma(1.0 - k2)
+                    principal_power(1.0 + t, -k2) * inner
                 res2 = abs(left - valid)
                 entry["mon2_residual_validated"] = res2
                 entry["mon2_residual_printed_f2"] = abs(left - printed_f2)
@@ -437,40 +423,32 @@ def verify_eg_ltf(d: DualPair, m: MonodromyTriple,
     k2 = 2.0 * complex(kappa)
     surf = WhittakerSurface(kappa, mu)
     sin_factor = 2j * cmath.sin(math.pi * k2)
-    conditioning = abs(sin_factor) < 0.1
-    if conditioning:
-        warnings.warn("sin(2 pi kappa) is small: the transformation identities "
-                      "are ill-conditioned at this kappa", RuntimeWarning,
-                      stacklevel=2)
-    phi1 = surf._inner2  # (a1, b1; 1-2k)
-    phi2 = surf._inner1  # (a2, b2; 1+2k)
-    g1m = gamma(1.0 - k2)
-    g1p = gamma(1.0 + k2)
     ts = np.array(list(t_grid) if t_grid is not None else default_t_grid(), dtype=complex)
     t2s = np.where(ts.imag < 0, ts, ts.conj())  # F_2 sheet
-    # each hypergeometric factor on the whole grid at once
-    f_p1, f_phi2, f_phi1 = (hyp2f1(prm, arg) for prm, arg in
-                            ((surf.p1, -ts), (phi2, 1.0 + ts), (phi1, 1.0 + ts)))
-    f_p2, f_phi1_2, f_phi2_2 = (hyp2f1(prm, arg) for prm, arg in
-                                ((surf.p2, t2s), (phi1, 1.0 - t2s), (phi2, 1.0 - t2s)))
+    # each hypergeometric factor on the whole grid at once; phi1 and phi2 are
+    # the regularized 2F1(a1, b1; 1-2k; .) and 2F1(a2, b2; 1+2k; .)
+    p1, p2, x = surf.p1, surf.p2, np.array([1.0 + ts, 1.0 - t2s])
+    f_p1, f_p2 = hyp2f1(p1, -ts), hyp2f1(p2, t2s)
+    f_phi1, f_phi1_2 = _hyp2f1_regularized(p1.a, p1.b, 1.0 - k2, x)
+    f_phi2, f_phi2_2 = _hyp2f1_regularized(p2.a, p2.b, 1.0 + k2, x)
     cases = []
     max_res = 0.0
     for i, t in enumerate(ts.tolist()):
         lhs1 = sin_factor * f_p1[i]
-        rhs1 = (-m.T1 * principal_power(1.0 + t, k2) * f_phi2[i] / g1p
-                + m.T2 * cmath.exp(-1j * math.pi * k2) * f_phi1[i] / g1m)
+        rhs1 = (-m.T1 * principal_power(1.0 + t, k2) * f_phi2[i]
+                + m.T2 * cmath.exp(-1j * math.pi * k2) * f_phi1[i])
         res1 = float(abs(lhs1 - rhs1))
         t2 = t if t.imag < 0 else t.conjugate()
         lhs2 = sin_factor * f_p2[i]
         rhs2 = (m.T2 * cmath.exp(-2j * math.pi * k2) *
-                principal_power(t2 - 1.0, -k2) * f_phi1_2[i] / g1m
-                - m.T1 * f_phi2_2[i] / g1p)
+                principal_power(t2 - 1.0, -k2) * f_phi1_2[i]
+                - m.T1 * f_phi2_2[i])
         res2 = float(abs(lhs2 - rhs2))
         cases.append({"t": _c(t), "residual_f1": res1, "residual_f2": res2})
         max_res = max(max_res, res1, res2)
     return {"suite": "eg-ltf", "cases": cases, "max_residual": max_res,
             "tolerance": tol, "pass": max_res <= tol,
-            "ill_conditioned": conditioning,
+            "ill_conditioned": abs(sin_factor) < 0.1,
             "notes": "F2-side leading coefficient validated as T2 e^{-4 pi i kappa}"}
 
 
@@ -492,42 +470,35 @@ def verify_goursat_ltf(d: DualPair, m: MonodromyTriple,
     kappa, mu = _whittaker_family(d)
     k2i = round((2.0 * complex(kappa)).real)
     surf = WhittakerSurface(kappa, mu)
+    p1, p2 = surf.p1, surf.p2
 
-    i2f2 = frac_integ_series(d.F2, k2i)
-    i2f1 = frac_integ_series(d.F1, -k2i)
-
-    # the log branch must share the cut of the function being matched:
+    # s^{2k} log(s) I_{2k}F_2(s) and s^{-2k} log(s) I_{-2k}F_1(s) on arrays of
+    # s; the log branch must share the cut of the function being matched:
     # F_1's singular ray is s < 0 (principal log), F_2's is s > 0
     def K1(s):
-        return principal_power(s, k2i) * cmath.log(s) * eval_series(i2f2, s).value
+        log = np.log(s)
+        return np.exp(k2i * log) * log * _hyp2f1_regularized(p2.a, p2.b, 1.0 + k2i, s)
 
     def K2(s):
-        arg02 = cmath.phase(s) % (2.0 * math.pi)
-        log02 = complex(math.log(abs(s)), arg02)
-        return cpow(abs(s), arg02, -k2i) * log02 * eval_series(i2f1, s).value
+        log02 = np.log(np.abs(s)) + 1j * (np.angle(s) % (2.0 * math.pi))
+        return np.exp(-k2i * log02) * log02 * _hyp2f1_regularized(p1.a, p1.b, 1.0 - k2i, -s)
 
     if s_grid is not None:
-        grid1 = grid2 = [complex(s) for s in s_grid]
+        grid1 = grid2 = np.array(s_grid, dtype=complex)
     else:
-        grid1 = [r * cmath.exp(1j * th) for r in (0.15, 0.32)
-                 for th in np.linspace(-2.6, 2.6, 14)]
-        grid2 = [r * cmath.exp(1j * th) for r in (0.15, 0.32)
-                 for th in np.linspace(0.25, 2.0 * math.pi - 0.25, 14)]
+        thetas = (np.linspace(-2.6, 2.6, 14), np.linspace(0.25, 2.0 * math.pi - 0.25, 14))
+        grid1, grid2 = (np.outer((0.15, 0.32), np.exp(1j * th)).ravel() for th in thetas)
 
     sides = {}
     max_res = 0.0
     for label, K, T, F_of_s, pts, n_pole in (
-            ("f1", K1, m.T1, lambda s: hyp2f1(surf.p1, 1.0 - s), grid1, 0),
-            ("f2", K2, m.T2, lambda s: hyp2f1(surf.p2, 1.0 + s), grid2,
-             max(0, k2i))):
+            ("f1", K1, m.T1, lambda s: hyp2f1(p1, 1.0 - s), grid1, 0),
+            ("f2", K2, m.T2, lambda s: hyp2f1(p2, 1.0 + s), grid2, max(0, k2i))):
         # the F_2 side carries a finite principal part of order 2 kappa on
         # top of the logarithmic structure; fit and report it separately
-        rows = []
-        for s in pts:
-            rows.append([T * K(s)] + [s ** (-j) for j in range(1, n_pole + 1)]
-                        + [s ** j for j in range(n_psi)])
-        A = np.array(rows, dtype=complex)
-        y = F_of_s(np.array(pts))
+        A = np.column_stack([T * K(pts)] + [pts ** -j for j in range(1, n_pole + 1)]
+                            + [pts ** j for j in range(n_psi)])
+        y = F_of_s(pts)
         sol, *_ = np.linalg.lstsq(A, y, rcond=None)
         fit_res = float(np.max(np.abs(A @ sol - y)))
         C = complex(sol[0])
@@ -536,15 +507,11 @@ def verify_goursat_ltf(d: DualPair, m: MonodromyTriple,
         # half-step ring samples dodge the negative-real axis of log(s)
         ring = 0.55
         n_ring = 64
-        ring_pts = [ring * cmath.exp(2j * math.pi * (j + 0.5) / n_ring)
-                    for j in range(n_ring)]
-        samples = []
-        for s, f_s in zip(ring_pts, F_of_s(np.array(ring_pts))):
-            val = f_s - C * T * K(s)
-            val -= sum(pc * s ** (-(i + 1)) for i, pc in enumerate(pole_part))
-            samples.append(val)
+        ring_pts = ring * np.exp(2j * math.pi * (np.arange(n_ring) + 0.5) / n_ring)
+        samples = F_of_s(ring_pts) - C * T * K(ring_pts)
+        samples -= sum(pc * ring_pts ** -(i + 1) for i, pc in enumerate(pole_part))
         ks = np.arange(n_ring)
-        coeffs = np.fft.fft(np.array(samples)) / n_ring * \
+        coeffs = np.fft.fft(samples) / n_ring * \
             np.exp(-1j * math.pi * ks / n_ring)
         mags = np.abs(coeffs[: n_ring // 2]) / ring ** np.arange(n_ring // 2)
         js = np.arange(8, 22)
@@ -633,10 +600,11 @@ def mon1_mw1_consistency(kappa: complex, mu: complex, zeta: float = 4.0,
         raise DomainError("needs Re(2 kappa) > -1")
     surf = WhittakerSurface(kappa, mu)
     m = stokes_multipliers_whittaker(kappa, mu)
-    g = gamma(1.0 + k2)
-    # the t^{2 kappa} transform of 2F1(inner1; -t) / Gamma(1 + 2 kappa) and
-    # the P_2 ray at arg zeta = pi, as one family
-    left = (lambda t: hyp2f1(surf._inner1, -t) / g, k2, complex(zeta), 0.0, 1e-12, None, None)
+    # the t^{2 kappa} transform of I_{2 kappa} F_2(-t), the regularized
+    # 2F1(a2, b2; 1+2 kappa; -t), and the P_2 ray at arg zeta = pi, as one family
+    a2, b2 = surf.p2.a, surf.p2.b
+    left = (lambda t: _hyp2f1_regularized(a2, b2, 1.0 + k2, -t), k2, complex(zeta),
+            0.0, 1e-12, None, None)
     lap, p2 = _laplace_members([left] + _phase_amplitude_rays(surf, [complex(zeta)], math.pi,
                                                              2, 1e-11))
     shift = m.T1 * cmath.exp(-zeta) * zeta ** (-k2)

@@ -137,6 +137,14 @@ def test_fracop_exp_series_past_k_170(capsys):
     assert abs(complex(*json.loads(out)["value"]) - expect) < 1e-13
 
 
+def test_fracop_large_alpha(capsys):
+    # Gamma(151) = 5.7e262 is a double; Gamma(201) overflows and is refused
+    code, out = run_cli(capsys, "fracop", "--alpha=150", "--truncation", "4")
+    assert code == 0
+    assert abs(complex(*json.loads(out)["coeffs"][0]) - 5.7133839564453e262) < 1e250
+    assert main(["fracop", "--alpha=200", "--truncation", "4"]) == 2
+
+
 def test_table_remainders(capsys):
     code, out = run_cli(capsys, "table", "asymptotic-remainders",
                         "--zeta", "10", "--output", "csv")

@@ -5,7 +5,7 @@ import random
 import mpmath as mp
 import pytest
 
-from fraccal.errors import GammaPoleError
+from fraccal.errors import DomainError, GammaPoleError
 from fraccal.fracops import _gamma_ratio_row
 from fraccal.gammafn import digamma, gamma, loggamma, pochhammer, rgamma
 
@@ -16,6 +16,16 @@ def test_known_values():
     assert gamma(1.0) == pytest.approx(1.0, abs=1e-14)
     assert gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     assert gamma(2.5).real == pytest.approx(1.3293403881791384, rel=1e-13)
+
+
+def test_large_arguments_against_mpmath():
+    # the Lanczos power alone overflows from Re z ~ 141; Gamma itself at 171.62
+    for z in (150.0, 171.0, 142.9 + 3.0j, -150.5):
+        ref = complex(mp.gamma(z))
+        assert abs(gamma(z) - ref) <= 5e-13 * abs(ref)
+    with pytest.raises(DomainError):
+        gamma(172.0)
+    assert gamma(-180.5) == 0.0  # about 1e-334: underflows, is not refused
 
 
 def test_against_mpmath_grid():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fraccal import hyp
 from fraccal.errors import (BudgetError, ConvergenceError, DegenerateCaseError,
                             DomainError)
+from fraccal.gammafn import gamma
 from fraccal.hyp import (Hyp2F1Params, PFQParams, circle_path,
                          connection_coefficient, euler_ltf_check,
                          geom_alpha_check, hyp2f1, hyp2f1_continue, hyp_pfq,
@@ -549,6 +550,49 @@ def test_batched_calls_equal_separate_calls():
     cancelling = ((-0.04099786621961243, 2.1694647751380387, -50.7), 0.6 - 0.2j, None)
     with pytest.raises(ConvergenceError):
         hyp._hyp2f1_calls(calls[:3] + [cancelling] + calls[3:])
+
+
+# one point per route of the 2F1 behind the regularized form: direct, 1-z,
+# Pfaff, the negative axis, both cut sides and the crescent, where hyp2f1's
+# ODE route is itself up to 2.7e-12 off mpmath
+_REGULARIZED_POINTS = ((0.4 + 0.3j, None, 1e-13), (0.9 - 0.2j, None, 1e-13),
+                       (-2.5 + 0.5j, None, 1e-13), (-3.0, None, 1e-13),
+                       (2.5, 1, 1e-13), (2.5, -1, 1e-13), (0.55 + 0.85j, None, 1e-11))
+
+
+@pytest.mark.parametrize("ab", [(0.3 + 0.2j, -0.7 + 0.1j), (-0.17, 0.17)])
+@pytest.mark.parametrize("c", [0, -1, -2])
+def test_regularized_2f1_at_the_poles_matches_mpmath(ab, c):
+    a, b = ab
+    with mp.workdps(60):
+        eps = mp.mpf("1e-30")
+        for z, side, tol in _REGULARIZED_POINTS:
+            zz = mp.mpc(z) + (0 if side is None else side * mp.mpf("1e-50") * 1j)
+            ref = complex(mp.hyp2f1(a, b, c + eps, zz) / mp.gamma(c + eps))
+            got = hyp._hyp2f1_regularized(a, b, c, z, side)
+            assert abs(got - ref) <= tol * abs(ref), (z, side)
+
+
+def test_regularized_2f1_off_the_poles_is_the_quotient():
+    a, b = 0.3 + 0.2j, -0.7 + 0.1j
+    z = np.array([0.4 + 0.3j, -2.5 + 0.5j, 2.5, 2.5])
+    side = np.array([1, 1, 1, -1])
+    for c in (0.5, 2.0, 1.3 - 0.2j, -0.5 + 0.1j, -1.0 + 1e-3):
+        got = hyp._hyp2f1_regularized(a, b, c, z, side)
+        want = hyp2f1(Hyp2F1Params(a, b, c), z, side) / gamma(c)
+        assert repr(got.tolist()) == repr(want.tolist())
+
+
+def test_regularized_2f1_arrays_equal_scalar_calls():
+    a, b = 0.3 + 0.2j, -0.7 + 0.1j
+    z = np.array([[0.4 + 0.3j, -2.5 + 0.5j, 0.0], [2.5, 2.5, 0.55 + 0.85j]])
+    side = np.array([[1, 1, 1], [1, -1, -1]])
+    for c in (0, -2, 0.5, 1.3 - 0.2j):
+        got = hyp._hyp2f1_regularized(a, b, c, z, side)
+        assert got.shape == z.shape
+        alone = [hyp._hyp2f1_regularized(a, b, c, x, s)
+                 for x, s in zip(z.ravel().tolist(), side.ravel().tolist())]
+        assert repr(got.ravel().tolist()) == repr(alone)
 
 
 @pytest.mark.parametrize("abc, t, sign, old", [

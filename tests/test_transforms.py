@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -88,6 +89,13 @@ def test_lm_duality():
     outp = verify_lm_duality(poly, dpoly, ipoly, 0.5, 2.0)
     assert outp["residual_deriv"] <= 1e-10
     assert outp["residual_integ"] <= 1e-10
+
+
+def test_inverse_borel_rounds_each_coefficient_once():
+    # one correctly rounded division by the exact k!, also past k = 170
+    ones = inverse_borel(AsymptoticSeries((1.0,) * 200)).coeffs
+    assert ones == tuple(complex(float(Fraction(1, math.factorial(k))))
+                         for k in range(200))
 
 
 def test_borel_maps():

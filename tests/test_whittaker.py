@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraccal import transforms
+from fraccal import series, transforms, whittaker
 from fraccal.contours import integrate_paths
 from fraccal.errors import ConvergenceError, DomainError
 from fraccal.gammafn import pochhammer
@@ -237,14 +237,12 @@ def test_phase_amplitude_against_whittaker_w():
 # --- stokes multipliers ---------------------------------------------------------
 
 def test_stokes_symmetry_and_degeneracy():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        t0 = stokes_multipliers_whittaker(0.0, 0.0)
-        assert abs(t0.T1 - t0.T2) < 1e-14
-        # mu = kappa - 1/2 puts a Gamma pole in the T1 denominator
-        tz = stokes_multipliers_whittaker(0.3, 0.3 - 0.5)
-        assert tz.T1 == 0.0
-        assert stokes_multipliers_whittaker(0.5, 0.17).goursat
+    t0 = stokes_multipliers_whittaker(0.0, 0.0)
+    assert abs(t0.T1 - t0.T2) < 1e-14
+    # mu = kappa - 1/2 puts a Gamma pole in the T1 denominator
+    tz = stokes_multipliers_whittaker(0.3, 0.3 - 0.5)
+    assert tz.T1 == 0.0
+    assert stokes_multipliers_whittaker(0.5, 0.17).goursat
 
 
 def test_stokes_convention_against_connection_coefficient():
@@ -273,19 +271,15 @@ def test_dual_monodromy_whittaker():
 
 def test_dual_monodromy_kappa_zero_reduces_to_jumps():
     d = whittaker_dual_pair(0.0, 0.3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        m = stokes_multipliers_whittaker(0.0, 0.3)
+    m = stokes_multipliers_whittaker(0.0, 0.3)
     rep = verify_dual_monodromy(d, m, t_grid=[1.5, 1.3 + 0.4j, 1.4 - 0.6j])
     assert rep["pass"] and rep["max_residual"] <= 1e-8
 
 
 def test_dual_monodromy_trivial_triple():
     # kappa = 0, mu = 1/2: both duals are constants, T1 = T2 = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        d = whittaker_dual_pair(0.0, 0.5)
-        m = stokes_multipliers_whittaker(0.0, 0.5)
+    d = whittaker_dual_pair(0.0, 0.5)
+    m = stokes_multipliers_whittaker(0.0, 0.5)
     assert abs(m.T1) == 0.0 and abs(m.T2) == 0.0
     rep = verify_dual_monodromy(d, m, t_grid=[1.5, 1.2 + 0.5j])
     assert rep["pass"] and rep["max_residual"] < 1e-12
@@ -315,41 +309,57 @@ def test_eg_ltf_half_integer_two_kappa():
 
 
 def test_eg_ltf_conditioning_warning():
+    # small sin(2 pi kappa) is reported in the flag, not warned about
     d = whittaker_dual_pair(0.495, 0.1)
     m = stokes_multipliers_whittaker(0.495, 0.1)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = verify_eg_ltf(d, m, t_grid=[1.5 + 0.4j])
     assert rep["ill_conditioned"]
 
 
 def test_goursat_cases():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for kap, expected_c in ((0.0, -1.0 / (2j * math.pi)), (0.5, 1.0 / (2j * math.pi))):
-            d = whittaker_dual_pair(kap, 0.17)
-            m = stokes_multipliers_whittaker(kap, 0.17)
-            rep = verify_goursat_ltf(d, m)
-            assert rep["pass"], rep
-            for side in ("f1", "f2"):
-                C = complex(*rep["sides"][side]["C"])
-                assert abs(C - expected_c) <= 1e-6
-                assert rep["sides"][side]["psi_radius_estimate"] >= 0.9
+    for kap, expected_c in ((0.0, -1.0 / (2j * math.pi)), (0.5, 1.0 / (2j * math.pi))):
+        d = whittaker_dual_pair(kap, 0.17)
+        m = stokes_multipliers_whittaker(kap, 0.17)
+        rep = verify_goursat_ltf(d, m)
+        assert rep["pass"], rep
+        for side in ("f1", "f2"):
+            C = complex(*rep["sides"][side]["C"])
+            assert abs(C - expected_c) <= 1e-6
+            assert rep["sides"][side]["psi_radius_estimate"] >= 0.9
+
+
+@pytest.mark.parametrize("kap", [0.0, 0.5])
+def test_goursat_report_does_not_depend_on_the_taylor_truncation(kap):
+    # the fractional integrals are closed forms, not sums of the Taylor data
+    m = stokes_multipliers_whittaker(kap, 0.17)
+    short, full = (verify_goursat_ltf(whittaker_dual_pair(kap, 0.17, N=n), m)
+                   for n in (8, 32))
+    assert short["pass"] and full["pass"]
+    assert repr(short) == repr(full)
+
+
+def test_goursat_sums_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_series called")
+
+    monkeypatch.setattr(series, "eval_series", refuse)
+    monkeypatch.setattr(whittaker, "eval_series", refuse)
+    m = stokes_multipliers_whittaker(0.5, 0.17)
+    assert verify_goursat_ltf(whittaker_dual_pair(0.5, 0.17), m)["pass"]
 
 
 def test_goursat_t1_zero():
     # T1 = 0: the log term is absent and F1 is outright analytic
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        d = whittaker_dual_pair(0.0, 0.5)
-        m = stokes_multipliers_whittaker(0.0, 0.5)
-        rep = verify_goursat_ltf(d, m)
+    d = whittaker_dual_pair(0.0, 0.5)
+    m = stokes_multipliers_whittaker(0.0, 0.5)
+    rep = verify_goursat_ltf(d, m)
     assert rep["sides"]["f1"]["fit_residual"] <= 1e-8
 
 
 def test_mw_system():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        m = stokes_multipliers_whittaker(0.0, 0.3)
+    m = stokes_multipliers_whittaker(0.0, 0.3)
     rep = verify_mw_system(0.0, 0.3, m)
     assert rep["pass"]
     assert rep["max_relative_residual"] <= 1e-4
