@@ -1,8 +1,10 @@
 """Gauss and generalized hypergeometric functions with analytic continuation.
 
-The 2F1 evaluator works from the direct series inside |z| <= 0.7 and reaches
-the rest of the cut plane through the z -> 1-z linear transformation and the
-Pfaff map z -> z/(z-1), composed at most once.  Arguments on the cut (1, oo)
+The 2F1 evaluator takes, per element, the series with the smallest argument:
+the direct series, the z -> 1-z and z -> 1/z linear transformations, or the
+Pfaff map z -> z/(z-1), composed at most once with one of the others.  The
+1/z route needs a-b away from an integer, and an element whose two 1/z terms
+cancel is evaluated again without it.  Arguments on the cut (1, oo)
 carry a side flag selecting lim_{eps->0+} of z +- i*eps.  When c-a-b is
 within 1e-6 of an integer the z -> 1-z formula is replaced by the logarithmic
 (Goursat) expansions.  The crescent around e^{+-i pi/3}, where no series
@@ -22,12 +24,12 @@ over a coefficient row prod (a_i)_n / prod (b_j)_n of a list of upper and
 one of lower parameters, built by one vectorised ratio cumprod and grown by
 doubling, and for the Goursat forms the digamma brackets as a cumsum; one
 row-sum engine sums them all and raises ConvergenceError on cancellation.
-The rows and the constants of each parameter triple (the 1-z connection
+The rows and the constants of each parameter triple (the 1-z and 1/z connection
 constants, the Goursat prefactors, the connection coefficients T^{+-}) are
 kept in a table per (a, b, c) among the _CACHE_SIZE most recently used, as
 is each p+1Fp row.  Every evaluation is a batch of one: hyp2f1 is the
 one-call case of a planner over a list of calls (parameters, array of
-arguments, sides), where each element picks its route by masks and the
+arguments, sides), where each element picks its route by one argmin and the
 series of all elements of all calls are summed in one pass, in blocks of
 power vectors z^n grouped by term count; geom_alpha_check is the one-case
 call of a check whose loops are the lanes of one continuation.  Where a sum
@@ -60,6 +62,9 @@ from .utils import cpow, is_nonpositive_int, near_integer
 
 _PARAM_TOL = 1e-13
 _INT_DEGENERACY_TOL = 1e-6  # routes c-a-b to the logarithmic forms
+# the z -> 1/z route: a-b at least _INV_GAP from an integer, 1/|z| at most
+# _INV_MAX, and its two terms cancelling by at most _INV_COND
+_INV_GAP, _INV_MAX, _INV_COND = 0.1, 0.8, 10.0
 
 
 @dataclass(frozen=True)
@@ -459,6 +464,16 @@ class _Table:
         return tuple(reversed(fin)), pref, _Row((a + m, b + m), (1.0, m + 1.0), brackets=True)
 
     @cached_property
+    def at_inf(self) -> tuple:
+        """Data of the z -> 1/z route (DLMF 15.8.2), per term: (constant,
+        exponent of -z, row at 1/z)."""
+        a, b, c = self.a, self.b, self.c
+        return ((gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a), a,
+                 _Row((a, a - c + 1.0), (a - b + 1.0, 1.0))),
+                (gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b), b,
+                 _Row((b, b - c + 1.0), (b - a + 1.0, 1.0))))
+
+    @cached_property
     def connection(self) -> dict:
         """{+1: T^+, -1: T^-}, see connection_coefficient."""
         return {sign: (-sign * 2.0j * math.pi * cmath.exp(sign * 1j * math.pi * self.s)
@@ -542,6 +557,29 @@ def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[np.ndarray], jobs: lis
     return lambda sums: finite - pref * u ** m * sums[i]
 
 
+def _plan_at_inf(t: _Table, z: np.ndarray, z_side: Optional[np.ndarray], jobs: list):
+    """The z -> 1/z route on an array of z, as _plan_at_1: the sum over both
+    terms of constant (-z)^{-exponent} 2F1(row; 1/z).  On the cut arg(-z) =
+    -side pi, the branch of _cut_side_log.  An element whose terms cancel
+    beyond _INV_COND is returned as NaN."""
+    lg, x = _cut_side_log(-z, z_side), 1.0 / z
+    terms = []
+    for C, e, row in t.at_inf:
+        if C != 0:
+            terms.append((len(jobs), C * np.exp(-e * lg)))
+            jobs.append((row, x, None))
+
+    def assemble(sums):
+        vals, size = np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
+        for i, pw in terms:
+            term = pw * sums[i]
+            vals += term
+            size += np.abs(term)
+        vals[~(size <= _INV_COND * np.abs(vals))] = np.nan
+        return vals
+    return assemble
+
+
 def hyp2f1(p: Hyp2F1Params, z, side=None,
            tol: float = 1e-16, max_terms: int = 20000):
     """2F1(a, b; c; z) on the plane cut along (1, +oo), for a scalar z (a
@@ -573,33 +611,48 @@ def _hyp2f1_regularized(a, b, c, z, side=None):
     return complex(v[0]) if np.ndim(z) == 0 else v
 
 
-def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000) -> list:
+def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
+                  inv: bool = True) -> list:
     """hyp2f1(p, z, side) for each (p, z, side) of calls: every call is
     planned first and the row sums of all of them are summed in one pass;
-    a value does not depend on the other calls."""
+    a value does not depend on the other calls.  The elements that come back
+    NaN (a 1/z route whose terms cancel) are planned again, all in a second
+    pass, with inv=False: without the 1/z route."""
     jobs, outs, fills = [], [], []
     for p, z, side in calls:
         p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
         zs = np.asarray(z, dtype=complex)
         flat = zs.ravel()
         out = np.ones(flat.shape, dtype=complex)
-        nz = flat != 0
-        if nz.any():
+        nz = flat.nonzero()[0]
+        if nz.size:
             if side is not None:
                 side = np.broadcast_to(side, zs.shape).ravel()[nz]
-            fills.append((out, nz, _plan(_table(p.a, p.b, p.c), flat[nz], side, jobs)))
+            z = flat[nz]
+            fills.append((out, nz, p, z, side,
+                          _plan(_table(p.a, p.b, p.c), z, side, jobs, inv=inv)))
         outs.append(out.reshape(zs.shape))  # a view of out, filled below
     sums = _summed(jobs, tol, max_terms)
-    for out, nz, assemble in fills:
-        out[nz] = assemble(sums)
+    redo = []
+    for out, nz, p, z, side, assemble in fills:
+        out[nz] = vals = assemble(sums)
+        bad = np.isnan(vals)
+        if inv and bad.any():
+            redo.append((out, nz[bad], (p, z[bad], _part(side, bad))))
+    if redo:
+        again = _hyp2f1_calls([call for *_, call in redo], tol, max_terms, inv=False)
+        for (out, idx, _), vals in zip(redo, again):
+            out[idx] = vals
     return [complex(v) if v.ndim == 0 else v for v in outs]
 
 
-def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, depth: int = 0):
+def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list,
+          depth: int = 0, inv: bool = True):
     """Routes of 2F1 on the table t at a 1-d array of z != 0: appends the row
     sums they need to jobs and returns the function that assembles the
     values from their results.  depth 1 is the inner function of the Pfaff
-    route, which may not take the Pfaff route again."""
+    route, which may not take the Pfaff route again; inv=False takes no
+    1/z route."""
     a, b, c = t.a, t.b, t.c
     if t.taylor.stop is not None:  # terminating, any z
         i = len(jobs)
@@ -615,44 +668,53 @@ def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list, dept
         if t.s.real <= 0:
             raise DomainError("2F1 singular at z = 1 for Re(c-a-b) <= 0")
         out[at_one] = gamma(c) * gamma(t.s) * rgamma(c - a) * rgamma(c - b)
-    rest = np.flatnonzero(~at_one)
+    rest = (~at_one).nonzero()[0]
     z, side = z[rest], _part(side, rest)
     on_cut = (z.imag == 0.0) & (z.real > 1.0)
     if side is None and on_cut.any():
         raise DomainError("z on the cut (1, oo): a side flag (+1/-1) is required")
 
-    r_direct = np.abs(z)
-    r_at1 = np.abs(1.0 - z)
-    w = z / (z - 1.0)
-    # the route with the smallest series argument, ties in this order; the
-    # effective argument of the pfaff route is that of its best sub-route
-    r_best = np.minimum(r_direct, r_at1)
+    # the series arguments of the direct, 1-z, 1/z and Pfaff routes (infinity
+    # where a route may not be taken), then 0.98 for the crescent; each
+    # element takes the smallest, ties in this order.  The Pfaff route's is
+    # the smaller of |w| and |1-w|; its inner function may take 1/w = 1 - 1/z
+    r = np.empty((len(z), 5))
+    np.abs(z, out=r[:, 0])
+    np.abs(1.0 - z, out=r[:, 1])
+    r[:, 2:] = np.inf, np.inf, 0.98
+    if inv and near_integer(a - b, _INV_GAP) is None:
+        np.divide(1.0, r[:, 0], out=r[:, 2], where=r[:, 0] * _INV_MAX >= 1.0)
     if depth == 0:
-        r_best = np.minimum(r_best, np.minimum(np.abs(w), np.abs(1.0 - w)))
-    series = r_best <= 0.98
-    direct = series & (r_best == r_direct)
-    at1 = series & ~direct & (r_best == r_at1)
-    pfaff = series & ~direct & ~at1
+        w = z / (z - 1.0)
+        np.minimum(np.abs(w), np.abs(1.0 - w), out=r[:, 3])
+        if not np.isfinite(z).all():  # no route converges there
+            r[~np.isfinite(z), :4] = np.inf
+    route = r.argmin(axis=1)
+    counts = np.bincount(route, minlength=5).tolist()
     parts = []
-    if direct.any():
-        i = len(jobs)
-        jobs.append((t.taylor, z[direct], None))
-        parts.append((rest[direct], lambda sums, i=i: sums[i]))
-    if at1.any():
-        parts.append((rest[at1], _plan_at_1(t, z[at1], _part(side, at1), jobs)))
-    if pfaff.any():
-        # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
-        z_side = _part(side, pfaff)
-        w_side = None if z_side is None else -z_side
-        inner = _plan(_table(a, c - b, c), w[pfaff], w_side, jobs, depth + 1)
-        pw = _cut_side_power(1.0 - z[pfaff], -a, z_side)
-        parts.append((rest[pfaff], lambda sums: pw * inner(sums)))
+    for k in [k for k in range(4) if counts[k]]:
+        sel = (route == k).nonzero()[0]
+        if k == 0:
+            i = len(jobs)
+            jobs.append((t.taylor, z[sel], None))
+            parts.append((rest[sel], lambda sums, i=i: sums[i]))
+        elif k == 1:
+            parts.append((rest[sel], _plan_at_1(t, z[sel], _part(side, sel), jobs)))
+        elif k == 2:
+            parts.append((rest[sel], _plan_at_inf(t, z[sel], _part(side, sel), jobs)))
+        else:
+            # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
+            z_side = _part(side, sel)
+            w_side = None if z_side is None else -z_side
+            inner = _plan(_table(a, c - b, c), w[sel], w_side, jobs, depth + 1, inv)
+            pw = _cut_side_power(1.0 - z[sel], -a, z_side)
+            parts.append((rest[sel], lambda sums, pw=pw, inner=inner: pw * inner(sums)))
     # crescent around e^{+-i pi/3} where every ratio is ~1: continue the ODE
     # from a series-seeded point, detouring through +-1.2i to stay clear of
     # both singular points (off-cut arguments only; |1-z| >= 0.98 here); the
     # crescent elements are the lanes of one continuation
-    cres = np.flatnonzero(~series)
-    if cres.size:
+    if counts[4]:
+        cres = (route == 4).nonzero()[0]
         zc = z[cres]
         stuck = on_cut[cres] | ~(np.abs(zc.imag) > 1e-13 * np.abs(zc))
         if stuck.any():

@@ -328,6 +328,12 @@ def default_zeta_grid() -> list:
     return [3.0, 4.0, 5.0, 6.0]
 
 
+def _sheet_difference(f, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """f(rho, phi - pi) - f(rho, phi + pi), both sheets in one call of f."""
+    both = f(np.concatenate((rho, rho)), np.concatenate((phi - math.pi, phi + math.pi)))
+    return both[:len(rho)] - both[len(rho):]
+
+
 def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
                           t_grid: Optional[Sequence[complex]] = None,
                           tol: float = 1e-6) -> dict:
@@ -357,13 +363,13 @@ def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
         # every function value on the grid at once; side flags act on the cut only
         rho = np.array([abs(t) for t in outside])
         phi = np.array([cmath.phase(t) for t in outside])
-        lhs1 = surf.f1(rho, phi - math.pi) - surf.f1(rho, phi + math.pi)
+        lhs1 = _sheet_difference(surf.f1, rho, phi)
         a1, b1, a2, b2 = surf.p1.a, surf.p1.b, surf.p2.a, surf.p2.b
         # I_{2k} F_2 at (t-1) e^{-i pi} and I_{-2k} F_j at (1+t) e^{-i pi}
         in1 = _hyp2f1_regularized(a2, b2, 1.0 + k2, 1.0 - np.array(outside), side=-1)
         rho2 = np.array([abs(t) for t in f2_side])
         phi2 = np.array([cmath.phase(t) for t in f2_side])
-        lhs2 = surf.f2(rho2, phi2 - math.pi) - surf.f2(rho2, phi2 + math.pi)
+        lhs2 = _sheet_difference(surf.f2, rho2, phi2)
         in2 = _hyp2f1_regularized(a1, b1, 1.0 - k2, 1.0 + np.array(f2_side), side=-1)
         in2_f2 = _hyp2f1_regularized(a2, b2, 1.0 - k2, -(1.0 + np.array(f2_side)))
         i = j = 0

@@ -113,6 +113,20 @@ def test_touchstone_integrates_each_zeta_once(capsys, monkeypatch):
     assert sorted(z.real for z in zetas) == [8.0, 16.0, 32.0]
 
 
+def test_verify_monodromy_continues_no_ode_lane(capsys, monkeypatch):
+    # the surface points near |1-t| = 1 take the 1/z series, not the crescent
+    calls = []
+    cont = hyp._continue
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cont(*args, **kwargs)
+
+    monkeypatch.setattr(hyp, "_continue", counted)
+    code, _ = run_cli(capsys, "verify", "monodromy")
+    assert code == 0 and calls == []
+
+
 def test_table_psi_polys_csv(capsys):
     code, out = run_cli(capsys, "table", "psi-polys", "--builtin", "geometric",
                         "--n", "3", "--output", "csv")

@@ -291,7 +291,7 @@ def _disk(r):
 def _route_cases(draw):
     """(a, b, c, z) aimed at one route of hyp2f1 each."""
     route = draw(st.sampled_from(("direct", "one-minus-z", "pfaff", "gap",
-                                  "terminating")))
+                                  "terminating", "1/z")))
     a, b = draw(_cplx(-2.0, 2.5, 0.6)), draw(_cplx(-2.0, 2.5, 0.6))
     c = draw(_cplx(0.3, 3.5, 0.6))
     w = draw(_disk(0.7))
@@ -301,6 +301,8 @@ def _route_cases(draw):
         z = 1.0 - w
     elif route == "pfaff":
         z = w / (w - 1.0)
+    elif route == "1/z":
+        z = 1.0 / draw(_disk(0.8).filter(lambda v: abs(v) > 0.05))
     elif route == "gap":
         # integer c-a-b = m < 0, 0 or > 0; Im a, Im b > 0 keeps c off the poles
         a = complex(a.real, 0.1 + abs(a.imag))
@@ -614,13 +616,81 @@ def test_monodromic_jump_keeps_its_values(abc, t, sign, old):
     ((0.3, 0.45, 2.75), 0.8 + 0.3j, None, 1.0469785503974134 + 0.025538868810424033j),  # m = 2
     ((-3.0, 0.7, 1.3), 5.0 + 2.0j, None, -3.169352386743693 - 25.590757069017943j),
     ((0.3, 0.45, 1.7), 0.5 + 0.85j, None, 1.0143916723602595 + 0.08261189390726634j),  # crescent
-    ((0.3, 0.45, 1.7), 2.5, 1, 1.1090882136251137 + 0.31154008306740505j),
-    ((0.3, 0.45, 1.7), 2.5, -1, 1.1090882136251137 - 0.31154008306740505j),
-    ((0.3, 0.7, -30.5), -0.5, None, 1.003509581685243 + 0j)])  # rising terms
+    ((0.3, 0.45, 1.7), 2.5, 1, 1.109088213625113 + 0.311540083067404j),  # 1/z, cut
+    ((0.3, 0.45, 1.7), 2.5, -1, 1.109088213625113 - 0.311540083067404j),  # 1/z, cut
+    ((0.3, 0.7, -30.5), -0.5, None, 1.003509581685243 + 0j),  # rising terms
+    ((0.3, 0.45, 1.7), 3.0 + 3.0j, None, 0.9201749335678463 + 0.24644475585151238j)])  # 1/z
 def test_routes_keep_their_values(abc, z, side, old):
     # one input per route, pinned by repr: the coefficient rows built from
     # parameter lists must keep every 2F1 value bit for bit
     assert repr(hyp2f1(Hyp2F1Params(*abc), z, side)) == repr(old)
+
+
+def _mp_cut(abc, x, side):
+    return complex(mp.hyp2f1(*abc, mp.mpc(x, side * mp.mpf("1e-40"))))
+
+
+@pytest.mark.parametrize("x", [1.981, 1.99, 2.0, 2.01, 2.02])
+@pytest.mark.parametrize("side", [1, -1])
+def test_cut_band_is_reached_by_the_1_over_z_route(x, side):
+    # |1-x| and |1-w| are both near 1 here, 1/x near 0.5
+    got = hyp2f1(Hyp2F1Params(0.3, 0.45, 1.7), x, side)
+    ref = _mp_cut((0.3, 0.45, 1.7), x, side)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+# the 1/z route (a-b = -0.15); a-b and c-a-b within 0.1 of an integer, so
+# that neither z nor the Pfaff route's w takes it
+@pytest.mark.parametrize("abc, gated", [((0.3, 0.45, 1.7), False),
+                                        ((0.3, 1.35, 1.7), True),
+                                        ((0.3 + 0.2j, 1.27 + 0.2j, 2.6 + 0.4j), True)])
+def test_cut_rims_out_to_six_match_mpmath(abc, gated):
+    p = Hyp2F1Params(*abc)
+    xs = np.array([1.3, 1.7, 2.5, 3.5, 4.5, 6.0])
+    for side in (1, -1):
+        got = hyp2f1(p, xs, side)
+        old = hyp._hyp2f1_calls([(p, xs, side)], inv=False)[0]
+        assert (repr(got.tolist()) == repr(old.tolist())) == gated
+        for x, v in zip(xs.tolist(), got.tolist()):
+            ref = _mp_cut(abc, x, side)
+            assert abs(v - ref) <= 1e-13 * abs(ref), (x, side)
+
+
+def test_large_c_sums_directly_without_the_1_over_z_constants():
+    # Gamma(180) overflows: the 1/z constants are built only when a point
+    # takes that route
+    hyp._table.cache_clear()
+    got = hyp2f1(Hyp2F1Params(0.5, 0.3, 180), 0.5 + 0.1j)
+    row = hyp._table(0.5, 0.3, 180).taylor
+    direct = hyp._summed([(row, np.array([0.5 + 0.1j]), None)], 1e-16, 20000)[0]
+    assert repr(got) == repr(complex(direct[0]))
+    assert "at_inf" not in vars(hyp._table(0.5, 0.3, 180))
+
+
+def test_non_finite_arguments_have_no_route():
+    p = Hyp2F1Params(0.3, 0.45, 1.7)
+    for z in (complex(math.nan, 1.0), complex(math.inf, 0.0), complex(2.0, math.nan),
+              complex(-math.inf, 1.0)):
+        with pytest.raises(ConvergenceError, match="no convergent 2F1 route"), \
+                np.errstate(all="ignore"):
+            hyp2f1(p, z, 1)
+
+
+def test_cancelling_1_over_z_terms_take_the_old_routes():
+    # for 2F1(1.5, 1.25; 4.5) the two 1/z terms cancel by ~30 at 0.75+-1i and
+    # 0.75-1.25i, and by at most 6 at 3+3i, 2.5+0.5i and 4+0.5i; the old
+    # routes' series there have arguments near 0.97 and lose up to 1.7e-11
+    p = Hyp2F1Params(1.5, 1.25, 4.5)
+    zs = [0.75 + 1j, 3 + 3j, 0.75 - 1.25j, 2.5 + 0.5j, 0.75 - 1j, 4 + 0.5j]
+    batch = hyp2f1(p, np.array(zs))
+    single = [hyp2f1(p, z) for z in zs]
+    assert repr(batch.tolist()) == repr(single)
+    old = hyp._hyp2f1_calls([(p, zs, None)], inv=False)[0].tolist()
+    fallback = [v == o for v, o in zip(single, old)]
+    assert fallback == [True, False, True, False, True, False]
+    for z, v, fell in zip(zs, single, fallback):
+        ref = complex(mp.hyp2f1(1.5, 1.25, 4.5, z))
+        assert abs(v - ref) <= (1e-10 if fell else 1e-14) * abs(ref)
 
 
 # each of these sums has a largest term 7e11 to 2e53 times the sum (5e5 for

@@ -188,6 +188,22 @@ def test_surface_rims_and_crossings_match_the_jump_formula(kappa, mu, rho):
             assert abs(f(rho, theta) - ref) <= 1e-13 * abs(ref), theta
 
 
+@pytest.mark.parametrize("rho", (1.981, 1.99, 2.0, 2.01, 2.02))
+def test_surface_rims_in_the_band_where_no_old_route_converges(rho):
+    # |1-x| and |1-w| are both near 1 on these rims: only the 1/z route
+    # (1/x ~ 0.5) reaches them; F_1 on theta = +-pi, F_2 on 0 and -2 pi, and
+    # F_2 at theta = pi and rho - 0.98, whose crossing's inner 2F1 is on its
+    # cut at 1 + rho - 0.98
+    surf = WhittakerSurface(0.3, 0.1)
+    for f, p, r, args, shift in (
+            (surf.f1, surf.p1, rho, (math.pi, -math.pi), math.pi),
+            (surf.f2, surf.p2, rho, (0.0, -2.0 * math.pi), 0.0),
+            (surf.f2, surf.p2, rho - 0.98, (math.pi,), 0.0)):
+        for theta in args:
+            ref = _mp_surface(p, r, theta - shift)
+            assert abs(f(r, theta) - ref) <= 1e-13 * abs(ref), theta
+
+
 def test_surface_f1_evaluates_its_sheet_when_the_inner_2f1_is_degenerate():
     # kappa = -1/2: the inner 2F1(c-a, c-b; 2 kappa + 1; .) has c = 0, so only
     # a crossing beyond |t| = 1 may need it
