@@ -83,11 +83,15 @@ def loggamma(z: complex) -> complex:
 
 
 def rgamma(z: complex) -> complex:
-    """1 / Gamma(z); entire, returns exactly 0.0 at the poles of Gamma."""
+    """1 / Gamma(z); entire, returns exactly 0.0 at the poles of Gamma, and
+    exp(-log Gamma(z)), a subnormal or 0, where Gamma(z) overflows."""
     z = complex(z)
     if is_nonpositive_int(z) is not None:
         return 0.0 + 0.0j
-    return 1.0 / gamma(z)
+    try:
+        return 1.0 / gamma(z)
+    except DomainError:
+        return cmath.exp(-loggamma(z))
 
 
 def pochhammer(a: complex, k: int) -> complex:

@@ -3,12 +3,13 @@
 The 2F1 evaluator takes, per element, the series with the smallest argument:
 the direct series, the z -> 1-z and z -> 1/z linear transformations, or the
 Pfaff map z -> z/(z-1), composed at most once with one of the others.  The
-1/z route needs a-b away from an integer, and an element whose two 1/z terms
-cancel is evaluated again without it.  Arguments on the cut (1, oo)
-carry a side flag selecting lim_{eps->0+} of z +- i*eps.  When c-a-b is
-within 1e-6 of an integer the z -> 1-z formula is replaced by the logarithmic
-(Goursat) expansions.  The crescent around e^{+-i pi/3}, where no series
-converges fast, is reached by continuing the hypergeometric ODE.
+1/z route needs a-b away from an integer; an element whose two 1/z terms
+cancel is evaluated again without it, one whose route's constants overflow
+takes the next route.  Arguments on the cut (1, oo) carry a side flag
+selecting lim_{eps->0+} of z +- i*eps.  When c-a-b is within 1e-6 of an
+integer the z -> 1-z formula is replaced by the logarithmic (Goursat)
+expansions.  The crescent around e^{+-i pi/3}, where no series converges
+fast, is reached by continuing the hypergeometric ODE.
 
 One engine continues (F, F') along polylines ("lanes") by Taylor steps of
 the ODE: it serves hyp2f1's crescent, hyp2f1_continue (monodromy loops) and
@@ -24,17 +25,18 @@ over a coefficient row prod (a_i)_n / prod (b_j)_n of a list of upper and
 one of lower parameters, built by one vectorised ratio cumprod and grown by
 doubling, and for the Goursat forms the digamma brackets as a cumsum; one
 row-sum engine sums them all and raises ConvergenceError on cancellation.
-The rows and the constants of each parameter triple (the 1-z and 1/z connection
-constants, the Goursat prefactors, the connection coefficients T^{+-}) are
-kept in a table per (a, b, c) among the _CACHE_SIZE most recently used, as
-is each p+1Fp row.  Every evaluation is a batch of one: hyp2f1 is the
-one-call case of a planner over a list of calls (parameters, array of
-arguments, sides), where each element picks its route by one argmin and the
-series of all elements of all calls are summed in one pass, in blocks of
-power vectors z^n grouped by term count; geom_alpha_check is the one-case
-call of a check whose loops are the lanes of one continuation.  Where a sum
-stops depends on z, tol and the parameters only, so a value never depends on
-what the cache holds or on the other elements or calls of its batch.
+The rows and the constants of each parameter triple (the 1-z and 1/z
+connection constants, the Goursat prefactors, the connection coefficients
+T^{+-}) are kept in a table per (a, b, c) among the _CACHE_SIZE most
+recently used, as is each p+1Fp row.  Every evaluation is a batch of one:
+hyp2f1 is the one-call case of a pass over a list of calls (parameters,
+array of arguments, sides) whose elements one planner routes together by
+one argmin, each route's powers formed at once; their series are summed in
+one pass, in blocks of power vectors z^n grouped by term count.
+geom_alpha_check is the one-case call of a check whose loops are the lanes
+of one continuation.  Where a sum stops depends on z, tol and the
+parameters only, so a value never depends on what the cache holds or on the
+other elements or calls of its batch.
 
 This module alone knows how a 2F1 value crosses its cut: the jump
 T^{+-} (1-z)^{c-a-b} 2F1(c-a, c-b; c-a-b+1; 1-z) (DLMF 15.2.3) is built in
@@ -65,6 +67,7 @@ _INT_DEGENERACY_TOL = 1e-6  # routes c-a-b to the logarithmic forms
 # the z -> 1/z route: a-b at least _INV_GAP from an integer, 1/|z| at most
 # _INV_MAX, and its two terms cancelling by at most _INV_COND
 _INV_GAP, _INV_MAX, _INV_COND = 0.1, 0.8, 10.0
+_R_TAIL = np.array([np.inf, np.inf, 0.98] + [np.inf] * 5)  # the route table past 1-z
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,8 @@ def _cut_side_log(u: np.ndarray, z_side: Optional[np.ndarray]) -> np.ndarray:
     lg = np.log(u)
     if z_side is not None:
         neg = (u.imag == 0.0) & (u.real < 0.0)
-        lg.imag[neg] = -z_side[neg] * math.pi
+        if np.count_nonzero(neg):
+            lg.imag[neg] = -z_side[neg] * math.pi
     return lg
 
 
@@ -305,8 +309,8 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
     first[:] = 1
     rising_any = False
     caps = [max_terms if r.stop is None else min(r.stop, max_terms) for r in rows]
-    for row, cap, lo, hi in zip(rows, caps, bounds, bounds[1:]):
-        q_max = float(np.maximum.reduce(q[lo:hi]))
+    for row, cap, lo, hi, q_max in zip(rows, caps, bounds, bounds[1:],
+                                       np.maximum.reduceat(q, bounds[:-1]).tolist()):
         if row.stop is None and q_max >= 1.0:
             raise BudgetError(f"hypergeometric series does not converge (|x| = {q_max:.4g})")
         look = row.risers(q_max, cap)
@@ -408,20 +412,17 @@ def _stacked(rows: list, w: int, which: Optional[np.ndarray]) -> np.ndarray:
     return out[which]
 
 
-def _checked(vals: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """vals, unless a sum's largest term exceeds it so far that rounding
-    (2.2e-16 times the condition estimate) could reach 1e-10 relative."""
+def _summed(jobs: list, tol: float, max_terms: int) -> list:
+    """The values of _row_sums per job, unless a sum's largest term exceeds it
+    so far that rounding (2.2e-16 times the condition) could reach 1e-10."""
+    sums = _row_sums(jobs, tol, max_terms)
+    cond = np.concatenate([c for _, c in sums] or [_EMPTY])
     bad = ~(2.2e-16 * cond <= 1e-10)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ConvergenceError(
             f"hypergeometric series cancels: max|term|/|sum| = {cond[bad].max():.3g} "
             "leaves fewer than 10 correct digits")
-    return vals
-
-
-def _summed(jobs: list, tol: float, max_terms: int) -> list:
-    """The checked values of _row_sums, per job."""
-    return [_checked(v, c) for v, c in _row_sums(jobs, tol, max_terms)]
+    return [v for v, _ in sums]
 
 
 class _Table:
@@ -433,6 +434,10 @@ class _Table:
         self.a, self.b, self.c = a, b, c
         self.s = c - a - b
         self.taylor = _Row((a, b), (c, 1.0))
+        # for _plan: the route of every z, else -1 (0 sums a terminating row,
+        # 7 and 8 are (1-z)^-a and (1-z)^-b), and whether 1/z may be taken
+        self.kind = (0 if self.taylor.stop is not None else 7 if abs(c - b) < _PARAM_TOL else
+                     8 if abs(c - a) < _PARAM_TOL else -1, near_integer(a - b, _INV_GAP) is None)
 
     @cached_property
     def gap(self) -> Optional[int]:
@@ -518,66 +523,90 @@ def _series_seed(a, b, c, z) -> tuple:
     return (complex(f[0]), complex(g[0])) if np.ndim(z) == 0 else (f, g)
 
 
-def _plan_at_1(t: _Table, z: np.ndarray, z_side: Optional[np.ndarray], jobs: list):
-    """The z -> 1-z route on an array of z: appends its row sums to jobs and
-    returns the function that assembles the values from their results."""
+def _spread(values: list, size: list):
+    """values[i] for the size[i] elements of block i; one value stays a number."""
+    return values[0] if len(values) == 1 else np.repeat(values, size)
+
+
+def _job(jobs: list, coef, row: _Row, x: np.ndarray, log_x=None) -> int:
+    """Appends (row, x, log_x) to jobs, x = 0 where coef is 0; its index."""
+    jobs.append((row, x if coef != 0 else np.zeros(x.shape, dtype=complex), log_x))
+    return len(jobs) - 1
+
+
+def _cat(sums: list, ids: list) -> np.ndarray:
+    return sums[ids[0]] if len(ids) == 1 else np.concatenate([sums[i] for i in ids])
+
+
+def _plan_at_1(groups: list, z: np.ndarray, side: Optional[np.ndarray], jobs: list):
+    """The z -> 1-z route on an array of z != 1 in blocks z[lo:hi] of one
+    table each, groups = [(table, lo, hi), ...]: appends its row sums to
+    jobs and returns the function that assembles the values from their
+    results.  Off the integers c-a-b, A u^s 2F1(row_a; u) + B 2F1(row_b; u)
+    at u = 1-z, all powers in one expression (A = 0 makes a term 0); at an
+    integer c-a-b = m (one block) Goursat's sum_{n<m} fin_n u^n - pref u^m
+    sum_n d_n (log u + h_n) u^n, for m < 0 after the Euler transformation
+    peels off u^s."""
     u = 1.0 - z
-    m = t.gap
-    if m is None:
-        A, B, row_a, row_b = t.at1
-        ia = ib = None
-        if A != 0:
-            ia = len(jobs)
-            jobs.append((row_a, u, None))
-            pw_a = _cut_side_power(u, t.s, z_side) * A
-        if B != 0:
-            ib = len(jobs)
-            jobs.append((row_b, u, None))
+    lg = _cut_side_log(u, side)
+    t = groups[0][0]
+    if t.gap is not None:
+        pw, t = (np.exp(t.s * lg), _table(*t.at1)) if t.gap < 0 else (None, t)
+        (fin, pref, row), m = t.at1, t.gap
+        finite, i = np.zeros(z.shape, dtype=complex), _job(jobs, 1, row, u, lg)
+        for coeff in fin:
+            finite = finite * u + coeff
 
-        def assemble(sums):
-            vals = pw_a * sums[ia] if ia is not None else np.zeros(z.shape, dtype=complex)
-            return vals + B * sums[ib] if ib is not None else vals
-        return assemble
-    if m < 0:
-        # negative integer exponent: peel off u^s with the Euler transformation,
-        # which flips the gap to -m >= 1
-        inner = _plan_at_1(_table(*t.at1), z, z_side, jobs)
-        pw = _cut_side_power(u, t.s, z_side)
-        return lambda sums: pw * inner(sums)
-    # Goursat's logarithmic form for integer m >= 0:
-    #   sum_{n<m} fin_n u^n - pref u^m sum_n d_n (log u + h_n) u^n
-    if (u == 0).any():
-        raise DomainError("2F1 logarithmic case is singular at z = 1")
-    fin, pref, row = t.at1
-    finite = np.zeros(z.shape, dtype=complex)
-    for coeff in fin:
-        finite = finite * u + coeff
-    i = len(jobs)
-    jobs.append((row, u, _cut_side_log(u, z_side)))
-    return lambda sums: finite - pref * u ** m * sums[i]
-
-
-def _plan_at_inf(t: _Table, z: np.ndarray, z_side: Optional[np.ndarray], jobs: list):
-    """The z -> 1/z route on an array of z, as _plan_at_1: the sum over both
-    terms of constant (-z)^{-exponent} 2F1(row; 1/z).  On the cut arg(-z) =
-    -side pi, the branch of _cut_side_log.  An element whose terms cancel
-    beyond _INV_COND is returned as NaN."""
-    lg, x = _cut_side_log(-z, z_side), 1.0 / z
-    terms = []
-    for C, e, row in t.at_inf:
-        if C != 0:
-            terms.append((len(jobs), C * np.exp(-e * lg)))
-            jobs.append((row, x, None))
+        def goursat(sums):
+            vals = finite - pref * u ** m * sums[i]
+            return vals if pw is None else pw * vals
+        return goursat
+    size = [hi - lo for _, lo, hi in groups]
+    A, B, rows_a, rows_b = zip(*[t.at1 for t, _, _ in groups])
+    ia, ib = ([_job(jobs, c, row, u[lo:hi]) for c, row, (_, lo, hi) in zip(C, rows, groups)]
+              for C, rows in ((A, rows_a), (B, rows_b)))
+    pw = np.exp(_spread([t.s if c != 0 else 0.0 for (t, _, _), c in zip(groups, A)], size)
+                * lg) * _spread(A, size)
+    bb = _spread(B, size)
 
     def assemble(sums):
-        vals, size = np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
-        for i, pw in terms:
-            term = pw * sums[i]
+        va = pw * _cat(sums, ia)
+        if 0 in B:  # B = 0: A u^s 2F1(row_a; u) alone
+            return np.where(bb == 0, va, va + bb * _cat(sums, ib))
+        return va + bb * _cat(sums, ib)
+    return assemble
+
+
+def _plan_at_inf(groups: list, z: np.ndarray, side: Optional[np.ndarray], jobs: list):
+    """The z -> 1/z route as _plan_at_1: the sum over both terms of constant
+    (-z)^{-exponent} 2F1(row; 1/z), NaN where they cancel beyond _INV_COND,
+    with arg(-z) = -side pi on the cut; a constant 0 makes its term 0."""
+    lg, x = _cut_side_log(-z, side), 1.0 / z
+    size = [hi - lo for _, lo, hi in groups]
+    terms = [([_job(jobs, C, row, x[lo:hi]) for (C, _, row), (_, lo, hi) in zip(term, groups)],
+              _spread([C for C, _, _ in term], size)
+              * np.exp(_spread([-e if C != 0 else 0.0 for C, e, _ in term], size) * lg))
+             for term in zip(*[t.at_inf for t, _, _ in groups])]
+
+    def assemble(sums):
+        vals, mag = np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
+        for ids, pw in terms:
+            term = pw * _cat(sums, ids)
             vals += term
-            size += np.abs(term)
-        vals[~(size <= _INV_COND * np.abs(vals))] = np.nan
+            mag += np.abs(term)
+        vals[~(mag <= _INV_COND * np.abs(vals))] = np.nan
         return vals
     return assemble
+
+
+def _usable(t: _Table, route: int) -> bool:
+    """Whether the constants of route 1 or 5 (1-z) or 2 (1/z) of t are finite."""
+    try:
+        t = _table(*t.at1) if route == 5 and t.gap < 0 else t
+        return all(map(cmath.isfinite, [C for C, _, _ in t.at_inf] if route == 2 else
+                       t.at1[:2] if t.gap is None else t.at1[0] + t.at1[1:2]))
+    except DomainError:
+        return False
 
 
 def hyp2f1(p: Hyp2F1Params, z, side=None,
@@ -613,117 +642,130 @@ def _hyp2f1_regularized(a, b, c, z, side=None):
 
 def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
                   inv: bool = True) -> list:
-    """hyp2f1(p, z, side) for each (p, z, side) of calls: every call is
-    planned first and the row sums of all of them are summed in one pass;
-    a value does not depend on the other calls.  The elements that come back
-    NaN (a 1/z route whose terms cancel) are planned again, all in a second
-    pass, with inv=False: without the 1/z route."""
-    jobs, outs, fills = [], [], []
+    """hyp2f1(p, z, side) for each (p, z, side) of calls: the elements of
+    all calls are routed by one _plan (one table per parameters) and all row
+    sums summed in one pass; a value does not depend on the other calls.
+    The elements that come back NaN (a 1/z route whose terms cancel) are
+    planned again, all in one more pass, with inv=False: without 1/z."""
+    per_call, ids = [], {}
     for p, z, side in calls:
         p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
         zs = np.asarray(z, dtype=complex)
-        flat = zs.ravel()
-        out = np.ones(flat.shape, dtype=complex)
-        nz = flat.nonzero()[0]
-        if nz.size:
-            if side is not None:
-                side = np.broadcast_to(side, zs.shape).ravel()[nz]
-            z = flat[nz]
-            fills.append((out, nz, p, z, side,
-                          _plan(_table(p.a, p.b, p.c), z, side, jobs, inv=inv)))
-        outs.append(out.reshape(zs.shape))  # a view of out, filled below
-    sums = _summed(jobs, tol, max_terms)
-    redo = []
-    for out, nz, p, z, side, assemble in fills:
-        out[nz] = vals = assemble(sums)
-        bad = np.isnan(vals)
-        if inv and bad.any():
-            redo.append((out, nz[bad], (p, z[bad], _part(side, bad))))
-    if redo:
-        again = _hyp2f1_calls([call for *_, call in redo], tol, max_terms, inv=False)
-        for (out, idx, _), vals in zip(redo, again):
-            out[idx] = vals
-    return [complex(v) if v.ndim == 0 else v for v in outs]
+        per_call.append((zs.shape, zs.ravel(), ids.setdefault((p.a, p.b, p.c), len(ids)),
+                     None if side is None else np.broadcast_to(side, zs.shape).ravel()))
+    shapes, zl, ks, sl = zip(*per_call) if per_call else ((),) * 4
+    size = [x.size for x in zl]
+    z = zl[0] if len(zl) == 1 else np.concatenate(zl or [_EMPTY])
+    g = np.repeat(ks, size) if len(ids) > 1 else None
+    side = sl[0] if len(sl) == 1 else None if all(s is None for s in sl) else np.concatenate(
+        [np.full(n, np.nan) if s is None else s for s, n in zip(sl, size)])
+    tabs, redo, vals = [_table(*abc) for abc in ids], slice(None), np.empty(len(z), complex)
+    for inv in (inv, False) if per_call else ():
+        jobs = []
+        assemble = _plan(tabs, _part(g, redo), z[redo], _part(side, redo), jobs, inv)
+        vals[redo] = assemble(_summed(jobs, tol, max_terms))
+        redo = np.isnan(vals).nonzero()[0] if inv else ()
+        if not len(redo):
+            break
+    return [vals[hi - n:hi].reshape(shape) if shape else complex(vals[hi - 1])
+            for shape, n, hi in zip(shapes, size, itertools.accumulate(size))]
 
 
-def _plan(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list,
-          depth: int = 0, inv: bool = True):
-    """Routes of 2F1 on the table t at a 1-d array of z != 0: appends the row
-    sums they need to jobs and returns the function that assembles the
-    values from their results.  depth 1 is the inner function of the Pfaff
-    route, which may not take the Pfaff route again; inv=False takes no
-    1/z route."""
-    a, b, c = t.a, t.b, t.c
-    if t.taylor.stop is not None:  # terminating, any z
-        i = len(jobs)
-        jobs.append((t.taylor, z, None))
-        return lambda sums: sums[i]
-    if abs(c - b) < _PARAM_TOL:
-        return lambda sums, v=_cut_side_power(1.0 - z, -a, side): v
-    if abs(c - a) < _PARAM_TOL:
-        return lambda sums, v=_cut_side_power(1.0 - z, -b, side): v
-    out = np.empty(z.shape, dtype=complex)
-    at_one = z == 1.0
-    if at_one.any():
-        if t.s.real <= 0:
-            raise DomainError("2F1 singular at z = 1 for Re(c-a-b) <= 0")
-        out[at_one] = gamma(c) * gamma(t.s) * rgamma(c - a) * rgamma(c - b)
-    rest = (~at_one).nonzero()[0]
-    z, side = z[rest], _part(side, rest)
-    on_cut = (z.imag == 0.0) & (z.real > 1.0)
-    if side is None and on_cut.any():
-        raise DomainError("z on the cut (1, oo): a side flag (+1/-1) is required")
-
+def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.ndarray],
+          jobs: list, inv: bool = True, pfaff: bool = True):
+    """Routes of 2F1 at a 1-d array of z, element i on tabs[g[i]] (g None for
+    one table), side NaN where it has none: one argmin routes all elements,
+    each route plans its elements together, one row sum per (table, row) in
+    jobs; returns the function assembling the values from their results.
+    pfaff=False plans the Pfaff route's inner functions; inv=False no 1/z."""
+    n_t, (fix, gate) = len(tabs), zip(*[t.kind for t in tabs])
     # the series arguments of the direct, 1-z, 1/z and Pfaff routes (infinity
-    # where a route may not be taken), then 0.98 for the crescent; each
+    # where not allowed), 0.98 for the crescent, and routes 5 to 9 (1-z at an
+    # integer c-a-b, z = 1, _Table.kind's, z = 0), infinite unless taken; each
     # element takes the smallest, ties in this order.  The Pfaff route's is
-    # the smaller of |w| and |1-w|; its inner function may take 1/w = 1 - 1/z
-    r = np.empty((len(z), 5))
+    # min(|w|, |1-w|); its inner function may take 1/w = 1 - 1/z
+    r = np.empty((len(z), 10))
     np.abs(z, out=r[:, 0])
-    np.abs(1.0 - z, out=r[:, 1])
-    r[:, 2:] = np.inf, np.inf, 0.98
-    if inv and near_integer(a - b, _INV_GAP) is None:
-        np.divide(1.0, r[:, 0], out=r[:, 2], where=r[:, 0] * _INV_MAX >= 1.0)
-    if depth == 0:
-        w = z / (z - 1.0)
+    np.abs(zm := z - 1.0, out=r[:, 1])
+    r[:, 2:] = _R_TAIL
+    one = None
+    if np.count_nonzero(real := z.imag == 0.0):  # where z = 0, z = 1 and the cut lie
+        if np.count_nonzero(at := r[:, :2] == 0.0):
+            r[at[:, 0], 9], r[at[:, 1], 6], one = -3.0, -1.0, at[:, 1]
+        if np.count_nonzero(cut := real & (z.real > 1.0)):
+            cut &= True if side is None else np.isnan(side)
+            if np.count_nonzero(cut & (fix[0] < 0 if g is None else np.array(fix)[g] < 0)):
+                raise DomainError("z on the cut (1, oo): a side flag (+1/-1) is required")
+    if inv and any(gate) and np.count_nonzero(far := r[:, 0] * _INV_MAX >= 1.0):
+        np.divide(1.0, r[:, 0], out=r[:, 2], where=far if all(gate) else far & np.array(gate)[g])
+    if pfaff:
+        w = z / zm if one is None else np.divide(z, zm, out=np.zeros_like(z), where=~one)
         np.minimum(np.abs(w), np.abs(1.0 - w), out=r[:, 3])
-        if not np.isfinite(z).all():  # no route converges there
+        if np.count_nonzero(np.isfinite(z)) < len(z):  # no route converges there
             r[~np.isfinite(z), :4] = np.inf
-    route = r.argmin(axis=1)
-    counts = np.bincount(route, minlength=5).tolist()
-    parts = []
-    for k in [k for k in range(4) if counts[k]]:
-        sel = (route == k).nonzero()[0]
+    if any(t.gap is not None for t in tabs):
+        rows = slice(None) if g is None else np.array([t.gap is not None for t in tabs])[g]
+        r[rows, 5], r[rows, 1] = r[rows, 1], np.inf
+    if max(fix) >= 0:
+        rows = slice(None) if g is None else np.array(fix)[g] >= 0
+        r[rows, fix[0] if g is None else np.array(fix)[g][rows]] = -2.0
+    while True:  # an element whose route's constants overflow takes the next
+        route = r.argmin(axis=1)
+        key = route if g is None else route * n_t + g
+        count = np.bincount(key)
+        keys = count.nonzero()[0].tolist()
+        bad = [k for k in keys if k // n_t in (1, 2, 5) and not _usable(tabs[k % n_t], k // n_t)]
+        if not bad:
+            break
+        for k in bad:
+            r[key == k, k // n_t] = np.inf
+    order = key.argsort(kind="stable") if len(keys) > 1 else None
+    routes, hi, count = {}, 0, count.tolist()
+    for k in keys:  # (table, lo, hi) per route
+        routes.setdefault(k // n_t, []).append((tabs[k % n_t], hi, hi + count[k]))
+        hi += count[k]
+    out, parts = np.empty(z.shape, dtype=complex), []
+    for k, groups in routes.items():
+        start = groups[0][1]
+        ix = slice(None) if order is None else order[start:groups[-1][2]]
+        groups = [(t, lo - start, hi - start) for t, lo, hi in groups]
+        zk, sk = z[ix], _part(side, ix)
         if k == 0:
-            i = len(jobs)
-            jobs.append((t.taylor, z[sel], None))
-            parts.append((rest[sel], lambda sums, i=i: sums[i]))
-        elif k == 1:
-            parts.append((rest[sel], _plan_at_1(t, z[sel], _part(side, sel), jobs)))
-        elif k == 2:
-            parts.append((rest[sel], _plan_at_inf(t, z[sel], _part(side, sel), jobs)))
-        else:
-            # (1-z)^{-a} 2F1(a, c-b; c; w); crossing to w flips the cut side
-            z_side = _part(side, sel)
-            w_side = None if z_side is None else -z_side
-            inner = _plan(_table(a, c - b, c), w[sel], w_side, jobs, depth + 1, inv)
-            pw = _cut_side_power(1.0 - z[sel], -a, z_side)
-            parts.append((rest[sel], lambda sums, pw=pw, inner=inner: pw * inner(sums)))
-    # crescent around e^{+-i pi/3} where every ratio is ~1: continue the ODE
-    # from a series-seeded point, detouring through +-1.2i to stay clear of
-    # both singular points (off-cut arguments only; |1-z| >= 0.98 here); the
-    # crescent elements are the lanes of one continuation
-    if counts[4]:
-        cres = (route == 4).nonzero()[0]
-        zc = z[cres]
-        stuck = on_cut[cres] | ~(np.abs(zc.imag) > 1e-13 * np.abs(zc))
-        if stuck.any():
-            zi = complex(zc[stuck][0])
-            raise ConvergenceError(f"no convergent 2F1 route for z = {zi:.6g} "
-                                   f"(|z|, |1-z| = {abs(zi):.3g}, {abs(1.0 - zi):.3g})")
-        sgn = np.where(zc.imag > 0, 1.0, -1.0).tolist()
-        paths = [[0.45j * g, 1.2j * g, zi] for g, zi in zip(sgn, zc.tolist())]
-        out[rest[cres]] = _continue(a, b, c, _Schedule(paths))[0]
+            ids = [_job(jobs, 1, t.taylor, zk[lo:hi]) for t, lo, hi in groups]
+            parts.append((ix, lambda sums, ids=ids: _cat(sums, ids)))
+        elif k < 3:
+            parts.append((ix, (_plan_at_1 if k == 1 else _plan_at_inf)(groups, zk, sk, jobs)))
+        elif k == 3:  # (1-z)^{-a} 2F1(a, c-b; c; w), in one more round; w flips sides
+            n = [hi - lo for _, lo, hi in groups]
+            inner = _plan([_table(t.a, t.c - t.b, t.c) for t, _, _ in groups],
+                          None if len(groups) == 1 else np.repeat(np.arange(len(groups)), n),
+                          w[ix], None if sk is None else -sk, jobs, inv, pfaff=False)
+            pw = np.exp(_spread([-t.a for t, _, _ in groups], n) * _cut_side_log(1.0 - zk, sk))
+            parts.append((ix, lambda sums, pw=pw, inner=inner: pw * inner(sums)))
+        for t, lo, hi in groups if k > 3 else ():
+            zt, st, it = zk[lo:hi], _part(sk, slice(lo, hi)), ix if order is None else ix[lo:hi]
+            if k == 4:
+                # crescent around e^{+-i pi/3} where every ratio is ~1: the ODE
+                # from a series-seeded point, via +-1.2i clear of 0 and 1 (off the
+                # real axis only), one continuation with a lane per element
+                stuck = ~(np.abs(zt.imag) > 1e-13 * np.abs(zt))
+                if stuck.any():
+                    zi = complex(zt[stuck][0])
+                    raise ConvergenceError(f"no convergent 2F1 route for z = {zi:.6g} "
+                                           f"(|z|, |1-z| = {abs(zi):.3g}, {abs(1.0 - zi):.3g})")
+                sgn = np.where(zt.imag > 0, 1.0, -1.0).tolist()
+                paths = [[0.45j * s, 1.2j * s, zi] for s, zi in zip(sgn, zt.tolist())]
+                out[it] = _continue(t.a, t.b, t.c, _Schedule(paths))[0]
+            elif k == 5:
+                parts.append((it, _plan_at_1([(t, 0, hi - lo)], zt, st, jobs)))
+            elif k == 6:
+                if t.s.real <= 0:
+                    raise DomainError("2F1 singular at z = 1 for Re(c-a-b) <= 0")
+                out[it] = gamma(t.c) * gamma(t.s) * rgamma(t.c - t.a) * rgamma(t.c - t.b)
+            else:  # 1 at z = 0; an element without a side takes the principal branch
+                out[it] = 1.0 if k == 9 else _cut_side_power(
+                    1.0 - zt, -t.a if k == 7 else -t.b,
+                    None if st is None else np.nan_to_num(st, nan=-1.0))
 
     def assemble(sums):
         for idx, part in parts:
@@ -739,8 +781,7 @@ def euler_ltf_check(p: Hyp2F1Params, t):
     The left side is forced through the direct series so the two sides stay
     independent; requires |t| < 1 and a non-integer exponent c-a-b.
     """
-    if not isinstance(p, Hyp2F1Params):
-        p = Hyp2F1Params(*p)
+    p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
     ts = np.asarray(t, dtype=complex)
     s = p.s
     if near_integer(s, _INT_DEGENERACY_TOL) is not None:
@@ -753,7 +794,7 @@ def euler_ltf_check(p: Hyp2F1Params, t):
         raise DomainError("check requires |1-t| < 1 for the transformed side")
     t = _table(p.a, p.b, p.c)
     jobs = [(t.taylor, ts.ravel(), None)]
-    assemble = _plan_at_1(t, ts.ravel(), None, jobs)
+    assemble = _plan_at_1([(t, 0, ts.size)], ts.ravel(), None, jobs)
     sums = _summed(jobs, 1e-16, 20000)
     res = np.abs(sums[0] - assemble(sums))
     return float(res[0]) if ts.ndim == 0 else res.reshape(ts.shape)
@@ -766,8 +807,7 @@ def connection_coefficient(p: Hyp2F1Params, sign: int) -> complex:
     Zero when 1/Gamma(a) or 1/Gamma(b) vanishes (polynomial case, no branch
     jump); finite for every integer c-a-b >= 0.
     """
-    if not isinstance(p, Hyp2F1Params):
-        p = Hyp2F1Params(*p)
+    p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     return _table(p.a, p.b, p.c).connection[sign]
@@ -789,12 +829,11 @@ def _jump_factors(p: Hyp2F1Params, t, sign) -> tuple:
     hyp2f1 arguments (inner parameters, 1-t, None) of the 2F1 it multiplies,
     at a point t or an array of them with one sign each.  A point keeps
     Python's complex product, whose last bit numpy's may not reproduce."""
-    if not isinstance(p, Hyp2F1Params):
-        p = Hyp2F1Params(*p)
+    p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
     ts = np.asarray(t, dtype=complex)
     signs = np.broadcast_to(sign, ts.shape)
     inner = Hyp2F1Params(p.c - p.a, p.c - p.b, p.s + 1.0)  # raises on degenerate c
-    if not np.isin(signs, (1, -1)).all():
+    if not ((signs == 1) | (signs == -1)).all():
         raise DomainError("sign must be +1 or -1")
     u = 1.0 - ts
     # the sign picks arg(1-t) = -sign*pi where 1-t < 0, i.e. on the cut only
@@ -1045,8 +1084,7 @@ def hyp2f1_continue(p: Hyp2F1Params, path: Sequence[complex],
     ConvergenceError is raised if the path pinches a singular point or a
     half step fails too.
     """
-    if not isinstance(p, Hyp2F1Params):
-        p = Hyp2F1Params(*p)
+    p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
     pts = [complex(z) for z in path]
     if len(pts) < 2:
         raise DomainError("path needs at least two points")

@@ -84,3 +84,19 @@ def test_loggamma_ratio_safety():
     direct = _gamma_ratio_row(a, k + 1)[k]
     via_log = cmath.exp(loggamma(a + k + 1) - loggamma(k + 1.0))
     assert abs(direct - via_log) / abs(direct) < 1e-11
+
+
+@pytest.mark.parametrize("z", [170.5, 171.5, 171.7, 172.5, 180, 200 + 3j, 171 + 2j,
+                               175 + 40j, 160 + 80j, 300 - 100j])
+def test_rgamma_is_entire_past_the_range_of_gamma(z):
+    # where Gamma(z) overflows a double, 1/Gamma(z) is subnormal or 0
+    got, ref = rgamma(z), complex(mp.rgamma(z))
+    if abs(ref) >= 2.2250738585072014e-308:
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+    else:
+        assert abs(got - ref) <= 1e-300
+
+
+def test_rgamma_keeps_its_values_where_gamma_is_finite():
+    for z in (0.5, 3.7, -2.5 + 1j, 100 + 50j, 170.5, 171.6, 0.3 - 80j):
+        assert repr(rgamma(z)) == repr(1.0 / gamma(z))

@@ -759,3 +759,107 @@ def test_hyp_pfq_arrays_and_the_unit_disk():
     # at max_terms and the sum runs out of its budget
     with pytest.raises(BudgetError):
         hyp_pfq(PFQParams((1.0, 1.0), (1.0,)), 1 - 1e-9)
+
+
+def _one_pass_calls():
+    """A derandomized batch over 52 distinct triples, four per kind: the
+    direct series, 1-z off the integers and at c-a-b = 2 and -1, 1/z and
+    its cancellation fallback, Pfaff then direct, 1-z and 1/z, the
+    crescent, terminating rows and c-b = 0 (both on and off the cut), with
+    z = 0 and z = 1 among the points and both cut sides."""
+    rng = random.Random(1908)
+
+    def u(lo, hi):
+        return round(rng.uniform(lo, hi), 4)
+    calls = []
+    for _ in range(4):
+        a, b = u(0.15, 0.85), u(1.15, 1.6)
+        calls += [
+            ((a, b, u(1.6, 2.9)), [0.3 + 0.2j, 0.0, -0.4 + u(-0.2, 0.2) * 1j], None),  # direct
+            ((a, b, a + b + u(0.2, 0.7)), [0.8 - 0.3j, 1.0, 0.85 + u(0, 0.2) * 1j], None),  # 1-z
+            ((a, b, a + b + 2), [0.85 + 0.2j, 0.8 - u(0.1, 0.3) * 1j], None),  # c-a-b = 2
+            ((a, b, a + b - 1), [0.8 + 0.3j, 0.9 - u(0, 0.2) * 1j], None),  # c-a-b = -1
+            ((a, a + u(0.2, 0.8), u(1.2, 2.5)), [3 + 3j, 2.5, 2.5], [1, 1, -1]),  # 1/z
+            ((1.5 + u(-0.02, 0.02), 1.25, 4.5), [0.75 + 1j, 0.75 - 1.25j], None),  # cancels
+            ((a, b, u(1.6, 2.9)), [-0.9 + u(-0.1, 0.1) * 1j], None),  # Pfaff, direct
+            ((a, b, u(1.6, 2.9)), [-6 - 1j, -3.0], None),  # Pfaff, 1-z
+            ((a, a + 1, a + 1 + u(0.6, 0.9)), [1.965 + 0.527j], None),  # Pfaff, 1/z
+            ((a, b, u(1.6, 2.9)), [0.5 + 0.86j, 0.5 - 0.86j], None),  # crescent
+            ((-rng.randrange(1, 6), b, u(1.1, 2.2)), [5 + 2j, 3.0, 0.0], None),  # terminating
+            ((a, b, b), [0.5 + 0.5j, 2.0, 0.0], [1, -1, 1]),  # c = b
+            ((b, a, b), [0.4 - 0.3j, 1.5], -1)]  # c = a
+    return calls
+
+
+def test_one_pass_routes_each_element_as_its_one_call_pass(monkeypatch):
+    calls = _one_pass_calls()
+    assert len({tuple(map(complex, p)) for p, _, _ in calls}) >= 40
+    seen = []  # the rounds (pfaff, inv) and route helpers (name, tables) in order
+    plan, at_1, at_inf, cont = hyp._plan, hyp._plan_at_1, hyp._plan_at_inf, hyp._continue
+
+    def planned(tabs, g, z, side, jobs, inv=True, pfaff=True):
+        seen.append((pfaff, inv))
+        return plan(tabs, g, z, side, jobs, inv, pfaff)
+
+    def spy(name, f, tables):
+        def wrapped(*args, **kwargs):
+            seen.append((name, tables(*args)))
+            return f(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(hyp, "_plan", planned)
+    monkeypatch.setattr(hyp, "_plan_at_1", spy("1-z", at_1, lambda groups, *_: len(groups)))
+    monkeypatch.setattr(hyp, "_plan_at_inf", spy("1/z", at_inf, lambda groups, *_: len(groups)))
+    monkeypatch.setattr(hyp, "_continue", spy("ode", cont, lambda *args: len(args[3].paths)))
+    batch = hyp._hyp2f1_calls(calls)
+    # the top round forms the 1-z and 1/z values of four and eight tables in
+    # one expression each, the Pfaff round those of its four 1-z and four
+    # 1/w tables; Goursat's forms and the crescent lanes go one table at a
+    # time; the cancelling 1/z elements are planned again without 1/z
+    assert seen == [(True, True), ("1-z", 4), ("1/z", 8), (False, True), ("1-z", 4),
+                    ("1/z", 4), *[("ode", 2)] * 4, *[("1-z", 1)] * 8, (True, False),
+                    (False, False), ("1-z", 4)]
+    monkeypatch.undo()
+    single = [hyp._hyp2f1_calls([call])[0] for call in calls]
+    assert [repr(np.ravel(v).tolist()) for v in batch] == \
+        [repr(np.ravel(v).tolist()) for v in single]
+    rev = hyp._hyp2f1_calls(calls[::-1])[::-1]
+    assert [repr(np.ravel(v).tolist()) for v in rev] == \
+        [repr(np.ravel(v).tolist()) for v in batch]
+
+
+def test_a_pass_of_many_calls_sums_once_and_plans_in_two_rounds(monkeypatch):
+    counts = {"sums": 0, "plans": 0}
+    row_sums, plan = hyp._row_sums, hyp._plan
+
+    def summed(*args):
+        counts["sums"] += 1
+        return row_sums(*args)
+
+    def planned(*args, **kwargs):
+        counts["plans"] += 1
+        return plan(*args, **kwargs)
+    monkeypatch.setattr(hyp, "_row_sums", summed)
+    monkeypatch.setattr(hyp, "_plan", planned)
+    # direct, 1-z and Pfaff elements on twelve tables
+    calls = [((0.2 + 0.1 * k, 0.45, 1.7 + 0.05 * k), [0.3 + 0.2j, 0.8 - 0.3j, -3.0 + 1.0j],
+              None) for k in range(12)]
+    hyp._hyp2f1_calls(calls)
+    assert counts == {"sums": 1, "plans": 2}
+
+
+def test_overflowing_connection_constants_pass_to_the_next_route():
+    # Gamma(180) overflows: the 1-z route (|1-z| = 0.14) gives way to the
+    # direct series (|z| = 0.906); at -3+1j the 1/z route gives way to the
+    # Pfaff route, whose inner 1-z gives way to the direct series
+    got = hyp2f1(Hyp2F1Params(0.5, 0.5, 180), 0.9 + 0.1j)
+    ref = complex(mp.hyp2f1(0.5, 0.5, 180, mp.mpc(0.9, 0.1)))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+    got = hyp2f1(Hyp2F1Params(0.5, 0.3, 180), -3 + 1j)
+    assert abs(got - complex(mp.hyp2f1(0.5, 0.3, 180, -3 + 1j))) <= 1e-12 * abs(got)
+    # a point that sums directly builds no constants at all
+    hyp._table.cache_clear()
+    hyp2f1(Hyp2F1Params(0.5, 0.3, 180), 0.5 + 0.1j)
+    assert {"at1", "at_inf"}.isdisjoint(vars(hyp._table(0.5, 0.3, 180)))
+    # on the cut every series route overflows or diverges
+    with pytest.raises(ConvergenceError, match="no convergent 2F1 route"):
+        hyp2f1(Hyp2F1Params(0.5, 0.3, 180), 1.5, 1)
