@@ -84,14 +84,20 @@ def loggamma(z: complex) -> complex:
 
 def rgamma(z: complex) -> complex:
     """1 / Gamma(z); entire, returns exactly 0.0 at the poles of Gamma, and
-    exp(-log Gamma(z)), a subnormal or 0, where Gamma(z) overflows."""
+    exp(-log Gamma(z)), a subnormal or 0, where Gamma(z) overflows.
+    DomainError where 1/Gamma(z) itself overflows (far left of the poles)."""
     z = complex(z)
     if is_nonpositive_int(z) is not None:
         return 0.0 + 0.0j
     try:
-        return 1.0 / gamma(z)
+        r = 1.0 / gamma(z)
+        if cmath.isfinite(r):
+            return r
     except DomainError:
         return cmath.exp(-loggamma(z))
+    except ZeroDivisionError:  # Gamma(z) underflows to 0
+        pass
+    raise DomainError(f"1/Gamma({z:.6g}) overflows a double")
 
 
 def pochhammer(a: complex, k: int) -> complex:

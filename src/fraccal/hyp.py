@@ -38,9 +38,16 @@ of one continuation.  Where a sum stops depends on z, tol and the
 parameters only, so a value never depends on what the cache holds or on the
 other elements or calls of its batch.
 
+A wrapper that pre- or post-processes 2F1 values (the regularized 2F1, the
+surface continuation below, the Whittaker duals) has one part form: a
+_Part, its list of calls and the function that turns their values into
+its result.  Its value is the one-part case of _hyp2f1_parts, which runs
+every part of a batch through one _hyp2f1_calls pass; so a check, or a
+quadrature level, hands all its 2F1 calls to one pass.
+
 This module alone knows how a 2F1 value crosses its cut: the jump
 T^{+-} (1-z)^{c-a-b} 2F1(c-a, c-b; c-a-b+1; 1-z) (DLMF 15.2.3) is built in
-_jump_factors only.  monodromic_jump_2f1 returns it, and _surface_2f1
+_jump_factors only.  monodromic_jump_2f1 returns it, and _surface_part
 continues 2F1 on the log-Riemann surface of its argument (the cut plane,
 both rims and one crossing either way), as the Whittaker duals need.
 """
@@ -51,10 +58,11 @@ import bisect
 import cmath
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -146,7 +154,7 @@ def _part(side: Optional[np.ndarray], sel) -> Optional[np.ndarray]:
 
 _CACHE_SIZE = 128  # parameter triples whose coefficient tables are kept
 _ROW_START = 128   # length of a new coefficient row; rows then double
-_BLOCK = 1 << 16   # entries of the largest temporary block (1 MB of complex)
+_BLOCK = 1 << 14   # entries of the largest temporary block (256 KB of complex)
 _ONE = np.ones(1, dtype=complex)  # the start of every row, never written
 _EMPTY = np.empty(0)
 _ONE.flags.writeable = _EMPTY.flags.writeable = False
@@ -280,6 +288,7 @@ def _blocks(n: np.ndarray, top: int):
         start = end
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
     """Row sums for a list of jobs (row, x, log_x): sum_n d_n x^n over a
     coefficient row (log_x None), or sum_n d_n (log_x + h_n) x^n over a row
@@ -296,7 +305,9 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
     summed again twice as wide.
 
     Returns per job the values and the condition estimates max |term| / |sum|
-    over the summed terms.
+    over the summed terms.  Rows are grown and summed without floating-point
+    warnings: coefficients past the double range make their sums inf or NaN,
+    which end in BudgetError here or ConvergenceError in _summed.
     """
     if not jobs:
         return []
@@ -625,19 +636,50 @@ def hyp2f1(p: Hyp2F1Params, z, side=None,
     return _hyp2f1_calls([(p, z, side)], tol, max_terms)[0]
 
 
-def _hyp2f1_regularized(a, b, c, z, side=None):
-    """2F1(a, b; c; z) / Gamma(c), entire in c: at c = 1-n the limit (a)_n (b)_n
-    z^n / n! 2F1(a+n, b+n; 1+n; z) (DLMF 15.2.3_5).  z and side are as for
-    hyp2f1, and a scalar z is an array of one element."""
+class _Part(NamedTuple):
+    """A 2F1 evaluation in part form: its list of hyp2f1 calls (p, z, side)
+    and the function that turns their values into its result.  A wrapper
+    that pre- or post-processes 2F1 values builds a part, and its value is
+    the one-part case of _hyp2f1_parts, so a caller may pass the parts of
+    many wrappers to one pass."""
+
+    calls: list
+    finish: Callable
+
+    def then(self, f: Callable) -> "_Part":
+        """The part whose result is f of this part's result."""
+        return _Part(self.calls, lambda vals: f(self.finish(vals)))
+
+
+def _call_part(p: Hyp2F1Params, z, side=None) -> _Part:
+    """hyp2f1(p, z, side) as a part."""
+    return _Part([(p, z, side)], operator.itemgetter(0))
+
+
+def _hyp2f1_parts(parts: list) -> list:
+    """The result of each part, the calls of all parts evaluated in one
+    _hyp2f1_calls pass; a result does not depend on the other parts."""
+    if not parts:
+        return []
+    vals = _hyp2f1_calls([call for part in parts for call in part.calls])
+    bounds = [0, *itertools.accumulate(len(part.calls) for part in parts)]
+    return [part.finish(vals[lo:hi]) for part, lo, hi in zip(parts, bounds, bounds[1:])]
+
+
+def _regularized_part(a, b, c, z, side=None) -> _Part:
+    """2F1(a, b; c; z) / Gamma(c), entire in c: at c = 1-n the limit (a)_n
+    (b)_n z^n / n! 2F1(a+n, b+n; 1+n; z) (DLMF 15.2.3_5).  z and side are as
+    for hyp2f1, and a scalar z is an array of one element."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     pole = is_nonpositive_int(complex(c))
     if pole is None:
-        v = hyp2f1(Hyp2F1Params(a, b, c), zs, side) / gamma(c)
+        part = _Part([(Hyp2F1Params(a, b, c), zs, side)], lambda vals: vals[0] / gamma(c))
     else:
         n = 1 - pole
-        v = (pochhammer(a, n) * pochhammer(b, n) / math.factorial(n) * zs ** n
-             * hyp2f1(Hyp2F1Params(a + n, b + n, 1 + n), zs, side))
-    return complex(v[0]) if np.ndim(z) == 0 else v
+        coeff = pochhammer(a, n) * pochhammer(b, n) / math.factorial(n)
+        part = _Part([(Hyp2F1Params(a + n, b + n, 1 + n), zs, side)],
+                    lambda vals: coeff * zs ** n * vals[0])
+    return part if np.ndim(z) else part.then(lambda v: complex(v[0]))
 
 
 def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
@@ -844,26 +886,27 @@ def _jump_factors(p: Hyp2F1Params, t, sign) -> tuple:
     return np.where(signs > 0, T[1], T[-1]) * pw, (inner, u, None)
 
 
-def _surface_2f1(p: Hyp2F1Params, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """2F1(p; x = r e^{i phi}) for 1-d arrays r > 0, -3 pi < phi <= pi: the
-    cut plane for -2 pi < phi < 0, its rims phi = 0 (side -1) and -2 pi
-    (side +1), and one crossing either way, which adds the jump T^{+-} of
-    _jump_factors where |x| > 1, its inner 2F1 on side -1 so that x = -r
-    (phi = pi) works.  All values are summed in one pass; the inner
-    parameters are built only when a jump is added."""
+def _surface_part(p: Hyp2F1Params, r: np.ndarray, phi: np.ndarray) -> _Part:
+    """The part of 2F1(p; x = r e^{i phi}) for 1-d arrays r > 0, -3 pi < phi
+    <= pi: the cut plane for -2 pi < phi < 0, its rims phi = 0 (side -1) and
+    -2 pi (side +1), and one crossing either way, which adds the jump T^{+-}
+    of _jump_factors where |x| > 1, its inner 2F1 on side -1 so that x = -r
+    (phi = pi) works.  The inner parameters are built only when a jump is
+    added."""
     top = np.abs(phi) <= 1e-14
     bottom = np.abs(phi + 2.0 * math.pi) <= 1e-14
     x = np.where(np.abs(phi - math.pi) <= 1e-14, -r + 0j, r * np.exp(1j * phi))
-    calls = [(p, np.where(top | bottom, r + 0j, x), np.where(bottom, 1.0, -1.0))]
+    plane = (p, np.where(top | bottom, r + 0j, x), np.where(bottom, 1.0, -1.0))
     up = phi > 1e-14
     far = np.flatnonzero((up | (phi < -2.0 * math.pi - 1e-14)) & (r > 1.0))
-    if far.size:
-        pref, (inner, u, _) = _jump_factors(p, x[far], np.where(up[far], 1, -1))
-        calls.append((inner, u, -1.0))
-    vals = _hyp2f1_calls(calls)
-    if far.size:
+    if not far.size:
+        return _call_part(*plane)
+    pref, (inner, u, _) = _jump_factors(p, x[far], np.where(up[far], 1, -1))
+
+    def crossed(vals):
         vals[0][far] += pref * vals[1]
-    return vals[0]
+        return vals[0]
+    return _Part([plane, (inner, u, -1.0)], crossed)
 
 
 def hyp_pfq(params: PFQParams, t, tol: float = 1e-14, max_terms: int = 100000):

@@ -31,6 +31,7 @@ from .contours import (Line, QuadratureSpec, _PowerLine, gamma_contour,
                        integrate_path, integrate_paths)
 from .errors import DomainError, PreconditionError
 from .gammafn import gamma
+from .hyp import _hyp2f1_parts, _Part
 from .series import PowerSeries
 from .utils import as_family, family_result
 
@@ -142,7 +143,9 @@ def _laplace_members(members: Sequence[tuple]) -> list:
     flattens s^alpha (to order p (Re alpha + 1) - 1 >= 1 in t = s^p, p >= 2,
     as in laplace_alpha) and a declared singularity |t - 1|^{-singular}
     (0 < singular < 1).  Each distinct F is evaluated once per level, on
-    the distinct (modulus, angle) pairs of its members' nodes."""
+    the distinct (modulus, angle) pairs of its members' nodes.  F returns
+    its values there, or a hyp part (hyp._Part); the parts of all F of a
+    level are evaluated in one 2F1 pass (hyp._hyp2f1_parts)."""
     distinct = list(dict.fromkeys(members))
     paths, specs, rate, scale, angle, alphas, fn_of = [], [], [], [], [], [], []
     fns, plane = {}, {}  # index and kind of each distinct F
@@ -190,9 +193,17 @@ def _laplace_members(members: Sequence[tuple]) -> list:
         fid, ang, mod = fid[new], ang[new], mod[new]
         vals = np.empty(len(mod), dtype=complex)
         cuts = np.searchsorted(fid, np.arange(len(fns) + 1)).tolist()
+        parts, at = [], []
         for F, lo, hi in zip(fns, cuts, cuts[1:]):
             if hi > lo:  # a function whose members are all done sits out
-                vals[lo:hi] = F(mod[lo:hi] + 0j) if plane[F] else F(mod[lo:hi], ang[lo:hi])
+                v = F(mod[lo:hi] + 0j) if plane[F] else F(mod[lo:hi], ang[lo:hi])
+                if isinstance(v, _Part):
+                    parts.append(v)
+                    at.append(slice(lo, hi))
+                else:
+                    vals[lo:hi] = v
+        for sl, v in zip(at, _hyp2f1_parts(parts)):  # the level's one 2F1 pass
+            vals[sl] = v
         out = np.exp(rate[k] * s)
         sel = powered[k]
         if sel.any():

@@ -16,10 +16,13 @@ transforms._laplace_members.
 Branch bookkeeping: surface points are passed as (modulus, continuous
 argument).  Canonical sheets: arg t in (-pi, pi) for F_1, (-2 pi, 0) for
 F_2, each extended by one cut crossing.  Both duals are one continued 2F1,
-hyp._surface_2f1, in two frames: F_1(t) = 2F1(p1; -t) with -t = rho
+hyp._surface_part, in two frames: F_1(t) = 2F1(p1; -t) with -t = rho
 e^{i(theta - pi)}, and F_2(t) = 2F1(p2; t); the cut-crossing jump is hyp's.
 Their fractional integrals I_q F_j, in which the monodromic relations are
-stated, are regularized 2F1 (hyp._hyp2f1_regularized), entire in the order q.
+stated, are regularized 2F1 (hyp._regularized_part), entire in the order q.
+Every check hands the 2F1 calls of all its functions, as hyp parts, to one
+pass (hyp._hyp2f1_parts), and the rays' surface functions are parts too, so
+each quadrature level evaluates them all in one pass.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .gammafn import rgamma
-from .hyp import Hyp2F1Params, _hyp2f1_regularized, _surface_2f1, hyp2f1
+from .hyp import (Hyp2F1Params, _call_part, _hyp2f1_parts, _Part, _regularized_part,
+                  _surface_part)
 from .series import PowerSeries, eval_series, taylor_shift
 from .transforms import _laplace_members
 from .utils import as_family, cpow, family_result, principal_power
@@ -242,20 +247,30 @@ class WhittakerSurface:
     def f1(self, rho, theta):
         """F_1 at the surface points rho e^{i theta}, |theta| < 2 pi: F_1(t) =
         2F1(p1; -t) with -t = rho e^{i(theta - pi)}.  rho and theta broadcast
-        against each other; two scalars give a complex."""
+        against each other; two scalars give a complex.  The value of
+        f1_part."""
+        return _hyp2f1_parts([self.f1_part(rho, theta)])[0]
+
+    def f1_part(self, rho, theta) -> _Part:
+        """f1(rho, theta) as a hyp part."""
         r, th = _surface_points(rho, theta)
         if (np.abs(th) >= 2.0 * math.pi - 1e-14).any():
             raise DomainError("F_1 evaluator covers |arg t| < 2 pi only")
-        return _shaped(rho, theta, _surface_2f1(self.p1, r, th - math.pi))
+        return _surface_part(self.p1, r, th - math.pi).then(partial(_shaped, rho, theta))
 
     def f2(self, rho, theta):
         """F_2 = 2F1(p2; t) at the surface points; canonical sheet -2 pi < arg
-        t < 0, extended by one upward crossing to arg t <= pi."""
+        t < 0, extended by one upward crossing to arg t <= pi.  The value of
+        f2_part."""
+        return _hyp2f1_parts([self.f2_part(rho, theta)])[0]
+
+    def f2_part(self, rho, theta) -> _Part:
+        """f2(rho, theta) as a hyp part."""
         r, th = _surface_points(rho, theta)
         if not (((th > -2.0 * math.pi + 1e-14) & (th <= math.pi + 1e-14))
                 | (np.abs(th + 2.0 * math.pi) <= 1e-14)).all():
             raise DomainError("F_2 evaluator covers -2 pi < arg t <= pi only")
-        return _shaped(rho, theta, _surface_2f1(self.p2, r, th))
+        return _surface_part(self.p2, r, th).then(partial(_shaped, rho, theta))
 
 
 def _surface_points(rho, theta) -> tuple:
@@ -279,19 +294,21 @@ def _shaped(rho, theta, values: np.ndarray):
 def _phase_amplitude_rays(surf: WhittakerSurface, moduli: list, zeta_arg: float,
                           which: int, tol: float) -> list:
     """The transforms._laplace_members members that give P_which of surf's
-    equation at each zeta = modulus e^{i zeta_arg}."""
+    equation at each zeta = modulus e^{i zeta_arg}; their functions are
+    surf's part forms, so a quadrature level evaluates all surface branches
+    in one 2F1 pass."""
     zetas = [z * cmath.exp(1j * zeta_arg) for z in moduli]
     ray = -zeta_arg
     if which == 1:
         # F_1 singular at arg t = +-pi; keep 0.5 rad clear of the cut
         ray = max(-math.pi + 0.5, min(math.pi - 0.5, ray))
-        return [(surf.f1, None, zeta, 0.0, tol, ray, None) for zeta in zetas]
+        return [(surf.f1_part, None, zeta, 0.0, tol, ray, None) for zeta in zetas]
     if which == 2:
         # F_2 regular on (-2 pi, 0); beyond-sheet rays carry the branch-point
         # factor |t-1|^{-2 Re kappa}
         ray = max(-2.0 * math.pi + 0.5, min(math.pi - 0.5, ray))
         sing = 2.0 * surf.kappa.real if ray > 1e-12 else None
-        return [(surf.f2, None, zeta, 0.0, tol, ray, sing) for zeta in zetas]
+        return [(surf.f2_part, None, zeta, 0.0, tol, ray, sing) for zeta in zetas]
     raise DomainError("which must be 1 or 2")
 
 
@@ -328,10 +345,11 @@ def default_zeta_grid() -> list:
     return [3.0, 4.0, 5.0, 6.0]
 
 
-def _sheet_difference(f, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """f(rho, phi - pi) - f(rho, phi + pi), both sheets in one call of f."""
-    both = f(np.concatenate((rho, rho)), np.concatenate((phi - math.pi, phi + math.pi)))
-    return both[:len(rho)] - both[len(rho):]
+def _sheet_difference(f_part, rho: np.ndarray, phi: np.ndarray) -> _Part:
+    """The part of f(rho, phi - pi) - f(rho, phi + pi), both sheets in one
+    part f_part of f."""
+    both = f_part(np.concatenate((rho, rho)), np.concatenate((phi - math.pi, phi + math.pi)))
+    return both.then(lambda v: v[:len(rho)] - v[len(rho):])
 
 
 def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
@@ -360,18 +378,19 @@ def verify_dual_monodromy(d: DualPair, m: MonodromyTriple,
         ts = [complex(t) for t in grid]
         outside = [t for t in ts if abs(t) > 1.0]
         f2_side = [t for t in outside if cmath.phase(t) <= 1e-14]  # F_2 sheet half-grid
-        # every function value on the grid at once; side flags act on the cut only
+        # every function value on the grid in one pass; side flags act on the cut only
         rho = np.array([abs(t) for t in outside])
         phi = np.array([cmath.phase(t) for t in outside])
-        lhs1 = _sheet_difference(surf.f1, rho, phi)
-        a1, b1, a2, b2 = surf.p1.a, surf.p1.b, surf.p2.a, surf.p2.b
-        # I_{2k} F_2 at (t-1) e^{-i pi} and I_{-2k} F_j at (1+t) e^{-i pi}
-        in1 = _hyp2f1_regularized(a2, b2, 1.0 + k2, 1.0 - np.array(outside), side=-1)
         rho2 = np.array([abs(t) for t in f2_side])
         phi2 = np.array([cmath.phase(t) for t in f2_side])
-        lhs2 = _sheet_difference(surf.f2, rho2, phi2)
-        in2 = _hyp2f1_regularized(a1, b1, 1.0 - k2, 1.0 + np.array(f2_side), side=-1)
-        in2_f2 = _hyp2f1_regularized(a2, b2, 1.0 - k2, -(1.0 + np.array(f2_side)))
+        a1, b1, a2, b2 = surf.p1.a, surf.p1.b, surf.p2.a, surf.p2.b
+        # I_{2k} F_2 at (t-1) e^{-i pi} and I_{-2k} F_j at (1+t) e^{-i pi}
+        lhs1, in1, lhs2, in2, in2_f2 = _hyp2f1_parts([
+            _sheet_difference(surf.f1_part, rho, phi),
+            _regularized_part(a2, b2, 1.0 + k2, 1.0 - np.array(outside), side=-1),
+            _sheet_difference(surf.f2_part, rho2, phi2),
+            _regularized_part(a1, b1, 1.0 - k2, 1.0 + np.array(f2_side), side=-1),
+            _regularized_part(a2, b2, 1.0 - k2, -(1.0 + np.array(f2_side)))])
         i = j = 0
         for t in ts:
             if abs(t) <= 1.0:
@@ -434,9 +453,10 @@ def verify_eg_ltf(d: DualPair, m: MonodromyTriple,
     # each hypergeometric factor on the whole grid at once; phi1 and phi2 are
     # the regularized 2F1(a1, b1; 1-2k; .) and 2F1(a2, b2; 1+2k; .)
     p1, p2, x = surf.p1, surf.p2, np.array([1.0 + ts, 1.0 - t2s])
-    f_p1, f_p2 = hyp2f1(p1, -ts), hyp2f1(p2, t2s)
-    f_phi1, f_phi1_2 = _hyp2f1_regularized(p1.a, p1.b, 1.0 - k2, x)
-    f_phi2, f_phi2_2 = _hyp2f1_regularized(p2.a, p2.b, 1.0 + k2, x)
+    f_p1, f_p2, (f_phi1, f_phi1_2), (f_phi2, f_phi2_2) = _hyp2f1_parts([
+        _call_part(p1, -ts), _call_part(p2, t2s),
+        _regularized_part(p1.a, p1.b, 1.0 - k2, x),
+        _regularized_part(p2.a, p2.b, 1.0 + k2, x)])
     cases = []
     max_res = 0.0
     for i, t in enumerate(ts.tolist()):
@@ -469,8 +489,63 @@ def verify_goursat_ltf(d: DualPair, m: MonodromyTriple,
     and the F_2 counterpart with I_{-2k}{F_1}.  C_j come from a linear
     least-squares fit against an analytic remainder polynomial; analyticity
     of the remainders is confirmed by the decay of ring-sampled Taylor
-    coefficients.
+    coefficients.  This is the one-case call of _goursat_reports.
     """
+    return _goursat_reports([(d, m, s_grid, n_psi, tol)])[0]
+
+
+def _goursat_reports(cases: Sequence[tuple]) -> list:
+    """verify_goursat_ltf for each (d, m, s_grid, n_psi, tol) of cases.
+    Every case is validated before any is evaluated; then the 2F1 values of
+    all cases, on their fit grids and sample rings, are one pass, so a
+    report equals its one-case call, bit for bit."""
+    ring, n_ring = 0.55, 64
+    # half-step ring samples dodge the negative-real axis of log(s)
+    ring_pts = ring * np.exp(2j * math.pi * (np.arange(n_ring) + 0.5) / n_ring)
+    plans = [_goursat_sides(d, m, s_grid, ring_pts) for d, m, s_grid, _, _ in cases]
+    vals = iter(_hyp2f1_parts([part for _, sides in plans for *_, parts in sides
+                               for part in parts]))
+    reports = []
+    for (_, _, _, n_psi, tol), (k2i, sides) in zip(cases, plans):
+        fits = {}
+        max_res = 0.0
+        for label, T, pts, n_pole, parts in sides:
+            k_pts, y, k_ring, f_ring = (next(vals) for _ in parts)
+            A = np.column_stack([T * k_pts] + [pts ** -j for j in range(1, n_pole + 1)]
+                                + [pts ** j for j in range(n_psi)])
+            sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+            fit_res = float(np.max(np.abs(A @ sol - y)))
+            C = complex(sol[0])
+            pole_part = sol[1:1 + n_pole]
+            psi = sol[1 + n_pole:]
+            samples = f_ring - C * T * k_ring
+            samples -= sum(pc * ring_pts ** -(i + 1) for i, pc in enumerate(pole_part))
+            ks = np.arange(n_ring)
+            coeffs = np.fft.fft(samples) / n_ring * \
+                np.exp(-1j * math.pi * ks / n_ring)
+            mags = np.abs(coeffs[: n_ring // 2]) / ring ** np.arange(n_ring // 2)
+            js = np.arange(8, 22)
+            tail = np.maximum(mags[js], 1e-18)
+            radius_est = float(np.exp(-np.polyfit(js, np.log(tail), 1)[0]))
+            fits[label] = {"C": _c(C), "fit_residual": fit_res,
+                           "psi_leading": [_c(c) for c in psi[:4]],
+                           "principal_part": [_c(c) for c in pole_part],
+                           "psi_radius_estimate": radius_est}
+            max_res = max(max_res, fit_res)
+        analytic_ok = all(fits[k]["psi_radius_estimate"] >= 0.9 for k in fits)
+        reports.append({"suite": "goursat-ltf", "kappa2": k2i, "sides": fits,
+                        "max_residual": max_res, "tolerance": tol,
+                        "psi_analytic": analytic_ok,
+                        "pass": max_res <= tol and analytic_ok})
+    return reports
+
+
+def _goursat_sides(d: DualPair, m: MonodromyTriple, s_grid, ring_pts: np.ndarray) -> tuple:
+    """(integer 2 kappa, sides) of a verify_goursat_ltf case, a side being
+    (label, T, fit points, n_pole, parts): the parts of the logarithmic term
+    K and of F at the fit points and at ring_pts.  The F_2 side carries a
+    finite principal part of order 2 kappa (n_pole) on top of the
+    logarithmic structure; it is fitted and reported separately."""
     if not m.goursat:
         raise DomainError("verify_goursat_ltf needs integer 2 kappa")
     kappa, mu = _whittaker_family(d)
@@ -483,56 +558,23 @@ def verify_goursat_ltf(d: DualPair, m: MonodromyTriple,
     # F_1's singular ray is s < 0 (principal log), F_2's is s > 0
     def K1(s):
         log = np.log(s)
-        return np.exp(k2i * log) * log * _hyp2f1_regularized(p2.a, p2.b, 1.0 + k2i, s)
+        return _regularized_part(p2.a, p2.b, 1.0 + k2i, s).then(
+            lambda v: np.exp(k2i * log) * log * v)
 
     def K2(s):
         log02 = np.log(np.abs(s)) + 1j * (np.angle(s) % (2.0 * math.pi))
-        return np.exp(-k2i * log02) * log02 * _hyp2f1_regularized(p1.a, p1.b, 1.0 - k2i, -s)
+        return _regularized_part(p1.a, p1.b, 1.0 - k2i, -s).then(
+            lambda v: np.exp(-k2i * log02) * log02 * v)
 
     if s_grid is not None:
         grid1 = grid2 = np.array(s_grid, dtype=complex)
     else:
         thetas = (np.linspace(-2.6, 2.6, 14), np.linspace(0.25, 2.0 * math.pi - 0.25, 14))
         grid1, grid2 = (np.outer((0.15, 0.32), np.exp(1j * th)).ravel() for th in thetas)
-
-    sides = {}
-    max_res = 0.0
-    for label, K, T, F_of_s, pts, n_pole in (
-            ("f1", K1, m.T1, lambda s: hyp2f1(p1, 1.0 - s), grid1, 0),
-            ("f2", K2, m.T2, lambda s: hyp2f1(p2, 1.0 + s), grid2, max(0, k2i))):
-        # the F_2 side carries a finite principal part of order 2 kappa on
-        # top of the logarithmic structure; fit and report it separately
-        A = np.column_stack([T * K(pts)] + [pts ** -j for j in range(1, n_pole + 1)]
-                            + [pts ** j for j in range(n_psi)])
-        y = F_of_s(pts)
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        fit_res = float(np.max(np.abs(A @ sol - y)))
-        C = complex(sol[0])
-        pole_part = sol[1:1 + n_pole]
-        psi = sol[1 + n_pole:]
-        # half-step ring samples dodge the negative-real axis of log(s)
-        ring = 0.55
-        n_ring = 64
-        ring_pts = ring * np.exp(2j * math.pi * (np.arange(n_ring) + 0.5) / n_ring)
-        samples = F_of_s(ring_pts) - C * T * K(ring_pts)
-        samples -= sum(pc * ring_pts ** -(i + 1) for i, pc in enumerate(pole_part))
-        ks = np.arange(n_ring)
-        coeffs = np.fft.fft(samples) / n_ring * \
-            np.exp(-1j * math.pi * ks / n_ring)
-        mags = np.abs(coeffs[: n_ring // 2]) / ring ** np.arange(n_ring // 2)
-        js = np.arange(8, 22)
-        vals = np.maximum(mags[js], 1e-18)
-        radius_est = float(np.exp(-np.polyfit(js, np.log(vals), 1)[0]))
-        sides[label] = {"C": _c(C), "fit_residual": fit_res,
-                        "psi_leading": [_c(c) for c in psi[:4]],
-                        "principal_part": [_c(c) for c in pole_part],
-                        "psi_radius_estimate": radius_est}
-        max_res = max(max_res, fit_res)
-    analytic_ok = all(sides[k]["psi_radius_estimate"] >= 0.9 for k in sides)
-    return {"suite": "goursat-ltf", "kappa2": k2i, "sides": sides,
-            "max_residual": max_res, "tolerance": tol,
-            "psi_analytic": analytic_ok,
-            "pass": max_res <= tol and analytic_ok}
+    return k2i, [(label, T, pts, n_pole, [K(pts), F_of_s(pts), K(ring_pts), F_of_s(ring_pts)])
+                 for label, K, T, F_of_s, pts, n_pole in (
+                     ("f1", K1, m.T1, lambda s: _call_part(p1, 1.0 - s), grid1, 0),
+                     ("f2", K2, m.T2, lambda s: _call_part(p2, 1.0 + s), grid2, max(0, k2i)))]
 
 
 def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
@@ -609,7 +651,7 @@ def mon1_mw1_consistency(kappa: complex, mu: complex, zeta: float = 4.0,
     # the t^{2 kappa} transform of I_{2 kappa} F_2(-t), the regularized
     # 2F1(a2, b2; 1+2 kappa; -t), and the P_2 ray at arg zeta = pi, as one family
     a2, b2 = surf.p2.a, surf.p2.b
-    left = (lambda t: _hyp2f1_regularized(a2, b2, 1.0 + k2, -t), k2, complex(zeta),
+    left = (lambda t: _regularized_part(a2, b2, 1.0 + k2, -t), k2, complex(zeta),
             0.0, 1e-12, None, None)
     lap, p2 = _laplace_members([left] + _phase_amplitude_rays(surf, [complex(zeta)], math.pi,
                                                              2, 1e-11))

@@ -12,8 +12,9 @@ from fraccal.cli import RunConfig, main
 from fraccal.contours import integrate_paths
 from fraccal.gammafn import gamma
 from fraccal.transforms import verify_lm_duality
-from fraccal.whittaker import (phase_amplitude_values,
-                               stokes_multipliers_whittaker)
+from fraccal.whittaker import (phase_amplitude_values, stokes_multipliers_whittaker,
+                               verify_dual_monodromy, verify_goursat_ltf,
+                               whittaker_dual_pair)
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +126,63 @@ def test_verify_monodromy_continues_no_ode_lane(capsys, monkeypatch):
     monkeypatch.setattr(hyp, "_continue", counted)
     code, _ = run_cli(capsys, "verify", "monodromy")
     assert code == 0 and calls == []
+
+
+def _passes(monkeypatch, run) -> tuple:
+    """Runs run() and returns the hyp._hyp2f1_calls passes it made outside
+    any quadrature level and those it made in each level, that is in each
+    call of the integrand of transforms.integrate_paths."""
+    outside, levels, inside = [0], [], []
+    calls, integrate = hyp._hyp2f1_calls, transforms.integrate_paths
+
+    def counted(*args, **kwargs):
+        if inside:
+            levels[-1] += 1
+        else:
+            outside[0] += 1
+        return calls(*args, **kwargs)
+
+    def integrated(f, paths, *rest):
+        def level(*args):
+            levels.append(0)
+            inside.append(True)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+        return integrate(level, paths, *rest)
+    monkeypatch.setattr(hyp, "_hyp2f1_calls", counted)
+    monkeypatch.setattr(transforms, "integrate_paths", integrated)
+    run()
+    monkeypatch.undo()
+    return outside[0], levels
+
+
+def test_checks_make_one_2f1_pass_each(monkeypatch):
+    # eg-ltf's four hypergeometric factors, goursat's K and F at the fit
+    # points and rings of both sides and kappa, dual monodromy's five functions
+    d, m = whittaker_dual_pair(0.3, 0.1), stokes_multipliers_whittaker(0.3, 0.1)
+    for run in (lambda: cli._suite_eg_ltf(RunConfig()),
+                lambda: cli._suite_goursat(RunConfig()),
+                lambda: verify_dual_monodromy(d, m)):
+        assert _passes(monkeypatch, run) == (1, [])
+
+
+def test_quadrature_levels_make_one_2f1_pass_each(monkeypatch):
+    # all four surface branches of mw-system in one pass per level, after
+    # the dual-monodromy check's one pass
+    outside, levels = _passes(monkeypatch, lambda: cli._suite_monodromy(RunConfig()))
+    assert (outside, levels) == (1, [1] * 3)
+    # I_alpha F of both alpha in one pass per level
+    assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == (0, [1] * 5)
+
+
+def test_goursat_suite_equals_its_one_case_calls():
+    suite = cli._suite_goursat(RunConfig())["instances"]
+    for kappa, rep in zip((0.0, 0.5), suite):
+        alone = verify_goursat_ltf(whittaker_dual_pair(kappa, 0.17),
+                                   stokes_multipliers_whittaker(kappa, 0.17))
+        assert repr({**alone, "mu": 0.17}) == repr(rep)
 
 
 def test_table_psi_polys_csv(capsys):

@@ -100,3 +100,15 @@ def test_rgamma_is_entire_past_the_range_of_gamma(z):
 def test_rgamma_keeps_its_values_where_gamma_is_finite():
     for z in (0.5, 3.7, -2.5 + 1j, 100 + 50j, 170.5, 171.6, 0.3 - 80j):
         assert repr(rgamma(z)) == repr(1.0 / gamma(z))
+
+
+def test_rgamma_refuses_where_its_value_overflows():
+    # far left of the poles Gamma(z) is subnormal or 0 and |1/Gamma(z)| is
+    # past the double range: a DomainError, not inf or ZeroDivisionError
+    for z in (-180.5 + 0.5j, -175.5 + 0.5j, -171.5 + 0.3j):
+        assert abs(mp.rgamma(z)) > mp.mpf("1.8e308")
+        with pytest.raises(DomainError, match="overflows"):
+            rgamma(z)
+    z = -170.5 + 0.2j  # just inside the range
+    ref = complex(mp.rgamma(z))
+    assert abs(rgamma(z) - ref) <= 1e-12 * abs(ref)

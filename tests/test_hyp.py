@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -554,6 +555,11 @@ def test_batched_calls_equal_separate_calls():
         hyp._hyp2f1_calls(calls[:3] + [cancelling] + calls[3:])
 
 
+def _regularized(a, b, c, z, side=None):
+    """The regularized 2F1 as its one-part pass."""
+    return hyp._hyp2f1_parts([hyp._regularized_part(a, b, c, z, side)])[0]
+
+
 # one point per route of the 2F1 behind the regularized form: direct, 1-z,
 # Pfaff, the negative axis, both cut sides and the crescent, where hyp2f1's
 # ODE route is itself up to 2.7e-12 off mpmath
@@ -571,7 +577,7 @@ def test_regularized_2f1_at_the_poles_matches_mpmath(ab, c):
         for z, side, tol in _REGULARIZED_POINTS:
             zz = mp.mpc(z) + (0 if side is None else side * mp.mpf("1e-50") * 1j)
             ref = complex(mp.hyp2f1(a, b, c + eps, zz) / mp.gamma(c + eps))
-            got = hyp._hyp2f1_regularized(a, b, c, z, side)
+            got = _regularized(a, b, c, z, side)
             assert abs(got - ref) <= tol * abs(ref), (z, side)
 
 
@@ -580,7 +586,7 @@ def test_regularized_2f1_off_the_poles_is_the_quotient():
     z = np.array([0.4 + 0.3j, -2.5 + 0.5j, 2.5, 2.5])
     side = np.array([1, 1, 1, -1])
     for c in (0.5, 2.0, 1.3 - 0.2j, -0.5 + 0.1j, -1.0 + 1e-3):
-        got = hyp._hyp2f1_regularized(a, b, c, z, side)
+        got = _regularized(a, b, c, z, side)
         want = hyp2f1(Hyp2F1Params(a, b, c), z, side) / gamma(c)
         assert repr(got.tolist()) == repr(want.tolist())
 
@@ -590,9 +596,9 @@ def test_regularized_2f1_arrays_equal_scalar_calls():
     z = np.array([[0.4 + 0.3j, -2.5 + 0.5j, 0.0], [2.5, 2.5, 0.55 + 0.85j]])
     side = np.array([[1, 1, 1], [1, -1, -1]])
     for c in (0, -2, 0.5, 1.3 - 0.2j):
-        got = hyp._hyp2f1_regularized(a, b, c, z, side)
+        got = _regularized(a, b, c, z, side)
         assert got.shape == z.shape
-        alone = [hyp._hyp2f1_regularized(a, b, c, x, s)
+        alone = [_regularized(a, b, c, x, s)
                  for x, s in zip(z.ravel().tolist(), side.ravel().tolist())]
         assert repr(got.ravel().tolist()) == repr(alone)
 
@@ -863,3 +869,40 @@ def test_overflowing_connection_constants_pass_to_the_next_route():
     # on the cut every series route overflows or diverges
     with pytest.raises(ConvergenceError, match="no convergent 2F1 route"):
         hyp2f1(Hyp2F1Params(0.5, 0.3, 180), 1.5, 1)
+
+
+def test_parts_of_one_pass_equal_their_passes_alone(monkeypatch):
+    # a surface part with points past the cut crossing either way (a jump
+    # added), the regularized 2F1 at its pole c = 0 and at c = -1 for a
+    # scalar z, and a plain call
+    p = Hyp2F1Params(0.2 - 0.1j, 0.4 + 0.3j, 1.0)
+    parts = [hyp._surface_part(p, np.array([1.5, 0.7, 2.0, 1.3]),
+                               np.array([0.6, 0.6, -2.0 * math.pi - 0.5, -1.0])),
+             hyp._regularized_part(0.3 + 0.2j, -0.7 + 0.1j, 0, np.array([0.4 + 0.3j, 2.5, 2.5]),
+                                   np.array([1, 1, -1])),
+             hyp._regularized_part(0.3 + 0.2j, -0.7 + 0.1j, -1, 0.4 + 0.3j),
+             hyp._call_part(Hyp2F1Params(1, 1, 1.5), np.array([-0.3, 0.9 + 0.2j]))]
+    assert len(parts[0].calls) == 2  # the part adds the jump's inner 2F1
+    passes = []
+    calls = hyp._hyp2f1_calls
+    monkeypatch.setattr(hyp, "_hyp2f1_calls", lambda c: passes.append(len(c)) or calls(c))
+    batch = hyp._hyp2f1_parts(parts)
+    assert passes == [5]
+    monkeypatch.undo()
+    alone = [hyp._hyp2f1_parts([part])[0] for part in parts]
+    assert [repr(np.ravel(v).tolist()) for v in batch] == \
+        [repr(np.ravel(v).tolist()) for v in alone]
+    assert isinstance(batch[2], complex)
+    assert repr(batch[3].tolist()) == repr(hyp2f1(Hyp2F1Params(1, 1, 1.5),
+                                                  np.array([-0.3, 0.9 + 0.2j])).tolist())
+
+
+@pytest.mark.parametrize("abc, z", [((200.5, 0.3, 1.5), 0.7 + 0.6j),  # BudgetError
+                                    ((315.38 + 0.91j, -1.19, 0.58), 1.1 - 0.05j)])
+def test_coefficients_past_the_double_range_end_in_a_typed_error(abc, z):
+    # the rows overflow to inf and nan: a fraccal error, never numpy's warning
+    hyp._table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            hyp2f1(Hyp2F1Params(*abc), z)
