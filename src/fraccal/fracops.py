@@ -7,11 +7,12 @@ precision: seeded with Gamma(alpha+1) off the negative integers, with 1 for
 the Gamma-free normalized transform, and at alpha = -s, where the integral
 is 0 for k < s, with s! at k = s (k!/(k-s)!, exact below 2^53).  The contour
 representations sum kernel integrals over gamma(A) with Gauss hypergeometric
-kernels, each one a coefficient row dotted with power sums of the quadrature
-nodes on the pieces of gamma_contour(A, T), which refuse T <= A (as the
-operators refuse Re t >= T).  The power sums are built once per evaluation,
-32 at a time as one product of a 32-by-node power table with a running power
-vector, and the rows of 24 consecutive k as one matrix.  The simplified
+kernels, as coefficient rows times power sums of the quadrature nodes on the
+pieces of gamma_contour(A, T), which refuse T <= A (as the operators refuse
+Re t >= T).  The power sums come from one power table per evaluation, 32 at
+a time as one product of a 32-by-node table with a running power vector;
+the rows of 24 consecutive k are one matrix, summed as one product, and
+each row stops where its terms fall below tol/1000.  The simplified
 single-integral forms apply when F is integrable against |dxi|/|xi| on the
 boundary.  Boundary functions F are numpy expressions, evaluated on the whole
 ndarray of boundary points at once (the decay probes included); the contour
@@ -227,20 +228,28 @@ _BLOCK = 32  # moments per matrix-vector product in _PowerSums
 _K_BLOCK = 24  # series indices k whose kernel sums are built together
 
 
+def _powers(v: np.ndarray) -> np.ndarray:
+    """The (_BLOCK+1)-by-node table P[i, j] = v_j^i, by repeated products."""
+    pw = np.empty((_BLOCK + 1, v.size), dtype=complex)
+    pw[0] = 1.0
+    for i in range(1, _BLOCK + 1):
+        np.multiply(pw[i - 1], v, out=pw[i])
+    return pw
+
+
 class _PowerSums:
     """Node moments s_n = sum_j b_j v_j^n, extended on demand a block at a time.
 
-    A _BLOCK-by-node table P[i, j] = v_j^i and the step v_j^_BLOCK are built
-    once; each block of moments is then one product P @ p with the running
-    vector p_j = b_j v_j^n0, so no longer table is ever held.
+    pw is _powers(v), or the columns of v in a table shared by several node
+    sets (one table per kernel evaluation): its first _BLOCK rows are the
+    table P and its last the step v_j^_BLOCK.  Each block of moments is one
+    product P @ p with the running vector p_j = b_j v_j^n0, so no longer
+    table is ever held; a column slice gives the moments of a table built
+    alone, bit for bit.
     """
 
-    def __init__(self, v: np.ndarray, b: np.ndarray):
-        self.rho = float(np.abs(v).max(initial=0.0))
-        pw = np.empty((_BLOCK + 1, v.size), dtype=complex)
-        pw[0] = 1.0
-        for i in range(1, _BLOCK + 1):
-            np.multiply(pw[i - 1], v, out=pw[i])
+    def __init__(self, pw: np.ndarray, b: np.ndarray):
+        self.rho = float(np.abs(pw[1]).max(initial=0.0))
         self._table, self._step = pw[:_BLOCK], pw[_BLOCK]
         self._p = np.array(b, dtype=complex)
         self._s = np.empty(0, dtype=complex)
@@ -259,10 +268,12 @@ class _PowerSums:
 def _series_rows(m: _PowerSums, A: np.ndarray, C: np.ndarray,
                  tol: float = 1e-16, budget: int = 20000) -> np.ndarray:
     """[sum_j b_j 2F1(A_i, 1; C_i; v_j) for each i] as sum_n d_in s_n, with
-    d_in = (A_i)_n/(C_i)_n one matrix built by one cumprod along n.
+    d_in = (A_i)_n/(C_i)_n one matrix built by one cumprod along n and all
+    rows summed as one product with the moments s_n.
 
-    Row i stops at the first n > 4 with |d_in| rho^n <= tol, rho = max|v_j|;
-    the caller guarantees convergence and a transient-free term ratio.
+    Row i stops at the first n > 4 with |d_in| rho^n <= tol, rho = max|v_j|,
+    and is zero past its stop; the caller guarantees convergence and a
+    transient-free term ratio.
     """
     n = 64  # the terms fall like n^e rho^n, e = max Re(A_i - C_i): reach tol
     if 0.0 < m.rho < 1.0:
@@ -285,9 +296,11 @@ def _series_rows(m: _PowerSums, A: np.ndarray, C: np.ndarray,
         if n > budget:
             raise ConvergenceError("kernel series stalled")
         n = min(2 * n, budget + 1)
-    stop = (6 + small.argmax(axis=1)).tolist()
-    s = m.upto(max(stop))
-    return np.array([np.dot(row[:st], s[:st]) for row, st in zip(d, stop)])
+    stop = 6 + small.argmax(axis=1)
+    n = int(stop.max())
+    d = d[:, :n]
+    d[np.arange(n) >= stop[:, None]] = 0.0
+    return d @ m.upto(n)
 
 
 def _blockwise(block: Callable[[np.ndarray], list]) -> Callable[[int], complex]:
@@ -297,16 +310,20 @@ def _blockwise(block: Callable[[np.ndarray], list]) -> Callable[[int], complex]:
     return lambda k: blocks(k // _K_BLOCK)[k % _K_BLOCK]
 
 
-def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], complex]:
+def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
+                  tol: float = 1e-16) -> Callable[[int], complex]:
     """k -> sum_j b_j 2F1(alpha+k+1, 1; k+1; w_j) off the cut [1, oo), stable
-    in k; node moments are built once, coefficients _K_BLOCK k at a time.
+    in k; coefficients are built _K_BLOCK k at a time, each block's sums as
+    matrix products with node moments, the direct series summed to tol.
 
     Integer alpha >= 0 has the terminating rational form (1-w)^{-alpha-1}
     2F1(-alpha, k; k+1; w), a moment sum in 1-w.  Otherwise the direct series
     is transient-free for |w| <= 0.9 and the 1/w expansion (whose second
     series terminates because c - b = k is a positive integer) covers the
     rest; in q = -1/w its first term is a power q^k of the node and its
-    second a polynomial in 1/w, so both become moment sums too.
+    second a polynomial in 1/w = -q, so both become moment sums too.  The
+    near nodes and q share one power table; the moments of 1/w are those of
+    q with odd n negated.
     """
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and a.real >= 0:
         m = round(a.real)
@@ -320,13 +337,16 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], c
             (ks[:, None] + i) / (i + 1.0))), axis=1) @ moments).tolist())
 
     near = np.abs(w) <= 0.9
-    direct = _PowerSums(w[near], b[near])
     wf, bf = w[~near], b[~near]
     q = -1.0 / wf
-    # term1: r1 (-w)^{-(a+k+1)} (1-1/w)^{-a-1} = r1 q^k (-w)^{-(a+1)} (1-1/w)^{-a-1}
-    far1 = _PowerSums(q, bf * (-wf) ** (-(a + 1.0)) * (1.0 - 1.0 / wf) ** (-a - 1.0))
-    # term2 = k/(a+k) (-w)^{-1} 2F1(1, 1-k; 1-a-k; 1/w), a polynomial of degree k-1
-    far2 = _PowerSums(1.0 / wf, bf * q)
+    pw = _powers(np.concatenate((w[near], q)))  # one table: near nodes, then q
+    nn = np.count_nonzero(near)
+    direct = _PowerSums(pw[:, :nn], b[near])
+    # term1: r1 (-w)^{-(a+k+1)} (1-1/w)^{-a-1} = r1 q^k (1-w)^{-(a+1)} off the cut
+    far1 = _PowerSums(pw[:, nn:], bf * (1.0 - wf) ** (-(a + 1.0)))
+    # term2 = k/(a+k) (-w)^{-1} 2F1(1, 1-k; 1-a-k; 1/w), a polynomial of degree
+    # k-1 in 1/w = -q: the moments of q with odd n negated
+    far2 = _PowerSums(pw[:, nn:], bf * q)
 
     def block(ks: np.ndarray) -> list:
         k1 = int(ks[-1]) + 1
@@ -334,40 +354,47 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], c
         # (-1)^k k! / (a+1)_k; built as a product to stay Gamma-free
         r1 = np.cumprod([1.0] + [j / (a + j) for j in range(1, k1)]).tolist()
         # row k: term2's coefficients, zero past degree k-1 (lower triangular)
+        # but for row 0, whose term2 is 0
         j = np.arange(k1 - 1)
         c = np.ones((ks.size, k1), dtype=complex)
         np.cumprod(((1.0 + j) * (1.0 - ks[:, None] + j))
                    / ((1.0 - a - ks[:, None] + j) * (j + 1.0)), axis=1, out=c[:, 1:])
-        p1, p2 = far1.upto(k1).tolist(), far2.upto(k1)
-        sums = _series_rows(direct, a + ks + 1.0, ks + 1.0)
-        return [s + (-1.0) ** k * r1[k] * p1[k]
-                + (k / (a + k)) * complex(np.dot(row[:k], p2[:k]))  # 0 at k = 0
-                for s, k, row in zip(sums.tolist(), ks.tolist(), c)]
+        p1, p2 = far1.upto(k1).tolist(), far2.upto(k1).copy()
+        p2[1::2] *= -1.0
+        sums = _series_rows(direct, a + ks + 1.0, ks + 1.0, tol)
+        poly = c @ p2
+        return [s + (-1.0) ** k * r1[k] * p1[k] + (k / (a + k)) * pk  # 0 at k = 0
+                for s, k, pk in zip(sums.tolist(), ks.tolist(), poly.tolist())]
     return _blockwise(block)
 
 
-def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray) -> Callable[[int], complex]:
+def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray,
+                  tol: float = 1e-16) -> Callable[[int], complex]:
     """k -> sum_j b_j 2F1(k+1, 1; alpha+k+1; w_j) off the cut, stable in k.
 
     Direct series and the Pfaff map v = w/(w-1) are both transient-free and
-    summed through node moments, _K_BLOCK values of k at a time.  The nodes
-    outside both disks are not a small crescent (at A = 0.5, t = 1.2-0.3i
-    they are 372 of 912, with |w| up to 2.5 and some within 0.16 of the
-    cut): each is continued along its ray from 0.45 w/|w| by the batched
-    Taylor-ODE engine, all of them as the lanes of one continuation per k,
-    on radial step schedules built once for the kernel.
+    summed to tol through node moments of one shared power table, _K_BLOCK
+    values of k at a time.  The nodes outside both disks are not a small
+    crescent (at A = 0.5, t = 1.2-0.3i they are 372 of 912, with |w| up to
+    2.5 and some within 0.16 of the cut): each is continued along its ray
+    from 0.45 w/|w| by the batched Taylor-ODE engine, all of them as the
+    lanes of one continuation per k, on radial step schedules built once for
+    the kernel.
     """
     near = np.abs(w) <= 0.9
-    direct = _PowerSums(w[near], b[near])
     wr, br = w[~near], b[~near]
     v = wr / (wr - 1.0)
     pf = np.abs(v) <= 0.9
-    pfaff = _PowerSums(v[pf], br[pf] / (1.0 - wr[pf]))
+    pw = _powers(np.concatenate((w[near], v[pf])))  # one table for both series
+    nn = np.count_nonzero(near)
+    direct = _PowerSums(pw[:, :nn], b[near])
+    pfaff = _PowerSums(pw[:, nn:], br[pf] / (1.0 - wr[pf]))
     hard_w, hard_b = wr[~pf], br[~pf]
     if hard_w.size:
         lanes = _Schedule([[0.45 * wi / abs(wi), wi] for wi in hard_w.tolist()])
-    series = _blockwise(lambda ks: (_series_rows(direct, ks + 1.0, a + ks + 1.0) + _series_rows(
-        pfaff, np.full(ks.size, a), a + ks + 1.0)).tolist())
+    series = _blockwise(lambda ks: (
+        _series_rows(direct, ks + 1.0, a + ks + 1.0, tol)
+        + _series_rows(pfaff, np.full(ks.size, a), a + ks + 1.0, tol)).tolist())
 
     def kernel_sum(k: int) -> complex:
         total = series(k)
@@ -422,7 +449,9 @@ def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: f
     w_arg = t / xi
 
     weight = gamma(a + 1.0) if mode == "deriv" else 1.0 / gamma(a + 1.0)
-    kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(a, w_arg, base)
+    # kernel series summed 1000 times below the operator's tolerance
+    kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(
+        a, w_arg, base, tol / 1000.0)
     total = 0.0 + 0.0j
     weights = 0.0 + 0.0j
     small_run = 0

@@ -449,6 +449,7 @@ def verify_eg_ltf(d: DualPair, m: MonodromyTriple,
     surf = WhittakerSurface(kappa, mu)
     sin_factor = 2j * cmath.sin(math.pi * k2)
     ts = np.array(list(t_grid) if t_grid is not None else default_t_grid(), dtype=complex)
+    _refuse_real_points(ts, "t_grid")
     t2s = np.where(ts.imag < 0, ts, ts.conj())  # F_2 sheet
     # each hypergeometric factor on the whole grid at once; phi1 and phi2 are
     # the regularized 2F1(a1, b1; 1-2k; .) and 2F1(a2, b2; 1+2k; .)
@@ -476,6 +477,16 @@ def verify_eg_ltf(d: DualPair, m: MonodromyTriple,
             "tolerance": tol, "pass": max_res <= tol,
             "ill_conditioned": abs(sin_factor) < 0.1,
             "notes": "F2-side leading coefficient validated as T2 e^{-4 pi i kappa}"}
+
+
+def _refuse_real_points(grid: np.ndarray, name: str) -> None:
+    """Raise DomainError naming the first real point x of grid: there 1+x or
+    1-x lies on [1, oo), where the 2F1s of the transformation checks are
+    singular or on their cut, and the checks take no side."""
+    real = grid.real[grid.imag == 0.0]
+    if real.size:
+        raise DomainError(f"{name} point {float(real[0])!r} is real: 1 + x or 1 - x lies on "
+                          "[1, oo), the 2F1 cut, and the check takes no side")
 
 
 def verify_goursat_ltf(d: DualPair, m: MonodromyTriple,
@@ -568,6 +579,7 @@ def _goursat_sides(d: DualPair, m: MonodromyTriple, s_grid, ring_pts: np.ndarray
 
     if s_grid is not None:
         grid1 = grid2 = np.array(s_grid, dtype=complex)
+        _refuse_real_points(grid1, "s_grid")
     else:
         thetas = (np.linspace(-2.6, 2.6, 14), np.linspace(0.25, 2.0 * math.pi - 0.25, 14))
         grid1, grid2 = (np.outer((0.15, 0.32), np.exp(1j * th)).ravel() for th in thetas)

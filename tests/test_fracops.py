@@ -12,7 +12,7 @@ from fraccal.contours import cauchy_eval
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
 from fraccal.fracops import (FractionalOrder, _PowerSums, _deriv_kernel,
-                             _integ_kernel,
+                             _integ_kernel, _powers,
                              contour_quadrature_nodes, frac_deriv_contour,
                              frac_deriv_series,
                              frac_deriv_series_normalized, frac_h1,
@@ -368,15 +368,19 @@ def _moment_nodes(n_nodes, seed):
     return np.array(v), np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in v])
 
 
+def _sums(v, b):  # the moments of a power table built for v alone
+    return _PowerSums(_powers(v), b)
+
+
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 400])
 def test_power_sums_across_block_edges(n):
     # moments are built 32 at a time; any request is a prefix of a longer
     # one and agrees with a running power vector summed one n at a time
     v, b = _moment_nodes(40, n)
-    m = _PowerSums(v, b)
+    m = _sums(v, b)
     got = m.upto(n)
     assert isinstance(got, np.ndarray) and got.shape == (n,)
-    assert repr(got.tolist()) == repr(_PowerSums(v, b).upto(400)[:n].tolist())
+    assert repr(got.tolist()) == repr(_sums(v, b).upto(400)[:n].tolist())
     assert np.shares_memory(m.upto(n), m.upto(n))  # a view, not a copy
     p = b.copy()
     for s_n in got.tolist():
@@ -386,21 +390,81 @@ def test_power_sums_across_block_edges(n):
 
 def test_power_sums_do_not_depend_on_request_order():
     v, b = _moment_nodes(60, 7)
-    m = _PowerSums(v, b)
+    m = _sums(v, b)
     m.upto(5)
     m.upto(40)
-    assert repr(m.upto(100).tolist()) == repr(_PowerSums(v, b).upto(100).tolist())
-    assert repr(m.upto(3).tolist()) == repr(_PowerSums(v, b).upto(3).tolist())
+    assert repr(m.upto(100).tolist()) == repr(_sums(v, b).upto(100).tolist())
+    assert repr(m.upto(3).tolist()) == repr(_sums(v, b).upto(3).tolist())
 
 
 def test_power_sums_match_mpmath():
     # per-n 30-digit sums; the error is measured against sum_j |b_j| |v_j|^n
     v, b = _moment_nodes(512, 5)
-    s = _PowerSums(v, b).upto(400)
+    s = _sums(v, b).upto(400)
     for n in (0, 1, 31, 32, 33, 64, 65, 128, 399):
         ref = complex(mp.fsum(mp.mpc(bj) * mp.mpc(vj) ** n
                               for vj, bj in zip(v.tolist(), b.tolist())))
         assert abs(s[n] - ref) <= 1e-14 * float(np.sum(np.abs(b) * np.abs(v) ** n))
+
+
+@pytest.mark.parametrize("n", [1, 33, 100])
+def test_power_sums_of_negated_nodes_alternate_in_sign(n):
+    # the derivative kernel takes the moments of 1/w from those of q = -1/w
+    v, b = _moment_nodes(40, 11)
+    s = _sums(v, b).upto(n).copy()
+    s[1::2] *= -1.0
+    assert repr(_sums(-v, b).upto(n).tolist()) == repr(s.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 33, 100])
+def test_power_sums_of_a_column_slice_equal_a_table_built_alone(n):
+    # the kernels build one table over all their node sets; each set's moments
+    # are those of its own table
+    u, bu = _moment_nodes(25, 12)
+    v, bv = _moment_nodes(40, 13)
+    pw = _powers(np.concatenate((u, v)))
+    for cols, nodes, b in ((slice(None, u.size), u, bu), (slice(u.size, None), v, bv)):
+        shared = _PowerSums(pw[:, cols], b)
+        assert shared.rho == _sums(nodes, b).rho
+        assert repr(shared.upto(n).tolist()) == repr(_sums(nodes, b).upto(n).tolist())
+
+
+def _branch_nodes():
+    # six nodes in each branch of the two kernels, away from the cut [1, oo):
+    # near (|w| <= 0.9, one on the circle), and past it the Pfaff disk
+    # |w/(w-1)| <= 0.9 and the hard nodes outside both, all far for the
+    # derivative kernel
+    rng = random.Random(21)
+    branches = [[0.9 * cmath.exp(2.5j)], [], []]
+    while min(map(len, branches)) < 6:
+        w = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+        if abs(w.imag) < 0.2 and w.real > 0.8:
+            continue
+        branch = 0 if abs(w) <= 0.9 else 1 if abs(w / (w - 1.0)) <= 0.9 else 2
+        if len(branches[branch]) < 6:
+            branches[branch].append(w)
+    w = np.array([x for branch in branches for x in branch])
+    return w, np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in w])
+
+
+# the integral's alphas are ones where mpmath's 2F1 stays fast at the nodes
+# with 0.8 < |w/(w-1)| < 1 (at alpha = -0.5 or 1.5 it takes 50 ms a call there)
+@pytest.mark.parametrize("mode, alpha", [
+    ("deriv", -0.5), ("deriv", 0.3 + 0.4j), ("deriv", 1.5),
+    ("integ", -0.6 - 0.3j), ("integ", 0.3 + 0.4j), ("integ", 1.2 - 0.5j)])
+def test_kernels_on_every_branch_match_mpmath(mode, alpha):
+    # rows summed to 1e-13, the tolerance frac_*_contour uses at tol = 1e-10;
+    # every k up to 40, so the blocks of k cross their edges
+    w, b = _branch_nodes()
+    a = complex(alpha)
+    kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(a, w, b, 1e-13)
+    for k in range(41):
+        if mode == "deriv":
+            f = lambda wj: mp.hyp2f1(a + k + 1, 1, k + 1, wj)
+        else:  # in Pfaff's form, where mpmath is fast at every node
+            f = lambda wj: mp.hyp2f1(a, 1, a + k + 1, wj / (wj - 1)) / (1 - wj)
+        terms = [bj * complex(f(mp.mpc(wj))) for wj, bj in zip(w.tolist(), b.tolist())]
+        assert abs(kernel_sum(k) - sum(terms)) <= 1e-12 * sum(abs(x) for x in terms), k
 
 
 @pytest.mark.parametrize("k", [0, 1, 5])

@@ -334,6 +334,33 @@ def test_eg_ltf_conditioning_warning():
     assert rep["ill_conditioned"]
 
 
+def _refuse_2f1(monkeypatch):
+    def refuse(parts):
+        raise AssertionError("2F1 pass made")
+
+    monkeypatch.setattr(whittaker, "_hyp2f1_parts", refuse)
+
+
+@pytest.mark.parametrize("t", [0.5, -2.0, 0.0])
+def test_eg_ltf_refuses_a_real_grid_point(monkeypatch, t):
+    # 1+t or 1-t lies on [1, oo), where the check's 2F1s take no side; the
+    # grid is checked before any 2F1 call
+    _refuse_2f1(monkeypatch)
+    d = whittaker_dual_pair(0.3, 0.1)
+    m = stokes_multipliers_whittaker(0.3, 0.1)
+    with pytest.raises(DomainError, match=rf"t_grid point {t} is real"):
+        verify_eg_ltf(d, m, t_grid=[1.5 + 0.4j, t])
+
+
+@pytest.mark.parametrize("s", [0.2, -0.2])
+def test_goursat_refuses_a_real_grid_point(monkeypatch, s):
+    _refuse_2f1(monkeypatch)
+    d = whittaker_dual_pair(0.5, 0.1)
+    m = stokes_multipliers_whittaker(0.5, 0.1)
+    with pytest.raises(DomainError, match=rf"s_grid point {s} is real"):
+        verify_goursat_ltf(d, m, s_grid=[0.1 + 0.1j, s])
+
+
 def test_goursat_cases():
     for kap, expected_c in ((0.0, -1.0 / (2j * math.pi)), (0.5, 1.0 / (2j * math.pi))):
         d = whittaker_dual_pair(kap, 0.17)
