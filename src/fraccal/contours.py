@@ -51,6 +51,7 @@ _K15 = np.array([_WGK[i] for i, _ in _PAIRS])
 _G7_COLS = [j for j, (i, _) in enumerate(_PAIRS) if i % 2 == 1]
 _G7 = np.array([_WG[_PAIRS[j][0] // 2] for j in _G7_COLS])
 _LEVEL_PANELS = 1024  # open panels per integrand call at most
+_H1_PROBES = 6  # dyadic probe points per ray of check_h1_decay
 
 
 @dataclass(frozen=True)
@@ -365,19 +366,20 @@ def _single_integral(integrand, F, a: float, t: complex, spec: QuadratureSpec,
     return val / (2j * math.pi)
 
 
-def check_h1_decay(F, contour: NeighborhoodContour, n_probe: int = 6) -> None:
+def check_h1_decay(F, contour: NeighborhoodContour) -> None:
     """Sampled check that the boundary integrand of the Hardy-type norm is
     summable: |F| must decay along the rays (the measure |dxi|/|xi| alone is
     only logarithmically convergent).  Raises PreconditionError."""
     A, T = contour.A, contour.T
     # geometric probe spacing so each sample stands for one dyadic block
-    xs = [A + (T - A) * 2.0 ** (k - n_probe + 1) for k in range(n_probe)]
+    n = _H1_PROBES
+    xs = [A + (T - A) * 2.0 ** (k - n + 1) for k in range(n)]
     pts = np.array([complex(x, sign * A) for sign in (1.0, -1.0) for x in xs])
     values = np.broadcast_to(F(pts), pts.shape).tolist()
-    for vals in (values[:n_probe], values[n_probe:]):
+    for vals in (values[:n], values[n:]):
         vals = [abs(v) for v in vals]
-        head = sum(vals[: n_probe // 2]) / (n_probe // 2)
-        tail = sum(vals[n_probe // 2:]) / (n_probe - n_probe // 2)
+        head = sum(vals[: n // 2]) / (n // 2)
+        tail = sum(vals[n // 2:]) / (n - n // 2)
         if tail > 0.8 * head + 1e-12:
             raise PreconditionError(
                 "sampled |F| does not decay along the rays; the Hardy-type "

@@ -226,6 +226,7 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
 
 _BLOCK = 32  # moments per matrix-vector product in _PowerSums
 _K_BLOCK = 24  # series indices k whose kernel sums are built together
+_ROW_BUDGET = 20000  # terms of a kernel series row at most
 
 
 def _powers(v: np.ndarray) -> np.ndarray:
@@ -266,7 +267,7 @@ class _PowerSums:
 
 
 def _series_rows(m: _PowerSums, A: np.ndarray, C: np.ndarray,
-                 tol: float = 1e-16, budget: int = 20000) -> np.ndarray:
+                 tol: float = 1e-16) -> np.ndarray:
     """[sum_j b_j 2F1(A_i, 1; C_i; v_j) for each i] as sum_n d_in s_n, with
     d_in = (A_i)_n/(C_i)_n one matrix built by one cumprod along n and all
     rows summed as one product with the moments s_n.
@@ -293,9 +294,9 @@ def _series_rows(m: _PowerSums, A: np.ndarray, C: np.ndarray,
         small = np.abs(d[:, 5:]) * m.rho ** np.arange(5, n) <= tol
         if small.any(axis=1).all():
             break
-        if n > budget:
+        if n > _ROW_BUDGET:
             raise ConvergenceError("kernel series stalled")
-        n = min(2 * n, budget + 1)
+        n = min(2 * n, _ROW_BUDGET + 1)
     stop = 6 + small.argmax(axis=1)
     n = int(stop.max())
     d = d[:, :n]

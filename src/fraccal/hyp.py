@@ -11,6 +11,14 @@ integer the z -> 1-z formula is replaced by the logarithmic (Goursat)
 expansions.  The crescent around e^{+-i pi/3}, where no series converges
 fast, is reached by continuing the hypergeometric ODE.
 
+The 1-z and 1/z routes have one term form: a list of (constant C,
+exponent e, row), whose value is the sum of C base^{-e} 2F1(row; x) with
+base = x = 1-z, or base = -z and x = 1/z; one assembler forms it for every
+table of a route, a constant 0 making its term 0, and only 1/z checks the
+cancellation of its terms.  At z = 1 a power (1-z)^e (the closed forms for
+c = b or c = a, the jump's (1-t)^{c-a-b}) is 0 where Re(e) > 0, 1 where
+e = 0, and raises DomainError otherwise.
+
 One engine continues (F, F') along polylines ("lanes") by Taylor steps of
 the ODE: it serves hyp2f1's crescent, hyp2f1_continue (monodromy loops) and
 the integral kernel of fracops.  Each lane's step schedule is fixed by its
@@ -26,9 +34,9 @@ one of lower parameters, built by one vectorised ratio cumprod and grown by
 doubling, and for the Goursat forms the digamma brackets as a cumsum; one
 row-sum engine sums them all and raises ConvergenceError on cancellation.
 The rows and the constants of each parameter triple (the 1-z and 1/z
-connection constants, the Goursat prefactors, the connection coefficients
-T^{+-}) are kept in a table per (a, b, c) among the _CACHE_SIZE most
-recently used, as is each p+1Fp row.  Every evaluation is a batch of one:
+terms, the Goursat form, the connection coefficients T^{+-}) are kept in a
+table per (a, b, c) among the _CACHE_SIZE most recently used, as is each
+p+1Fp row.  Every evaluation is a batch of one:
 hyp2f1 is the one-call case of a pass over a list of calls (parameters,
 array of arguments, sides) whose elements one planner routes together by
 one argmin, each route's powers formed at once; their series are summed in
@@ -140,9 +148,13 @@ def _cut_side_log(u: np.ndarray, z_side: Optional[np.ndarray]) -> np.ndarray:
 
 def _cut_side_power(u: np.ndarray, exponent: complex,
                     z_side: Optional[np.ndarray]) -> np.ndarray:
-    """u**exponent elementwise, u = 1-z, on the branch of _cut_side_log."""
+    """u**exponent elementwise, u = 1-z, on the branch of _cut_side_log; at
+    u = 0 it is 1 for exponent 0 and 0 for Re(exponent) > 0, and raises
+    DomainError for any other exponent."""
     out = np.full(u.shape, 0.0 if exponent != 0 else 1.0, dtype=complex)
     nz = u != 0
+    if exponent != 0 and not exponent.real > 0 and np.count_nonzero(nz) < u.size:
+        raise DomainError(f"(1-z)^({exponent:.6g}) is singular at z = 1")
     out[nz] = np.exp(exponent * _cut_side_log(u[nz], _part(z_side, nz)))
     return out
 
@@ -438,8 +450,12 @@ def _summed(jobs: list, tol: float, max_terms: int) -> list:
 
 class _Table:
     """What 2F1(a, b; c; .) needs that does not depend on z: the Taylor row,
-    the constants and rows of the z -> 1-z connection and the connection
-    coefficients T^{+-}; each piece is built on first use."""
+    the terms of the z -> 1-z and z -> 1/z connections, the Goursat form
+    and the connection coefficients T^{+-}; each piece is built on first use.
+
+    A connection route is a list of terms (constant C, exponent e, row), its
+    value the sum of C base^{-e} 2F1(row; x) over them: base = x = 1-z for
+    at1, base = -z and x = 1/z for at_inf."""
 
     def __init__(self, a: complex, b: complex, c: complex):
         self.a, self.b, self.c = a, b, c
@@ -457,17 +473,24 @@ class _Table:
 
     @cached_property
     def at1(self) -> tuple:
-        """Data of the z -> 1-z route, by gap: (A, B, row of A, row of B)
-        without one; (finite-part coefficients, prefactor, logarithmic row)
-        of the Goursat form for m >= 0; the Euler-transformed triple for
-        m < 0."""
-        a, b, c, s, m = self.a, self.b, self.c, self.s, self.gap
-        if m is None:
-            A = gamma(c) * gamma(a + b - c) * rgamma(a) * rgamma(b)
-            B = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b)
-            return A, B, _Row((c - a, c - b), (s + 1.0, 1.0)), _Row((a, b), (1.0 - s, 1.0))
+        """The terms of the z -> 1-z route off the integers c-a-b:
+        A u^s 2F1(c-a, c-b; s+1; u) + B 2F1(a, b; 1-s; u) at u = 1-z."""
+        a, b, c, s = self.a, self.b, self.c, self.s
+        return ((gamma(c) * gamma(a + b - c) * rgamma(a) * rgamma(b), -s,
+                 _Row((c - a, c - b), (s + 1.0, 1.0))),
+                (gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b), 0,
+                 _Row((a, b), (1.0 - s, 1.0))))
+
+    @cached_property
+    def goursat(self) -> tuple:
+        """The z -> 1-z route at an integer c-a-b = m (gap): (e, fin, pref,
+        row) of u^e (sum_{n<m} fin_n u^n - pref u^m sum_n d_n (log u + h_n)
+        u^n) at u = 1-z, m = len(fin), fin highest power first.  For m >= 0
+        e = 0; for m < 0 the Euler transformation peels off e = c-a-b and
+        the rest is that of (c-a, c-b, c), whose m is -m."""
+        a, b, m = self.a, self.b, self.gap
         if m < 0:
-            return c - a, c - b, c
+            return (self.s, *_table(self.c - a, self.c - b, self.c).goursat[1:])
         c = a + b + m
         fin = []
         if m > 0:
@@ -477,12 +500,12 @@ class _Table:
                 if n < m - 1:
                     coeff *= (a + n) * (b + n) / ((n + 1.0) * (n - m + 1.0))
         pref = (-1.0) ** m * gamma(c) * rgamma(a) * rgamma(b) / math.factorial(m)
-        return tuple(reversed(fin)), pref, _Row((a + m, b + m), (1.0, m + 1.0), brackets=True)
+        return 0, tuple(reversed(fin)), pref, _Row((a + m, b + m), (1.0, m + 1.0), brackets=True)
 
     @cached_property
     def at_inf(self) -> tuple:
-        """Data of the z -> 1/z route (DLMF 15.8.2), per term: (constant,
-        exponent of -z, row at 1/z)."""
+        """The terms of the z -> 1/z route (DLMF 15.8.2): C_1 (-z)^{-a}
+        2F1(a, a-c+1; a-b+1; 1/z) + C_2 (-z)^{-b} 2F1(b, b-c+1; b-a+1; 1/z)."""
         a, b, c = self.a, self.b, self.c
         return ((gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a), a,
                  _Row((a, a - c + 1.0), (a - b + 1.0, 1.0))),
@@ -549,73 +572,56 @@ def _cat(sums: list, ids: list) -> np.ndarray:
     return sums[ids[0]] if len(ids) == 1 else np.concatenate([sums[i] for i in ids])
 
 
-def _plan_at_1(groups: list, z: np.ndarray, side: Optional[np.ndarray], jobs: list):
-    """The z -> 1-z route on an array of z != 1 in blocks z[lo:hi] of one
-    table each, groups = [(table, lo, hi), ...]: appends its row sums to
-    jobs and returns the function that assembles the values from their
-    results.  Off the integers c-a-b, A u^s 2F1(row_a; u) + B 2F1(row_b; u)
-    at u = 1-z, all powers in one expression (A = 0 makes a term 0); at an
-    integer c-a-b = m (one block) Goursat's sum_{n<m} fin_n u^n - pref u^m
-    sum_n d_n (log u + h_n) u^n, for m < 0 after the Euler transformation
-    peels off u^s."""
-    u = 1.0 - z
-    lg = _cut_side_log(u, side)
-    t = groups[0][0]
-    if t.gap is not None:
-        pw, t = (np.exp(t.s * lg), _table(*t.at1)) if t.gap < 0 else (None, t)
-        (fin, pref, row), m = t.at1, t.gap
-        finite, i = np.zeros(z.shape, dtype=complex), _job(jobs, 1, row, u, lg)
-        for coeff in fin:
-            finite = finite * u + coeff
-
-        def goursat(sums):
-            vals = finite - pref * u ** m * sums[i]
-            return vals if pw is None else pw * vals
-        return goursat
+def _plan_terms(groups: list, lg: np.ndarray, x: np.ndarray, jobs: list,
+                bound: Optional[float] = None):
+    """A connection route on a 1-d array of elements in blocks [lo:hi] of one
+    table each, groups = [(terms, lo, hi), ...] with the route's terms of
+    each table: appends the row sums at x to jobs and returns the function
+    that assembles from their results the sum over the terms (C, e, row) of
+    C exp(-e lg) 2F1(row; x), lg the log of the route's base, every table in
+    one expression.  A constant 0 makes its term 0.  With a bound, a value
+    whose terms cancel beyond it (sum |term| > bound |value|) is NaN."""
     size = [hi - lo for _, lo, hi in groups]
-    A, B, rows_a, rows_b = zip(*[t.at1 for t, _, _ in groups])
-    ia, ib = ([_job(jobs, c, row, u[lo:hi]) for c, row, (_, lo, hi) in zip(C, rows, groups)]
-              for C, rows in ((A, rows_a), (B, rows_b)))
-    pw = np.exp(_spread([t.s if c != 0 else 0.0 for (t, _, _), c in zip(groups, A)], size)
-                * lg) * _spread(A, size)
-    bb = _spread(B, size)
-
-    def assemble(sums):
-        va = pw * _cat(sums, ia)
-        if 0 in B:  # B = 0: A u^s 2F1(row_a; u) alone
-            return np.where(bb == 0, va, va + bb * _cat(sums, ib))
-        return va + bb * _cat(sums, ib)
-    return assemble
-
-
-def _plan_at_inf(groups: list, z: np.ndarray, side: Optional[np.ndarray], jobs: list):
-    """The z -> 1/z route as _plan_at_1: the sum over both terms of constant
-    (-z)^{-exponent} 2F1(row; 1/z), NaN where they cancel beyond _INV_COND,
-    with arg(-z) = -side pi on the cut; a constant 0 makes its term 0."""
-    lg, x = _cut_side_log(-z, side), 1.0 / z
-    size = [hi - lo for _, lo, hi in groups]
+    # the power times C, in this order: numpy's complex product may round
+    # its last bit differently with the operands swapped
     terms = [([_job(jobs, C, row, x[lo:hi]) for (C, _, row), (_, lo, hi) in zip(term, groups)],
-              _spread([C for C, _, _ in term], size)
-              * np.exp(_spread([-e if C != 0 else 0.0 for C, e, _ in term], size) * lg))
-             for term in zip(*[t.at_inf for t, _, _ in groups])]
+              np.exp(_spread([-e if C != 0 else 0.0 for C, e, _ in term], size) * lg)
+              * _spread([C for C, _, _ in term], size))
+             for term in zip(*[terms for terms, _, _ in groups])]
 
     def assemble(sums):
-        vals, mag = np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
-        for ids, pw in terms:
-            term = pw * _cat(sums, ids)
-            vals += term
-            mag += np.abs(term)
-        vals[~(mag <= _INV_COND * np.abs(vals))] = np.nan
+        parts = [pw * _cat(sums, ids) for ids, pw in terms]
+        vals = sum(parts[1:], parts[0])
+        if bound is not None:
+            vals[~(sum(map(np.abs, parts)) <= bound * np.abs(vals))] = np.nan
         return vals
     return assemble
+
+
+def _plan_goursat(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list):
+    """The z -> 1-z route of one table at an integer c-a-b on an array of
+    z != 1, in the Goursat form of _Table.goursat: appends its row sum to
+    jobs and returns the function that assembles the values from it."""
+    u = 1.0 - z
+    lg = _cut_side_log(u, side)
+    e, fin, pref, row = t.goursat
+    finite, i = np.zeros(z.shape, dtype=complex), _job(jobs, 1, row, u, lg)
+    for coeff in fin:
+        finite = finite * u + coeff
+    pw = np.exp(e * lg) if e != 0 else None
+
+    def goursat(sums):
+        vals = finite - pref * u ** len(fin) * sums[i]
+        return vals if pw is None else pw * vals
+    return goursat
 
 
 def _usable(t: _Table, route: int) -> bool:
     """Whether the constants of route 1 or 5 (1-z) or 2 (1/z) of t are finite."""
     try:
-        t = _table(*t.at1) if route == 5 and t.gap < 0 else t
-        return all(map(cmath.isfinite, [C for C, _, _ in t.at_inf] if route == 2 else
-                       t.at1[:2] if t.gap is None else t.at1[0] + t.at1[1:2]))
+        consts = ((*t.goursat[1], t.goursat[2]) if route == 5 else
+                  [C for C, _, _ in (t.at1 if route == 1 else t.at_inf)])
+        return all(map(cmath.isfinite, consts))
     except DomainError:
         return False
 
@@ -775,8 +781,12 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
         if k == 0:
             ids = [_job(jobs, 1, t.taylor, zk[lo:hi]) for t, lo, hi in groups]
             parts.append((ix, lambda sums, ids=ids: _cat(sums, ids)))
-        elif k < 3:
-            parts.append((ix, (_plan_at_1 if k == 1 else _plan_at_inf)(groups, zk, sk, jobs)))
+        elif k < 3:  # base = x = 1-z, or base = -z (arg -side pi on the cut) and x = 1/z
+            base = 1.0 - zk if k == 1 else -zk
+            parts.append((ix, _plan_terms(
+                [(t.at1 if k == 1 else t.at_inf, lo, hi) for t, lo, hi in groups],
+                _cut_side_log(base, sk), base if k == 1 else 1.0 / zk, jobs,
+                None if k == 1 else _INV_COND)))
         elif k == 3:  # (1-z)^{-a} 2F1(a, c-b; c; w), in one more round; w flips sides
             n = [hi - lo for _, lo, hi in groups]
             inner = _plan([_table(t.a, t.c - t.b, t.c) for t, _, _ in groups],
@@ -799,7 +809,7 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
                 paths = [[0.45j * s, 1.2j * s, zi] for s, zi in zip(sgn, zt.tolist())]
                 out[it] = _continue(t.a, t.b, t.c, _Schedule(paths))[0]
             elif k == 5:
-                parts.append((it, _plan_at_1([(t, 0, hi - lo)], zt, st, jobs)))
+                parts.append((it, _plan_goursat(t, zt, st, jobs)))
             elif k == 6:
                 if t.s.real <= 0:
                     raise DomainError("2F1 singular at z = 1 for Re(c-a-b) <= 0")
@@ -834,9 +844,9 @@ def euler_ltf_check(p: Hyp2F1Params, t):
         raise DomainError("check requires |t| < 1 for the direct-series side")
     if (np.abs(1.0 - ts) >= 1.0).any():
         raise DomainError("check requires |1-t| < 1 for the transformed side")
-    t = _table(p.a, p.b, p.c)
-    jobs = [(t.taylor, ts.ravel(), None)]
-    assemble = _plan_at_1([(t, 0, ts.size)], ts.ravel(), None, jobs)
+    t, z = _table(p.a, p.b, p.c), ts.ravel()
+    jobs = [(t.taylor, z, None)]
+    assemble = _plan_terms([(t.at1, 0, z.size)], _cut_side_log(1.0 - z, None), 1.0 - z, jobs)
     sums = _summed(jobs, 1e-16, 20000)
     res = np.abs(sums[0] - assemble(sums))
     return float(res[0]) if ts.ndim == 0 else res.reshape(ts.shape)

@@ -259,7 +259,7 @@ def test_cancelling_series_raise(c):
     a, b, z = -0.04099786621961243, 2.1694647751380387, 0.6 - 0.2j
     with pytest.raises(ConvergenceError):
         hyp2f1(Hyp2F1Params(a, b, c), z)
-    _, _, row_a, row_b = hyp._table(complex(a), complex(b), complex(c)).at1
+    (_, _, row_a), (_, _, row_b) = hyp._table(complex(a), complex(b), complex(c)).at1
     u = np.array([1.0 - z])
     (_, cond_a), (_, cond_b) = hyp._row_sums([(row_a, u, None), (row_b, u, None)],
                                              1e-16, 20000)
@@ -636,6 +636,47 @@ def _mp_cut(abc, x, side):
     return complex(mp.hyp2f1(*abc, mp.mpc(x, side * mp.mpf("1e-40"))))
 
 
+@pytest.mark.parametrize("abc, z, side, old", [
+    ((2.3, 0.4, 1.3), 0.8 + 0.3j, None, 1.2102561800079368 + 1.6579191909345943j),  # 1-z
+    ((2.3, 0.4, 1.3), 0.9 - 0.2j, None, 1.190874798128667 - 3.0447399096236025j),  # 1-z
+    ((2.3, 0.4, 1.3), 3 + 1j, None, 0.1585069480486492 + 0.3835052871180327j),  # 1/z
+    ((2.3, 0.4, 1.3), -2.5 + 2j, None, 0.4205391954544849 + 0.11076503502534994j),  # Pfaff
+    ((2.3, 0.4, 1.3), 2.5, 1, 0.1280073345124009 + 0.39396606606650186j),  # 1/z, cut
+    ((2.3, 0.4, 1.3), 2.5, -1, 0.1280073345124009 - 0.39396606606650186j),
+    ((0.4, 2.3, 1.3), 0.8 + 0.3j, None, 1.210256180007937 + 1.6579191909345945j),
+    ((0.4, 2.3, 1.3), 0.9 - 0.2j, None, 1.1908747981286671 - 3.044739909623603j),
+    ((0.4, 2.3, 1.3), 3 + 1j, None, 0.1585069480486492 + 0.3835052871180327j),
+    ((0.4, 2.3, 1.3), -2.5 + 2j, None, 0.42053919545448476 + 0.11076503502535012j),
+    ((0.4, 2.3, 1.3), 2.5, 1, 0.1280073345124009 + 0.39396606606650186j),
+    ((0.4, 2.3, 1.3), 2.5, -1, 0.1280073345124009 - 0.39396606606650186j)])
+def test_zero_connection_constants_keep_their_values(abc, z, side, old):
+    # c-a = -1 or c-b = -1: the 1-z constant B is 0, and so is the 1/z
+    # constant C_1 or C_2; a zero constant's term adds nothing
+    t = hyp._table(*map(complex, abc))
+    assert t.at1[1][0] == 0
+    assert t.at_inf[0 if abc[0] > abc[1] else 1][0] == 0
+    got = hyp2f1(Hyp2F1Params(*abc), z, side)
+    assert repr(got) == repr(old)
+    ref = complex(mp.hyp2f1(*abc, z)) if side is None else _mp_cut(abc, z, side)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_powers_at_z_1_vanish_only_for_a_positive_real_part():
+    # (1-z)^{-a} for c = b and (1-z)^{-b} for c = a diverge at z = 1 unless
+    # Re of the exponent is positive, and so does the jump's (1-t)^{c-a-b}
+    for abc in [(0.5, 0.3, 0.3), (0.3, 0.5, 0.3), (0.3j, 0.7, 0.7)]:
+        with pytest.raises(DomainError, match="singular at z = 1"):
+            hyp2f1(Hyp2F1Params(*abc), 1.0)
+        with pytest.raises(DomainError, match="singular at z = 1"):
+            hyp2f1(Hyp2F1Params(*abc), np.array([0.5, 1.0]))
+    with pytest.raises(DomainError, match="singular at z = 1"):
+        monodromic_jump_2f1(Hyp2F1Params(0.5, 0.7, 0.9), 1.0, 1)
+    assert repr(hyp2f1(Hyp2F1Params(-0.5, 0.3, 0.3), 1.0)) == repr(0j)
+    assert repr(monodromic_jump_2f1(Hyp2F1Params(0.5, 0.7, 1.9), 1.0, 1)) == repr(0j)
+    # and a zero exponent leaves 1: 2F1(0, b; b; z) = 1 sums its terminating row
+    assert hyp2f1(Hyp2F1Params(0.0, 0.3, 0.3), 1.0) == 1
+
+
 @pytest.mark.parametrize("x", [1.981, 1.99, 2.0, 2.01, 2.02])
 @pytest.mark.parametrize("side", [1, -1])
 def test_cut_band_is_reached_by_the_1_over_z_route(x, side):
@@ -801,28 +842,30 @@ def test_one_pass_routes_each_element_as_its_one_call_pass(monkeypatch):
     calls = _one_pass_calls()
     assert len({tuple(map(complex, p)) for p, _, _ in calls}) >= 40
     seen = []  # the rounds (pfaff, inv) and route helpers (name, tables) in order
-    plan, at_1, at_inf, cont = hyp._plan, hyp._plan_at_1, hyp._plan_at_inf, hyp._continue
+    plan, terms, goursat, cont = hyp._plan, hyp._plan_terms, hyp._plan_goursat, hyp._continue
 
     def planned(tabs, g, z, side, jobs, inv=True, pfaff=True):
         seen.append((pfaff, inv))
         return plan(tabs, g, z, side, jobs, inv, pfaff)
 
-    def spy(name, f, tables):
+    def spy(f, key):
         def wrapped(*args, **kwargs):
-            seen.append((name, tables(*args)))
+            seen.append(key(*args))
             return f(*args, **kwargs)
         return wrapped
     monkeypatch.setattr(hyp, "_plan", planned)
-    monkeypatch.setattr(hyp, "_plan_at_1", spy("1-z", at_1, lambda groups, *_: len(groups)))
-    monkeypatch.setattr(hyp, "_plan_at_inf", spy("1/z", at_inf, lambda groups, *_: len(groups)))
-    monkeypatch.setattr(hyp, "_continue", spy("ode", cont, lambda *args: len(args[3].paths)))
+    # the one assembler of the 1-z and 1/z routes, where only 1/z passes a bound
+    monkeypatch.setattr(hyp, "_plan_terms", spy(terms, lambda groups, lg, x, jobs, bound=None:
+                                                ("1-z" if bound is None else "1/z", len(groups))))
+    monkeypatch.setattr(hyp, "_plan_goursat", spy(goursat, lambda *_: ("goursat", 1)))
+    monkeypatch.setattr(hyp, "_continue", spy(cont, lambda *args: ("ode", len(args[3].paths))))
     batch = hyp._hyp2f1_calls(calls)
     # the top round forms the 1-z and 1/z values of four and eight tables in
     # one expression each, the Pfaff round those of its four 1-z and four
     # 1/w tables; Goursat's forms and the crescent lanes go one table at a
     # time; the cancelling 1/z elements are planned again without 1/z
     assert seen == [(True, True), ("1-z", 4), ("1/z", 8), (False, True), ("1-z", 4),
-                    ("1/z", 4), *[("ode", 2)] * 4, *[("1-z", 1)] * 8, (True, False),
+                    ("1/z", 4), *[("ode", 2)] * 4, *[("goursat", 1)] * 8, (True, False),
                     (False, False), ("1-z", 4)]
     monkeypatch.undo()
     single = [hyp._hyp2f1_calls([call])[0] for call in calls]
@@ -865,7 +908,7 @@ def test_overflowing_connection_constants_pass_to_the_next_route():
     # a point that sums directly builds no constants at all
     hyp._table.cache_clear()
     hyp2f1(Hyp2F1Params(0.5, 0.3, 180), 0.5 + 0.1j)
-    assert {"at1", "at_inf"}.isdisjoint(vars(hyp._table(0.5, 0.3, 180)))
+    assert {"at1", "goursat", "at_inf"}.isdisjoint(vars(hyp._table(0.5, 0.3, 180)))
     # on the cut every series route overflows or diverges
     with pytest.raises(ConvergenceError, match="no convergent 2F1 route"):
         hyp2f1(Hyp2F1Params(0.5, 0.3, 180), 1.5, 1)
