@@ -11,12 +11,16 @@ ray reversed), cap through -A split at pi, lower ray out.  A segment has
 point(s) and tangent(s, z=None), z = point(s) sparing an Arc a second exp.
 
 integrate_path is an adaptive Gauss-Kronrod 7-15 scheme over the segments,
-refined breadth-first: each level maps the nodes of every open panel of
-every segment to one array and calls the integrand once on it, so an
-integrand is a numpy expression in an ndarray of points (wrap a scalar-only
-callable in np.vectorize).  integrate_paths refines a family of integrals,
-such as one Laplace transform at several zeta, in the same levels: one call
-f(z, which) per level serves all of them, which[i] naming the path of z[i].
+refined breadth-first from the two halves of every segment (depth 1): each
+level maps the nodes of every open panel of every segment to one array and
+calls the integrand once on it, so an integrand is a numpy expression in an
+ndarray of points (wrap a scalar-only callable in np.vectorize).  The nodes
+of a level are mapped one segment kind at a time (_SegmentStack): the
+segments of a kind are stacked into one segment with array fields, whose
+own point and tangent map all of their nodes in one numpy expression.
+integrate_paths refines a family of integrals, such as one Laplace
+transform at several zeta, in the same levels: one call f(z, which) per
+level serves all of them, which[i] naming the path of z[i].
 """
 
 from __future__ import annotations
@@ -137,6 +141,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.tol < 1e-14:
             raise DomainError("tol must be >= 1e-14")
+        if not self.max_depth >= 1:  # refinement starts at depth 1
+            raise DomainError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -207,27 +213,119 @@ class IntegralResult(NamedTuple):
     err_est: float
 
 
-def _gk15_level(f: Callable, segs: list, member: np.ndarray, seg_of: np.ndarray,
-                s0: np.ndarray, s1: np.ndarray, arclength: bool) -> tuple:
+# the kinds _SegmentStack stacks, each with its fields that stay scalars
+# (numpy takes fast paths for a scalar power: s ** 2 is square(s))
+_STACKED_KINDS = {Line: (), Arc: (), _PowerLine: ("p",), InfiniteRay: ()}
+
+
+class _SegmentStack:
+    """A list of segments grouped by kind, the fields of each group stacked.
+
+    A group maps the nodes of all of its members as one segment of its kind
+    whose fields are the members' stacked fields, reversed as often as they
+    are, by that kind's own point and tangent.  So every node gets the
+    operations, in the same order, that its segment applies to scalar
+    fields, in the same float or complex arithmetic: members share a group
+    only if each field is real in all of them or complex in all of them,
+    and a field that stays a scalar has one value in all of them.  A
+    segment of any other class is a group alone.
+    """
+
+    def __init__(self, segs: Sequence):
+        groups = {}  # key: (number, [(segment number, its fields or itself)])
+        self._group = np.empty(len(segs), dtype=int)
+        for j, seg in enumerate(segs):
+            flips, inner = 0, seg
+            while isinstance(inner, ReversedSegment):
+                flips, inner = flips + 1, inner.seg
+            kind = type(inner)
+            if kind in _STACKED_KINDS:
+                fields = vars(inner)
+                key = (kind, flips) + tuple(
+                    (name, v if name in _STACKED_KINDS[kind]
+                     else isinstance(v, (complex, np.complexfloating)))
+                    for name, v in fields.items())
+            else:
+                key, fields = j, seg
+            k, members = groups.setdefault(key, (len(groups), []))
+            self._group[j] = k
+            members.append((j, fields))
+        self._segments = [self._stacked(key, members, len(segs))
+                          for key, (_, members) in groups.items()]
+
+    @staticmethod
+    def _stacked(key, members: list, n: int) -> Callable:
+        """The function (sel, ndim) -> one segment mapping the members
+        numbered sel of group key at parameters of ndim dimensions."""
+        if not isinstance(key, tuple):
+            return lambda sel, ndim: members[0][1]
+        kind, flips, *types = key
+        scalars = {name: v for name, v in types if name in _STACKED_KINDS[kind]}
+        numbers = [j for j, _ in members]
+        columns = []  # (name, the field of segment j at j)
+        for name, cplx in types:
+            if name not in scalars:
+                col = np.zeros(n, dtype=complex if cplx else float)
+                col[numbers] = [fields[name] for _, fields in members]
+                columns.append((name, col))
+
+        def segment(sel, ndim):
+            per_row = (slice(None),) + (None,) * (ndim - 1)
+            seg = kind(**scalars, **{name: col[sel][per_row] for name, col in columns})
+            for _ in range(flips):
+                seg = ReversedSegment(seg)
+            return seg
+        return segment
+
+    def map(self, seg_of: np.ndarray, s: np.ndarray) -> tuple:
+        """Points z and tangents dz at the parameters s[i] (an array of any
+        trailing shape per i) of segment seg_of[i]; a tangent is given its
+        points."""
+        z = np.empty(s.shape, dtype=complex)
+        dz = np.empty(s.shape, dtype=complex)
+        group = self._group[seg_of] if len(self._segments) > 1 else None
+        for k, segment in enumerate(self._segments):
+            rows = slice(None) if group is None else (group == k).nonzero()[0]
+            u = s[rows]
+            if len(u):
+                seg = segment(seg_of[rows], s.ndim)
+                z[rows] = w = seg.point(u)
+                dz[rows] = seg.tangent(u, w)
+        return z, dz
+
+
+def _gk15_level(f: Callable, stack: _SegmentStack, member: np.ndarray,
+                seg_of: np.ndarray, s0: np.ndarray, s1: np.ndarray,
+                arclength: bool) -> tuple:
     """GK15 value and error estimate of every panel [s0, s1] of segment
-    segs[seg_of] (panels in segment order), from one integrand call on all
-    of their nodes; member[j] is the path that segment j belongs to."""
+    seg_of of the stack, from one integrand call on all of their nodes;
+    member[j] is the path that segment j belongs to."""
     mid = 0.5 * (s0 + s1)
     half = 0.5 * (s1 - s0)
     s = mid[:, None] + half[:, None] * _NODES
-    z = np.empty(s.shape, dtype=complex)
-    dz = np.empty(s.shape, dtype=complex)
-    cuts = np.searchsorted(seg_of, np.arange(len(segs) + 1)).tolist()
-    for seg, lo, hi in zip(segs, cuts, cuts[1:]):
-        if hi > lo:
-            z[lo:hi] = seg.point(s[lo:hi])
-            dz[lo:hi] = seg.tangent(s[lo:hi], z[lo:hi])
+    z, dz = stack.map(seg_of, s)
     which = np.repeat(member[seg_of], len(_NODES))
     vals = (f(z.ravel(), which) * (np.abs(dz) if arclength else dz).ravel()).reshape(s.shape)
     # sequential sums in node order, as a scalar panel loop adds them
     fk = (vals * _K15).cumsum(axis=1)[:, -1] * half
     fg = (vals[:, _G7_COLS] * _G7).cumsum(axis=1)[:, -1] * half
     return fk, np.abs(fk - fg)
+
+
+def _halves(first: int, seg_of: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            depth: int) -> list:
+    """The children [lo, mid] and [mid, hi] of the panels [lo, hi], numbered
+    from first in that order, as runs (first number, segments, s0, s1,
+    depth) of at most _LEVEL_PANELS panels, the leftmost run last: it is
+    taken next."""
+    mid = 0.5 * (lo + hi)
+    seg_of = np.repeat(seg_of, 2)
+    s0, s1 = np.empty(2 * len(lo)), np.empty(2 * len(lo))
+    s0[0::2], s0[1::2] = lo, mid
+    s1[0::2], s1[1::2] = mid, hi
+    return [(first + i, seg_of[i:i + _LEVEL_PANELS], s0[i:i + _LEVEL_PANELS],
+             s1[i:i + _LEVEL_PANELS], depth)
+            for i in reversed(range(0, len(s0), _LEVEL_PANELS))]
 
 
 def integrate_paths(f: Callable, paths: Sequence, specs: Sequence[QuadratureSpec],
@@ -241,9 +339,12 @@ def integrate_paths(f: Callable, paths: Sequence, specs: Sequence[QuadratureSpec
     paths[k].
 
     Refinement is breadth-first and shared: every level evaluates the open
-    panels of all segments of all paths in one call.  A panel at depth d of
-    path k is accepted when its error estimate is at most
-    max(tol_seg / 2^d, 2e-16 (1 + |value|)), tol_seg = specs[k].tol /
+    panels of all segments of all paths in one call.  It starts at depth 1,
+    from the two halves of every segment: the depth-0 panel [0, 1] of a
+    segment is never evaluated, its value and error being the sums of its
+    halves', since a GK15 panel over a whole segment is rarely accepted.  A
+    panel at depth d of path k is accepted when its error estimate is at
+    most max(tol_seg / 2^d, 2e-16 (1 + |value|)), tol_seg = specs[k].tol /
     #segments of path k, otherwise it is halved; QuadratureError is raised
     for a panel at specs[k].max_depth that is not accepted.  Accepted values
     are summed child pair by child pair, as a depth-first recursion would,
@@ -252,24 +353,29 @@ def integrate_paths(f: Callable, paths: Sequence, specs: Sequence[QuadratureSpec
     one-path result exactly.  A level of more than _LEVEL_PANELS open
     panels is cut into runs of that many, taken depth-first from the left,
     so an integral that never converges fails at the panel the recursion
-    fails at, after bounded work.  arclength=True integrates against |dt|
-    instead of dt.
+    fails at, after bounded work.  The nodes of every level are mapped by a
+    _SegmentStack built once per call, one numpy expression per segment
+    kind.  arclength=True integrates against |dt| instead of dt.
     """
     paths = [p.segments() if isinstance(p, NeighborhoodContour) else list(p)
              for p in paths]
     if len(specs) != len(paths):
         raise DomainError(f"{len(specs)} specs for {len(paths)} paths")
     segs = [seg for p in paths for seg in p]
+    stack = _SegmentStack(segs)
     member = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
     seg_tol = np.array([specs[k].tol / len(paths[k]) for k in member.tolist()])
     seg_depth = np.array([specs[k].max_depth for k in member.tolist()], dtype=int)
     n = len(segs)  # panels numbered in the order they are made
+    # per run: first number, values, errors, first child's number or -1; the
+    # depth-0 panels 0..n-1 are their children's sums, set below
+    done = [(0, np.zeros(n, dtype=complex), np.zeros(n), np.arange(n, 3 * n, 2))]
     # runs of open panels at one depth: (first number, segments, s0, s1, depth)
-    todo = [(0, np.arange(n), np.zeros(n), np.ones(n), 0)] if n else []
-    done = []  # per run: first number, values, errors, first child's number or -1
+    todo = _halves(n, np.arange(n), np.zeros(n), np.ones(n), 1)
+    n *= 3
     while todo:
         first, seg_of, s0, s1, depth = todo.pop()
-        val, err = _gk15_level(f, segs, member, seg_of, s0, s1, arclength)
+        val, err = _gk15_level(f, stack, member, seg_of, s0, s1, arclength)
         tol = seg_tol[seg_of] / 2.0 ** depth
         split = ~(err <= np.maximum(tol, 2e-16 * (1.0 + np.abs(val))))
         stuck = split & (depth >= seg_depth[seg_of])
@@ -283,16 +389,7 @@ def integrate_paths(f: Callable, paths: Sequence, specs: Sequence[QuadratureSpec
         child = np.full(len(s0), -1)
         child[split] = np.arange(n, n + 2 * n_split, 2)
         done.append((first, val, err, child))
-        lo, hi = s0[split], s1[split]
-        mid = 0.5 * (lo + hi)
-        seg_of = np.repeat(seg_of[split], 2)
-        s0, s1 = np.empty(2 * n_split), np.empty(2 * n_split)
-        s0[0::2], s0[1::2] = lo, mid  # children [lo, mid] and [mid, hi]
-        s1[0::2], s1[1::2] = mid, hi
-        # the leftmost run is taken next
-        todo += [(n + i, seg_of[i:i + _LEVEL_PANELS], s0[i:i + _LEVEL_PANELS],
-                  s1[i:i + _LEVEL_PANELS], depth + 1)
-                 for i in reversed(range(0, 2 * n_split, _LEVEL_PANELS))]
+        todo += _halves(n, seg_of[split], s0[split], s1[split], depth + 1)
         n += 2 * n_split
     vals, errs = np.empty(n, dtype=complex), np.empty(n)
     for first, val, err, _ in done:
@@ -322,7 +419,8 @@ def integrate_path(f: Callable, path, spec: Optional[QuadratureSpec] = None,
 
     f takes an ndarray of complex points and returns their values (a
     constant may come back as a scalar).  This is integrate_paths with one
-    path; see there for the refinement and its QuadratureError.
+    path; see there for the refinement, which starts from the halves of
+    every segment at depth 1, and its QuadratureError.
 
     decay_rate r certifies |f| <~ |f(endpoint)| e^{-r (Re t - T)} beyond the
     ray truncation; the implied tail bound |f(end)| / r per ray is folded

@@ -30,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
-                       _single_integral, gamma_contour, integrate_paths)
+                       _SegmentStack, _single_integral, gamma_contour,
+                       integrate_paths)
 from .errors import ConvergenceError, DomainError, GammaPoleError
 from .gammafn import gamma
 from .hyp import PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule
@@ -213,15 +214,23 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
     i, j = (len(edges) - 1) * n_per_panel, (len(edges) - 1 + k) * n_per_panel
     ray, cap = (s[:i], ds[:i]), ((s[i:j], ds[i:j]), (s[j:], ds[j:]))
 
-    def mapped(seg, s, ds):  # a reversed segment walks its inner one back
-        if isinstance(seg, ReversedSegment):
-            return mapped(seg.seg, s[::-1], -ds[::-1])
-        xi = seg.point(s)
-        return xi, seg.tangent(s, xi) * ds
+    stack, back = _tube_stack(A, T)
+    parts = [(s[::-1], -ds[::-1]) if b else (s, ds)
+             for b, (s, ds) in zip(back, (ray, *cap, ray))]
+    seg_of = np.repeat(np.arange(len(parts)), [len(s) for s, _ in parts])
+    xi, dz = stack.map(seg_of, np.concatenate([s for s, _ in parts]))
+    return xi, dz * np.concatenate([ds for _, ds in parts])
 
-    parts = [mapped(seg, *p) for seg, p in zip(gamma_contour(A, T).segments(),
-                                               (ray, *cap, ray))]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+@functools.lru_cache(maxsize=8)
+def _tube_stack(A: float, T: float) -> tuple:
+    """The pieces of gamma_contour(A, T) as a _SegmentStack, which maps the
+    nodes of all of them in one numpy expression per kind, and per piece
+    whether it is reversed: a reversed piece is stacked as its inner segment,
+    which its nodes walk back, their weights negated."""
+    pieces = gamma_contour(A, T).segments()
+    back = tuple(isinstance(seg, ReversedSegment) for seg in pieces)
+    return _SegmentStack([seg.seg if b else seg for seg, b in zip(pieces, back)]), back
 
 
 _BLOCK = 32  # moments per matrix-vector product in _PowerSums

@@ -420,7 +420,8 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
             pending.append((ix[~hit], min(2 * w, top)))
         total = partial[r, at]
         vals[ix] = total  # a retried element is overwritten by its retry
-        cond[ix] = np.maximum.accumulate(mag, axis=1, out=mag)[r, at] \
+        # the largest |term| up to each element's stop
+        cond[ix] = np.max(mag, axis=1, where=np.arange(w) <= at[:, None], initial=0.0) \
             / np.maximum(np.abs(total), 1e-300)
     return [(vals[lo:hi], cond[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 

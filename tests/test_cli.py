@@ -172,9 +172,9 @@ def test_quadrature_levels_make_one_2f1_pass_each(monkeypatch):
     # all four surface branches of mw-system in one pass per level, after
     # the dual-monodromy check's one pass
     outside, levels = _passes(monkeypatch, lambda: cli._suite_monodromy(RunConfig()))
-    assert (outside, levels) == (1, [1] * 3)
+    assert (outside, levels) == (1, [1] * 2)
     # I_alpha F of both alpha in one pass per level
-    assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == (0, [1] * 5)
+    assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == (0, [1] * 4)
 
 
 def test_goursat_suite_equals_its_one_case_calls():

@@ -8,7 +8,8 @@ import pytest
 import fraccal
 from fraccal import contours
 from fraccal.contours import (Arc, InfiniteRay, Line, NeighborhoodContour,
-                              QuadratureSpec, _PowerLine, cauchy_eval, check_h1_decay,
+                              QuadratureSpec, ReversedSegment, _PowerLine,
+                              cauchy_eval, check_h1_decay,
                               gamma_contour, infinite_tube_boundary,
                               integrate_path, integrate_paths)
 from fraccal.errors import DomainError, PreconditionError, QuadratureError
@@ -31,6 +32,18 @@ def test_spec_validation():
         gamma_contour(1.0, 0.5)
     with pytest.raises(DomainError):
         NeighborhoodContour(A=-1.0, T=2.0)
+
+
+def test_max_depth_below_one_is_refused():
+    # refinement starts at depth 1, so a cap below it means nothing
+    for depth in (0, -1):
+        with pytest.raises(DomainError, match="max_depth"):
+            QuadratureSpec(max_depth=depth)
+    spec = QuadratureSpec(tol=1e-12, max_depth=1)
+    val, _ = integrate_path(lambda z: z ** 3, [Line(0.0, 1.0)], spec)
+    assert abs(val - 0.25) <= 1e-15
+    with pytest.raises(QuadratureError, match=r"\[0, 0.5\]"):
+        integrate_path(lambda z: 1.0 / ((z - 0.3) ** 2 + 1e-4), [Line(0.0, 1.0)], spec)
 
 
 def test_residue_integral():
@@ -177,13 +190,15 @@ def _ref_adaptive(f, seg, s0, s1, tol, depth, max_depth, stats):
 
 
 def _ref_integrate(f, segs, spec):
+    """The recursion from the halves of every segment at depth 1."""
     stats = {"panels": 0, "depth": 0}
     total, err = 0.0 + 0.0j, 0.0
     for seg in segs:
-        v, e = _ref_adaptive(f, seg, 0.0, 1.0, spec.tol / len(segs), 0,
-                             spec.max_depth, stats)
-        total += v
-        err += e
+        tol = spec.tol / len(segs) / 2.0
+        v1, e1 = _ref_adaptive(f, seg, 0.0, 0.5, tol, 1, spec.max_depth, stats)
+        v2, e2 = _ref_adaptive(f, seg, 0.5, 1.0, tol, 1, spec.max_depth, stats)
+        total += v1 + v2
+        err += e1 + e2
     return total, err, stats
 
 
@@ -214,12 +229,96 @@ def test_breadth_first_matches_recursive_gk15(case, tol, monkeypatch):
     val, err = integrate_path(g, segs, spec)
     assert stats["depth"] >= 4
     assert sum(seen) == 15 * stats["panels"]
-    assert len(seen) == stats["depth"] + 1  # one integrand call per level
+    assert len(seen) == stats["depth"]  # one integrand call per level from 1
     assert abs(val - ref) <= 1e-15 * abs(ref)
     assert abs(err - ref_err) <= 1e-15 * ref_err + 1e-300
     # a level split over several integrand calls gives the same sums
     monkeypatch.setattr(contours, "_LEVEL_PANELS", 3)
     assert integrate_path(f, segs, spec) == (val, err)
+
+
+class _Parabola:
+    """A segment of a class _SegmentStack does not stack."""
+
+    def point(self, s):
+        return (1.0 + 2j) * s ** 2
+
+    def tangent(self, s, z=None):
+        return (2.0 + 4j) * s
+
+
+# every kind with real and complex fields, int fields and several exponents
+_KINDS = [
+    Line(0.0, 1.0), Line(2, 5), Line(-7.0, -9.0), Line(0.3j, 2.0 - 0.3j),
+    Line(1.0, 1.0 + 2j), Line(-0.5, 4.0),
+    Arc(0.0, 0.5, math.pi / 2.0, math.pi), Arc(10.0, 1.0, 0.0, math.pi),
+    Arc(0.3 - 0.1j, 0.7, 2.9, 0.4),
+    _PowerLine(0.0, 1.0, 1.0, 2), _PowerLine(1.0, -1.0, 0.5, 3),
+    _PowerLine(1j, 1.0 + 1j, 2.0, 2), _PowerLine(-6.0, -1.0, 1.0, 4),
+    _PowerLine(0.0, 1.0, 0.5, 2.0),
+    InfiniteRay(0.5j, 1.0, 10.0), InfiniteRay(20j, 1j, 5.0),
+    InfiniteRay(-0.5j, 1.0, 3.0), InfiniteRay(1.0, cmath.exp(0.3j), 2.0),
+    _Parabola(),
+]
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_stacked_mapping_equals_each_kinds_map(ndim):
+    segs = (_KINDS + [ReversedSegment(seg) for seg in _KINDS]
+            + [ReversedSegment(ReversedSegment(_KINDS[3]))])
+    rng = np.random.default_rng(5)
+    seg_of = rng.permutation(np.repeat(np.arange(len(segs)), 3))
+    if ndim == 1:
+        s = rng.uniform(0.01, 0.99, len(seg_of))
+    else:  # GK15 panels, as a quadrature level lays them out
+        s0 = rng.uniform(0.0, 0.9, len(seg_of))
+        s1 = s0 + rng.uniform(0.001, 0.1, len(seg_of))
+        s = 0.5 * (s0 + s1)[:, None] + 0.5 * (s1 - s0)[:, None] * contours._NODES
+    z, dz = contours._SegmentStack(segs).map(seg_of, s)
+    for j, seg in enumerate(segs):
+        rows = seg_of == j
+        ref = np.empty(s[rows].shape, dtype=complex)
+        ref[:] = seg.point(s[rows])
+        ref_dz = np.empty(ref.shape, dtype=complex)
+        ref_dz[:] = seg.tangent(s[rows], ref)
+        assert repr(z[rows].tolist()) == repr(ref.tolist()), seg
+        assert repr(dz[rows].tolist()) == repr(ref_dz.tolist()), seg
+
+
+def test_no_integrand_call_sees_a_depth_0_panel(monkeypatch):
+    panels = []
+    level = contours._gk15_level
+
+    def spy(f, stack, member, seg_of, s0, s1, arclength):
+        panels.append((seg_of, s0, s1))
+        return level(f, stack, member, seg_of, s0, s1, arclength)
+
+    monkeypatch.setattr(contours, "_gk15_level", spy)
+    g, seen = _counting(lambda z: np.exp(-1.3 * z) / (1.0 + z) ** 2)
+    integrate_path(g, gamma_contour(0.3, 35.0), QuadratureSpec(tol=1e-12))
+    assert len(seen) == len(panels) >= 4
+    assert all(np.all(s1 - s0 <= 0.5) for _, s0, s1 in panels)
+    # the first level is the two halves of every segment
+    seg_of, s0, s1 = panels[0]
+    assert seg_of.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert s0.tolist() == [0.0, 0.5] * 4 and s1.tolist() == [0.5, 1.0] * 4
+    assert seen[0] == 15 * 8
+
+
+@pytest.mark.parametrize("f, exact", [(lambda z: z ** 3 - 2.0 * z, -0.75),
+                                      (np.exp, math.e - 1.0)])
+def test_segments_once_accepted_whole_meet_their_tol(f, exact):
+    # GK15 accepts either integrand over the whole of [0, 1]; each now
+    # starts from the halves, with half the tolerance, and is accepted there
+    tol = 1e-13
+    stack, zero = contours._SegmentStack([Line(0.0, 1.0)]), np.zeros(1, dtype=int)
+    _, whole_err = contours._gk15_level(lambda z, k: f(z), stack, zero, zero,
+                                        np.zeros(1), np.ones(1), False)
+    assert whole_err[0] <= tol
+    g, seen = _counting(f)
+    val, err = integrate_path(g, [Line(0.0, 1.0)], QuadratureSpec(tol=tol))
+    assert seen == [30]
+    assert abs(val - exact) <= tol and err <= tol
 
 
 @pytest.mark.parametrize("case", ["pole", "noise"])
@@ -246,12 +345,12 @@ def test_breadth_first_raises_where_the_recursion_does(case):
 # (integrand, path, spec, integrand calls of the path alone); the paths lie
 # in disjoint regions, told apart by _region
 _FAMILY = [
-    # a cubic: GK15 is exact, every panel is accepted at level 0
+    # a cubic: GK15 is exact, every panel is accepted at level 1
     (lambda z: z ** 3 - 2.0 * z, [Line(2.0, 2.4), Line(2.4, 3.0)],
      QuadratureSpec(tol=1e-12), 1),
     # a Lorentzian of width 0.01 on [0, 1]: depth 8
     (lambda z: 1.0 / ((z - 0.3) ** 2 + 1e-4), [Line(0.0, 1.0)],
-     QuadratureSpec(tol=1e-10), 9),
+     QuadratureSpec(tol=1e-10), 8),
     (lambda z: np.exp(1j * z) / z, [Arc(10.0, 1.0, 0.0, math.pi),
                                     Arc(10.0, 1.0, math.pi, 2.0 * math.pi)],
      QuadratureSpec(tol=1e-11), None),
@@ -298,7 +397,7 @@ def test_integrate_paths_matches_single_paths():
     got = integrate_paths(f, [p for _, p, _, _ in _FAMILY],
                           [s for _, _, s, _ in _FAMILY])
     # one integrand call per level, as many levels as the deepest member
-    assert len(calls) == 9
+    assert len(calls) == 8
     assert len(got) == len(_FAMILY)
     for res, ref in zip(got, singles):
         assert repr(res.value) == repr(ref.value)
