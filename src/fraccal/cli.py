@@ -44,7 +44,7 @@ class RunConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.tol < 1e-14:
+        if not self.tol >= 1e-14:  # NaN included
             raise DomainError("tol must be >= 1e-14")
         if self.precision not in ("double", "extended"):
             raise DomainError("precision must be double or extended")

@@ -139,7 +139,7 @@ class QuadratureSpec:
     max_depth: int = 16
 
     def __post_init__(self):
-        if self.tol < 1e-14:
+        if not self.tol >= 1e-14:  # NaN included
             raise DomainError("tol must be >= 1e-14")
         if not self.max_depth >= 1:  # refinement starts at depth 1
             raise DomainError("max_depth must be >= 1")

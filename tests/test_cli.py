@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraccal import cli, hyp, transforms
+from fraccal import cli, fracops, hyp, transforms
 from fraccal.cli import RunConfig, main
 from fraccal.contours import integrate_paths
 from fraccal.gammafn import gamma
@@ -42,6 +42,33 @@ def test_fracop_builtin_contour_integral_beyond_the_unit_disk(capsys):
     t = 1.2 - 0.3j
     expect = complex(mp.hyp2f1(1, 1, 1.5, -t) / mp.gamma(1.5))
     assert abs(complex(*json.loads(out)["value"]) - expect) <= 1e-8
+
+
+def test_fracop_contour_derivative_past_the_first_block_of_k(capsys, monkeypatch):
+    # the contour series of exp at t = 1.5 reaches k = 24, where the kernel
+    # splits its nodes at |w| = 0.9 instead of 0.8
+    asked, deriv_kernel = [], fracops._deriv_kernel
+
+    def recording(*args):
+        kernel_sum = deriv_kernel(*args)
+        return lambda k: asked.append(k) or kernel_sum(k)
+
+    monkeypatch.setattr(fracops, "_deriv_kernel", recording)
+    code, out = run_cli(capsys, "fracop", "--builtin", "exp", "--alpha=1.5",
+                        "--eval=1.5", "--method", "contour")
+    assert code == 0 and max(asked) >= 24
+    expect = complex(mp.gamma(2.5) * mp.hyp1f1(2.5, 1, 1.5))
+    assert abs(complex(*json.loads(out)["value"]) - expect) <= 1e-9 * abs(expect)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fracop", "--builtin", "geometric", "--alpha=0.5", "--eval=0.3", "--method", "contour"],
+    ["verify", "euler-ltf"]])
+def test_nan_tol_is_refused(capsys, argv):
+    # the contour op ended in a ValueError traceback and the suite reported
+    # "tolerance": NaN with exit 1
+    assert main(argv + ["--tol", "nan"]) == 2
+    assert capsys.readouterr().err == "error: tol must be >= 1e-14\n"
 
 
 def test_fracop_alpha_zero_echo(capsys):

@@ -34,6 +34,13 @@ def test_spec_validation():
         NeighborhoodContour(A=-1.0, T=2.0)
 
 
+def test_spec_refuses_a_nan_tol():
+    # tol < 1e-14 is false for NaN, which refined every panel to max_depth
+    # and raised QuadratureError "max_depth exceeded"
+    with pytest.raises(DomainError, match="tol must be >= 1e-14"):
+        QuadratureSpec(tol=float("nan"))
+
+
 def test_max_depth_below_one_is_refused():
     # refinement starts at depth 1, so a cap below it means nothing
     for depth in (0, -1):

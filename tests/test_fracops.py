@@ -175,6 +175,13 @@ def test_contour_refuses_a_dropped_ray_tail():
         frac_integ_contour(np.exp, -0.5, 2.0, 0.5, 1.37 - 0.0616j, tol=1e-11)
 
 
+@pytest.mark.parametrize("op", [frac_deriv_contour, frac_integ_contour])
+def test_contour_operators_refuse_a_nan_tol(op):
+    for tol in (math.nan, 1e-15):
+        with pytest.raises(DomainError, match="tol must be >= 1e-14"):
+            op(GEOM, 0.5, 1.0, 0.5, 0.3, tol=tol)
+
+
 _SILENT_AT_LARGE_ALPHA = pytest.mark.xfail(
     strict=True, reason="the contour operators carry no error estimate: at "
     "larger alpha the value misses tol with no flag (ROADMAP item 5)")
@@ -270,9 +277,12 @@ def test_contour_series_agreement_grid():
 
 # kernel branch -> (mode, node filter); the contour kernels pick the branch
 # per node from |w| (and |w/(w-1)| for the integral), except that an integer
-# alpha >= 0 takes the terminating form of the derivative at every node
+# alpha >= 0 takes the terminating form of the derivative at every node.  The
+# derivative sums |w| <= 0.9 by the direct series, but for k < 24 only
+# |w| <= 0.8: the shell between takes the 1/w form there
 KERNEL_BRANCHES = {
     "deriv-direct": ("deriv", lambda w: abs(w) <= 0.9),
+    "deriv-shell": ("deriv", lambda w: 0.8 < abs(w) <= 0.9 and abs(w.imag) > 0.05),
     "deriv-inverse": ("deriv", lambda w: abs(w) > 0.9 and abs(w.imag) > 0.05),
     "deriv-terminating": ("deriv", lambda w: abs(w.imag) > 0.05),
     "integ-direct": ("integ", lambda w: abs(w) <= 0.9),
@@ -286,9 +296,10 @@ KERNEL_CASES = [(branch, alpha) for branch in sorted(KERNEL_BRANCHES)
 @pytest.mark.parametrize("branch, alpha", KERNEL_CASES)
 def test_kernel_moment_sums_match_mpmath(branch, alpha):
     # sum_j b_j f_k(w_j) from node moments against per-node mpmath 2F1, for
-    # every k up to 40, so that the blocks of k cross their edges; the direct
+    # every k up to 47, so that the blocks of k cross their edges; the direct
     # sets include a node at |w| = 0.9, where truncation is latest.  All nodes
-    # lie in one branch, so the kernel's other moment sets are empty
+    # lie in one branch, so the kernel's other moment sets are empty, but for
+    # the derivative's shell and direct sets, which cross the split of k < 24
     mode, keep = KERNEL_BRANCHES[branch]
     rng = random.Random(branch)
     w = [0.9 * cmath.exp(2.5j)] if branch.endswith("direct") else []
@@ -300,7 +311,7 @@ def test_kernel_moment_sums_match_mpmath(branch, alpha):
     a = complex(alpha)
     kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(
         a, np.array(w), np.array(b))
-    for k in range(41):
+    for k in range(48):
         if branch.endswith("terminating"):  # Euler's transformation, exact
             f = lambda wj: (1 - wj) ** (-a - 1) * mp.hyp2f1(-a, k, k + 1, wj)
         elif branch.endswith("pfaff"):  # mpmath is slow at |w| > 1 here
@@ -336,29 +347,53 @@ def test_kernel_sums_do_not_depend_on_request_order(mode, alpha):
     assert repr(got) == repr([fresh(k) for k in range(41)])
 
 
+def _record_kernel_requests(monkeypatch) -> list:
+    # the k asked of every derivative kernel built from here on, in order
+    asked, deriv_kernel = [], fracops._deriv_kernel
+
+    def recording(*args):
+        kernel_sum = deriv_kernel(*args)
+        return lambda k: asked.append(k) or kernel_sum(k)
+
+    monkeypatch.setattr(fracops, "_deriv_kernel", recording)
+    return asked
+
+
 @pytest.mark.parametrize("block", [None, 5])
 def test_contour_kernel_builds_coefficients_a_block_of_k_at_a_time(monkeypatch, block):
     # one frac_deriv_contour evaluation builds one coefficient matrix per
     # block of k it asks for, never one coefficient row per k
     if block is not None:
         monkeypatch.setattr(fracops, "_K_BLOCK", block)
-    rows, asked = [], []
-    series_rows, deriv_kernel = fracops._series_rows, fracops._deriv_kernel
+    rows, series_rows = [], fracops._series_rows
 
     def counting(m, A, C, *args):
         rows.append(A.size)
         return series_rows(m, A, C, *args)
 
-    def recording(*args):
-        kernel_sum = deriv_kernel(*args)
-        return lambda k: asked.append(k) or kernel_sum(k)
-
     monkeypatch.setattr(fracops, "_series_rows", counting)
-    monkeypatch.setattr(fracops, "_deriv_kernel", recording)
+    asked = _record_kernel_requests(monkeypatch)
     frac_deriv_contour(GEOM, 0.5, 1.0, 0.5, 1.2 - 0.3j)
     K, size = len(asked), fracops._K_BLOCK
     assert asked == list(range(K)) and K > 5
     assert rows == [size] * -(-K // size)
+
+
+def test_first_block_of_the_contour_kernel_stops_its_rows_at_radius_08(monkeypatch):
+    # at this t the nodes reach |w| = 0.8996; the block k < 24 sums the direct
+    # series only over |w| <= 0.8, so its rows stop where 0.8^n reaches the
+    # row tolerance 1e-13 (145 terms), not 0.9^n (313 terms)
+    t = 1.24 + 0.38j
+    xi, _ = contour_quadrature_nodes(0.5, 40.5, 24, refine_near=t)
+    r = np.abs(t / xi)
+    assert 0.899 < r[r <= 0.9].max() and np.count_nonzero((r > 0.8) & (r <= 0.9)) > 50
+    lengths, upto = [], _PowerSums.upto
+    monkeypatch.setattr(_PowerSums, "upto", lambda m, n: lengths.append(n) or upto(m, n))
+    asked = _record_kernel_requests(monkeypatch)
+    val = frac_deriv_contour(GEOM, 0.5, 1.0, 0.5, t)
+    assert max(asked) < 24
+    assert sorted(lengths) == [24, 24, 145]  # the two 1/w moment sets, then the rows
+    assert abs(val - gamma(1.5) * (1.0 + t) ** -1.5) <= 1e-10 * abs(val)
 
 
 def _moment_nodes(n_nodes, seed):
@@ -433,7 +468,8 @@ def _branch_nodes():
     # six nodes in each branch of the two kernels, away from the cut [1, oo):
     # near (|w| <= 0.9, one on the circle), and past it the Pfaff disk
     # |w/(w-1)| <= 0.9 and the hard nodes outside both, all far for the
-    # derivative kernel
+    # derivative kernel; then one in the derivative's shell 0.8 < |w| <= 0.9
+    # next to its inner edge, far for k < 24 and near after
     rng = random.Random(21)
     branches = [[0.9 * cmath.exp(2.5j)], [], []]
     while min(map(len, branches)) < 6:
@@ -443,7 +479,7 @@ def _branch_nodes():
         branch = 0 if abs(w) <= 0.9 else 1 if abs(w / (w - 1.0)) <= 0.9 else 2
         if len(branches[branch]) < 6:
             branches[branch].append(w)
-    w = np.array([x for branch in branches for x in branch])
+    w = np.array([x for branch in branches for x in branch] + [0.8001 * cmath.exp(-2.7j)])
     return w, np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in w])
 
 
@@ -454,11 +490,11 @@ def _branch_nodes():
     ("integ", -0.6 - 0.3j), ("integ", 0.3 + 0.4j), ("integ", 1.2 - 0.5j)])
 def test_kernels_on_every_branch_match_mpmath(mode, alpha):
     # rows summed to 1e-13, the tolerance frac_*_contour uses at tol = 1e-10;
-    # every k up to 40, so the blocks of k cross their edges
+    # every k up to 47, so the blocks of k cross their edges
     w, b = _branch_nodes()
     a = complex(alpha)
     kernel_sum = (_deriv_kernel if mode == "deriv" else _integ_kernel)(a, w, b, 1e-13)
-    for k in range(41):
+    for k in range(48):
         if mode == "deriv":
             f = lambda wj: mp.hyp2f1(a + k + 1, 1, k + 1, wj)
         else:  # in Pfaff's form, where mpmath is fast at every node
