@@ -282,17 +282,17 @@ _MERGE_TERMS = 1024
 
 def _blocks(n: np.ndarray, top: int):
     """Groups of element indices to sum together, with their width: elements
-    sorted by their term estimate n, cut at powers of two (at most top), and
+    sorted by their term estimate n, cut at multiples of 8 (at most top), and
     adjacent groups merged while padding them costs less than one more
     block."""
     order = n.argsort()
     ns = n[order].tolist()
     start = 0
     while start < len(ns):
-        width = min(1 << (ns[start] - 1).bit_length(), top)
+        width = min(-(-ns[start] // 8) * 8, top)
         end = bisect.bisect_right(ns, width, start)
         while end < len(ns):
-            wider = min(1 << (ns[end] - 1).bit_length(), top)
+            wider = min(-(-ns[end] // 8) * 8, top)
             if (end - start) * (wider - width) > _MERGE_TERMS:
                 break
             width, end = wider, bisect.bisect_right(ns, wider, end)

@@ -115,15 +115,21 @@ def _truncation_horizon(re_margin: float, tol: float, power: float = 0.0) -> flo
 
 
 def _ray_path(T: float, p0: Optional[int], p1: Optional[int]) -> list:
-    """The moduli [0, T] (T >= 4) of a Laplace ray, cut at 1 and 3: a
-    _PowerLine of exponent p0 flattens t^alpha at 0, and _PowerLines of
-    exponent p1 a singularity at |t| = 1 on both sides, where set."""
+    """The moduli [0, 3 2^j] of a Laplace ray, cut at 1 and at 3, 6, 12, ...:
+    3 2^j is the first of 6, 12, 24, ... at or beyond the horizon T (T >= 4),
+    so rays of any horizons share their tail segments.  A _PowerLine of
+    exponent p0 flattens t^alpha at 0, and _PowerLines of exponent p1 a
+    singularity at |t| = 1 on both sides, where set."""
     if p1 is None:
-        head = [_PowerLine(0.0, 1.0, 1.0, p0) if p0 else Line(0.0, 1.0), Line(1.0, 3.0)]
+        path = [_PowerLine(0.0, 1.0, 1.0, p0) if p0 else Line(0.0, 1.0), Line(1.0, 3.0)]
     else:
-        head = [_PowerLine(0.0, 1.0, 0.5, p0) if p0 else Line(0.0, 0.5),
+        path = [_PowerLine(0.0, 1.0, 0.5, p0) if p0 else Line(0.0, 0.5),
                 _PowerLine(1.0, -1.0, 0.5, p1), _PowerLine(1.0, 1.0, 2.0, p1)]
-    return head + [Line(3.0, T)]
+    edge = 3.0
+    while edge < T:
+        path.append(Line(edge, 2.0 * edge))
+        edge *= 2.0
+    return path
 
 
 def _laplace_members(members: Sequence[tuple]) -> list:
@@ -138,14 +144,17 @@ def _laplace_members(members: Sequence[tuple]) -> list:
     with prefactor w and no power for alpha None.  theta None is the
     positive axis and F a function of t; otherwise F takes the (moduli,
     angles) of surface points.  tol (at least 1e-14) bounds the integral:
-    it is truncated where e^{-(Re w - type_bound) T} T^{max(Re alpha, 0)}
-    < 0.01 tol and refined to GK tolerance tol along _ray_path, which
-    flattens s^alpha (to order p (Re alpha + 1) - 1 >= 1 in t = s^p, p >= 2,
-    as in laplace_alpha) and a declared singularity |t - 1|^{-singular}
-    (0 < singular < 1).  Each distinct F is evaluated once per level, on
-    the distinct (modulus, angle) pairs of its members' nodes.  F returns
-    its values there, or a hyp part (hyp._Part); the parts of all F of a
-    level are evaluated in one 2F1 pass (hyp._hyp2f1_parts)."""
+    it is truncated at the first 3 2^j at or beyond the T where
+    e^{-(Re w - type_bound) T} T^{max(Re alpha, 0)} < 0.01 tol, and refined
+    to GK tolerance tol along _ray_path, which flattens s^alpha (to order
+    p (Re alpha + 1) - 1 >= 1 in t = s^p, p >= 2, as in laplace_alpha) and
+    a declared singularity |t - 1|^{-singular} (0 < singular < 1).  Each
+    distinct F is evaluated once per level, on the distinct (modulus,
+    angle) pairs of its members' nodes, so members that differ in zeta
+    alone share the nodes of the tail segments they have in common, at
+    least at the first level.  F returns its values there, or a hyp part
+    (hyp._Part); the parts of all F of a level are evaluated in one 2F1
+    pass (hyp._hyp2f1_parts)."""
     distinct = list(dict.fromkeys(members))
     paths, specs, rate, scale, angle, alphas, fn_of = [], [], [], [], [], [], []
     fns, plane = {}, {}  # index and kind of each distinct F
@@ -210,7 +219,9 @@ def _laplace_members(members: Sequence[tuple]) -> list:
             out[sel] *= s[sel] ** alphas[k[sel]]
         return out * vals[where]
 
-    res = integrate_paths(g, paths, specs)
+    # arclength, against |ds|: a singular ray's piece flattened at |t| = 1
+    # from below runs from 1 down to 1/2
+    res = integrate_paths(g, paths, specs, True)
     value = {m: a * r.value for m, a, r in zip(distinct, scale, res)}
     return [value[m] for m in members]
 

@@ -599,7 +599,8 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
     P_1 relation of the kappa-reflected companion system (P_2(z; kappa) =
     P_1(z e^{-i pi}; -kappa) is an exact substitution identity).  All rays,
     six per grid point, are one family integration; the report includes the
-    log-slope of the measured jump against e^{-zeta}.
+    log-slope of the measured jump against e^{-zeta}.  It passes when every
+    relative residual above the measurable threshold is at most 100 tol.
     """
     grid = [float(z) for z in (zeta_grid if zeta_grid is not None
                                else default_zeta_grid())]
@@ -643,7 +644,7 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
             "max_relative_residual": max_rel,
             "log_slope": slope, "log_slope_detrended": slope_detrended,
             "tolerance": tol,
-            "pass": max_rel <= max(tol * 1e4, 1e-4) and
+            "pass": max_rel <= tol * 100 and
                     (slope_detrended is None or abs(slope_detrended + 1.0) <= 0.1),
             "notes": "MW2 checked as the MW1 relation of the kappa-reflected "
                      "companion (exact substitution identity)"}

@@ -201,7 +201,7 @@ def test_quadrature_levels_make_one_2f1_pass_each(monkeypatch):
     outside, levels = _passes(monkeypatch, lambda: cli._suite_monodromy(RunConfig()))
     assert (outside, levels) == (1, [1] * 2)
     # I_alpha F of both alpha in one pass per level
-    assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == (0, [1] * 4)
+    assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == (0, [1] * 2)
 
 
 def test_goursat_suite_equals_its_one_case_calls():

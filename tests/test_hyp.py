@@ -270,6 +270,21 @@ def test_cancelling_series_raise(c):
     assert cond[0] <= 1.0
 
 
+@pytest.mark.parametrize("top", [20000, 600, 37])
+def test_row_sum_blocks_are_multiples_of_8_covering_their_estimates(top):
+    # _row_sums caps every estimate at its row's cap, at most top; a block
+    # is as wide as its largest estimate rounded up to a multiple of 8, or
+    # top, so no wider than needed and never too narrow
+    rng = np.random.default_rng(3)
+    n = np.minimum(np.concatenate([rng.integers(9, 60, 300), rng.integers(60, 5000, 100),
+                                   [9, 16, 17, top]]), top)
+    covered = []
+    for ix, w in hyp._blocks(n, top):
+        assert w == min(-(-n[ix].max() // 8) * 8, top)
+        covered += ix.tolist()
+    assert sorted(covered) == list(range(len(n)))
+
+
 def test_direct_series_sums_past_rising_terms():
     # with Re c far below 0 the terms fall, then rise again near k = -Re c;
     # three small terms before that point must not end the sum

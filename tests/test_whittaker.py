@@ -405,7 +405,7 @@ def test_mw_system():
     m = stokes_multipliers_whittaker(0.0, 0.3)
     rep = verify_mw_system(0.0, 0.3, m)
     assert rep["pass"]
-    assert rep["max_relative_residual"] <= 1e-4
+    assert rep["max_relative_residual"] <= 1e-8
     assert abs(rep["log_slope"] + 1.0) <= 0.1
 
 
