@@ -375,7 +375,14 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
     # term1: r1 (-w)^{-(a+k+1)} (1-1/w)^{-a-1} = r1 q^k (1-w)^{-(a+1)} off the cut
     # term2 = k/(a+k) (-w)^{-1} 2F1(1, 1-k; 1-a-k; 1/w), a polynomial of degree
     # k-1 in 1/w = -q: the moments of q with odd n negated
-    b1, b2 = bf * (1.0 - wf) ** (-(a + 1.0)), bf * q
+    u, e = 1.0 - wf, -(a + 1.0)
+    # (1-w)^e = exp(e log(1-w)) on the principal branch, in real arithmetic
+    lr, li = np.log(np.abs(u)), np.arctan2(u.imag, u.real)
+    mag, ph = np.exp(e.real * lr - e.imag * li), e.real * li + e.imag * lr
+    b1 = np.empty(len(u), dtype=complex)
+    np.multiply(mag, np.cos(ph), out=b1.real)
+    np.multiply(mag, np.sin(ph), out=b1.imag)
+    b1, b2 = bf * b1, bf * q
 
     @functools.cache
     def split(n: int) -> tuple:

@@ -40,7 +40,10 @@ p+1Fp row.  Every evaluation is a batch of one:
 hyp2f1 is the one-call case of a pass over a list of calls (parameters,
 array of arguments, sides) whose elements one planner routes together by
 one argmin, each route's powers formed at once; their series are summed in
-one pass, in blocks of power vectors z^n grouped by term count.
+one pass, in blocks of power vectors z^n grouped by term count.  A pass
+folds the elements of real parameter triples onto the upper half-plane
+(Schwarz reflection, exact in rounding too) and plans each distinct element
+once.
 geom_alpha_check is the one-case call of a check whose loops are the lanes
 of one continuation.  Where a sum stops depends on z, tol and the
 parameters only, so a value never depends on what the cache holds or on the
@@ -420,9 +423,13 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
             pending.append((ix[~hit], min(2 * w, top)))
         total = partial[r, at]
         vals[ix] = total  # a retried element is overwritten by its retry
-        # the largest |term| up to each element's stop
-        cond[ix] = np.max(mag, axis=1, where=np.arange(w) <= at[:, None], initial=0.0) \
-            / np.maximum(np.abs(total), 1e-300)
+        # the largest |term| up to each element's stop: no term past first
+        # grows, so the largest of the block row, unless the row holds terms
+        # past a cap or an overflow (inf, or inf * 0 = NaN) past the stop
+        top_term = mag.max(axis=1)
+        if lowest < w or not np.isfinite(top_term).all():
+            top_term = np.max(mag, axis=1, where=np.arange(w) <= at[:, None], initial=0.0)
+        cond[ix] = top_term / np.maximum(np.abs(total), 1e-300)
     return [(vals[lo:hi], cond[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -462,6 +469,7 @@ class _Table:
         self.a, self.b, self.c = a, b, c
         self.s = c - a - b
         self.taylor = _Row((a, b), (c, 1.0))
+        self.real = not (a.imag or b.imag or c.imag)  # conjugate-symmetric in z
         # for _plan: the route of every z, else -1 (0 sums a terminating row,
         # 7 and 8 are (1-z)^-a and (1-z)^-b), and whether 1/z may be taken
         self.kind = (0 if self.taylor.stop is not None else 7 if abs(c - b) < _PARAM_TOL else
@@ -637,8 +645,12 @@ def hyp2f1(p: Hyp2F1Params, z, side=None,
     the cut; elsewhere it is ignored.  Each element takes the
     route with the smallest series argument, all series of all elements are
     summed together, and a value does not depend on the other elements.
-    Raises ConvergenceError when a series cancels so far that fewer than 10
-    digits would survive rounding.  This is the one-call case of _hyp2f1_calls.
+    For real a, b, c an element below the real axis or on the lower rim is
+    evaluated as the conjugate of its mirror image, which the routes give
+    exactly (a zero imaginary part keeps its sign), so a conjugate pair or
+    a repeated element is summed once.  Raises ConvergenceError when a
+    series cancels so far that fewer than 10 digits would survive rounding.
+    This is the one-call case of _hyp2f1_calls.
     """
     return _hyp2f1_calls([(p, z, side)], tol, max_terms)[0]
 
@@ -695,29 +707,98 @@ def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
     all calls are routed by one _plan (one table per parameters) and all row
     sums summed in one pass; a value does not depend on the other calls.
     The elements that come back NaN (a 1/z route whose terms cancel) are
-    planned again, all in one more pass, with inv=False: without 1/z."""
+    planned again, all in one more pass, with inv=False: without 1/z.
+
+    For real a, b, c, 2F1(conj z) = conj 2F1(z) (Schwarz reflection), and
+    the routes are exactly conjugate-symmetric in rounding too.  So where a
+    real-parameter table has an element with Im z < 0, or one on the lower
+    rim (z > 1, side -1), that element is folded onto the upper half-plane
+    (z -> conj z, side -> -side); each distinct (table, z, side), bit for
+    bit, is then planned and summed once, and a folded element's value is
+    unfolded: a nonzero imaginary part is negated, a zero one keeps its
+    sign.  A value is thus exactly that of its unfolded evaluation, and a
+    pass with nothing to fold plans its elements as they are."""
     per_call, ids = [], {}
     for p, z, side in calls:
         p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
         zs = np.asarray(z, dtype=complex)
         per_call.append((zs.shape, zs.ravel(), ids.setdefault((p.a, p.b, p.c), len(ids)),
                      None if side is None else np.broadcast_to(side, zs.shape).ravel()))
-    shapes, zl, ks, sl = zip(*per_call) if per_call else ((),) * 4
+    if not per_call:
+        return []
+    shapes, zl, ks, sl = zip(*per_call)
     size = [x.size for x in zl]
-    z = zl[0] if len(zl) == 1 else np.concatenate(zl or [_EMPTY])
+    z = zl[0] if len(zl) == 1 else np.concatenate(zl)
     g = np.repeat(ks, size) if len(ids) > 1 else None
     side = sl[0] if len(sl) == 1 else None if all(s is None for s in sl) else np.concatenate(
         [np.full(n, np.nan) if s is None else s for s, n in zip(sl, size)])
-    tabs, redo, vals = [_table(*abc) for abc in ids], slice(None), np.empty(len(z), complex)
-    for inv in (inv, False) if per_call else ():
+    tabs = [_table(*abc) for abc in ids]
+    folded = _folded(tabs, g, z, side)
+    if folded is None:
+        vals = _evaluate(tabs, g, z, side, tol, max_terms, inv)
+    else:
+        low, z, side, first, back = folded
+        vals = _evaluate(tabs, _part(g, first), z[first], _part(side, first),
+                         tol, max_terms, inv)[back]
+        flip = low & (vals.imag != 0.0)
+        vals.imag[flip] = -vals.imag[flip]
+    return [vals[hi - n:hi].reshape(shape) if shape else complex(vals[hi - 1])
+            for shape, n, hi in zip(shapes, size, itertools.accumulate(size))]
+
+
+def _folded(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
+            side: Optional[np.ndarray]) -> Optional[tuple]:
+    """None if no element of a real-parameter table lies below the real axis
+    or on the lower rim of the cut; else (low, z, side, first, back): the
+    mask of those elements, the arguments with them folded, and the index
+    of the first element of each distinct (table, z, side), bit for bit,
+    and for every element the position of its own among those."""
+    real = [t.real for t in tabs]
+    if not any(real):
+        return None
+    below = z.imag < 0.0
+    low = below if side is None else below | (side < 0.0) & (z.imag == 0.0) & (z.real > 1.0)
+    if not all(real):
+        real = np.array(real)[g]
+        below &= real
+        low &= real
+    if not np.count_nonzero(low):
+        return None
+    n = len(z)
+    z = np.where(below, z.conj(), z)
+    key = np.zeros((n, 4), dtype=np.int64)  # the bits of z, the table, the side's bits
+    key[:, :2] = z.view(np.int64).reshape(n, 2)
+    if g is not None:
+        key[:, 2] = g
+    if side is not None:  # a NaN side (none) keeps its bits
+        side = np.where(low & (side == side), -side, side).astype(float)
+        key[:, 3] = side.view(np.int64)
+    # sorted by value, equal keys lie together: only x + 0i and x - 0i, equal
+    # in value, may interleave, which at worst leaves a pair unmerged
+    order = np.lexsort((z.imag, z.real) if g is None else (z.imag, z.real, g))
+    key = key[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.any(key[1:] != key[:-1], axis=1, out=new[1:])
+    back = np.empty(n, dtype=int)
+    back[order] = np.cumsum(new) - 1
+    return low, z, side, order[new], back
+
+
+def _evaluate(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
+              side: Optional[np.ndarray], tol: float, max_terms: int, inv: bool) -> np.ndarray:
+    """The values of the _hyp2f1_calls elements z (element i on tabs[g[i]],
+    side NaN where it has none), as they are: one _plan and one row-sum pass,
+    and one more without 1/z for the elements that come back NaN."""
+    redo, vals = slice(None), np.empty(len(z), complex)
+    for inv in (inv, False):
         jobs = []
         assemble = _plan(tabs, _part(g, redo), z[redo], _part(side, redo), jobs, inv)
         vals[redo] = assemble(_summed(jobs, tol, max_terms))
         redo = np.isnan(vals).nonzero()[0] if inv else ()
         if not len(redo):
             break
-    return [vals[hi - n:hi].reshape(shape) if shape else complex(vals[hi - 1])
-            for shape, n, hi in zip(shapes, size, itertools.accumulate(size))]
+    return vals
 
 
 def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.ndarray],
@@ -897,17 +978,22 @@ def _jump_factors(p: Hyp2F1Params, t, sign) -> tuple:
     return np.where(signs > 0, T[1], T[-1]) * pw, (inner, u, None)
 
 
-def _surface_part(p: Hyp2F1Params, r: np.ndarray, phi: np.ndarray) -> _Part:
+def _surface_part(p: Hyp2F1Params, r: np.ndarray, phi: np.ndarray,
+                  x: Optional[np.ndarray] = None) -> _Part:
     """The part of 2F1(p; x = r e^{i phi}) for 1-d arrays r > 0, -3 pi < phi
     <= pi: the cut plane for -2 pi < phi < 0, its rims phi = 0 (side -1) and
     -2 pi (side +1), and one crossing either way, which adds the jump T^{+-}
     of _jump_factors where |x| > 1, its inner 2F1 on side -1 so that x = -r
     (phi = pi) works.  The inner parameters are built only when a jump is
-    added."""
+    added.  x may be given as formed by the caller, so that points of
+    mirrored phi are exact conjugates; off the rims it carries no side, so
+    that such a pair is one element of a 2F1 pass."""
     top = np.abs(phi) <= 1e-14
     bottom = np.abs(phi + 2.0 * math.pi) <= 1e-14
-    x = np.where(np.abs(phi - math.pi) <= 1e-14, -r + 0j, r * np.exp(1j * phi))
-    plane = (p, np.where(top | bottom, r + 0j, x), np.where(bottom, 1.0, -1.0))
+    if x is None:
+        x = np.where(np.abs(phi - math.pi) <= 1e-14, -r + 0j, r * np.exp(1j * phi))
+    plane = (p, np.where(top | bottom, r + 0j, x),
+             np.where(bottom, 1.0, np.where(top, -1.0, np.nan)))
     up = phi > 1e-14
     far = np.flatnonzero((up | (phi < -2.0 * math.pi - 1e-14)) & (r > 1.0))
     if not far.size:

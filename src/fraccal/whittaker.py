@@ -16,8 +16,9 @@ transforms._laplace_members.
 Branch bookkeeping: surface points are passed as (modulus, continuous
 argument).  Canonical sheets: arg t in (-pi, pi) for F_1, (-2 pi, 0) for
 F_2, each extended by one cut crossing.  Both duals are one continued 2F1,
-hyp._surface_part, in two frames: F_1(t) = 2F1(p1; -t) with -t = rho
-e^{i(theta - pi)}, and F_2(t) = 2F1(p2; t); the cut-crossing jump is hyp's.
+hyp._surface_part, in two frames: F_1(t) = 2F1(p1; -t) with -t at arg
+theta - pi, formed as -(rho e^{i theta}), and F_2(t) = 2F1(p2; t); the
+cut-crossing jump is hyp's.
 Their fractional integrals I_q F_j, in which the monodromic relations are
 stated, are regularized 2F1 (hyp._regularized_part), entire in the order q.
 Every check hands the 2F1 calls of all its functions, as hyp parts, to one
@@ -178,10 +179,8 @@ def phase_amplitude_recurrence(p: PWDEParams, N: int) -> PhaseAmplitudePair:
     c1 = [1.0 + 0.0j]
     c2 = [1.0 + 0.0j]
     for n in range(1, N):
-        conv1 = sum(p.beta[j] * c1[n - 2 - j] for j in range(max(0, n - 1))
-                    if j < len(p.beta))
-        conv2 = sum(p.beta[j] * c2[n - 2 - j] for j in range(max(0, n - 1))
-                    if j < len(p.beta))
+        conv1 = sum(p.beta[j] * c1[n - 2 - j] for j in range(min(n - 1, len(p.beta))))
+        conv2 = sum(p.beta[j] * c2[n - 2 - j] for j in range(min(n - 1, len(p.beta))))
         c1.append(((m ** 2 - (n - k - 0.5) ** 2) * c1[n - 1] + conv1) / n)
         c2.append((((n + k - 0.5) ** 2 - m ** 2) * c2[n - 1] - conv2) / n)
     return PhaseAmplitudePair(tuple(c1), tuple(c2))
@@ -246,17 +245,20 @@ class WhittakerSurface:
 
     def f1(self, rho, theta):
         """F_1 at the surface points rho e^{i theta}, |theta| < 2 pi: F_1(t) =
-        2F1(p1; -t) with -t = rho e^{i(theta - pi)}.  rho and theta broadcast
+        2F1(p1; -t) with -t at arg theta - pi.  rho and theta broadcast
         against each other; two scalars give a complex.  The value of
         f1_part."""
         return _hyp2f1_parts([self.f1_part(rho, theta)])[0]
 
     def f1_part(self, rho, theta) -> _Part:
-        """f1(rho, theta) as a hyp part."""
+        """f1(rho, theta) as a hyp part.  -t is formed as -(rho e^{i theta}),
+        so mirrored theta give exactly conjugate points (rho e^{i(theta -
+        pi)} would not be), which a real-parameter 2F1 pass sums once."""
         r, th = _surface_points(rho, theta)
         if (np.abs(th) >= 2.0 * math.pi - 1e-14).any():
             raise DomainError("F_1 evaluator covers |arg t| < 2 pi only")
-        return _surface_part(self.p1, r, th - math.pi).then(partial(_shaped, rho, theta))
+        return _surface_part(self.p1, r, th - math.pi, -(r * np.exp(1j * th))).then(
+            partial(_shaped, rho, theta))
 
     def f2(self, rho, theta):
         """F_2 = 2F1(p2; t) at the surface points; canonical sheet -2 pi < arg
@@ -509,10 +511,14 @@ def _goursat_reports(cases: Sequence[tuple]) -> list:
     """verify_goursat_ltf for each (d, m, s_grid, n_psi, tol) of cases.
     Every case is validated before any is evaluated; then the 2F1 values of
     all cases, on their fit grids and sample rings, are one pass, so a
-    report equals its one-case call, bit for bit."""
+    report equals its one-case call, bit for bit.  The ring is built from
+    its first quadrant by exact conjugation and negation, and the default
+    fit grids from their upper halves by exact conjugation, so the
+    real-parameter 2F1s of the pass sum each conjugate pair once."""
     ring, n_ring = 0.55, 64
     # half-step ring samples dodge the negative-real axis of log(s)
-    ring_pts = ring * np.exp(2j * math.pi * (np.arange(n_ring) + 0.5) / n_ring)
+    quad = ring * np.exp(2j * math.pi * (np.arange(n_ring // 4) + 0.5) / n_ring)
+    ring_pts = np.concatenate((quad, -quad[::-1].conj(), -quad, quad[::-1].conj()))
     plans = [_goursat_sides(d, m, s_grid, ring_pts) for d, m, s_grid, _, _ in cases]
     vals = iter(_hyp2f1_parts([part for _, sides in plans for *_, parts in sides
                                for part in parts]))
@@ -581,8 +587,12 @@ def _goursat_sides(d: DualPair, m: MonodromyTriple, s_grid, ring_pts: np.ndarray
         grid1 = grid2 = np.array(s_grid, dtype=complex)
         _refuse_real_points(grid1, "s_grid")
     else:
-        thetas = (np.linspace(-2.6, 2.6, 14), np.linspace(0.25, 2.0 * math.pi - 0.25, 14))
-        grid1, grid2 = (np.outer((0.15, 0.32), np.exp(1j * th)).ravel() for th in thetas)
+        # arg s on [-2.6, 2.6] and [0.25, 2 pi - 0.25], 14 points each, the
+        # lower half of each the mirror image of its upper half
+        up1 = np.exp(1j * np.linspace(-2.6, 2.6, 14)[7:])
+        up2 = np.exp(1j * np.linspace(0.25, 2.0 * math.pi - 0.25, 14)[:7])
+        grid1, grid2 = (np.outer((0.15, 0.32), e).ravel() for e in (
+            np.concatenate((up1[::-1].conj(), up1)), np.concatenate((up2, up2[::-1].conj()))))
     return k2i, [(label, T, pts, n_pole, [K(pts), F_of_s(pts), K(ring_pts), F_of_s(ring_pts)])
                  for label, K, T, F_of_s, pts, n_pole in (
                      ("f1", K1, m.T1, lambda s: _call_part(p1, 1.0 - s), grid1, 0),
@@ -598,9 +608,12 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
     integrals of the dual functions.  The P_2 relation is verified as the
     P_1 relation of the kappa-reflected companion system (P_2(z; kappa) =
     P_1(z e^{-i pi}; -kappa) is an exact substitution identity).  All rays,
-    six per grid point, are one family integration; the report includes the
-    log-slope of the measured jump against e^{-zeta}.  It passes when every
-    relative residual above the measurable threshold is at most 100 tol.
+    six per grid point, are one family integration; the two P_1 rays of a
+    kappa at arg zeta = +-pi are mirror images whose surface points are exact
+    conjugates, so for real kappa and mu each 2F1 pass sums their points
+    once.  The report includes the log-slope of the measured jump against
+    e^{-zeta}.  It passes when every relative residual above the measurable
+    threshold is at most 100 tol.
     """
     grid = [float(z) for z in (zeta_grid if zeta_grid is not None
                                else default_zeta_grid())]

@@ -364,3 +364,19 @@ def test_monodromy_suite_matches_scalar_calls():
                        "mw2_companion_relative_residual": rel2,
                        "below_measurable_threshold": abs(rhs) < 1e-12})
     assert rep["cases"] == expect
+
+
+@pytest.mark.parametrize("suite, planned", [("monodromy", 618), ("goursat", 272)])
+def test_verify_suites_plan_each_conjugate_pair_once(capsys, monkeypatch, suite, planned):
+    # mw-system's P_1 rays at arg zeta = +-pi and goursat's fit grids and
+    # rings are mirror images: their real-parameter 2F1 elements fold onto
+    # one another and are planned once (918 and 736 elements unfolded)
+    sizes, plan = [], hyp._plan
+
+    def planned_(tabs, g, z, side, jobs, inv=True, pfaff=True):
+        if pfaff:
+            sizes.append(len(z))
+        return plan(tabs, g, z, side, jobs, inv, pfaff)
+    monkeypatch.setattr(hyp, "_plan", planned_)
+    code, _ = run_cli(capsys, "verify", suite)
+    assert code == 0 and sum(sizes) == planned

@@ -878,9 +878,10 @@ def test_one_pass_routes_each_element_as_its_one_call_pass(monkeypatch):
     # the top round forms the 1-z and 1/z values of four and eight tables in
     # one expression each, the Pfaff round those of its four 1-z and four
     # 1/w tables; Goursat's forms and the crescent lanes go one table at a
-    # time; the cancelling 1/z elements are planned again without 1/z
+    # time, the crescent pair 0.5 +- 0.86i of a real triple folded onto one
+    # lane; the cancelling 1/z elements are planned again without 1/z
     assert seen == [(True, True), ("1-z", 4), ("1/z", 8), (False, True), ("1-z", 4),
-                    ("1/z", 4), *[("ode", 2)] * 4, *[("goursat", 1)] * 8, (True, False),
+                    ("1/z", 4), *[("ode", 1)] * 4, *[("goursat", 1)] * 8, (True, False),
                     (False, False), ("1-z", 4)]
     monkeypatch.undo()
     single = [hyp._hyp2f1_calls([call])[0] for call in calls]
@@ -964,3 +965,186 @@ def test_coefficients_past_the_double_range_end_in_a_typed_error(abc, z):
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError):
             hyp2f1(Hyp2F1Params(*abc), z)
+
+
+# --- conjugate folding of real-parameter passes --------------------------------
+
+def _raw(abc, z, side=None):
+    """The values of one table's elements as the engine forms them, unfolded."""
+    p = Hyp2F1Params(*abc)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    side = None if side is None else np.full(z.shape, float(side))
+    return hyp._evaluate([hyp._table(p.a, p.b, p.c)], None, z, side, 1e-16, 20000, True)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).view(np.int64).tolist()
+
+
+def _unfolded(v):
+    """conj v, except that a zero imaginary part keeps its sign."""
+    v = np.array(v, dtype=complex)
+    flip = v.imag != 0.0
+    v.imag[flip] = -v.imag[flip]
+    return v
+
+
+def _symmetry_cases():
+    """(abc, points above the real axis, cut points x > 1): the triples and
+    points of _one_pass_calls, then 60 seeded real triples of every kind
+    (Re c far below 0, integer c-a-b, terminating, c = b, a-b an integer)
+    at points over the upper half-plane and the crescent."""
+    cases = []
+    for abc, zs, _ in _one_pass_calls():
+        z = np.array(zs, dtype=complex)
+        if all(complex(v).imag == 0.0 for v in abc):
+            cases.append((abc, np.where(z.imag < 0, z.conj(), z)[z.imag != 0],
+                          z.real[(z.imag == 0) & (z.real > 1)]))
+    rng = random.Random(2027)
+
+    def u(lo, hi):
+        return rng.uniform(lo, hi)
+    for i in range(60):
+        a, b = u(-2.5, 2.5), u(-2.5, 2.5)
+        c = (u(0.2, 3.5), a + b + rng.choice([-2, -1, 0, 1, 2]), u(-3.5, -0.1), b,
+             u(-24.0, -20.0), u(0.2, 3.5))[i % 6]
+        if i % 6 == 5:
+            b = a + rng.choice([0, 1, 2])
+        if i % 7 == 3:
+            a = float(-rng.randrange(0, 6))
+        if i % 6 == 4:  # the rising rows, in the disk where they sum directly
+            r, near, x = np.array([u(0.0, 0.4) for _ in range(16)]), [], []
+        else:
+            r = np.array([u(0.0, 0.95) for _ in range(8)] + [u(0.5, 1.5) for _ in range(8)]
+                         + [u(1.2, 8.0) for _ in range(8)])
+            near = [0.5 + 0.866j + 0.05 * (u(-1, 1) + 1j * u(-1, 1)) for _ in range(6)]
+            x = [u(1.0001, 9.0) for _ in range(6)] + [1.5]
+        z = np.concatenate((r * np.exp(1j * np.array([u(1e-6, math.pi - 1e-6) for _ in r])),
+                            near))
+        cases.append(((a, b, c), z, np.array(x)))
+    return cases
+
+
+def test_real_parameter_2f1_is_exactly_conjugate_symmetric_on_every_route(monkeypatch):
+    # the premise of the fold: for real a, b, c the engine gives at conj z,
+    # and on the lower rim, exactly the unfolded value of z and of the upper
+    # rim, bit for bit, signed zeros included; and hyp2f1, which folds,
+    # returns those values
+    routes = set()
+    plan, terms, goursat, cont = hyp._plan, hyp._plan_terms, hyp._plan_goursat, hyp._continue
+
+    def planned(tabs, g, z, side, jobs, inv=True, pfaff=True):
+        routes.update(() if pfaff else ("pfaff",))
+        return plan(tabs, g, z, side, jobs, inv, pfaff)
+
+    def spy(f, name):
+        def wrapped(*args, **kwargs):
+            routes.add(name(*args))
+            return f(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(hyp, "_plan", planned)
+    monkeypatch.setattr(hyp, "_plan_terms", spy(terms, lambda groups, lg, x, jobs, bound=None:
+                                                "1-z" if bound is None else "1/z"))
+    monkeypatch.setattr(hyp, "_plan_goursat", spy(goursat, lambda *_: "goursat"))
+    monkeypatch.setattr(hyp, "_continue", spy(cont, lambda *_: "ode"))
+    compared = zeros = refused = 0
+    for abc, z, x in _symmetry_cases():
+        for pts, up, down in ((z, None, None), (x, 1, -1)):
+            if not pts.size:
+                continue
+            lower = pts.conj() if up is None else pts
+            try:
+                above = _raw(abc, pts, up)
+            except (ConvergenceError, DomainError) as exc:
+                with pytest.raises(type(exc)):
+                    _raw(abc, lower, down)
+                refused += 1
+                continue
+            below = _raw(abc, lower, down)
+            assert _bits(_unfolded(above)) == _bits(below)
+            assert _bits(hyp2f1(Hyp2F1Params(*abc), lower, down)) == _bits(below)
+            compared += pts.size
+            zeros += np.count_nonzero(above.imag == 0.0)
+    assert routes >= {"1-z", "1/z", "pfaff", "goursat", "ode"}
+    # plain conj would flip the zero imaginary parts; a refusal is refused
+    # on both sides alike
+    assert compared > 1900 and zeros > 40 and refused <= 2
+
+
+def test_a_pass_sums_conjugate_rim_and_repeated_elements_once(monkeypatch):
+    p, q = (0.3, 0.45, 1.7), (0.3 + 0.1j, 0.45, 1.7)  # q folds nothing
+    calls = [(p, [0.3 + 0.2j, -2.0 - 0.5j, 0.5 - 0.86j, 0.3 + 0.2j, complex(0.9, -0.0)], None),
+             (p, [2.5, 2.5, 1.5, 1.5, complex(2.5, -0.0)], [1, -1, -1, 1, -1]),
+             (q, [0.3 + 0.2j, 0.3 - 0.2j], None),
+             (p, [0.3 - 0.2j, -2.0 + 0.5j, 0.5 + 0.86j, 0.9 + 0.0j], None),
+             ((-3, 0.45, 1.7), [4.0, 4.0, 2.0 - 1.0j, 2.0 + 1.0j], [-1, 1, 1, 1])]
+    sizes, plan = [], hyp._plan
+
+    def planned(tabs, g, z, side, jobs, inv=True, pfaff=True):
+        sizes.append(len(z)) if pfaff else None
+        return plan(tabs, g, z, side, jobs, inv, pfaff)
+    monkeypatch.setattr(hyp, "_plan", planned)
+    batch = hyp._hyp2f1_calls(calls)
+    # p: 0.3+0.2i, -2+0.5i, 0.5+0.86i, 0.9-0i, 0.9+0i, and 2.5, 1.5, 2.5-0i
+    # on side +1; q: both; the terminating row: 4 on side +1, 2+i on each side
+    assert sizes == [13]
+    monkeypatch.undo()
+    single = [[hyp._hyp2f1_calls([(abc, zi, si)])[0]
+               for zi, si in zip(zs, np.broadcast_to(np.asarray(side, dtype=float), len(zs))
+                                 if side is not None else [None] * len(zs))]
+              for abc, zs, side in calls]
+    assert [_bits(v) for v in batch] == [_bits(v) for v in single]
+    rev = hyp._hyp2f1_calls(calls[::-1])[::-1]
+    assert [_bits(v) for v in rev] == [_bits(v) for v in batch]
+
+
+def test_a_pass_with_nothing_to_fold_is_not_sorted():
+    # complex parameters, real ones on or above the real axis only, and an
+    # upper rim: no element folds, so the pass is planned as it is
+    tabs = [hyp._table(0.3 + 0.1j, 0.45, 1.7), hyp._table(0.3 + 0j, 0.45 + 0j, 1.7 + 0j)]
+    z = np.array([0.3 - 0.2j, 0.3 + 0.2j, -0.5 + 0j, 2.5, 2.5])
+    g = np.array([0, 1, 1, 1, 0])
+    assert hyp._folded(tabs, g, z, np.array([np.nan, np.nan, -1.0, 1.0, -1.0])) is None
+    assert hyp._folded(tabs, g, z, None) is None
+    assert hyp._folded(tabs[:1], None, z, None) is None
+    low, *_ = hyp._folded(tabs[::-1], g, z, None)  # 0.3-0.2i now on the real table
+    assert low.tolist() == [True, False, False, False, False]
+
+
+def _old_cond(job, value):
+    """max |term| / |sum| up to where the partial sum of one element first
+    equals value: the condition estimate with the stop masked, recomputed
+    term by term for one element of a job (row, x, log_x)."""
+    row, x, log_x = job
+    n = 4096 if row.stop is None else row.stop
+    row.grow(n)
+    pw = np.full(n, x, dtype=complex)
+    pw[0] = 1.0
+    terms = np.multiply.accumulate(pw) * row.coef[:n]
+    if log_x is not None:
+        terms *= log_x + row.h[:n]
+    stop = int(np.flatnonzero(terms.cumsum() == value)[0])
+    return np.abs(terms[:stop + 1]).max() / np.maximum(np.abs(terms[stop:stop + 1].cumsum() * 0 + value), 1e-300)[0]
+
+
+def test_row_sum_condition_estimates_equal_the_masked_maximum():
+    # rising rows (Re c <= -20), terminating rows (exact and within 1e-13 of
+    # an integer, at |x| up to 4) and a Goursat row with digamma brackets,
+    # summed in one pass so blocks mix their caps
+    rows = [hyp._table(-0.04 + 0j, 2.17 + 0j, c + 0j).taylor for c in (-20.5, -36.15, -24.3)]
+    rows += [hyp._table(-4.0 + 0j, 1.3 + 0j, 0.7 + 0j).taylor,
+             hyp._table(-4.0 + 1e-13 + 0j, 1.3 + 0j, 0.7 + 0j).taylor,
+             hyp._table(0.3 + 0j, 1.45 + 0j, 1.7 + 0j).taylor]
+    xs = [np.array([0.47 - 0.15j, 0.3 + 0.4j, -0.6 + 0j])] * 3 + \
+        [np.array([3.0 + 1.0j, -4.0 + 0j, 0.5 + 0j])] * 2 + [np.array([0.2 + 0.1j, 0.9 - 0.1j])]
+    jobs = [(row, x, None) for row, x in zip(rows, xs)]
+    e, fin, pref, brow = hyp._table(0.3 + 0j, 0.45 + 0j, 2.75 + 0j).goursat
+    u = np.array([0.3 + 0.2j, 0.05 - 0.4j])
+    jobs.append((brow, u, np.log(u)))
+    sums = hyp._row_sums(jobs, 1e-16, 20000)
+    rising = 0
+    for job, (vals, cond) in zip(jobs, sums):
+        for i, (v, c) in enumerate(zip(vals.tolist(), cond.tolist())):
+            assert c == _old_cond((job[0], job[1][i], None if job[2] is None else job[2][i]), v)
+            rising += c > 1.0
+    assert rising >= 3

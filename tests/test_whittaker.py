@@ -99,6 +99,24 @@ def test_recurrence_branch_symmetry():
         assert abs(pa.c2[n] - (-1.0) ** n * ref.c1[n]) < 1e-12
 
 
+
+@pytest.mark.parametrize("beta, N", [((), 64), ((0.2, -0.1j, 0.05), 40)])
+def test_recurrence_convolution_runs_over_the_given_beta_only(beta, N):
+    # c_n takes beta_j c_{n-2-j} for j < min(n - 1, len(beta)), summed in j
+    # order: the same coefficients, bit for bit, as the convolution over
+    # every j < n - 1 with the missing beta_j left out
+    k, m = 0.3 + 0.1j, 0.45 + 0j
+    pa = phase_amplitude_recurrence(PWDEParams(k, m, beta), N)
+    c1 = [1.0 + 0.0j]
+    c2 = [1.0 + 0.0j]
+    for n in range(1, N):
+        conv1 = sum(beta[j] * c1[n - 2 - j] for j in range(n - 1) if j < len(beta))
+        conv2 = sum(beta[j] * c2[n - 2 - j] for j in range(n - 1) if j < len(beta))
+        c1.append(((m ** 2 - (n - k - 0.5) ** 2) * c1[n - 1] + conv1) / n)
+        c2.append((((n + k - 0.5) ** 2 - m ** 2) * c2[n - 1] - conv2) / n)
+    assert [repr(v) for v in pa.c1] == [repr(complex(v)) for v in c1]
+    assert [repr(v) for v in pa.c2] == [repr(complex(v)) for v in c2]
+
 def test_borel_duals_match_hypergeometric_taylor():
     kap, mu = 0.3, 0.1
     d = whittaker_dual_pair(kap, mu, N=16)
