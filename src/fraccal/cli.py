@@ -31,6 +31,7 @@ from .transforms import (LaplaceOracle, _lm_duality_reports, borel_map,
 from .whittaker import (_goursat_reports, stokes_multipliers_whittaker,
                         verify_dual_monodromy, verify_eg_ltf, verify_mw_system,
                         whittaker_dual_pair)
+from .utils import require_tol
 
 SCHEMA = "fraccal-report/1"
 
@@ -44,8 +45,7 @@ class RunConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not self.tol >= 1e-14:  # NaN included
-            raise DomainError("tol must be >= 1e-14")
+        require_tol(self.tol)
         if self.precision not in ("double", "extended"):
             raise DomainError("precision must be double or extended")
         if self.output not in ("json", "csv"):
@@ -387,6 +387,8 @@ def _parse_range(text: str) -> list:
     if len(parts) != 3:
         raise DomainError("ranges are start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not step > 0:  # NaN included
+        raise DomainError(f"range step must be > 0, got {step}")
     out = []
     x = start
     while x <= stop + 1e-12:

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, QuadratureError
-from .utils import dist_to_positive_ray
+from .utils import dist_to_positive_ray, require_tol
 
 # QUADPACK dqk15 nodes and weights on [-1, 1]
 _XGK = (
@@ -139,8 +139,7 @@ class QuadratureSpec:
     max_depth: int = 16
 
     def __post_init__(self):
-        if not self.tol >= 1e-14:  # NaN included
-            raise DomainError("tol must be >= 1e-14")
+        require_tol(self.tol)
         if not self.max_depth >= 1:  # refinement starts at depth 1
             raise DomainError("max_depth must be >= 1")
 

@@ -36,7 +36,7 @@ from .errors import ConvergenceError, DomainError, GammaPoleError
 from .gammafn import gamma
 from .hyp import PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule
 from .series import PowerSeries, eval_series
-from .utils import dist_to_positive_ray, is_nonpositive_int
+from .utils import dist_to_positive_ray, is_nonpositive_int, require_tol
 
 
 @dataclass(frozen=True)
@@ -485,8 +485,7 @@ def _contour_series(F: Callable[[np.ndarray], np.ndarray], alpha, r: float, A: f
     a = al.alpha
     if r <= 0:
         raise DomainError("r must be positive")
-    if not tol >= 1e-14:  # NaN included
-        raise DomainError("tol must be >= 1e-14")
+    require_tol(tol)
     T = T if T is not None else A + 40.0 / r
     t = _require_in_tube(t, A, T)
     xi, dw = contour_quadrature_nodes(A, T, n_per_panel, refine_near=t)  # refuses T <= A

@@ -40,10 +40,10 @@ p+1Fp row.  Every evaluation is a batch of one:
 hyp2f1 is the one-call case of a pass over a list of calls (parameters,
 array of arguments, sides) whose elements one planner routes together by
 one argmin, each route's powers formed at once; their series are summed in
-one pass, in blocks of power vectors z^n grouped by term count.  A pass
-folds the elements of real parameter triples onto the upper half-plane
-(Schwarz reflection, exact in rounding too) and plans each distinct element
-once.
+one pass, in blocks of power vectors z^n grouped by term count.  A pass,
+the one place that merges repeated points, folds the elements of real
+parameter triples onto the upper half-plane (Schwarz reflection, exact in
+rounding too) and plans each distinct element once.
 geom_alpha_check is the one-case call of a check whose loops are the lanes
 of one continuation.  Where a sum stops depends on z, tol and the
 parameters only, so a value never depends on what the cache holds or on the
@@ -647,9 +647,9 @@ def hyp2f1(p: Hyp2F1Params, z, side=None,
     summed together, and a value does not depend on the other elements.
     For real a, b, c an element below the real axis or on the lower rim is
     evaluated as the conjugate of its mirror image, which the routes give
-    exactly (a zero imaginary part keeps its sign), so a conjugate pair or
-    a repeated element is summed once.  Raises ConvergenceError when a
-    series cancels so far that fewer than 10 digits would survive rounding.
+    exactly (a zero imaginary part keeps its sign), and each distinct element
+    is summed once.  Raises ConvergenceError when a series cancels so far
+    that fewer than 10 digits would survive rounding.
     This is the one-call case of _hyp2f1_calls.
     """
     return _hyp2f1_calls([(p, z, side)], tol, max_terms)[0]
@@ -709,15 +709,15 @@ def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
     The elements that come back NaN (a 1/z route whose terms cancel) are
     planned again, all in one more pass, with inv=False: without 1/z.
 
-    For real a, b, c, 2F1(conj z) = conj 2F1(z) (Schwarz reflection), and
-    the routes are exactly conjugate-symmetric in rounding too.  So where a
-    real-parameter table has an element with Im z < 0, or one on the lower
-    rim (z > 1, side -1), that element is folded onto the upper half-plane
-    (z -> conj z, side -> -side); each distinct (table, z, side), bit for
-    bit, is then planned and summed once, and a folded element's value is
-    unfolded: a nonzero imaginary part is negated, a zero one keeps its
-    sign.  A value is thus exactly that of its unfolded evaluation, and a
-    pass with nothing to fold plans its elements as they are."""
+    This pass alone merges repeated points.  For real a, b, c,
+    2F1(conj z) = conj 2F1(z) (Schwarz reflection), and the routes are
+    exactly conjugate-symmetric in rounding too.  So an element of a
+    real-parameter table with Im z < 0, or on the lower rim (z > 1, side
+    -1), is folded onto the upper half-plane (z -> conj z, side -> -side).
+    Then each distinct (table, z, side), bit for bit, of a pass of two or
+    more elements is planned and summed once, and a folded element's value
+    is unfolded: a nonzero imaginary part is negated, a zero one keeps its
+    sign.  A value is thus exactly that of its own one-element pass."""
     per_call, ids = [], {}
     for p, z, side in calls:
         p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
@@ -733,56 +733,51 @@ def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
     side = sl[0] if len(sl) == 1 else None if all(s is None for s in sl) else np.concatenate(
         [np.full(n, np.nan) if s is None else s for s, n in zip(sl, size)])
     tabs = [_table(*abc) for abc in ids]
-    folded = _folded(tabs, g, z, side)
-    if folded is None:
-        vals = _evaluate(tabs, g, z, side, tol, max_terms, inv)
-    else:
-        low, z, side, first, back = folded
-        vals = _evaluate(tabs, _part(g, first), z[first], _part(side, first),
-                         tol, max_terms, inv)[back]
+    low, g, z, side, back = _distinct(tabs, g, z, side)
+    vals = _evaluate(tabs, g, z, side, tol, max_terms, inv)[back]
+    if low is not None:
         flip = low & (vals.imag != 0.0)
         vals.imag[flip] = -vals.imag[flip]
     return [vals[hi - n:hi].reshape(shape) if shape else complex(vals[hi - 1])
             for shape, n, hi in zip(shapes, size, itertools.accumulate(size))]
 
 
-def _folded(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
-            side: Optional[np.ndarray]) -> Optional[tuple]:
-    """None if no element of a real-parameter table lies below the real axis
-    or on the lower rim of the cut; else (low, z, side, first, back): the
-    mask of those elements, the arguments with them folded, and the index
-    of the first element of each distinct (table, z, side), bit for bit,
-    and for every element the position of its own among those."""
-    real = [t.real for t in tabs]
-    if not any(real):
-        return None
-    below = z.imag < 0.0
-    low = below if side is None else below | (side < 0.0) & (z.imag == 0.0) & (z.real > 1.0)
-    if not all(real):
-        real = np.array(real)[g]
-        below &= real
-        low &= real
-    if not np.count_nonzero(low):
-        return None
+def _distinct(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
+              side: Optional[np.ndarray]) -> tuple:
+    """(low, g, z, side, back): the mask of the elements of real-parameter
+    tables below the real axis or on the lower rim of the cut (None if there
+    is none); the tables, arguments and sides of the distinct (table, z,
+    side), bit for bit, with those elements folded onto the upper
+    half-plane; and for every element the position of its own among those.
+    A one-element pass is its own distinct element (back is a slice)."""
+    low, real = None, [t.real for t in tabs]
+    if any(real):
+        below = z.imag < 0.0
+        fold = below if side is None else below | (side < 0.0) & (z.imag == 0.0) & (z.real > 1.0)
+        if not all(real):
+            real = np.array(real)[g]
+            below &= real
+            fold &= real
+        if fold.any():
+            low, z = fold, np.where(below, z.conj(), z)
+            if side is not None:  # a NaN side (none) keeps its bits
+                side = np.where(low & (side == side), -side, side)
     n = len(z)
-    z = np.where(below, z.conj(), z)
-    key = np.zeros((n, 4), dtype=np.int64)  # the bits of z, the table, the side's bits
-    key[:, :2] = z.view(np.int64).reshape(n, 2)
-    if g is not None:
-        key[:, 2] = g
-    if side is not None:  # a NaN side (none) keeps its bits
-        side = np.where(low & (side == side), -side, side).astype(float)
-        key[:, 3] = side.view(np.int64)
-    # sorted by value, equal keys lie together: only x + 0i and x - 0i, equal
-    # in value, may interleave, which at worst leaves a pair unmerged
-    order = np.lexsort((z.imag, z.real) if g is None else (z.imag, z.real, g))
-    key = key[order]
-    new = np.empty(n, dtype=bool)
+    if n < 2:
+        return low, g, z, side, slice(None)
+    # the bits of z, the table and the side's bits; equal keys sort together
+    key = [*z.view(np.int64).reshape(n, 2).T, *(() if g is None else (g,)),
+           *(() if side is None else (np.asarray(side, dtype=float).view(np.int64),))]
+    order = np.lexsort(key)
+    new = np.zeros(n, dtype=bool)
     new[0] = True
-    np.any(key[1:] != key[:-1], axis=1, out=new[1:])
+    for col in key:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
     back = np.empty(n, dtype=int)
     back[order] = np.cumsum(new) - 1
-    return low, z, side, order[new], back
+    first = order[new]
+    return low, _part(g, first), z[first], _part(side, first), back
 
 
 def _evaluate(tabs: list, g: Optional[np.ndarray], z: np.ndarray,

@@ -33,7 +33,7 @@ from .errors import DomainError, PreconditionError
 from .gammafn import gamma
 from .hyp import _hyp2f1_parts, _Part
 from .series import PowerSeries
-from .utils import as_family, family_result
+from .utils import as_family, family_result, require_tol
 
 _FACTORIAL_LIMIT = 170  # k! overflows double beyond this
 
@@ -149,12 +149,12 @@ def _laplace_members(members: Sequence[tuple]) -> list:
     to GK tolerance tol along _ray_path, which flattens s^alpha (to order
     p (Re alpha + 1) - 1 >= 1 in t = s^p, p >= 2, as in laplace_alpha) and
     a declared singularity |t - 1|^{-singular} (0 < singular < 1).  Each
-    distinct F is evaluated once per level, on the distinct (modulus,
-    angle) pairs of its members' nodes, so members that differ in zeta
-    alone share the nodes of the tail segments they have in common, at
-    least at the first level.  F returns its values there, or a hyp part
+    distinct F is evaluated once per level, on all (modulus, angle) pairs
+    of its members' nodes.  F returns its values there, or a hyp part
     (hyp._Part); the parts of all F of a level are evaluated in one 2F1
-    pass (hyp._hyp2f1_parts)."""
+    pass (hyp._hyp2f1_parts), which sums each distinct point once, so
+    members that differ in zeta alone share the 2F1 values of the tail
+    segments they have in common, at least at the first level."""
     distinct = list(dict.fromkeys(members))
     paths, specs, rate, scale, angle, alphas, fn_of = [], [], [], [], [], [], []
     fns, plane = {}, {}  # index and kind of each distinct F
@@ -191,33 +191,24 @@ def _laplace_members(members: Sequence[tuple]) -> list:
 
     def g(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         s = s.real  # moduli: s = 0 is an endpoint, never a node
-        # the distinct (function, angle, modulus) triples, one sort for all
-        key = (fn_of[k], angle[k], s)
-        order = np.lexsort(key[::-1])
-        fid, ang, mod = (x[order] for x in key)
-        new = np.ones(len(s), dtype=bool)
-        new[1:] = (fid[1:] != fid[:-1]) | (ang[1:] != ang[:-1]) | (mod[1:] != mod[:-1])
-        where = np.empty(len(s), dtype=int)
-        where[order] = np.cumsum(new) - 1
-        fid, ang, mod = fid[new], ang[new], mod[new]
-        vals = np.empty(len(mod), dtype=complex)
-        cuts = np.searchsorted(fid, np.arange(len(fns) + 1)).tolist()
+        fid, vals = fn_of[k], np.empty(len(s), dtype=complex)
         parts, at = [], []
-        for F, lo, hi in zip(fns, cuts, cuts[1:]):
-            if hi > lo:  # a function whose members are all done sits out
-                v = F(mod[lo:hi] + 0j) if plane[F] else F(mod[lo:hi], ang[lo:hi])
+        for i, F in enumerate(fns):
+            ix = np.flatnonzero(fid == i)
+            if len(ix):  # a function whose members are all done sits out
+                v = F(s[ix] + 0j) if plane[F] else F(s[ix], angle[k[ix]])
                 if isinstance(v, _Part):
                     parts.append(v)
-                    at.append(slice(lo, hi))
+                    at.append(ix)
                 else:
-                    vals[lo:hi] = v
-        for sl, v in zip(at, _hyp2f1_parts(parts)):  # the level's one 2F1 pass
-            vals[sl] = v
+                    vals[ix] = v
+        for ix, v in zip(at, _hyp2f1_parts(parts)):  # the level's one 2F1 pass
+            vals[ix] = v
         out = np.exp(rate[k] * s)
         sel = powered[k]
         if sel.any():
             out[sel] *= s[sel] ** alphas[k[sel]]
-        return out * vals[where]
+        return out * vals
 
     # arclength, against |ds|: a singular ray's piece flattened at |t| = 1
     # from below runs from 1 down to 1/2
@@ -231,6 +222,7 @@ def _plane_member(F: Callable[[np.ndarray], np.ndarray], alpha, zeta: complex,
     """The _laplace_members member of laplace_alpha (laplace_quadrature for
     alpha None) of F at zeta: tol on the transform is tol / max(|zeta|,
     1)^{1 + max(Re alpha, 0)} on the integral."""
+    require_tol(tol)
     if alpha is not None:
         alpha = complex(getattr(alpha, "alpha", alpha))
     weight = max(abs(zeta), 1.0) ** (1.0 + max(0.0 if alpha is None else alpha.real, 0.0))

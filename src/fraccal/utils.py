@@ -7,6 +7,14 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
+
+def require_tol(tol: float) -> None:
+    """Refuse a tolerance below 1e-14, NaN included, with DomainError."""
+    if not tol >= 1e-14:
+        raise DomainError("tol must be >= 1e-14")
+
 
 def dist_to_positive_ray(t: complex) -> float:
     """Distance from t to the closed ray [0, +inf) on the real axis."""

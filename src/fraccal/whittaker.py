@@ -42,7 +42,7 @@ from .hyp import (Hyp2F1Params, _call_part, _hyp2f1_parts, _Part, _regularized_p
                   _surface_part)
 from .series import PowerSeries, eval_series, taylor_shift
 from .transforms import _laplace_members
-from .utils import as_family, cpow, family_result, principal_power
+from .utils import as_family, cpow, family_result, principal_power, require_tol
 
 _BETA_ZERO_TOL = 1e-14
 
@@ -299,6 +299,7 @@ def _phase_amplitude_rays(surf: WhittakerSurface, moduli: list, zeta_arg: float,
     equation at each zeta = modulus e^{i zeta_arg}; their functions are
     surf's part forms, so a quadrature level evaluates all surface branches
     in one 2F1 pass."""
+    require_tol(tol)
     zetas = [z * cmath.exp(1j * zeta_arg) for z in moduli]
     ray = -zeta_arg
     if which == 1:
@@ -607,7 +608,8 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
     The P_1 relation is measured directly through rotated-ray Laplace
     integrals of the dual functions.  The P_2 relation is verified as the
     P_1 relation of the kappa-reflected companion system (P_2(z; kappa) =
-    P_1(z e^{-i pi}; -kappa) is an exact substitution identity).  All rays,
+    P_1(z e^{-i pi}; -kappa) is an exact substitution identity), whose
+    multiplier T_1(-kappa) = m.T2 e^{-2 pi i kappa} comes from m.  All rays,
     six per grid point, are one family integration; the two P_1 rays of a
     kappa at arg zeta = +-pi are mirror images whose surface points are exact
     conjugates, so for real kappa and mu each 2F1 pass sums their points
@@ -632,12 +634,12 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
             out.append((lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)))
         return out
 
-    refl = stokes_multipliers_whittaker(-kappa, mu) if abs(kappa) > 0 else m
+    refl_T1 = m.T2 * cmath.exp(-2j * math.pi * kappa)  # T_1(-kappa)
     cases = []
     jumps = []
     max_rel = 0.0
     for z, (lhs, rhs, rel), (_, _, rel2) in zip(grid, mw1_cases(kappa, m.T1, *vals[0]),
-                                                 mw1_cases(-kappa, refl.T1, *vals[1])):
+                                                 mw1_cases(-kappa, refl_T1, *vals[1])):
         below_floor = abs(rhs) < 1e-12
         cases.append({"zeta": z, "jump_p1": _c(lhs), "predicted": _c(rhs),
                       "relative_residual": rel,

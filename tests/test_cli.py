@@ -266,6 +266,14 @@ def test_table_stokes_grid(capsys):
     assert len(lines) == 26
 
 
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+def test_table_refuses_a_range_step_that_is_not_positive(capsys, step):
+    # a step of 0 or below added points without end
+    assert main(["table", "stokes-grid", "--kappa-range", f"0:1:{step}",
+                 "--mu-range", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: range step must be > 0")
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _ = run_cli(capsys, "verify", "euler-ltf", "--out", str(path))
@@ -352,8 +360,8 @@ def test_monodromy_suite_matches_scalar_calls():
         rhs = T1 * cmath.exp(-zeta) * zeta ** (-2.0 * kap) * p2p
         return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
-    T1 = stokes_multipliers_whittaker(kappa, mu).T1
-    T1_refl = stokes_multipliers_whittaker(-kappa, mu).T1
+    m = stokes_multipliers_whittaker(kappa, mu)
+    T1, T1_refl = m.T1, m.T2 * cmath.exp(-2j * math.pi * kappa)
     expect = []
     for zeta in (3.0, 4.0, 5.0, 6.0):
         lhs, rhs, rel = case(kappa, T1, zeta)
@@ -366,11 +374,14 @@ def test_monodromy_suite_matches_scalar_calls():
     assert rep["cases"] == expect
 
 
-@pytest.mark.parametrize("suite, planned", [("monodromy", 618), ("goursat", 272)])
+@pytest.mark.parametrize("suite, planned", [("monodromy", 618), ("goursat", 272),
+                                            ("lm-duality", 480)])
 def test_verify_suites_plan_each_conjugate_pair_once(capsys, monkeypatch, suite, planned):
     # mw-system's P_1 rays at arg zeta = +-pi and goursat's fit grids and
     # rings are mirror images: their real-parameter 2F1 elements fold onto
-    # one another and are planned once (918 and 736 elements unfolded)
+    # one another and are planned once (918 and 736 elements unfolded);
+    # lm-duality's quadrature levels hand the 2F1 pass every node of rays
+    # that share tail segments (1320 elements), and it plans each once
     sizes, plan = [], hyp._plan
 
     def planned_(tabs, g, z, side, jobs, inv=True, pfaff=True):

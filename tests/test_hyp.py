@@ -1098,17 +1098,37 @@ def test_a_pass_sums_conjugate_rim_and_repeated_elements_once(monkeypatch):
     assert [_bits(v) for v in rev] == [_bits(v) for v in batch]
 
 
-def test_a_pass_with_nothing_to_fold_is_not_sorted():
-    # complex parameters, real ones on or above the real axis only, and an
-    # upper rim: no element folds, so the pass is planned as it is
-    tabs = [hyp._table(0.3 + 0.1j, 0.45, 1.7), hyp._table(0.3 + 0j, 0.45 + 0j, 1.7 + 0j)]
-    z = np.array([0.3 - 0.2j, 0.3 + 0.2j, -0.5 + 0j, 2.5, 2.5])
-    g = np.array([0, 1, 1, 1, 0])
-    assert hyp._folded(tabs, g, z, np.array([np.nan, np.nan, -1.0, 1.0, -1.0])) is None
-    assert hyp._folded(tabs, g, z, None) is None
-    assert hyp._folded(tabs[:1], None, z, None) is None
-    low, *_ = hyp._folded(tabs[::-1], g, z, None)  # 0.3-0.2i now on the real table
-    assert low.tolist() == [True, False, False, False, False]
+@pytest.mark.parametrize("calls, planned", [
+    # complex parameters: nothing folds, repeats merge; x + 0i and x - 0i,
+    # the two rims, and a NaN side (none) against side +1 stay apart
+    ([((0.3 + 0.1j, 0.45, 1.7), [0.3 + 0.2j, 0.3 - 0.2j, 0.3 + 0.2j, 0.9 + 0j,
+                                  complex(0.9, -0.0), 0.9 + 0j], None),
+      ((0.3 + 0.1j, 0.45, 1.7), [2.5, 2.5, 2.5, 1.5, 0.3 + 0.2j], [1, -1, 1, 1, 1]),
+      ((0.2 - 0.3j, 0.45, 1.7), [0.3 + 0.2j, 0.3 + 0.2j], None)], 9),
+    # real parameters, every element on or above the real axis
+    ([((0.3, 0.45, 1.7), [0.3 + 0.2j, -2.0 + 0.5j, 0.3 + 0.2j, 0.5 + 0.86j, 0.9 + 0j,
+                          complex(0.9, -0.0), 0.5 + 0.86j], None),
+      ((0.3, 0.45, 1.7), [2.5, 2.5, 1.5, 0.9 + 0j], [1, 1, 1, 1]),
+      ((-3, 0.45, 1.7), [4.0, 4.0, 0.3 + 0.2j], [1, 1, np.nan])], 10),
+], ids=["complex-parameters", "real-parameters-upper"])
+def test_a_pass_plans_each_distinct_element_once(monkeypatch, calls, planned):
+    keys, plan = [], hyp._plan
+
+    def spy(tabs, g, z, side, jobs, inv=True, pfaff=True):
+        if pfaff:
+            sides = np.full(len(z), np.nan) if side is None else side
+            keys.extend(zip(z.real.view(np.int64).tolist(), z.imag.view(np.int64).tolist(),
+                            [0] * len(z) if g is None else g.tolist(),
+                            sides.view(np.int64).tolist()))
+        return plan(tabs, g, z, side, jobs, inv, pfaff)
+    monkeypatch.setattr(hyp, "_plan", spy)
+    batch = hyp._hyp2f1_calls(calls)
+    assert len(keys) == len(set(keys)) == planned
+    monkeypatch.undo()
+    single = [[hyp._hyp2f1_calls([(abc, zi, si)])[0]
+               for zi, si in zip(zs, [None] * len(zs) if side is None else side)]
+              for abc, zs, side in calls]
+    assert [_bits(v) for v in batch] == [_bits(v) for v in single]
 
 
 def _old_cond(job, value):

@@ -35,6 +35,18 @@ def test_laplace_normalization():
         laplace_quadrature(lambda t: 1.0, 0.5, type_bound=1.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1e-20])
+@pytest.mark.parametrize("call", [
+    lambda tol: laplace_quadrature(GEOM, 2.0, 0.0, tol),
+    lambda tol: laplace_alpha(GEOM, 0.5, 2.0, 0.0, tol),
+    lambda tol: phase_amplitude_values(0.3, 0.1, 4.0, 0.0, 1, tol)])
+def test_laplace_refuses_a_tol_below_its_floor(call, tol):
+    # these integrated silently at 1e-14 (0.7226572337764 for the
+    # geometric F at zeta = 2 and tol NaN)
+    with pytest.raises(DomainError, match="tol must be >= 1e-14"):
+        call(tol)
+
+
 def test_laplace_geometric_closed_form():
     got = laplace_quadrature(GEOM, 3.0)
     ref = complex(3 * mp.exp(3) * mp.e1(3))

@@ -434,6 +434,19 @@ def test_mw_system_kappa_reflection():
     assert abs(rep["log_slope_detrended"] + 1.0) <= 0.1
 
 
+def test_mw_system_fails_a_wrong_T2():
+    # the companion check takes T_1(-kappa) = T_2(kappa) e^{-2 pi i kappa}
+    # from the triple it is given, so a wrong T2 no longer passes unseen
+    for kappa in (0.3, -0.2 + 0.1j, 0.0):
+        m, refl = (stokes_multipliers_whittaker(k, 0.1) for k in (kappa, -kappa))
+        assert abs(m.T2 * cmath.exp(-2j * math.pi * kappa) - refl.T1) <= 4e-16 * abs(refl.T1)
+    m = stokes_multipliers_whittaker(0.3, 0.1)
+    assert verify_mw_system(0.3, 0.1, m)["pass"]
+    rep = verify_mw_system(0.3, 0.1, MonodromyTriple(m.T1, m.T2 * (1 + 1e-6), m.kappa))
+    assert not rep["pass"]
+    assert min(c["mw2_companion_relative_residual"] for c in rep["cases"]) > 5e-7
+
+
 def test_mw_system_integrates_its_rays_once(monkeypatch):
     calls = []
 
