@@ -28,9 +28,8 @@ from .hyp import hyp2f1  # noqa: F401  (bench/test_bench.py checks cli's binding
 from .series import PowerSeries, eval_series, exp_series, geometric_series
 from .transforms import (LaplaceOracle, _lm_duality_reports, borel_map,
                          laplace_quadrature, remainder, watson_gevrey_check)
-from .whittaker import (_goursat_reports, stokes_multipliers_whittaker,
-                        verify_dual_monodromy, verify_eg_ltf, verify_mw_system,
-                        whittaker_dual_pair)
+from .whittaker import (_eg_ltf_report, _goursat_reports, _monodromy_reports,
+                        stokes_multipliers_whittaker, whittaker_dual_pair)
 from .utils import require_tol
 
 SCHEMA = "fraccal-report/1"
@@ -272,11 +271,10 @@ def _suite_watson(cfg: RunConfig, A: float = None) -> dict:
 
 
 def _suite_monodromy(cfg: RunConfig) -> dict:
+    """Both checks in one Laplace family, so one 2F1 pass per level."""
     kappa, mu = 0.3, 0.1
-    d = whittaker_dual_pair(kappa, mu)
     m = stokes_multipliers_whittaker(kappa, mu)
-    dm = verify_dual_monodromy(d, m, tol=min(cfg.tol * 1e2, 1e-6))
-    mw = verify_mw_system(kappa, mu, m)
+    dm, mw = _monodromy_reports(kappa, mu, m, min(cfg.tol * 1e2, 1e-6))
     return {"suite": "monodromy", "kappa": kappa, "mu": mu,
             "dual_monodromy": dm, "mw_system": mw,
             "pass": dm["pass"] and mw["pass"]}
@@ -284,9 +282,8 @@ def _suite_monodromy(cfg: RunConfig) -> dict:
 
 def _suite_eg_ltf(cfg: RunConfig) -> dict:
     kappa, mu = 0.3, 0.1
-    d = whittaker_dual_pair(kappa, mu)
     m = stokes_multipliers_whittaker(kappa, mu)
-    rep = verify_eg_ltf(d, m, tol=min(cfg.tol * 1e2, 1e-6))
+    rep = _eg_ltf_report(kappa, mu, m, tol=min(cfg.tol * 1e2, 1e-6))
     rep["kappa"] = kappa
     rep["mu"] = mu
     return rep
@@ -294,8 +291,8 @@ def _suite_eg_ltf(cfg: RunConfig) -> dict:
 
 def _suite_goursat(cfg: RunConfig) -> dict:
     """Both kappa instances in one _goursat_reports call, so one 2F1 pass."""
-    cases = [(whittaker_dual_pair(kappa, 0.17), stokes_multipliers_whittaker(kappa, 0.17),
-              None, 14, min(cfg.tol * 1e2, 1e-6)) for kappa in (0.0, 0.5)]
+    cases = [(kappa, 0.17, stokes_multipliers_whittaker(kappa, 0.17), None, 14,
+              min(cfg.tol * 1e2, 1e-6)) for kappa in (0.0, 0.5)]
     out = {"suite": "goursat", "instances": _goursat_reports(cases)}
     for rep in out["instances"]:
         rep["mu"] = 0.17

@@ -132,9 +132,10 @@ def _ray_path(T: float, p0: Optional[int], p1: Optional[int]) -> list:
     return path
 
 
-def _laplace_members(members: Sequence[tuple]) -> list:
+def _laplace_members(members: Sequence[tuple], parts: Sequence[_Part] = ()) -> list:
     """The value of each member (F, alpha, zeta, type_bound, tol, theta,
-    singular), from one integrate_paths call over the distinct members.
+    singular), from one integrate_paths call over the distinct members,
+    followed by the result of each of the caller's hyp parts.
 
     A member is the transform along the ray arg t = theta, at w = zeta
     e^{i theta}, of F on that ray:
@@ -154,7 +155,8 @@ def _laplace_members(members: Sequence[tuple]) -> list:
     (hyp._Part); the parts of all F of a level are evaluated in one 2F1
     pass (hyp._hyp2f1_parts), which sums each distinct point once, so
     members that differ in zeta alone share the 2F1 values of the tail
-    segments they have in common, at least at the first level."""
+    segments they have in common, at least at the first level.  The
+    caller's parts join the first level's pass, changing no value."""
     distinct = list(dict.fromkeys(members))
     paths, specs, rate, scale, angle, alphas, fn_of = [], [], [], [], [], [], []
     fns, plane = {}, {}  # index and kind of each distinct F
@@ -189,20 +191,25 @@ def _laplace_members(members: Sequence[tuple]) -> list:
     powered = np.array([a is not None for a in alphas])
     alphas = np.array([0.0 if a is None else a for a in alphas], dtype=complex)
 
+    pending, extra = list(parts), []
+
     def g(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         s = s.real  # moduli: s = 0 is an endpoint, never a node
         fid, vals = fn_of[k], np.empty(len(s), dtype=complex)
-        parts, at = [], []
+        level, at = [], []
         for i, F in enumerate(fns):
             ix = np.flatnonzero(fid == i)
             if len(ix):  # a function whose members are all done sits out
                 v = F(s[ix] + 0j) if plane[F] else F(s[ix], angle[k[ix]])
                 if isinstance(v, _Part):
-                    parts.append(v)
+                    level.append(v)
                     at.append(ix)
                 else:
                     vals[ix] = v
-        for ix, v in zip(at, _hyp2f1_parts(parts)):  # the level's one 2F1 pass
+        got = _hyp2f1_parts(level + pending)  # the level's one 2F1 pass
+        extra.extend(got[len(level):])
+        pending.clear()
+        for ix, v in zip(at, got):
             vals[ix] = v
         out = np.exp(rate[k] * s)
         sel = powered[k]
@@ -214,7 +221,7 @@ def _laplace_members(members: Sequence[tuple]) -> list:
     # from below runs from 1 down to 1/2
     res = integrate_paths(g, paths, specs, True)
     value = {m: a * r.value for m, a, r in zip(distinct, scale, res)}
-    return [value[m] for m in members]
+    return [value[m] for m in members] + extra + _hyp2f1_parts(pending)
 
 
 def _plane_member(F: Callable[[np.ndarray], np.ndarray], alpha, zeta: complex,

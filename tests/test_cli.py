@@ -7,14 +7,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraccal import cli, fracops, hyp, transforms
+from fraccal import cli, fracops, hyp, transforms, whittaker
 from fraccal.cli import RunConfig, main
 from fraccal.contours import integrate_paths
 from fraccal.gammafn import gamma
 from fraccal.transforms import verify_lm_duality
 from fraccal.whittaker import (phase_amplitude_values, stokes_multipliers_whittaker,
-                               verify_dual_monodromy, verify_goursat_ltf,
-                               whittaker_dual_pair)
+                               verify_dual_monodromy, verify_eg_ltf, verify_goursat_ltf,
+                               verify_mw_system, whittaker_dual_pair)
 
 
 def run_cli(capsys, *argv):
@@ -196,10 +196,10 @@ def test_checks_make_one_2f1_pass_each(monkeypatch):
 
 
 def test_quadrature_levels_make_one_2f1_pass_each(monkeypatch):
-    # all four surface branches of mw-system in one pass per level, after
-    # the dual-monodromy check's one pass
+    # all four surface branches of mw-system in one pass per level, the
+    # dual-monodromy check's functions in that of the first level
     outside, levels = _passes(monkeypatch, lambda: cli._suite_monodromy(RunConfig()))
-    assert (outside, levels) == (1, [1] * 2)
+    assert (outside, levels) == (0, [1] * 2)
     # I_alpha F of both alpha in one pass per level
     assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == (0, [1] * 2)
 
@@ -210,6 +210,26 @@ def test_goursat_suite_equals_its_one_case_calls():
         alone = verify_goursat_ltf(whittaker_dual_pair(kappa, 0.17),
                                    stokes_multipliers_whittaker(kappa, 0.17))
         assert repr({**alone, "mu": 0.17}) == repr(rep)
+
+
+def test_monodromy_and_eg_ltf_suites_equal_their_one_case_calls():
+    d, m = whittaker_dual_pair(0.3, 0.1), stokes_multipliers_whittaker(0.3, 0.1)
+    suite = cli._suite_monodromy(RunConfig())
+    assert repr(suite["dual_monodromy"]) == repr(verify_dual_monodromy(d, m, tol=1e-6))
+    assert repr(suite["mw_system"]) == repr(verify_mw_system(0.3, 0.1, m))
+    alone = verify_eg_ltf(d, m, tol=1e-6)
+    assert repr({**alone, "kappa": 0.3, "mu": 0.1}) == repr(cli._suite_eg_ltf(RunConfig()))
+
+
+def test_no_suite_builds_a_dual_series(monkeypatch):
+    # the suites plan from (kappa, mu); a dual pair's Taylor data is never read
+    def refuse(*args, **kwargs):
+        raise AssertionError("whittaker_dual_pair called")
+
+    monkeypatch.setattr(cli, "whittaker_dual_pair", refuse)
+    monkeypatch.setattr(whittaker, "whittaker_dual_pair", refuse)
+    for name, suite in cli._SUITES.items():
+        assert suite(RunConfig())["pass"], name
 
 
 def test_table_psi_polys_csv(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from fraccal.errors import DomainError, PreconditionError
 from fraccal.gammafn import gamma
-from fraccal.hyp import Hyp2F1Params, hyp2f1
+from fraccal.hyp import Hyp2F1Params, _call_part, _hyp2f1_parts, _regularized_part, hyp2f1
 from fraccal.series import PowerSeries, exp_series, geometric_series
 from fraccal.transforms import (AsymptoticSeries, LaplaceOracle,
                                 _laplace_members, _ray_path, borel_log_scaled,
@@ -310,6 +310,24 @@ def test_laplace_members_match_one_member_integrations():
     assert [repr(g) for g in got] == [repr(_laplace_members([m])[0]) for m in members]
     assert repr(got[0]) == repr(laplace_quadrature(one, 0.8 + 0.5j, 0.0, 1e-12))
     assert repr(got[4]) == repr(phase_amplitude_values(0.3, 0.1, 3.0, math.pi, 1, 1e-10))
+
+
+def test_laplace_members_evaluate_the_callers_parts_alongside():
+    # the caller's parts join the first level's 2F1 pass; neither their
+    # results nor the members' values depend on it
+    up, down = WhittakerSurface(0.3, 0.1), WhittakerSurface(-0.3, 0.1)
+    members = [(GEOM, 0.5 + 0j, 2.0 + 0j, 0.0, 1e-11, None, None),
+               (up.f1_part, None, 3.0 * cmath.exp(1j * math.pi), 0.0, 1e-10,
+                -math.pi + 0.5, None),
+               (down.f2_part, None, 4.0 * cmath.exp(1j * math.pi), 0.0, 1e-10, -math.pi, None)]
+    parts = [_call_part(_P15, np.array([0.3 + 0.2j, -2.0 + 0.5j, 0.3 - 0.2j])),
+             _regularized_part(0.2, 0.4, -1.0, 0.5 + 0.1j),  # at a pole of Gamma(c)
+             up.f1_part(np.array([1.5, 2.0]), np.array([2.8, -2.8]))]
+    for batch in (members, []):
+        got = _laplace_members(batch, parts)
+        assert len(got) == len(batch) + len(parts)
+        assert [repr(g) for g in got[:len(batch)]] == [repr(g) for g in _laplace_members(batch)]
+        assert [repr(g) for g in got[len(batch):]] == [repr(g) for g in _hyp2f1_parts(parts)]
 
 
 def test_laplace_member_with_a_declared_singularity_meets_tol():

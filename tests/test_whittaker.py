@@ -353,10 +353,11 @@ def test_eg_ltf_conditioning_warning():
 
 
 def _refuse_2f1(monkeypatch):
-    def refuse(parts):
+    def refuse(*args):
         raise AssertionError("2F1 pass made")
 
     monkeypatch.setattr(whittaker, "_hyp2f1_parts", refuse)
+    monkeypatch.setattr(whittaker, "_laplace_members", refuse)
 
 
 @pytest.mark.parametrize("t", [0.5, -2.0, 0.0])
@@ -377,6 +378,39 @@ def test_goursat_refuses_a_real_grid_point(monkeypatch, s):
     m = stokes_multipliers_whittaker(0.5, 0.1)
     with pytest.raises(DomainError, match=rf"s_grid point {s} is real"):
         verify_goursat_ltf(d, m, s_grid=[0.1 + 0.1j, s])
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("check, kappa, grid, message", [
+    (verify_goursat_ltf, 0.5, [], "s_grid is empty"),
+    (verify_goursat_ltf, 0.5, [0.1 + 0.1j, complex(_NAN, 0.1)], "s_grid point .* not finite"),
+    (verify_dual_monodromy, 0.3, [1.5, complex(_NAN, 1.0)], "t_grid point .* not finite"),
+    (verify_eg_ltf, 0.3, [complex(1.5, _INF)], "t_grid point .* not finite"),
+    (verify_mw_system, 0.3, [3.0, _NAN], "zeta_grid point .* not finite"),
+    (verify_mw_system, 0.3, [3.0, 3.0], "zeta_grid repeats a point")])
+def test_checks_refuse_a_bad_grid_before_any_2f1_pass(monkeypatch, check, kappa, grid, message):
+    # an empty fit grid, a point that is not finite and a repeated zeta (whose
+    # log-slope fit is rank deficient) end in a DomainError, not in numpy's
+    # errors, an IndexError, a QuadratureError or a RankWarning
+    _refuse_2f1(monkeypatch)
+    m = stokes_multipliers_whittaker(kappa, 0.1)
+    first = (kappa, 0.1) if check is verify_mw_system else (whittaker_dual_pair(kappa, 0.1),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            check(*first, m, grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: verify_mw_system(0.3, 0.1, m, zeta_grid=[]),
+    lambda m: verify_mw_system(0.3, 0.1, m, zeta_grid=[40.0]),  # below the threshold
+    lambda m: verify_eg_ltf(whittaker_dual_pair(0.3, 0.1), m, t_grid=[])])
+def test_a_check_that_measures_no_case_fails(call):
+    rep = call(stokes_multipliers_whittaker(0.3, 0.1))
+    assert not rep["pass"]
+    assert all(c.get("below_measurable_threshold") for c in rep["cases"])
 
 
 def test_goursat_cases():
