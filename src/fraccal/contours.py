@@ -153,10 +153,10 @@ class NeighborhoodContour:
     orientation: str = "ccw"
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise DomainError("A must be positive")
-        if not self.T > self.A:
-            raise DomainError("T must exceed A")
+        if not 0 < self.A < math.inf:
+            raise DomainError("A must be positive and finite")
+        if not self.A < self.T < math.inf:
+            raise DomainError("T must be finite and exceed A")
         if self.orientation not in ("ccw", "cw"):
             raise DomainError("orientation must be 'ccw' or 'cw'")
 
@@ -194,8 +194,11 @@ def infinite_tube_boundary(A: float, orientation: str = "ccw",
 
 
 def _require_in_tube(t, A: float, T: float = math.inf) -> complex:
-    """complex(t), refused unless t lies inside gamma(A) cut at Re t = T."""
+    """complex(t), refused unless t is finite and lies inside gamma(A) cut
+    at Re t = T."""
     t = complex(t)
+    if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+        raise DomainError(f"t = {t} is not finite")
     if dist_to_positive_ray(t) >= A:
         raise DomainError(f"t = {t:.6g} is outside the tube of width {A:.4g}")
     if t.real >= T:

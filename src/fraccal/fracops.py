@@ -12,7 +12,10 @@ pieces of gamma_contour(A, T), which refuse T <= A (as the operators refuse
 Re t >= T).  The power sums come from one power table per evaluation, 32 at
 a time as one product of a 32-by-node table with a running power vector;
 the rows of 24 consecutive k are one matrix, summed as one product, and
-each row stops where its terms fall below tol/1000.  The simplified
+each row stops where its terms fall below tol/1000.  What a block of k
+computes from alpha and k alone (its rows, their moduli and the derivative's
+matrices) is built once and kept across evaluations, so an evaluation does
+only the work that depends on t.  The simplified
 single-integral forms apply when F is integrable against |dxi|/|xi| on the
 boundary.  Boundary functions F are numpy expressions, evaluated on the whole
 ndarray of boundary points at once (the decay probes included); the contour
@@ -24,6 +27,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -181,6 +187,9 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
     shrinking panels towards the contour point closest to the given t: the
     kernels blow up like a power of 1/(1 - t/xi) there.
     """
+    if not (isinstance(n_per_panel, numbers.Integral) and n_per_panel >= 1):
+        raise DomainError(f"n_per_panel must be an integer >= 1, got {n_per_panel!r}")
+    stack, back = _tube_stack(A, T)  # refuses T <= A and a T or A that is not finite
     # ray panel edges in x = Re t: fine near the cap, geometric growth outward
     edges = [0.0, 0.5 * A, A]
     while edges[-1] < T:
@@ -214,7 +223,6 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
     i, j = (len(edges) - 1) * n_per_panel, (len(edges) - 1 + k) * n_per_panel
     ray, cap = (s[:i], ds[:i]), ((s[i:j], ds[i:j]), (s[j:], ds[j:]))
 
-    stack, back = _tube_stack(A, T)
     parts = [(s[::-1], -ds[::-1]) if b else (s, ds)
              for b, (s, ds) in zip(back, (ray, *cap, ray))]
     seg_of = np.repeat(np.arange(len(parts)), [len(s) for s, _ in parts])
@@ -279,32 +287,104 @@ class _PowerSums:
         return self._s[:n]
 
 
-def _series_rows(m: _PowerSums, A: np.ndarray, C: np.ndarray,
-                 tol: float = 1e-16) -> np.ndarray:
+class _Rows:
+    """The coefficient rows d_in = (A_i)_n/(C_i)_n of one block of k, and
+    |d_in|, kept across evaluations and grown on demand like hyp._Row: each
+    extension continues the sequential cumprod from the last kept column, so
+    entry n has the same bits however far the rows have grown.  Both arrays
+    are read-only and replaced together, under the lock of the cache."""
+
+    def __init__(self, A: np.ndarray, C: np.ndarray):
+        self.A, self.C = A, C
+        # the terms fall like n^e rho^n
+        self.excess = max(0.0, float((A - C).real.max()))
+        self.rows = _frozen(np.ones((A.size, 1), dtype=complex)), _frozen(np.ones((A.size, 1)))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(x.nbytes for x in self.rows)
+
+    def upto(self, n: int) -> tuple:
+        """(d, |d|), each of at least n columns."""
+        if self.rows[0].shape[1] < n:
+            with _KEPT_LOCK:
+                d, absd = self.rows
+                if d.shape[1] < n:
+                    A, C = self.A, self.C
+                    j = np.arange(d.shape[1] - 1.0, n - 1.0)
+                    new = np.empty((A.size, j.size + 1), dtype=complex)
+                    new[:, 0] = d[:, -1]
+                    if C.dtype.kind == "f":  # numpy's complex division by a real, to the bit
+                        inv = 1.0 / (C[:, None] + j)
+                        new.real[:, 1:] = (A.real[:, None] + j) * inv
+                        new.imag[:, 1:] = A.imag[:, None] * inv
+                    else:
+                        np.divide(A[:, None] + j, C[:, None] + j, out=new[:, 1:])
+                    np.cumprod(new, axis=1, out=new)
+                    new = new[:, 1:]
+                    self.rows = (_frozen(np.hstack((d, new))),
+                                 _frozen(np.hstack((absd, np.abs(new)))))
+                    _evict()
+        return self.rows
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+# alpha-only coefficients of kernel blocks (_Rows, and the matrices of
+# _deriv_kernel), least recently used first, kept up to _KEPT_BYTES in all.
+# A row can reach _ROW_BUDGET terms, 7.7 MB of d and 3.8 MB of |d| for one
+# block of 24 rows: such a block is dropped as soon as it has grown, and
+# stays valid for the evaluation that holds it.
+_KEPT_BYTES = 8 << 20
+_KEPT = OrderedDict()
+_KEPT_LOCK = threading.Lock()
+
+
+def _kept(kernel: str, a: complex, ks: np.ndarray, build: Callable[[], tuple]) -> tuple:
+    """The coefficients of kernel at alpha = a for the block ks, built by
+    build() on a miss: keyed by the bits of a (so 0.0 and -0.0 stay apart)
+    and the block's first k and size."""
+    key = (kernel, a.real.hex(), a.imag.hex(), int(ks[0]), ks.size)
+    with _KEPT_LOCK:
+        entry = _KEPT.get(key)
+        if entry is None:
+            entry = _KEPT[key] = build()
+            _evict()
+        else:
+            _KEPT.move_to_end(key)
+    return entry
+
+
+def _evict() -> None:
+    """Drop the least recently used blocks until _KEPT_BYTES holds them all;
+    the caller holds _KEPT_LOCK.  A block in use stays valid when dropped."""
+    size = sum(x.nbytes for entry in _KEPT.values() for x in entry)
+    while size > _KEPT_BYTES:
+        size -= sum(x.nbytes for x in _KEPT.popitem(last=False)[1])
+
+
+def _series_rows(m: _PowerSums, rows: _Rows, tol: float = 1e-16) -> np.ndarray:
     """[sum_j b_j 2F1(A_i, 1; C_i; v_j) for each i] as sum_n d_in s_n, with
-    d_in = (A_i)_n/(C_i)_n one matrix built by one cumprod along n and all
-    rows summed as one product with the moments s_n.
+    d_in = (A_i)_n/(C_i)_n the rows of one block, kept with |d_in| by
+    (kernel, alpha, block) in _KEPT (at most _KEPT_BYTES in all) and grown
+    to the terms this evaluation needs, and all rows summed as one product
+    with the moments s_n.
 
     Row i stops at the first n > 4 with |d_in| rho^n <= tol, rho = max|v_j|,
-    and is zero past its stop; the caller guarantees convergence and a
-    transient-free term ratio.
+    and is zero past its stop (in a new array: the kept rows are never
+    written); the caller guarantees convergence and a transient-free term
+    ratio.
     """
     n = 64  # the terms fall like n^e rho^n, e = max Re(A_i - C_i): reach tol
     if 0.0 < m.rho < 1.0:
         n0 = math.log(tol) / math.log(m.rho)  # where rho^n alone reaches tol
-        e = max(0.0, float((A - C).real.max()))
-        n = max(n, int(n0 + e * math.log(n0) / -math.log(m.rho)) + 16)
+        n = max(n, int(n0 + rows.excess * math.log(n0) / -math.log(m.rho)) + 16)
     while True:
-        j = np.arange(n - 1.0)
-        d = np.ones((A.size, n), dtype=complex)
-        if C.dtype.kind == "f":  # numpy's complex division by a real, to the bit
-            inv = 1.0 / (C[:, None] + j)
-            d.real[:, 1:] = (A.real[:, None] + j) * inv
-            d.imag[:, 1:] = A.imag[:, None] * inv
-        else:
-            np.divide(A[:, None] + j, C[:, None] + j, out=d[:, 1:])
-        np.cumprod(d, axis=1, out=d)
-        small = np.abs(d[:, 5:]) * m.rho ** np.arange(5, n) <= tol
+        d, absd = rows.upto(n)
+        small = absd[:, 5:n] * m.rho ** np.arange(5, n) <= tol
         if small.any(axis=1).all():
             break
         if n > _ROW_BUDGET:
@@ -312,9 +392,7 @@ def _series_rows(m: _PowerSums, A: np.ndarray, C: np.ndarray,
         n = min(2 * n, _ROW_BUDGET + 1)
     stop = 6 + small.argmax(axis=1)
     n = int(stop.max())
-    d = d[:, :n]
-    d[np.arange(n) >= stop[:, None]] = 0.0
-    return d @ m.upto(n)
+    return np.where(np.arange(n) < stop[:, None], d[:, :n], 0.0) @ m.upto(n)
 
 
 def _blockwise(block: Callable[[np.ndarray], list]) -> Callable[[int], complex]:
@@ -351,6 +429,12 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
     so the direct sets of both splits are leading w columns and their q
     sets trailing q columns of one power table; the moments of 1/w are
     those of q with odd n negated.
+
+    A block's direct rows with their moduli, term2's matrix c and the
+    factors of both terms (the matrix of the terminating form for integer
+    alpha) depend on alpha and ks alone: they are built on the first
+    request of the block for this alpha in any evaluation and kept in _KEPT
+    under ("deriv" or "terminating", alpha, block), up to _KEPT_BYTES in all.
     """
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and a.real >= 0:
         m = round(a.real)
@@ -359,9 +443,12 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
         i = np.arange(m)
         # 2F1(-m, k; k+1; w) = m!/(k+1)_m sum_n (k)_n/n! (1-w)^n; in this basis
         # the coefficients are positive and nothing cancels near w = 1
-        return _blockwise(lambda ks: (np.cumprod(np.hstack((
-            np.prod((i + 1.0) / (ks[:, None] + 1.0 + i), axis=1)[:, None],
-            (ks[:, None] + i) / (i + 1.0))), axis=1) @ moments).tolist())
+        def terminating(ks: np.ndarray) -> list:
+            coef, = _kept("terminating", a, ks, lambda: (_frozen(np.cumprod(np.hstack((
+                np.prod((i + 1.0) / (ks[:, None] + 1.0 + i), axis=1)[:, None],
+                (ks[:, None] + i) / (i + 1.0))), axis=1)),))
+            return (coef @ moments).tolist()
+        return _blockwise(terminating)
 
     # bands |w| <= 0.8, 0.8 < |w| <= 0.9 and |w| > 0.9 in turn, each in its
     # node order: every split is then w[:n] direct and w[n:] by 1/w
@@ -393,23 +480,34 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
 
     def block(ks: np.ndarray) -> list:
         k1 = int(ks[-1]) + 1
-        # Gamma(k+1) Gamma(1-a')/Gamma(k+1-a') with a' = a+k+1 reduces to
-        # (-1)^k k! / (a+1)_k; built as a product to stay Gamma-free
-        r1 = np.cumprod([1.0] + [j / (a + j) for j in range(1, k1)]).tolist()
-        # row k: term2's coefficients, zero past degree k-1 (lower triangular)
-        # but for row 0, whose term2 is 0
-        j = np.arange(k1 - 1)
-        c = np.ones((ks.size, k1), dtype=complex)
-        np.cumprod(((1.0 + j) * (1.0 - ks[:, None] + j))
-                   / ((1.0 - a - ks[:, None] + j) * (j + 1.0)), axis=1, out=c[:, 1:])
+        rows, c, scale = _kept("deriv", a, ks, lambda: _deriv_block(a, ks))
         direct, far1, far2 = split(n8 if k1 <= _SHELL_K else n9)
-        p1, p2 = far1.upto(k1).tolist(), far2.upto(k1).copy()
+        p1, p2 = far1.upto(k1)[ks].tolist(), far2.upto(k1).copy()
         p2[1::2] *= -1.0
-        sums = _series_rows(direct, a + ks + 1.0, ks + 1.0, tol)
+        sums = _series_rows(direct, rows, tol)
         poly = c @ p2
-        return [s + (-1.0) ** k * r1[k] * p1[k] + (k / (a + k)) * pk  # 0 at k = 0
-                for s, k, pk in zip(sums.tolist(), ks.tolist(), poly.tolist())]
+        return [s + f1 * p + f2 * pk  # 0 at k = 0
+                for s, f1, f2, p, pk in zip(sums.tolist(), *scale.tolist(), p1, poly.tolist())]
     return _blockwise(block)
+
+
+def _deriv_block(a: complex, ks: np.ndarray) -> tuple:
+    """What a block of _deriv_kernel computes from alpha and ks alone: the
+    direct rows, term2's coefficient matrix c and the factors (-1)^k r1_k of
+    term1 and k/(a+k) of term2, one row of each per k."""
+    k1 = int(ks[-1]) + 1
+    # Gamma(k+1) Gamma(1-a')/Gamma(k+1-a') with a' = a+k+1 reduces to
+    # (-1)^k k! / (a+1)_k; built as a product to stay Gamma-free
+    r1 = np.cumprod([1.0] + [j / (a + j) for j in range(1, k1)]).tolist()
+    # row k: term2's coefficients, zero past degree k-1 (lower triangular)
+    # but for row 0, whose term2 is 0
+    j = np.arange(k1 - 1)
+    c = np.ones((ks.size, k1), dtype=complex)
+    np.cumprod(((1.0 + j) * (1.0 - ks[:, None] + j))
+               / ((1.0 - a - ks[:, None] + j) * (j + 1.0)), axis=1, out=c[:, 1:])
+    scale = np.array([[(-1.0) ** k * r1[k] for k in ks.tolist()],
+                      [k / (a + k) for k in ks.tolist()]])
+    return _Rows(a + ks + 1.0, ks + 1.0), _frozen(c), _frozen(scale)
 
 
 def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray,
@@ -423,7 +521,9 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray,
     2.5 and some within 0.16 of the cut): each is continued along its ray
     from 0.45 w/|w| by the batched Taylor-ODE engine, all of them as the
     lanes of one continuation per k, on radial step schedules built once for
-    the kernel.
+    the kernel.  The rows of both series, with their moduli, depend on alpha
+    and ks alone and are kept in _KEPT under ("integ", alpha, block), up to
+    _KEPT_BYTES in all, as _deriv_kernel keeps its own.
     """
     near = np.abs(w) <= 0.9
     wr, br = w[~near], b[~near]
@@ -436,9 +536,12 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray,
     hard_w, hard_b = wr[~pf], br[~pf]
     if hard_w.size:
         lanes = _Schedule([[0.45 * wi / abs(wi), wi] for wi in hard_w.tolist()])
-    series = _blockwise(lambda ks: (
-        _series_rows(direct, ks + 1.0, a + ks + 1.0, tol)
-        + _series_rows(pfaff, np.full(ks.size, a), a + ks + 1.0, tol)).tolist())
+
+    def block(ks: np.ndarray) -> list:
+        rows, pfaff_rows = _kept("integ", a, ks, lambda: (
+            _Rows(ks + 1.0, a + ks + 1.0), _Rows(np.full(ks.size, a), a + ks + 1.0)))
+        return (_series_rows(direct, rows, tol) + _series_rows(pfaff, pfaff_rows, tol)).tolist()
+    series = _blockwise(block)
 
     def kernel_sum(k: int) -> complex:
         total = series(k)

@@ -1039,9 +1039,13 @@ def _steps(path: Sequence[complex]) -> tuple:
 
     Steps head straight for the next point and never exceed
     0.3 * dist(z0, {0, 1}), so the schedule depends on the geometry alone.
-    Raises ConvergenceError where the path pinches a singular point.
+    Raises DomainError for a point that is not finite (no step reaches it)
+    and ConvergenceError where the path pinches a singular point.
     """
     pts = [complex(z) for z in path]
+    for z in pts:
+        if not cmath.isfinite(z):
+            raise DomainError(f"continuation path point {z} is not finite")
     z0, zs, hs, seg = pts[0], [], [], []
     for j in range(1, len(pts)):
         target = pts[j]

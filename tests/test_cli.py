@@ -71,6 +71,15 @@ def test_nan_tol_is_refused(capsys, argv):
     assert capsys.readouterr().err == "error: tol must be >= 1e-14\n"
 
 
+@pytest.mark.parametrize("mode", ["deriv", "integ"])
+def test_fracop_contour_refuses_a_point_that_is_not_finite(capsys, mode):
+    # the integral ran until it was killed, the derivative raised "terms are
+    # not decaying"
+    assert main(["fracop", "--builtin", "exp", "--alpha=0.5", "--eval=nanj",
+                 "--method", "contour", "--mode", mode]) == 2
+    assert capsys.readouterr().err == "error: t = nanj is not finite\n"
+
+
 def test_fracop_alpha_zero_echo(capsys):
     code, out = run_cli(capsys, "fracop", "--builtin", "exp",
                         "--alpha", "0", "--eval", "1.0")

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from fraccal import fracops
 from fraccal.cli import main
-from fraccal.contours import cauchy_eval
+from fraccal.contours import cauchy_eval, gamma_contour
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
     PreconditionError
 from fraccal.fracops import (FractionalOrder, _PowerSums, _deriv_kernel,
@@ -261,6 +263,43 @@ def test_boundary_integrals_refuse_points_outside_the_tube():
             cauchy_eval(GEOM, 0.5, t)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.nan, complex(0.1, math.nan), complex(math.inf, 0.1),
+                               complex(0.1, -math.inf)])
+def test_contour_operators_refuse_points_that_are_not_finite(t):
+    # t = nan passed the tube test: the integral then looped for ever on a
+    # continuation path to nan and the derivative raised "terms are not
+    # decaying" after a RuntimeWarning
+    for op in (frac_deriv_contour, frac_integ_contour):
+        with pytest.raises(DomainError, match="not finite"):
+            op(GEOM, 0.5, 1.0, 0.5, t)
+    with pytest.raises(DomainError, match="not finite"):
+        frac_h1(GEOM, 0.5, 0.5, t, "deriv")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: frac_deriv_contour(GEOM, 0.5, 1.0, 0.5, 0.3, T=math.inf),
+    lambda: frac_integ_contour(GEOM, 0.5, 1.0, 0.5, 0.3, T=math.inf),
+    lambda: psi_coefficients_contour(GEOM, 2, 1.0, 0.5, T=math.inf),
+    lambda: contour_quadrature_nodes(0.5, math.inf),
+    lambda: contour_quadrature_nodes(0.5, 40.5, 0),
+    lambda: contour_quadrature_nodes(0.5, 40.5, -2),
+    lambda: contour_quadrature_nodes(0.5, 40.5, 2.0),
+    lambda: gamma_contour(math.inf, math.inf),
+    lambda: gamma_contour(math.nan, 2.0),
+    lambda: gamma_contour(0.5, math.nan),
+], ids=["deriv-T-inf", "integ-T-inf", "psi-T-inf", "nodes-T-inf", "nodes-0-per-panel",
+        "nodes-negative-per-panel", "nodes-float-per-panel", "contour-A-inf",
+        "contour-A-nan", "contour-T-nan"])
+def test_contours_refuse_an_infinite_truncation_and_empty_panels(call):
+    # T = inf returned 0.3850 for the derivative, against Gamma(1.5) 1.3^-1.5
+    # = 0.5979, after a RuntimeWarning; no panel, or a float count, ended in
+    # numpy's ValueError or TypeError
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_contour_series_agreement_grid():
     # |contour - series eval| small across alphas and points; the closed form
     # Gamma(alpha+1) (1+t)^{-alpha-1} also covers Re t > 1, past the series radius
@@ -347,6 +386,93 @@ def test_kernel_sums_do_not_depend_on_request_order(mode, alpha):
     assert repr(got) == repr([fresh(k) for k in range(41)])
 
 
+_CACHE_ALPHAS = (0.5, 0.3 + 0.4j, 2.0, -0.9)
+
+
+def _cache_nodes():
+    # nodes of every branch of the derivative kernel but none of the
+    # integral's ODE fallback, which keeps no coefficients
+    w, b = _kernel_nodes(3)
+    keep = (np.abs(w) <= 0.9) | (np.abs(w / (w - 1.0)) <= 0.9)
+    return w[keep], b[keep]
+
+
+def _kernel_values(alphas, w, b) -> dict:
+    # repr of both kernels' sums for k < 30, two blocks of k, at each alpha
+    return {(kernel.__name__, a): repr([f(k) for k in range(30)])
+            for a in alphas for kernel in (_deriv_kernel, _integ_kernel)
+            for f in [kernel(complex(a), w, b, 1e-13)]}
+
+
+def _kept_alphas() -> set:
+    return {complex(float.fromhex(key[1]), float.fromhex(key[2])) for key in fracops._KEPT}
+
+
+def test_kept_kernel_coefficients_do_not_change_a_value():
+    # cold, warm, warmed by nodes whose rows stop sooner, in reverse order,
+    # and after the cache has dropped the blocks of every alpha while it was
+    # filled past its bound
+    w, b = _cache_nodes()
+    fracops._KEPT.clear()
+    cold = _kernel_values(_CACHE_ALPHAS, w, b)
+    assert _kept_alphas() == set(map(complex, _CACHE_ALPHAS))
+    assert _kernel_values(_CACHE_ALPHAS, w, b) == cold
+    fracops._KEPT.clear()
+    _kernel_values(_CACHE_ALPHAS, 0.5 * w, b)
+    assert _kernel_values(_CACHE_ALPHAS, w, b) == cold
+    fracops._KEPT.clear()
+    assert _kernel_values(_CACHE_ALPHAS[::-1], w, b) == cold
+    fill = iter(np.linspace(0.01, 0.49, 2000))
+    while _kept_alphas() & set(map(complex, _CACHE_ALPHAS)):
+        _deriv_kernel(complex(next(fill)), w, b)(0)
+    kept = sum(x.nbytes for entry in fracops._KEPT.values() for x in entry)
+    assert 0.5 * fracops._KEPT_BYTES < kept <= fracops._KEPT_BYTES
+    assert _kernel_values(_CACHE_ALPHAS, w, b) == cold
+
+
+def test_threads_sharing_the_kernel_coefficients_get_the_same_values():
+    w, b = _cache_nodes()
+    expect = _kernel_values(_CACHE_ALPHAS, w, b)
+    got, errors = [None] * 2, []
+
+    def work(i):
+        try:
+            got[i] = _kernel_values(_CACHE_ALPHAS, w, b)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fracops._KEPT.clear()
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert not errors
+            assert got == [expect, expect]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_kept_kernel_coefficients_refuse_writes():
+    w, b = _cache_nodes()
+    fracops._KEPT.clear()
+    _kernel_values(_CACHE_ALPHAS, w, b)
+    arrays = [y for entry in fracops._KEPT.values() for x in entry
+              for y in getattr(x, "rows", (x,))]
+    # per block of k: d, |d|, c and the factors for each non-integer
+    # derivative, two rows' d and |d| for each integral, one matrix for the
+    # terminating derivative at alpha = 2
+    assert len(arrays) == 2 * (3 * 4 + 4 * 4 + 1)
+    for x in arrays:
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+
+
 def _record_kernel_requests(monkeypatch) -> list:
     # the k asked of every derivative kernel built from here on, in order
     asked, deriv_kernel = [], fracops._deriv_kernel
@@ -367,9 +493,9 @@ def test_contour_kernel_builds_coefficients_a_block_of_k_at_a_time(monkeypatch, 
         monkeypatch.setattr(fracops, "_K_BLOCK", block)
     rows, series_rows = [], fracops._series_rows
 
-    def counting(m, A, C, *args):
-        rows.append(A.size)
-        return series_rows(m, A, C, *args)
+    def counting(m, kept, *args):
+        rows.append(kept.A.size)
+        return series_rows(m, kept, *args)
 
     monkeypatch.setattr(fracops, "_series_rows", counting)
     asked = _record_kernel_requests(monkeypatch)

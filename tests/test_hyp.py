@@ -506,6 +506,14 @@ def test_lanes_equal_single_runs_bit_for_bit():
     assert [repr(v) for v in rev[0][::-1]] == [repr(v) for v in f]
 
 
+@pytest.mark.parametrize("path", [[0.1, math.nan], [0.1, math.inf],
+                                  [0.1, complex(0.5, math.nan), -0.3]])
+def test_continuation_refuses_a_path_point_that_is_not_finite(path):
+    # no step reaches such a point: the schedule looped for ever
+    with pytest.raises(DomainError, match="not finite"):
+        hyp2f1_continue(Hyp2F1Params(0.5, 0.5, 1.5), path)
+
+
 def test_failing_tail_check_halves_the_step(monkeypatch):
     p = Hyp2F1Params(0.3, 0.7, 1.9)
     path = [0.4, 0.5 + 0.6j, -0.5 + 0.3j]
