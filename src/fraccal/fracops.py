@@ -13,9 +13,10 @@ Re t >= T).  The power sums come from one power table per evaluation, 32 at
 a time as one product of a 32-by-node table with a running power vector;
 the rows of 24 consecutive k are one matrix, summed as one product, and
 each row stops where its terms fall below tol/1000.  What a block of k
-computes from alpha and k alone (its rows, their moduli and the derivative's
-matrices) is built once and kept across evaluations, so an evaluation does
-only the work that depends on t.  The simplified
+computes from alpha and k alone (its rows, a hyp._Row of 24, and the
+derivative's matrices) is built once and kept across evaluations in the one
+byte-bounded store of fraccal.hyp, beside the 2F1 rows, so an evaluation
+does only the work that depends on t.  The simplified
 single-integral forms apply when F is integrable against |dxi|/|xi| on the
 boundary.  Boundary functions F are numpy expressions, evaluated on the whole
 ndarray of boundary points at once (the decay probes included); the contour
@@ -28,8 +29,6 @@ import cmath
 import functools
 import math
 import numbers
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,7 +39,8 @@ from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
                        integrate_paths)
 from .errors import ConvergenceError, DomainError, GammaPoleError
 from .gammafn import gamma
-from .hyp import PFQParams, hyp2f1, Hyp2F1Params, _continue, _Schedule
+from .hyp import (PFQParams, hyp2f1, Hyp2F1Params, _continue, _frozen, _Row, _Schedule,
+                  _STORE)
 from .series import PowerSeries, eval_series
 from .utils import dist_to_positive_ray, is_nonpositive_int, require_tol
 
@@ -287,91 +287,17 @@ class _PowerSums:
         return self._s[:n]
 
 
-class _Rows:
-    """The coefficient rows d_in = (A_i)_n/(C_i)_n of one block of k, and
-    |d_in|, kept across evaluations and grown on demand like hyp._Row: each
-    extension continues the sequential cumprod from the last kept column, so
-    entry n has the same bits however far the rows have grown.  Both arrays
-    are read-only and replaced together, under the lock of the cache."""
-
-    def __init__(self, A: np.ndarray, C: np.ndarray):
-        self.A, self.C = A, C
-        # the terms fall like n^e rho^n
-        self.excess = max(0.0, float((A - C).real.max()))
-        self.rows = _frozen(np.ones((A.size, 1), dtype=complex)), _frozen(np.ones((A.size, 1)))
-
-    @property
-    def nbytes(self) -> int:
-        return sum(x.nbytes for x in self.rows)
-
-    def upto(self, n: int) -> tuple:
-        """(d, |d|), each of at least n columns."""
-        if self.rows[0].shape[1] < n:
-            with _KEPT_LOCK:
-                d, absd = self.rows
-                if d.shape[1] < n:
-                    A, C = self.A, self.C
-                    j = np.arange(d.shape[1] - 1.0, n - 1.0)
-                    new = np.empty((A.size, j.size + 1), dtype=complex)
-                    new[:, 0] = d[:, -1]
-                    if C.dtype.kind == "f":  # numpy's complex division by a real, to the bit
-                        inv = 1.0 / (C[:, None] + j)
-                        new.real[:, 1:] = (A.real[:, None] + j) * inv
-                        new.imag[:, 1:] = A.imag[:, None] * inv
-                    else:
-                        np.divide(A[:, None] + j, C[:, None] + j, out=new[:, 1:])
-                    np.cumprod(new, axis=1, out=new)
-                    new = new[:, 1:]
-                    self.rows = (_frozen(np.hstack((d, new))),
-                                 _frozen(np.hstack((absd, np.abs(new)))))
-                    _evict()
-        return self.rows
+def _kept(kernel: str, a: complex, ks: np.ndarray, build: Callable):
+    """The entry of kernel at alpha = a for the block ks in hyp's store, keyed
+    by the bits of a (0.0 and -0.0 apart) and the block's first k and size."""
+    return _STORE.get((kernel, a.real.hex(), a.imag.hex(), int(ks[0]), ks.size), build)
 
 
-def _frozen(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
-
-
-# alpha-only coefficients of kernel blocks (_Rows, and the matrices of
-# _deriv_kernel), least recently used first, kept up to _KEPT_BYTES in all.
-# A row can reach _ROW_BUDGET terms, 7.7 MB of d and 3.8 MB of |d| for one
-# block of 24 rows: such a block is dropped as soon as it has grown, and
-# stays valid for the evaluation that holds it.
-_KEPT_BYTES = 8 << 20
-_KEPT = OrderedDict()
-_KEPT_LOCK = threading.Lock()
-
-
-def _kept(kernel: str, a: complex, ks: np.ndarray, build: Callable[[], tuple]) -> tuple:
-    """The coefficients of kernel at alpha = a for the block ks, built by
-    build() on a miss: keyed by the bits of a (so 0.0 and -0.0 stay apart)
-    and the block's first k and size."""
-    key = (kernel, a.real.hex(), a.imag.hex(), int(ks[0]), ks.size)
-    with _KEPT_LOCK:
-        entry = _KEPT.get(key)
-        if entry is None:
-            entry = _KEPT[key] = build()
-            _evict()
-        else:
-            _KEPT.move_to_end(key)
-    return entry
-
-
-def _evict() -> None:
-    """Drop the least recently used blocks until _KEPT_BYTES holds them all;
-    the caller holds _KEPT_LOCK.  A block in use stays valid when dropped."""
-    size = sum(x.nbytes for entry in _KEPT.values() for x in entry)
-    while size > _KEPT_BYTES:
-        size -= sum(x.nbytes for x in _KEPT.popitem(last=False)[1])
-
-
-def _series_rows(m: _PowerSums, rows: _Rows, tol: float = 1e-16) -> np.ndarray:
+def _series_rows(m: _PowerSums, rows: _Row, tol: float = 1e-16) -> np.ndarray:
     """[sum_j b_j 2F1(A_i, 1; C_i; v_j) for each i] as sum_n d_in s_n, with
-    d_in = (A_i)_n/(C_i)_n the rows of one block, kept with |d_in| by
-    (kernel, alpha, block) in _KEPT (at most _KEPT_BYTES in all) and grown
-    to the terms this evaluation needs, and all rows summed as one product
-    with the moments s_n.
+    d_in = (A_i)_n/(C_i)_n the block of rows _Row((A,), (C,)), kept in the
+    store by (kernel, alpha, block) and grown to the terms this evaluation
+    needs, and all rows summed as one product with the moments s_n.
 
     Row i stops at the first n > 4 with |d_in| rho^n <= tol, rho = max|v_j|,
     and is zero past its stop (in a new array: the kept rows are never
@@ -381,10 +307,11 @@ def _series_rows(m: _PowerSums, rows: _Rows, tol: float = 1e-16) -> np.ndarray:
     n = 64  # the terms fall like n^e rho^n, e = max Re(A_i - C_i): reach tol
     if 0.0 < m.rho < 1.0:
         n0 = math.log(tol) / math.log(m.rho)  # where rho^n alone reaches tol
-        n = max(n, int(n0 + rows.excess * math.log(n0) / -math.log(m.rho)) + 16)
+        excess = max(0.0, float((rows.num[0] - rows.den[0]).real.max()))
+        n = max(n, int(n0 + excess * math.log(n0) / -math.log(m.rho)) + 16)
     while True:
-        d, absd = rows.upto(n)
-        small = absd[:, 5:n] * m.rho ** np.arange(5, n) <= tol
+        rows.grow(n)
+        small = rows.absd[:, 5:n] * m.rho ** np.arange(5, n) <= tol
         if small.any(axis=1).all():
             break
         if n > _ROW_BUDGET:
@@ -392,7 +319,7 @@ def _series_rows(m: _PowerSums, rows: _Rows, tol: float = 1e-16) -> np.ndarray:
         n = min(2 * n, _ROW_BUDGET + 1)
     stop = 6 + small.argmax(axis=1)
     n = int(stop.max())
-    return np.where(np.arange(n) < stop[:, None], d[:, :n], 0.0) @ m.upto(n)
+    return np.where(np.arange(n) < stop[:, None], rows.coef[:, :n], 0.0) @ m.upto(n)
 
 
 def _blockwise(block: Callable[[np.ndarray], list]) -> Callable[[int], complex]:
@@ -433,8 +360,9 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
     A block's direct rows with their moduli, term2's matrix c and the
     factors of both terms (the matrix of the terminating form for integer
     alpha) depend on alpha and ks alone: they are built on the first
-    request of the block for this alpha in any evaluation and kept in _KEPT
-    under ("deriv" or "terminating", alpha, block), up to _KEPT_BYTES in all.
+    request of the block for this alpha in any evaluation and kept in the
+    store of fraccal.hyp under ("deriv", "deriv-terms" or "terminating",
+    alpha, block), with the 2F1 rows, within its one byte bound.
     """
     if abs(a.imag) < 1e-12 and abs(a.real - round(a.real)) < 1e-12 and a.real >= 0:
         m = round(a.real)
@@ -480,7 +408,8 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
 
     def block(ks: np.ndarray) -> list:
         k1 = int(ks[-1]) + 1
-        rows, c, scale = _kept("deriv", a, ks, lambda: _deriv_block(a, ks))
+        rows = _kept("deriv", a, ks, lambda: _Row((a + ks + 1.0,), (ks + 1.0,)))
+        c, scale = _kept("deriv-terms", a, ks, lambda: _deriv_terms(a, ks))
         direct, far1, far2 = split(n8 if k1 <= _SHELL_K else n9)
         p1, p2 = far1.upto(k1)[ks].tolist(), far2.upto(k1).copy()
         p2[1::2] *= -1.0
@@ -491,10 +420,10 @@ def _deriv_kernel(a: complex, w: np.ndarray, b: np.ndarray,
     return _blockwise(block)
 
 
-def _deriv_block(a: complex, ks: np.ndarray) -> tuple:
-    """What a block of _deriv_kernel computes from alpha and ks alone: the
-    direct rows, term2's coefficient matrix c and the factors (-1)^k r1_k of
-    term1 and k/(a+k) of term2, one row of each per k."""
+def _deriv_terms(a: complex, ks: np.ndarray) -> tuple:
+    """The matrices of a block of _deriv_kernel that depend on alpha and ks
+    alone: term2's coefficient matrix c and the factors (-1)^k r1_k of term1
+    and k/(a+k) of term2, one row of each per k."""
     k1 = int(ks[-1]) + 1
     # Gamma(k+1) Gamma(1-a')/Gamma(k+1-a') with a' = a+k+1 reduces to
     # (-1)^k k! / (a+1)_k; built as a product to stay Gamma-free
@@ -507,7 +436,7 @@ def _deriv_block(a: complex, ks: np.ndarray) -> tuple:
                / ((1.0 - a - ks[:, None] + j) * (j + 1.0)), axis=1, out=c[:, 1:])
     scale = np.array([[(-1.0) ** k * r1[k] for k in ks.tolist()],
                       [k / (a + k) for k in ks.tolist()]])
-    return _Rows(a + ks + 1.0, ks + 1.0), _frozen(c), _frozen(scale)
+    return _frozen(c), _frozen(scale)
 
 
 def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray,
@@ -522,8 +451,8 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray,
     from 0.45 w/|w| by the batched Taylor-ODE engine, all of them as the
     lanes of one continuation per k, on radial step schedules built once for
     the kernel.  The rows of both series, with their moduli, depend on alpha
-    and ks alone and are kept in _KEPT under ("integ", alpha, block), up to
-    _KEPT_BYTES in all, as _deriv_kernel keeps its own.
+    and ks alone and are kept in the store under ("integ" or "pfaff", alpha,
+    block), as _deriv_kernel keeps its own.
     """
     near = np.abs(w) <= 0.9
     wr, br = w[~near], b[~near]
@@ -538,8 +467,8 @@ def _integ_kernel(a: complex, w: np.ndarray, b: np.ndarray,
         lanes = _Schedule([[0.45 * wi / abs(wi), wi] for wi in hard_w.tolist()])
 
     def block(ks: np.ndarray) -> list:
-        rows, pfaff_rows = _kept("integ", a, ks, lambda: (
-            _Rows(ks + 1.0, a + ks + 1.0), _Rows(np.full(ks.size, a), a + ks + 1.0)))
+        rows = _kept("integ", a, ks, lambda: _Row((ks + 1.0,), (a + ks + 1.0,)))
+        pfaff_rows = _kept("pfaff", a, ks, lambda: _Row((np.full(ks.size, a),), (a + ks + 1.0,)))
         return (_series_rows(direct, rows, tol) + _series_rows(pfaff, pfaff_rows, tol)).tolist()
     series = _blockwise(block)
 

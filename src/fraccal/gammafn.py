@@ -29,6 +29,14 @@ _LANCZOS_C = (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _finite(z) -> complex:
+    """complex(z), refused with DomainError unless both parts are finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z = {z} is not finite")
+    return z
+
+
 def _lanczos_series(z: complex) -> complex:
     # z is shifted so that the series argument is z-1 with Re >= -0.5
     x = _LANCZOS_C[0]
@@ -38,8 +46,9 @@ def _lanczos_series(z: complex) -> complex:
 
 
 def gamma(z: complex) -> complex:
-    """Gamma(z) for complex z; GammaPoleError at its poles, DomainError on overflow."""
-    z = complex(z)
+    """Gamma(z) for finite complex z; GammaPoleError at its poles,
+    DomainError on overflow or a z that is not finite."""
+    z = _finite(z)
     pole = is_nonpositive_int(z)
     if pole is not None:
         raise GammaPoleError(pole)
@@ -70,8 +79,9 @@ def loggamma(z: complex) -> complex:
 
     Safe inside exp(loggamma(a) - loggamma(b)) ratios, which is the only way
     it is used here; the imaginary part is not a continuous branch.
+    DomainError for a z that is not finite.
     """
-    z = complex(z)
+    z = _finite(z)
     pole = is_nonpositive_int(z)
     if pole is not None:
         raise GammaPoleError(pole)
@@ -85,8 +95,9 @@ def loggamma(z: complex) -> complex:
 def rgamma(z: complex) -> complex:
     """1 / Gamma(z); entire, returns exactly 0.0 at the poles of Gamma, and
     exp(-log Gamma(z)), a subnormal or 0, where Gamma(z) overflows.
-    DomainError where 1/Gamma(z) itself overflows (far left of the poles)."""
-    z = complex(z)
+    DomainError where 1/Gamma(z) itself overflows (far left of the poles)
+    or z is not finite."""
+    z = _finite(z)
     if is_nonpositive_int(z) is not None:
         return 0.0 + 0.0j
     try:
@@ -121,8 +132,9 @@ _PSI_ASY = (
 
 
 def digamma(z: complex) -> complex:
-    """psi(z) = Gamma'(z)/Gamma(z) via recurrence + asymptotic series."""
-    z = complex(z)
+    """psi(z) = Gamma'(z)/Gamma(z) via recurrence + asymptotic series;
+    DomainError for a z that is not finite."""
+    z = _finite(z)
     pole = is_nonpositive_int(z)
     if pole is not None:
         raise GammaPoleError(pole)

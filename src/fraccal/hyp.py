@@ -33,10 +33,11 @@ over a coefficient row prod (a_i)_n / prod (b_j)_n of a list of upper and
 one of lower parameters, built by one vectorised ratio cumprod and grown by
 doubling, and for the Goursat forms the digamma brackets as a cumsum; one
 row-sum engine sums them all and raises ConvergenceError on cancellation.
-The rows and the constants of each parameter triple (the 1-z and 1/z
+Every row, and fracops' contour-kernel blocks of rows, lives in one store of
+8 MiB (_STORE); the constants of each parameter triple (the 1-z and 1/z
 terms, the Goursat form, the connection coefficients T^{+-}) are kept in a
-table per (a, b, c) among the _CACHE_SIZE most recently used, as is each
-p+1Fp row.  Every evaluation is a batch of one:
+table per (a, b, c) among the _CACHE_SIZE most recently used.  Every
+evaluation is a batch of one:
 hyp2f1 is the one-call case of a pass over a list of calls (parameters,
 array of arguments, sides) whose elements one planner routes together by
 one argmin, each route's powers formed at once; their series are summed in
@@ -46,7 +47,7 @@ parameter triples onto the upper half-plane (Schwarz reflection, exact in
 rounding too) and plans each distinct element once.
 geom_alpha_check is the one-case call of a check whose loops are the lanes
 of one continuation.  Where a sum stops depends on z, tol and the
-parameters only, so a value never depends on what the cache holds or on the
+parameters only, so a value never depends on what the store holds or on the
 other elements or calls of its batch.
 
 A wrapper that pre- or post-processes 2F1 values (the regularized 2F1, the
@@ -71,6 +72,7 @@ import itertools
 import math
 import operator
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -167,12 +169,60 @@ def _part(side: Optional[np.ndarray], sel) -> Optional[np.ndarray]:
     return None if side is None else side[sel]
 
 
-_CACHE_SIZE = 128  # parameter triples whose coefficient tables are kept
+_CACHE_SIZE = 128  # parameter triples whose constants are kept
 _ROW_START = 128   # length of a new coefficient row; rows then double
 _BLOCK = 1 << 14   # entries of the largest temporary block (256 KB of complex)
-_ONE = np.ones(1, dtype=complex)  # the start of every row, never written
-_EMPTY = np.empty(0)
-_ONE.flags.writeable = _EMPTY.flags.writeable = False
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """x, made read-only."""
+    x.flags.writeable = False
+    return x
+
+
+class _Store:
+    """Every coefficient row (a _Row, which grows) and the fixed matrices of
+    fracops' contour kernels (tuples of read-only arrays) by key, least
+    recently used first, held to at most bound bytes in all by a running
+    total, under the one lock that also serializes row growth.  An entry
+    dropped stays valid for the calls that hold it."""
+
+    def __init__(self, bound: int):
+        self.bound, self.held = bound, 0
+        self.entries = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key, build: Callable):
+        """The entry of key, built by build() on a miss."""
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                entry = self.entries[key] = build()
+                if isinstance(entry, _Row):
+                    entry.key = key
+                self.add(_nbytes(entry))
+            else:
+                self.entries.move_to_end(key)
+        return entry
+
+    def add(self, size: int) -> None:
+        """Count size more bytes, dropping the least recently used entries
+        past the bound; the caller holds the lock."""
+        self.held += size
+        while self.held > self.bound:
+            self.held -= _nbytes(self.entries.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.held = 0
+
+
+def _nbytes(entry) -> int:
+    return sum(x.nbytes for x in getattr(entry, "arrays", entry))
+
+
+_STORE = _Store(8 << 20)  # every kept coefficient row and kernel matrix
 
 
 class _Row:
@@ -181,45 +231,60 @@ class _Row:
     the lower parameters den, as many of each: ((a, b), (c, 1)) is the
     Taylor row of 2F1(a, b; c), (num, den + (1,)) that of a p+1Fp.
 
-    With brackets=True the row also holds the digamma brackets
-    h_n = sum_i psi(a_i+n) - sum_j psi(b_j+n) of the logarithmic series.  A
-    row grows by doubling from a fixed length, and each block continues both
-    recurrences with a sequential accumulate seeded by the last entry, so
-    entry n has the same value however far the row has grown.
+    The parameters are numbers, for one row, or arrays of m entries, for a
+    block of m rows (fracops' contour kernels); coef is (m, n) either way.
+    One row also keeps |r_n| (1-d) for risers, a block |d_n| for the stop
+    rule of fracops' block sums, and with brackets=True a row the digamma
+    brackets h_n = sum_i psi(a_i+n) - sum_j psi(b_j+n) of the logarithmic
+    series.  A row grows by doubling from a fixed length, and each extension
+    continues every recurrence with a sequential accumulate seeded by the
+    last column, so entry n has the same bits however far the row has
+    grown.  Its arrays are read-only.
     """
 
     def __init__(self, num: tuple, den: tuple, brackets: bool = False):
         self.num, self.den = num, den
-        ends = [n for n in map(is_nonpositive_int, num) if n is not None]
+        self._cols = [[np.reshape(v, (-1, 1)) for v in prm] for prm in (num, den)]
+        block = np.ndim(num[0]) > 0
+        ends = [] if block else [n for n in map(is_nonpositive_int, num) if n is not None]
         # a terminating row has 1 - n nonzero terms
         self.stop = min(1 - n for n in ends) if ends else None
-        self.coef = _ONE
-        self.absr = _EMPTY  # |r_n| for n < len(coef) - 1
-        self.h = np.array([_signed_sum(digamma, num, den)]) if brackets else None
+        self.coef = _frozen(np.ones((np.size(num[0]), 1), dtype=complex))
+        self.absr = None if block else _frozen(np.empty(0))  # |r_n|, n < len - 1
+        self.absd = _frozen(np.ones(self.coef.shape)) if block else None
+        self.h = _frozen(np.full((1, 1), _signed_sum(digamma, num, den))) if brackets else None
         self._rise = None  # (q_max, cap, lookup) of the last lookup worked out
-        self._lock = threading.Lock()
+        self.key = None  # its key in _STORE, if it was built there
+
+    @property
+    def arrays(self) -> list:
+        return [x for x in (self.coef, self.absr, self.absd, self.h) if x is not None]
 
     def grow(self, n: int) -> None:
-        """Extend the row to at least n coefficients.
-
-        Rows are shared between threads: growth holds the row's lock, and
-        coef is replaced last, so a reader that finds coef long enough also
-        finds absr and h long enough.
-        """
-        if len(self.coef) >= n:
+        """Extend the row to at least n coefficients, under the store's lock,
+        and count the new bytes there if the row is kept.  coef is replaced
+        last, so a reader that finds it long enough finds the rest so too."""
+        if self.coef.shape[1] >= n:
             return
-        with self._lock:
-            while len(self.coef) < n:
-                j = np.arange(len(self.coef) - 1,
-                              max(2 * len(self.coef), _ROW_START) - 1, dtype=float)
-                r = math.prod([v + j for v in self.num]) / math.prod([v + j for v in self.den])
-                self.absr = np.concatenate((self.absr, abs(r)))
+        with _STORE.lock:
+            before = _nbytes(self)
+            while self.coef.shape[1] < n:
+                j = np.arange(self.coef.shape[1] - 1,
+                              max(2 * self.coef.shape[1], _ROW_START) - 1, dtype=float)
+                num, den = ([v + j for v in cols] for cols in self._cols)
+                r = math.prod(num) / math.prod(den)
+                new = np.concatenate((self.coef[:, -1:], r), axis=1).cumprod(axis=1)[:, 1:]
+                if self.absr is not None:
+                    self.absr = _longer(self.absr, np.abs(r[0]))
+                if self.absd is not None:
+                    self.absd = _longer(self.absd, np.abs(new))
                 if self.h is not None:
-                    inc = _signed_sum(lambda v: 1.0 / (v + j), self.num, self.den)
-                    self.h = np.concatenate(
-                        (self.h, np.concatenate((self.h[-1:], inc)).cumsum()[1:]))
-                self.coef = np.concatenate(
-                    (self.coef, np.concatenate((self.coef[-1:], r)).cumprod()[1:]))
+                    inc = _signed_sum(lambda x: 1.0 / x, num, den)
+                    self.h = _longer(self.h, np.concatenate(
+                        (self.h[:, -1:], inc), axis=1).cumsum(axis=1)[:, 1:])
+                self.coef = _longer(self.coef, new)
+            if _STORE.entries.get(self.key) is self:
+                _STORE.add(_nbytes(self) - before)
 
     def risers(self, q_max: float, cap: int) -> Optional[tuple]:
         """Where terms can rise for |x| <= q_max: None if nowhere, else the
@@ -257,6 +322,15 @@ class _Row:
             j = look[1][1:]
             look = _rise_lookup(self.absr, j[j < cap])
         return look
+
+
+def _longer(x: np.ndarray, more: np.ndarray) -> np.ndarray:
+    return _frozen(np.concatenate((x, more), axis=-1))
+
+
+def _row(num: tuple, den: tuple, brackets: bool = False) -> _Row:
+    """The row (num; den) of _STORE, built there on a miss."""
+    return _STORE.get((num, den, brackets), lambda: _Row(num, den, brackets))
 
 
 def _signed_sum(f, num: tuple, den: tuple):
@@ -434,20 +508,18 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
 
 
 def _stacked(rows: list, w: int, which: Optional[np.ndarray]) -> np.ndarray:
-    """The first w entries of one row, or per element those of rows[which]."""
+    """The first w columns of one (1, n) row, or per element those of
+    rows[which]."""
     if which is None:
-        return rows[0][:w]
-    out = np.empty((len(rows), w), dtype=rows[0].dtype)
-    for i, row in enumerate(rows):
-        out[i] = row[:w]
-    return out[which]
+        return rows[0][:, :w]
+    return np.concatenate([row[:, :w] for row in rows])[which]
 
 
 def _summed(jobs: list, tol: float, max_terms: int) -> list:
     """The values of _row_sums per job, unless a sum's largest term exceeds it
     so far that rounding (2.2e-16 times the condition) could reach 1e-10."""
     sums = _row_sums(jobs, tol, max_terms)
-    cond = np.concatenate([c for _, c in sums] or [_EMPTY])
+    cond = np.concatenate([c for _, c in sums] or [np.empty(0)])
     bad = ~(2.2e-16 * cond <= 1e-10)
     if np.count_nonzero(bad):
         raise ConvergenceError(
@@ -457,22 +529,23 @@ def _summed(jobs: list, tol: float, max_terms: int) -> list:
 
 
 class _Table:
-    """What 2F1(a, b; c; .) needs that does not depend on z: the Taylor row,
-    the terms of the z -> 1-z and z -> 1/z connections, the Goursat form
-    and the connection coefficients T^{+-}; each piece is built on first use.
+    """What 2F1(a, b; c; .) needs that does not depend on z: the terms of the
+    z -> 1-z and z -> 1/z connections, the Goursat form and the connection
+    coefficients T^{+-}, each built on first use.  It holds the parameters
+    (num, den) of its rows: a pass fetches each row from _STORE.
 
-    A connection route is a list of terms (constant C, exponent e, row), its
-    value the sum of C base^{-e} 2F1(row; x) over them: base = x = 1-z for
-    at1, base = -z and x = 1/z for at_inf."""
+    A connection route is a list of terms (constant C, exponent e, row
+    parameters), its value the sum of C base^{-e} 2F1(row; x) over them:
+    base = x = 1-z for at1, base = -z and x = 1/z for at_inf."""
 
     def __init__(self, a: complex, b: complex, c: complex):
         self.a, self.b, self.c = a, b, c
         self.s = c - a - b
-        self.taylor = _Row((a, b), (c, 1.0))
+        self.taylor = (a, b), (c, 1.0)
         self.real = not (a.imag or b.imag or c.imag)  # conjugate-symmetric in z
         # for _plan: the route of every z, else -1 (0 sums a terminating row,
         # 7 and 8 are (1-z)^-a and (1-z)^-b), and whether 1/z may be taken
-        self.kind = (0 if self.taylor.stop is not None else 7 if abs(c - b) < _PARAM_TOL else
+        self.kind = (0 if _row(*self.taylor).stop is not None else 7 if abs(c - b) < _PARAM_TOL else
                      8 if abs(c - a) < _PARAM_TOL else -1, near_integer(a - b, _INV_GAP) is None)
 
     @cached_property
@@ -486,17 +559,18 @@ class _Table:
         A u^s 2F1(c-a, c-b; s+1; u) + B 2F1(a, b; 1-s; u) at u = 1-z."""
         a, b, c, s = self.a, self.b, self.c, self.s
         return ((gamma(c) * gamma(a + b - c) * rgamma(a) * rgamma(b), -s,
-                 _Row((c - a, c - b), (s + 1.0, 1.0))),
+                 ((c - a, c - b), (s + 1.0, 1.0))),
                 (gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b), 0,
-                 _Row((a, b), (1.0 - s, 1.0))))
+                 ((a, b), (1.0 - s, 1.0))))
 
     @cached_property
     def goursat(self) -> tuple:
         """The z -> 1-z route at an integer c-a-b = m (gap): (e, fin, pref,
-        row) of u^e (sum_{n<m} fin_n u^n - pref u^m sum_n d_n (log u + h_n)
-        u^n) at u = 1-z, m = len(fin), fin highest power first.  For m >= 0
-        e = 0; for m < 0 the Euler transformation peels off e = c-a-b and
-        the rest is that of (c-a, c-b, c), whose m is -m."""
+        row parameters) of u^e (sum_{n<m} fin_n u^n - pref u^m sum_n d_n
+        (log u + h_n) u^n) at u = 1-z, m = len(fin), fin highest power first,
+        d_n and h_n a row with brackets.  For m >= 0 e = 0; for m < 0 the
+        Euler transformation peels off e = c-a-b and the rest is that of
+        (c-a, c-b, c), whose m is -m."""
         a, b, m = self.a, self.b, self.gap
         if m < 0:
             return (self.s, *_table(self.c - a, self.c - b, self.c).goursat[1:])
@@ -509,7 +583,7 @@ class _Table:
                 if n < m - 1:
                     coeff *= (a + n) * (b + n) / ((n + 1.0) * (n - m + 1.0))
         pref = (-1.0) ** m * gamma(c) * rgamma(a) * rgamma(b) / math.factorial(m)
-        return 0, tuple(reversed(fin)), pref, _Row((a + m, b + m), (1.0, m + 1.0), brackets=True)
+        return 0, tuple(reversed(fin)), pref, ((a + m, b + m), (1.0, m + 1.0))
 
     @cached_property
     def at_inf(self) -> tuple:
@@ -517,9 +591,9 @@ class _Table:
         2F1(a, a-c+1; a-b+1; 1/z) + C_2 (-z)^{-b} 2F1(b, b-c+1; b-a+1; 1/z)."""
         a, b, c = self.a, self.b, self.c
         return ((gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a), a,
-                 _Row((a, a - c + 1.0), (a - b + 1.0, 1.0))),
+                 ((a, a - c + 1.0), (a - b + 1.0, 1.0))),
                 (gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b), b,
-                 _Row((b, b - c + 1.0), (b - a + 1.0, 1.0))))
+                 ((b, b - c + 1.0), (b - a + 1.0, 1.0))))
 
     @cached_property
     def connection(self) -> dict:
@@ -532,15 +606,9 @@ class _Table:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _table(a: complex, b: complex, c: complex) -> _Table:
-    """The coefficient table of (a, b, c), shared by every evaluation with
-    that triple while it is among the _CACHE_SIZE most recently used."""
+    """The table of (a, b, c), shared by every evaluation with that triple
+    while it is among the _CACHE_SIZE most recently used."""
     return _Table(a, b, c)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _pfq_row(num: tuple, den: tuple) -> _Row:
-    """The row of the p+1Fp (num; den), kept as _table keeps 2F1 tables."""
-    return _Row(num, den + (1.0,))
 
 
 def _series_seed(a, b, c, z) -> tuple:
@@ -556,8 +624,8 @@ def _series_seed(a, b, c, z) -> tuple:
         groups.setdefault(tuple(abc), []).append(i)
     jobs = []
     for (a1, b1, c1), idx in groups.items():
-        jobs += [(_table(a1, b1, c1).taylor, zs[idx], None),
-                 (_table(a1 + 1.0, b1 + 1.0, c1 + 1.0).taylor, zs[idx], None)]
+        jobs += [(_row((a1, b1), (c1, 1.0)), zs[idx], None),
+                 (_row((a1 + 1.0, b1 + 1.0), (c1 + 1.0, 1.0)), zs[idx], None)]
     sums = _summed(jobs, 1e-16, 20000)
     f, g = np.empty((2, zs.size), dtype=complex)
     for j, idx in enumerate(groups.values()):
@@ -593,7 +661,8 @@ def _plan_terms(groups: list, lg: np.ndarray, x: np.ndarray, jobs: list,
     size = [hi - lo for _, lo, hi in groups]
     # the power times C, in this order: numpy's complex product may round
     # its last bit differently with the operands swapped
-    terms = [([_job(jobs, C, row, x[lo:hi]) for (C, _, row), (_, lo, hi) in zip(term, groups)],
+    terms = [([_job(jobs, C, _row(*prm), x[lo:hi])
+               for (C, _, prm), (_, lo, hi) in zip(term, groups)],
               np.exp(_spread([-e if C != 0 else 0.0 for C, e, _ in term], size) * lg)
               * _spread([C for C, _, _ in term], size))
              for term in zip(*[terms for terms, _, _ in groups])]
@@ -613,8 +682,8 @@ def _plan_goursat(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: li
     jobs and returns the function that assembles the values from it."""
     u = 1.0 - z
     lg = _cut_side_log(u, side)
-    e, fin, pref, row = t.goursat
-    finite, i = np.zeros(z.shape, dtype=complex), _job(jobs, 1, row, u, lg)
+    e, fin, pref, prm = t.goursat
+    finite, i = np.zeros(z.shape, dtype=complex), _job(jobs, 1, _row(*prm, brackets=True), u, lg)
     for coeff in fin:
         finite = finite * u + coeff
     pw = np.exp(e * lg) if e != 0 else None
@@ -856,7 +925,7 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
         groups = [(t, lo - start, hi - start) for t, lo, hi in groups]
         zk, sk = z[ix], _part(side, ix)
         if k == 0:
-            ids = [_job(jobs, 1, t.taylor, zk[lo:hi]) for t, lo, hi in groups]
+            ids = [_job(jobs, 1, _row(*t.taylor), zk[lo:hi]) for t, lo, hi in groups]
             parts.append((ix, lambda sums, ids=ids: _cat(sums, ids)))
         elif k < 3:  # base = x = 1-z, or base = -z (arg -side pi on the cut) and x = 1/z
             base = 1.0 - zk if k == 1 else -zk
@@ -922,7 +991,7 @@ def euler_ltf_check(p: Hyp2F1Params, t):
     if (np.abs(1.0 - ts) >= 1.0).any():
         raise DomainError("check requires |1-t| < 1 for the transformed side")
     t, z = _table(p.a, p.b, p.c), ts.ravel()
-    jobs = [(t.taylor, z, None)]
+    jobs = [(_row(*t.taylor), z, None)]
     assemble = _plan_terms([(t.at1, 0, z.size)], _cut_side_log(1.0 - z, None), 1.0 - z, jobs)
     sums = _summed(jobs, 1e-16, 20000)
     res = np.abs(sums[0] - assemble(sums))
@@ -1018,7 +1087,7 @@ def hyp_pfq(params: PFQParams, t, tol: float = 1e-14, max_terms: int = 100000):
     ts = np.asarray(t, dtype=complex)
     if not ts.size:
         return np.empty(ts.shape, dtype=complex)
-    row = _pfq_row(params.num, params.den)
+    row = _row(params.num, params.den + (1.0,))
     if row.stop is None and (np.abs(ts) >= 1.0).any():
         raise DomainError("direct series needs |t| < 1")
     vals = _summed([(row, -ts.ravel(), None)], tol, max_terms)[0]

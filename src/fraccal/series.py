@@ -9,6 +9,7 @@ never inferred silently; estimate_growth returns estimates flagged as such.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -147,10 +148,13 @@ class EvalResult(NamedTuple):
 def eval_series(F: PowerSeries, t: complex) -> EvalResult:
     """Horner evaluation of the stored terms.
 
-    Requires |t| < radius_hint when the hint is set; the magnitude of the
-    final stored term is returned so callers can judge truncation error.
+    Requires a finite t, with |t| < radius_hint when the hint is set; the
+    magnitude of the final stored term is returned so callers can judge
+    truncation error.
     """
     t = complex(t)
+    if not cmath.isfinite(t):
+        raise DomainError(f"t = {t} is not finite")
     if F.radius_hint is not None and abs(t) >= F.radius_hint:
         raise DomainError(f"|t| = {abs(t):.6g} outside radius_hint {F.radius_hint:.6g}")
     acc = 0.0 + 0.0j

@@ -80,6 +80,15 @@ def test_fracop_contour_refuses_a_point_that_is_not_finite(capsys, mode):
     assert capsys.readouterr().err == "error: t = nanj is not finite\n"
 
 
+@pytest.mark.parametrize("method", ["series", "contour"])
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_fracop_refuses_a_point_that_is_not_finite_on_either_path(capsys, method, t):
+    # the series path printed NaN tokens with exit 0
+    assert main(["fracop", "--builtin", "exp", "--alpha=0.5", f"--eval={t}",
+                 "--method", method]) == 2
+    assert capsys.readouterr().err == f"error: t = ({t}+0j) is not finite\n"
+
+
 def test_fracop_alpha_zero_echo(capsys):
     code, out = run_cli(capsys, "fracop", "--builtin", "exp",
                         "--alpha", "0", "--eval", "1.0")

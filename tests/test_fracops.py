@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraccal import fracops
+from fraccal import fracops, hyp
 from fraccal.cli import main
 from fraccal.contours import cauchy_eval, gamma_contour
 from fraccal.errors import ConvergenceError, DomainError, GammaPoleError, \
@@ -405,7 +405,8 @@ def _kernel_values(alphas, w, b) -> dict:
 
 
 def _kept_alphas() -> set:
-    return {complex(float.fromhex(key[1]), float.fromhex(key[2])) for key in fracops._KEPT}
+    return {complex(float.fromhex(key[1]), float.fromhex(key[2]))
+            for key in hyp._STORE.entries if isinstance(key[0], str)}
 
 
 def test_kept_kernel_coefficients_do_not_change_a_value():
@@ -413,20 +414,21 @@ def test_kept_kernel_coefficients_do_not_change_a_value():
     # and after the cache has dropped the blocks of every alpha while it was
     # filled past its bound
     w, b = _cache_nodes()
-    fracops._KEPT.clear()
+    hyp._STORE.clear()
     cold = _kernel_values(_CACHE_ALPHAS, w, b)
     assert _kept_alphas() == set(map(complex, _CACHE_ALPHAS))
     assert _kernel_values(_CACHE_ALPHAS, w, b) == cold
-    fracops._KEPT.clear()
+    hyp._STORE.clear()
     _kernel_values(_CACHE_ALPHAS, 0.5 * w, b)
     assert _kernel_values(_CACHE_ALPHAS, w, b) == cold
-    fracops._KEPT.clear()
+    hyp._STORE.clear()
     assert _kernel_values(_CACHE_ALPHAS[::-1], w, b) == cold
     fill = iter(np.linspace(0.01, 0.49, 2000))
     while _kept_alphas() & set(map(complex, _CACHE_ALPHAS)):
         _deriv_kernel(complex(next(fill)), w, b)(0)
-    kept = sum(x.nbytes for entry in fracops._KEPT.values() for x in entry)
-    assert 0.5 * fracops._KEPT_BYTES < kept <= fracops._KEPT_BYTES
+    kept = sum(map(hyp._nbytes, hyp._STORE.entries.values()))
+    assert kept == hyp._STORE.held
+    assert 0.5 * hyp._STORE.bound < kept <= hyp._STORE.bound
     assert _kernel_values(_CACHE_ALPHAS, w, b) == cold
 
 
@@ -445,7 +447,7 @@ def test_threads_sharing_the_kernel_coefficients_get_the_same_values():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            fracops._KEPT.clear()
+            hyp._STORE.clear()
             threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
             for th in threads:
                 th.start()
@@ -458,12 +460,52 @@ def test_threads_sharing_the_kernel_coefficients_get_the_same_values():
         sys.setswitchinterval(interval)
 
 
+def test_threads_sharing_a_small_store_get_the_same_values(monkeypatch):
+    # kernel blocks and 2F1 rows in four threads, with a store bound so small
+    # that they drop each other's entries, and some outgrow it, as they run
+    w, b = _cache_nodes()
+    zs = np.array([0.4 + 0.2j, -0.8 + 0.3j, 0.95j, 2.5 - 1.0j])
+
+    def values():
+        return (_kernel_values(_CACHE_ALPHAS, w, b),
+                repr(hyp2f1(Hyp2F1Params(0.3, 0.7 + 0.1j, 1.9), zs).tolist()))
+
+    hyp._STORE.clear()
+    expect = values()
+    monkeypatch.setattr(hyp._STORE, "bound", 1 << 18)
+    got, errors = [None] * 4, []
+
+    def work(i):
+        try:
+            got[i] = values()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            hyp._STORE.clear()
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert not errors
+            assert got == [expect] * 4
+            # the running total lost no update
+            held = sum(map(hyp._nbytes, hyp._STORE.entries.values()))
+            assert held == hyp._STORE.held <= hyp._STORE.bound
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_kept_kernel_coefficients_refuse_writes():
     w, b = _cache_nodes()
-    fracops._KEPT.clear()
+    hyp._STORE.clear()
     _kernel_values(_CACHE_ALPHAS, w, b)
-    arrays = [y for entry in fracops._KEPT.values() for x in entry
-              for y in getattr(x, "rows", (x,))]
+    arrays = [x for entry in hyp._STORE.entries.values() for x in getattr(entry, "arrays", entry)]
     # per block of k: d, |d|, c and the factors for each non-integer
     # derivative, two rows' d and |d| for each integral, one matrix for the
     # terminating derivative at alpha = 2
@@ -494,7 +536,7 @@ def test_contour_kernel_builds_coefficients_a_block_of_k_at_a_time(monkeypatch, 
     rows, series_rows = [], fracops._series_rows
 
     def counting(m, kept, *args):
-        rows.append(kept.A.size)
+        rows.append(kept.coef.shape[0])
         return series_rows(m, kept, *args)
 
     monkeypatch.setattr(fracops, "_series_rows", counting)

@@ -112,3 +112,13 @@ def test_rgamma_refuses_where_its_value_overflows():
     z = -170.5 + 0.2j  # just inside the range
     ref = complex(mp.rgamma(z))
     assert abs(rgamma(z) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("fn", [gamma, loggamma, rgamma, digamma])
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), math.inf, -math.inf,
+                               complex(0.0, math.inf)])
+def test_a_point_that_is_not_finite_is_refused(fn, z):
+    # NaN raised ValueError, +-inf OverflowError and Gamma(i inf)
+    # ZeroDivisionError; log-Gamma and digamma at i inf returned NaN
+    with pytest.raises(DomainError, match="is not finite"):
+        fn(z)

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fraccal import hyp
 from fraccal.errors import (BudgetError, ConvergenceError, DegenerateCaseError,
                             DomainError)
+from fraccal.fracops import _deriv_kernel
 from fraccal.gammafn import gamma
 from fraccal.hyp import (Hyp2F1Params, PFQParams, circle_path,
                          connection_coefficient, euler_ltf_check,
@@ -259,13 +261,14 @@ def test_cancelling_series_raise(c):
     a, b, z = -0.04099786621961243, 2.1694647751380387, 0.6 - 0.2j
     with pytest.raises(ConvergenceError):
         hyp2f1(Hyp2F1Params(a, b, c), z)
-    (_, _, row_a), (_, _, row_b) = hyp._table(complex(a), complex(b), complex(c)).at1
+    row_a, row_b = (hyp._row(*prm) for _, _, prm in
+                    hyp._table(complex(a), complex(b), complex(c)).at1)
     u = np.array([1.0 - z])
     (_, cond_a), (_, cond_b) = hyp._row_sums([(row_a, u, None), (row_b, u, None)],
                                              1e-16, 20000)
     assert max(cond_a[0], cond_b[0]) > 1e15
     # a series of positive terms is perfectly conditioned
-    (_, cond), = hyp._row_sums([(hyp._table(1 + 0j, 1 + 0j, 1 + 0j).taylor,
+    (_, cond), = hyp._row_sums([(hyp._row((1 + 0j, 1 + 0j), (1 + 0j, 1.0)),
                                  np.array([0.3 + 0j]), None)], 1e-16, 20000)
     assert cond[0] <= 1.0
 
@@ -358,18 +361,23 @@ def _values(points):
             for abc in _GRID_PARAMS for z in points]
 
 
-def test_values_do_not_depend_on_the_cache():
+def _clear_caches():
     hyp._table.cache_clear()
+    hyp._STORE.clear()
+
+
+def test_values_do_not_depend_on_the_cache():
+    _clear_caches()
     cold = _values(_GRID_Z)
     far = _values(_FAR_Z)  # grows the rows the grid used
     assert _values(_GRID_Z) == cold
     # the far values agree whether their rows grew in one step or in two
-    hyp._table.cache_clear()
+    _clear_caches()
     assert _values(_FAR_Z) == far
 
 
 def test_threads_sharing_the_tables_get_the_same_values():
-    hyp._table.cache_clear()
+    _clear_caches()
     expect = _values(_GRID_Z + _FAR_Z)
     got = [None] * 4
     errors = []
@@ -384,7 +392,7 @@ def test_threads_sharing_the_tables_get_the_same_values():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            hyp._table.cache_clear()
+            _clear_caches()
             threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
             for th in threads:
                 th.start()
@@ -402,6 +410,34 @@ def test_table_cache_is_bounded():
     for k in range(hyp._CACHE_SIZE + 40):
         hyp2f1(Hyp2F1Params(0.3 + 0.01 * k, 0.7, 1.9), 0.4 + 0.2j)
     assert hyp._table.cache_info().currsize == hyp._CACHE_SIZE
+
+
+def test_values_do_not_depend_on_contour_blocks_dropping_the_rows():
+    # fracops' contour kernels keep their blocks in the same store: filled
+    # past its bound by them, it holds no 2F1 row any more
+    _clear_caches()
+    expect = _values(_GRID_Z + _FAR_Z)
+    w = 0.5 * np.exp(1j * np.linspace(0.1, 6.2, 40))
+    fill = iter(np.linspace(0.01, 0.49, 2000))
+    while any(isinstance(key[0], tuple) for key in hyp._STORE.entries):
+        _deriv_kernel(complex(next(fill)), w, np.ones(w.size))(0)
+    assert _values(_GRID_Z + _FAR_Z) == expect
+
+
+def test_rows_of_failed_calls_stay_within_the_store_bound():
+    # each call raises BudgetError once its row has doubled to 131,072
+    # terms (3 MB); kept by count, 40 such rows held 120 MB
+    hyp._STORE.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(40):
+            with pytest.raises(BudgetError):
+                hyp_pfq(PFQParams((0.5 + 0.01 * k, 0.5, 1.5), (1.0, 1.0)), 0.99995)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown <= hyp._STORE.bound + (10 << 20)
 
 
 # points for every route of the triples above: direct, 1-z, Pfaff, the
@@ -731,7 +767,7 @@ def test_large_c_sums_directly_without_the_1_over_z_constants():
     # takes that route
     hyp._table.cache_clear()
     got = hyp2f1(Hyp2F1Params(0.5, 0.3, 180), 0.5 + 0.1j)
-    row = hyp._table(0.5, 0.3, 180).taylor
+    row = hyp._row(*hyp._table(0.5, 0.3, 180).taylor)
     direct = hyp._summed([(row, np.array([0.5 + 0.1j]), None)], 1e-16, 20000)[0]
     assert repr(got) == repr(complex(direct[0]))
     assert "at_inf" not in vars(hyp._table(0.5, 0.3, 180))
@@ -800,13 +836,13 @@ def test_hyp_pfq_matches_mpmath_or_raises(num, den, t):
 
 def test_hyp_pfq_keeps_its_rows():
     prm = PFQParams((0.5, 0.5, 1.5), (1.0, 1.0))
-    hyp._pfq_row.cache_clear()
+    hyp._STORE.clear()
     fresh = [hyp_pfq(prm, t) for t in (0.25, -0.6 + 0.3j)]
-    hyp._pfq_row.cache_clear()
+    hyp._STORE.clear()
     hyp_pfq(prm, 0.9j)  # grows the kept row past what 0.25 needs
-    hits = hyp._pfq_row.cache_info().hits
+    row = hyp._STORE.entries[(prm.num, prm.den + (1.0,), False)]
     again = [hyp_pfq(prm, t) for t in (0.25, -0.6 + 0.3j)]
-    assert hyp._pfq_row.cache_info().hits == hits + 2
+    assert hyp._row(prm.num, prm.den + (1.0,)) is row  # both calls summed the kept row
     assert [repr(v) for v in again] == [repr(v) for v in fresh]
 
 
@@ -1148,9 +1184,9 @@ def _old_cond(job, value):
     row.grow(n)
     pw = np.full(n, x, dtype=complex)
     pw[0] = 1.0
-    terms = np.multiply.accumulate(pw) * row.coef[:n]
+    terms = np.multiply.accumulate(pw) * row.coef[0, :n]
     if log_x is not None:
-        terms *= log_x + row.h[:n]
+        terms *= log_x + row.h[0, :n]
     stop = int(np.flatnonzero(terms.cumsum() == value)[0])
     return np.abs(terms[:stop + 1]).max() / np.maximum(np.abs(terms[stop:stop + 1].cumsum() * 0 + value), 1e-300)[0]
 
@@ -1159,14 +1195,15 @@ def test_row_sum_condition_estimates_equal_the_masked_maximum():
     # rising rows (Re c <= -20), terminating rows (exact and within 1e-13 of
     # an integer, at |x| up to 4) and a Goursat row with digamma brackets,
     # summed in one pass so blocks mix their caps
-    rows = [hyp._table(-0.04 + 0j, 2.17 + 0j, c + 0j).taylor for c in (-20.5, -36.15, -24.3)]
-    rows += [hyp._table(-4.0 + 0j, 1.3 + 0j, 0.7 + 0j).taylor,
-             hyp._table(-4.0 + 1e-13 + 0j, 1.3 + 0j, 0.7 + 0j).taylor,
-             hyp._table(0.3 + 0j, 1.45 + 0j, 1.7 + 0j).taylor]
+    rows = [hyp._row(*hyp._table(*abc).taylor) for abc in
+            [(-0.04 + 0j, 2.17 + 0j, c + 0j) for c in (-20.5, -36.15, -24.3)]
+            + [(-4.0 + 0j, 1.3 + 0j, 0.7 + 0j), (-4.0 + 1e-13 + 0j, 1.3 + 0j, 0.7 + 0j),
+               (0.3 + 0j, 1.45 + 0j, 1.7 + 0j)]]
     xs = [np.array([0.47 - 0.15j, 0.3 + 0.4j, -0.6 + 0j])] * 3 + \
         [np.array([3.0 + 1.0j, -4.0 + 0j, 0.5 + 0j])] * 2 + [np.array([0.2 + 0.1j, 0.9 - 0.1j])]
     jobs = [(row, x, None) for row, x in zip(rows, xs)]
-    e, fin, pref, brow = hyp._table(0.3 + 0j, 0.45 + 0j, 2.75 + 0j).goursat
+    e, fin, pref, prm = hyp._table(0.3 + 0j, 0.45 + 0j, 2.75 + 0j).goursat
+    brow = hyp._row(*prm, brackets=True)
     u = np.array([0.3 + 0.2j, 0.05 - 0.4j])
     jobs.append((brow, u, np.log(u)))
     sums = hyp._row_sums(jobs, 1e-16, 20000)
