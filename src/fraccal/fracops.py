@@ -35,8 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .contours import (QuadratureSpec, ReversedSegment, _require_in_tube,
-                       _SegmentStack, _single_integral, gamma_contour,
-                       integrate_paths)
+                       _single_integral, gamma_contour, integrate_paths)
 from .errors import ConvergenceError, DomainError, GammaPoleError
 from .gammafn import gamma
 from .hyp import (PFQParams, hyp2f1, Hyp2F1Params, _continue, _frozen, _Row, _Schedule,
@@ -189,7 +188,7 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
     """
     if not (isinstance(n_per_panel, numbers.Integral) and n_per_panel >= 1):
         raise DomainError(f"n_per_panel must be an integer >= 1, got {n_per_panel!r}")
-    stack, back = _tube_stack(A, T)  # refuses T <= A and a T or A that is not finite
+    pieces = gamma_contour(A, T).segments()  # refuses T <= A and a T or A not finite
     # ray panel edges in x = Re t: fine near the cap, geometric growth outward
     edges = [0.0, 0.5 * A, A]
     while edges[-1] < T:
@@ -223,22 +222,15 @@ def contour_quadrature_nodes(A: float, T: float, n_per_panel: int = 24,
     i, j = (len(edges) - 1) * n_per_panel, (len(edges) - 1 + k) * n_per_panel
     ray, cap = (s[:i], ds[:i]), ((s[i:j], ds[i:j]), (s[j:], ds[j:]))
 
-    parts = [(s[::-1], -ds[::-1]) if b else (s, ds)
-             for b, (s, ds) in zip(back, (ray, *cap, ray))]
-    seg_of = np.repeat(np.arange(len(parts)), [len(s) for s, _ in parts])
-    xi, dz = stack.map(seg_of, np.concatenate([s for s, _ in parts]))
-    return xi, dz * np.concatenate([ds for _, ds in parts])
-
-
-@functools.lru_cache(maxsize=8)
-def _tube_stack(A: float, T: float) -> tuple:
-    """The pieces of gamma_contour(A, T) as a _SegmentStack, which maps the
-    nodes of all of them in one numpy expression per kind, and per piece
-    whether it is reversed: a reversed piece is stacked as its inner segment,
-    which its nodes walk back, their weights negated."""
-    pieces = gamma_contour(A, T).segments()
-    back = tuple(isinstance(seg, ReversedSegment) for seg in pieces)
-    return _SegmentStack([seg.seg if b else seg for seg, b in zip(pieces, back)]), back
+    # each piece maps its own nodes; a reversed piece is its inner segment,
+    # which its nodes walk back, their weights negated
+    xi, dz = [], []
+    for seg, (s, ds) in zip(pieces, (ray, *cap, ray)):
+        if isinstance(seg, ReversedSegment):
+            seg, s, ds = seg.seg, s[::-1], -ds[::-1]
+        xi.append(z := seg.point(s))
+        dz.append(seg.tangent(s, z) * ds)
+    return np.concatenate(xi), np.concatenate(dz)
 
 
 _BLOCK = 32  # moments per matrix-vector product in _PowerSums

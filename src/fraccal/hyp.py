@@ -37,14 +37,15 @@ Every row, and fracops' contour-kernel blocks of rows, lives in one store of
 8 MiB (_STORE); the constants of each parameter triple (the 1-z and 1/z
 terms, the Goursat form, the connection coefficients T^{+-}) are kept in a
 table per (a, b, c) among the _CACHE_SIZE most recently used.  Every
-evaluation is a batch of one:
-hyp2f1 is the one-call case of a pass over a list of calls (parameters,
-array of arguments, sides) whose elements one planner routes together by
-one argmin, each route's powers formed at once; their series are summed in
-one pass, in blocks of power vectors z^n grouped by term count.  A pass,
-the one place that merges repeated points, folds the elements of real
-parameter triples onto the upper half-plane (Schwarz reflection, exact in
-rounding too) and plans each distinct element once.
+evaluation is a batch of one: hyp2f1 is the one-call case of a pass over a
+list of calls (parameters, array of arguments, sides) whose elements one
+planner routes together by one argmin, each route's powers formed at once;
+their series are summed in one pass, in blocks of power vectors z^n grouped
+by term count.  Inside a pass a scalar is an array of one: every element
+carries its table index, side (NaN for none), order, row-sum job and cap in
+arrays.  A pass, the one place that merges repeated points, folds the
+elements of real parameter triples onto the upper half-plane (Schwarz
+reflection, exact in rounding too) and plans each distinct element once.
 geom_alpha_check is the one-case call of a check whose loops are the lanes
 of one continuation.  Where a sum stops depends on z, tol and the
 parameters only, so a value never depends on what the store holds or on the
@@ -139,20 +140,18 @@ class PFQParams:
         return PFQParams(tuple(num), tuple(den))
 
 
-def _cut_side_log(u: np.ndarray, z_side: Optional[np.ndarray]) -> np.ndarray:
+def _cut_side_log(u: np.ndarray, z_side: np.ndarray) -> np.ndarray:
     """Principal log u elementwise (u != 0); on the negative real axis the
     z-side flags, one per element, fix the branch
     (z = x + i*eps, x > 1  =>  arg u -> -pi)."""
     lg = np.log(u)
-    if z_side is not None:
-        neg = (u.imag == 0.0) & (u.real < 0.0)
-        if np.count_nonzero(neg):
-            lg.imag[neg] = -z_side[neg] * math.pi
+    neg = (u.imag == 0.0) & (u.real < 0.0)
+    if np.count_nonzero(neg):
+        lg.imag[neg] = -z_side[neg] * math.pi
     return lg
 
 
-def _cut_side_power(u: np.ndarray, exponent: complex,
-                    z_side: Optional[np.ndarray]) -> np.ndarray:
+def _cut_side_power(u: np.ndarray, exponent: complex, z_side: np.ndarray) -> np.ndarray:
     """u**exponent elementwise, u = 1-z, on the branch of _cut_side_log; at
     u = 0 it is 1 for exponent 0 and 0 for Re(exponent) > 0, and raises
     DomainError for any other exponent."""
@@ -160,13 +159,8 @@ def _cut_side_power(u: np.ndarray, exponent: complex,
     nz = u != 0
     if exponent != 0 and not exponent.real > 0 and np.count_nonzero(nz) < u.size:
         raise DomainError(f"(1-z)^({exponent:.6g}) is singular at z = 1")
-    out[nz] = np.exp(exponent * _cut_side_log(u[nz], _part(z_side, nz)))
+    out[nz] = np.exp(exponent * _cut_side_log(u[nz], z_side[nz]))
     return out
-
-
-def _part(side: Optional[np.ndarray], sel) -> Optional[np.ndarray]:
-    """The side flags of the elements sel, or None without flags."""
-    return None if side is None else side[sel]
 
 
 _CACHE_SIZE = 128  # parameter triples whose constants are kept
@@ -403,7 +397,7 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
     rows = [row for row, _, _ in jobs]
     sizes = [len(x) for _, x, _ in jobs]
     bounds = [0, *itertools.accumulate(sizes)]
-    x = np.concatenate([x for _, x, _ in jobs]) if len(jobs) > 1 else jobs[0][1]
+    x = np.concatenate([x for _, x, _ in jobs])
     q = np.abs(x)
     first = np.empty(len(x), dtype=int)  # the first term past the largest
     first[:] = 1
@@ -412,21 +406,20 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
     for row, cap, lo, hi, q_max in zip(rows, caps, bounds, bounds[1:],
                                        np.maximum.reduceat(q, bounds[:-1]).tolist()):
         if row.stop is None and q_max >= 1.0:
-            raise BudgetError(f"hypergeometric series does not converge (|x| = {q_max:.4g})")
+            raise BudgetError(f"hypergeometric series does not converge (|x| = {q_max!r})")
         look = row.risers(q_max, cap)
         if look is not None:  # past the last index with |r_j| >= 1/q
             neg_m, j = look
             first[lo:hi] = j[neg_m.searchsorted(-1.0 / np.maximum(q[lo:hi], 1e-300),
                                                 side="right")] + 2
             rising_any = True
-    job = np.repeat(np.arange(len(jobs)), sizes) if len(jobs) > 1 else None
-    top = max(caps)
-    cap = top if min(caps) == top else np.repeat(caps, sizes)
+    job, top = np.arange(len(jobs)).repeat(sizes), max(caps)
+    cap = np.array(caps)[job]
     n = first + 8
     if 0.0 < tol < 1.0:  # and the terms to reach tol at the rate q^n (q < 1)
         n += (math.log(tol) / np.log(np.minimum(np.maximum(q, 1e-300), 1.0 - 1e-16))
               ).astype(int)
-    n = np.minimum(n, cap)
+    np.minimum(n, cap, out=n)
     brackets = [lx is not None for _, _, lx in jobs]
     if any(brackets):
         log_x = np.concatenate([np.zeros(k) if lx is None else lx
@@ -447,14 +440,12 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
             step = max(1, _BLOCK // w)
             pending += [(ix[i:i + step], w) for i in range(0, m, step)]
             continue
-        used, which = [0], None
-        if job is not None:
-            ids = job[ix]
-            if np.minimum.reduce(ids) == np.maximum.reduce(ids):
-                used = [int(ids[0])]
-            else:
-                present = np.bincount(ids, minlength=len(jobs)) > 0
-                used, which = np.flatnonzero(present), (present.cumsum() - 1)[ids]
+        ids, which = job[ix], None
+        if not np.count_nonzero(ids != ids[0]):
+            used = [int(ids[0])]
+        else:
+            present = np.bincount(ids, minlength=len(jobs)) > 0
+            used, which = np.flatnonzero(present), (present.cumsum() - 1)[ids]
         for j in used:
             rows[j].grow(w)
         terms = np.empty((m, w), dtype=complex)
@@ -474,24 +465,20 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
         run &= small[:, 2:]
         if rising_any:
             run &= np.arange(w - 2) >= first[ix, None]
-        if isinstance(cap, np.ndarray):
-            cap_ix = cap[ix]
-            lowest = int(np.minimum.reduce(cap_ix))
-        else:
-            cap_ix = lowest = cap
+        lowest = min(caps[j] for j in used)
         if lowest < w:  # no term past an element's cap
-            run &= np.arange(w - 2) < np.reshape(cap_ix, (-1, 1)) - 2
+            run &= np.arange(w - 2) < cap[ix, None] - 2
         r = np.arange(m)
         at = run.argmax(axis=1) if w > 2 else np.zeros(m, dtype=int)
         hit = run[r, at] if w > 2 else np.zeros(m, dtype=bool)
         at += 2
-        full = ~hit & (cap_ix <= w) if lowest <= w else None
+        full = ~hit & (cap[ix] <= w) if lowest <= w else None
         if full is not None and full.any():  # every allowed term summed, no stop
             last = np.repeat([row.stop == c for row, c in zip(rows, caps)], sizes)[ix]
             if (full & ~last).any():
                 raise BudgetError("hypergeometric series did not converge "
-                                  f"(|x| = {q[ix[full & ~last]].max():.4g})")
-            at[full] = (np.broadcast_to(cap_ix, (m,)) - 1)[full]  # a terminating row's end
+                                  f"(|x| = {float(q[ix[full & ~last]].max())!r})")
+            at[full] = cap[ix[full]] - 1  # a terminating row's end
             hit |= full
         if np.count_nonzero(hit) < m:
             pending.append((ix[~hit], min(2 * w, top)))
@@ -500,8 +487,8 @@ def _row_sums(jobs: list, tol: float, max_terms: int) -> list:
         # the largest |term| up to each element's stop: no term past first
         # grows, so the largest of the block row, unless the row holds terms
         # past a cap or an overflow (inf, or inf * 0 = NaN) past the stop
-        top_term = mag.max(axis=1)
-        if lowest < w or not np.isfinite(top_term).all():
+        top_term = np.maximum.reduce(mag, axis=1)
+        if lowest < w or not np.logical_and.reduce(np.isfinite(top_term)):
             top_term = np.max(mag, axis=1, where=np.arange(w) <= at[:, None], initial=0.0)
         cond[ix] = top_term / np.maximum(np.abs(total), 1e-300)
     return [(vals[lo:hi], cond[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -519,11 +506,10 @@ def _summed(jobs: list, tol: float, max_terms: int) -> list:
     """The values of _row_sums per job, unless a sum's largest term exceeds it
     so far that rounding (2.2e-16 times the condition) could reach 1e-10."""
     sums = _row_sums(jobs, tol, max_terms)
-    cond = np.concatenate([c for _, c in sums] or [np.empty(0)])
-    bad = ~(2.2e-16 * cond <= 1e-10)
-    if np.count_nonzero(bad):
+    worst = np.maximum.reduce(np.concatenate([c for _, c in sums] or [np.empty(0)]), initial=0.0)
+    if not 2.2e-16 * worst <= 1e-10:  # NaN included
         raise ConvergenceError(
-            f"hypergeometric series cancels: max|term|/|sum| = {cond[bad].max():.3g} "
+            f"hypergeometric series cancels: max|term|/|sum| = {worst:.3g} "
             "leaves fewer than 10 correct digits")
     return [v for v, _ in sums]
 
@@ -634,19 +620,10 @@ def _series_seed(a, b, c, z) -> tuple:
     return (complex(f[0]), complex(g[0])) if np.ndim(z) == 0 else (f, g)
 
 
-def _spread(values: list, size: list):
-    """values[i] for the size[i] elements of block i; one value stays a number."""
-    return values[0] if len(values) == 1 else np.repeat(values, size)
-
-
 def _job(jobs: list, coef, row: _Row, x: np.ndarray, log_x=None) -> int:
     """Appends (row, x, log_x) to jobs, x = 0 where coef is 0; its index."""
     jobs.append((row, x if coef != 0 else np.zeros(x.shape, dtype=complex), log_x))
     return len(jobs) - 1
-
-
-def _cat(sums: list, ids: list) -> np.ndarray:
-    return sums[ids[0]] if len(ids) == 1 else np.concatenate([sums[i] for i in ids])
 
 
 def _plan_terms(groups: list, lg: np.ndarray, x: np.ndarray, jobs: list,
@@ -663,12 +640,12 @@ def _plan_terms(groups: list, lg: np.ndarray, x: np.ndarray, jobs: list,
     # its last bit differently with the operands swapped
     terms = [([_job(jobs, C, _row(*prm), x[lo:hi])
                for (C, _, prm), (_, lo, hi) in zip(term, groups)],
-              np.exp(_spread([-e if C != 0 else 0.0 for C, e, _ in term], size) * lg)
-              * _spread([C for C, _, _ in term], size))
+              np.exp(np.repeat([-e if C != 0 else 0.0 for C, e, _ in term], size) * lg)
+              * np.repeat([C for C, _, _ in term], size))
              for term in zip(*[terms for terms, _, _ in groups])]
 
     def assemble(sums):
-        parts = [pw * _cat(sums, ids) for ids, pw in terms]
+        parts = [pw * np.concatenate([sums[i] for i in ids]) for ids, pw in terms]
         vals = sum(parts[1:], parts[0])
         if bound is not None:
             vals[~(sum(map(np.abs, parts)) <= bound * np.abs(vals))] = np.nan
@@ -676,7 +653,7 @@ def _plan_terms(groups: list, lg: np.ndarray, x: np.ndarray, jobs: list,
     return assemble
 
 
-def _plan_goursat(t: _Table, z: np.ndarray, side: Optional[np.ndarray], jobs: list):
+def _plan_goursat(t: _Table, z: np.ndarray, side: np.ndarray, jobs: list):
     """The z -> 1-z route of one table at an integer c-a-b on an array of
     z != 1, in the Goursat form of _Table.goursat: appends its row sum to
     jobs and returns the function that assembles the values from it."""
@@ -773,10 +750,13 @@ def _regularized_part(a, b, c, z, side=None) -> _Part:
 def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
                   inv: bool = True) -> list:
     """hyp2f1(p, z, side) for each (p, z, side) of calls: the elements of
-    all calls are routed by one _plan (one table per parameters) and all row
-    sums summed in one pass; a value does not depend on the other calls.
-    The elements that come back NaN (a 1/z route whose terms cancel) are
-    planned again, all in one more pass, with inv=False: without 1/z.
+    all calls are routed by one _plan and all row sums summed in one pass; a
+    value does not depend on the other calls.  Each element, a scalar call
+    being an array of one, carries its table index g (zeros for one table)
+    and its side (NaN for none); one that is not finite has no route and is
+    refused before any arithmetic.  The elements that come back NaN (a 1/z
+    route whose terms cancel) are planned again, all in one more pass, with
+    inv=False: without 1/z.
 
     This pass alone merges repeated points.  For real a, b, c,
     2F1(conj z) = conj 2F1(z) (Schwarz reflection), and the routes are
@@ -791,52 +771,51 @@ def _hyp2f1_calls(calls: list, tol: float = 1e-16, max_terms: int = 20000,
     for p, z, side in calls:
         p = p if isinstance(p, Hyp2F1Params) else Hyp2F1Params(*p)
         zs = np.asarray(z, dtype=complex)
-        per_call.append((zs.shape, zs.ravel(), ids.setdefault((p.a, p.b, p.c), len(ids)),
-                     None if side is None else np.broadcast_to(side, zs.shape).ravel()))
+        per_call.append((zs.shape, zs.ravel(), ids.setdefault((p.a, p.b, p.c), len(ids)), side))
     if not per_call:
         return []
     shapes, zl, ks, sl = zip(*per_call)
-    size = [x.size for x in zl]
-    z = zl[0] if len(zl) == 1 else np.concatenate(zl)
-    g = np.repeat(ks, size) if len(ids) > 1 else None
-    side = sl[0] if len(sl) == 1 else None if all(s is None for s in sl) else np.concatenate(
-        [np.full(n, np.nan) if s is None else s for s, n in zip(sl, size)])
+    bounds = [0, *itertools.accumulate(x.size for x in zl)]
+    z, g, side = np.concatenate(zl), np.empty(bounds[-1], int), np.full(bounds[-1], np.nan)
+    if not np.logical_and.reduce(np.isfinite(z)):
+        raise ConvergenceError(f"no convergent 2F1 route for z = {z[~np.isfinite(z)][0]:.6g}")
+    for k, s, shape, lo, hi in zip(ks, sl, shapes, bounds, bounds[1:]):
+        g[lo:hi] = k
+        if s is not None:
+            side[lo:hi] = np.broadcast_to(s, shape).ravel()
     tabs = [_table(*abc) for abc in ids]
     low, g, z, side, back = _distinct(tabs, g, z, side)
     vals = _evaluate(tabs, g, z, side, tol, max_terms, inv)[back]
     if low is not None:
         flip = low & (vals.imag != 0.0)
         vals.imag[flip] = -vals.imag[flip]
-    return [vals[hi - n:hi].reshape(shape) if shape else complex(vals[hi - 1])
-            for shape, n, hi in zip(shapes, size, itertools.accumulate(size))]
+    return [vals[lo:hi].reshape(shape) if shape else complex(vals[lo])
+            for shape, lo, hi in zip(shapes, bounds, bounds[1:])]
 
 
-def _distinct(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
-              side: Optional[np.ndarray]) -> tuple:
+def _distinct(tabs: list, g: np.ndarray, z: np.ndarray, side: np.ndarray) -> tuple:
     """(low, g, z, side, back): the mask of the elements of real-parameter
     tables below the real axis or on the lower rim of the cut (None if there
-    is none); the tables, arguments and sides of the distinct (table, z,
-    side), bit for bit, with those elements folded onto the upper
+    is none); the table indices, arguments and sides of the distinct (table,
+    z, side), bit for bit, with those elements folded onto the upper
     half-plane; and for every element the position of its own among those.
     A one-element pass is its own distinct element (back is a slice)."""
     low, real = None, [t.real for t in tabs]
     if any(real):
         below = z.imag < 0.0
-        fold = below if side is None else below | (side < 0.0) & (z.imag == 0.0) & (z.real > 1.0)
+        fold = below | (side < 0.0) & (z.imag == 0.0) & (z.real > 1.0)
         if not all(real):
             real = np.array(real)[g]
             below &= real
             fold &= real
-        if fold.any():
+        if fold.any():  # a NaN side (none) keeps its bits
             low, z = fold, np.where(below, z.conj(), z)
-            if side is not None:  # a NaN side (none) keeps its bits
-                side = np.where(low & (side == side), -side, side)
+            side = np.where(low & (side == side), -side, side)
     n = len(z)
     if n < 2:
         return low, g, z, side, slice(None)
     # the bits of z, the table and the side's bits; equal keys sort together
-    key = [*z.view(np.int64).reshape(n, 2).T, *(() if g is None else (g,)),
-           *(() if side is None else (np.asarray(side, dtype=float).view(np.int64),))]
+    key = [*z.view(np.int64).reshape(n, 2).T, g, side.view(np.int64)]
     order = np.lexsort(key)
     new = np.zeros(n, dtype=bool)
     new[0] = True
@@ -846,18 +825,18 @@ def _distinct(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
     back = np.empty(n, dtype=int)
     back[order] = np.cumsum(new) - 1
     first = order[new]
-    return low, _part(g, first), z[first], _part(side, first), back
+    return low, g[first], z[first], side[first], back
 
 
-def _evaluate(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
-              side: Optional[np.ndarray], tol: float, max_terms: int, inv: bool) -> np.ndarray:
+def _evaluate(tabs: list, g: np.ndarray, z: np.ndarray, side: np.ndarray,
+              tol: float, max_terms: int, inv: bool) -> np.ndarray:
     """The values of the _hyp2f1_calls elements z (element i on tabs[g[i]],
     side NaN where it has none), as they are: one _plan and one row-sum pass,
     and one more without 1/z for the elements that come back NaN."""
     redo, vals = slice(None), np.empty(len(z), complex)
     for inv in (inv, False):
         jobs = []
-        assemble = _plan(tabs, _part(g, redo), z[redo], _part(side, redo), jobs, inv)
+        assemble = _plan(tabs, g[redo], z[redo], side[redo], jobs, inv)
         vals[redo] = assemble(_summed(jobs, tol, max_terms))
         redo = np.isnan(vals).nonzero()[0] if inv else ()
         if not len(redo):
@@ -865,12 +844,12 @@ def _evaluate(tabs: list, g: Optional[np.ndarray], z: np.ndarray,
     return vals
 
 
-def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.ndarray],
+def _plan(tabs: list, g: np.ndarray, z: np.ndarray, side: np.ndarray,
           jobs: list, inv: bool = True, pfaff: bool = True):
-    """Routes of 2F1 at a 1-d array of z, element i on tabs[g[i]] (g None for
-    one table), side NaN where it has none: one argmin routes all elements,
-    each route plans its elements together, one row sum per (table, row) in
-    jobs; returns the function assembling the values from their results.
+    """Routes of 2F1 at a 1-d array of z, element i on tabs[g[i]], side NaN
+    where it has none: one argmin routes all elements, each route plans its
+    elements together, one row sum per (table, row) in jobs; returns the
+    function assembling the values from their results.
     pfaff=False plans the Pfaff route's inner functions; inv=False no 1/z."""
     n_t, (fix, gate) = len(tabs), zip(*[t.kind for t in tabs])
     # the series arguments of the direct, 1-z, 1/z and Pfaff routes (infinity
@@ -886,26 +865,22 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
     if np.count_nonzero(real := z.imag == 0.0):  # where z = 0, z = 1 and the cut lie
         if np.count_nonzero(at := r[:, :2] == 0.0):
             r[at[:, 0], 9], r[at[:, 1], 6], one = -3.0, -1.0, at[:, 1]
-        if np.count_nonzero(cut := real & (z.real > 1.0)):
-            cut &= True if side is None else np.isnan(side)
-            if np.count_nonzero(cut & (fix[0] < 0 if g is None else np.array(fix)[g] < 0)):
-                raise DomainError("z on the cut (1, oo): a side flag (+1/-1) is required")
+        if np.count_nonzero(real & (z.real > 1.0) & np.isnan(side) & (np.array(fix)[g] < 0)):
+            raise DomainError("z on the cut (1, oo): a side flag (+1/-1) is required")
     if inv and any(gate) and np.count_nonzero(far := r[:, 0] * _INV_MAX >= 1.0):
-        np.divide(1.0, r[:, 0], out=r[:, 2], where=far if all(gate) else far & np.array(gate)[g])
+        np.divide(1.0, r[:, 0], out=r[:, 2], where=far & np.array(gate)[g])
     if pfaff:
         w = z / zm if one is None else np.divide(z, zm, out=np.zeros_like(z), where=~one)
         np.minimum(np.abs(w), np.abs(1.0 - w), out=r[:, 3])
-        if np.count_nonzero(np.isfinite(z)) < len(z):  # no route converges there
-            r[~np.isfinite(z), :4] = np.inf
     if any(t.gap is not None for t in tabs):
-        rows = slice(None) if g is None else np.array([t.gap is not None for t in tabs])[g]
+        rows = np.array([t.gap is not None for t in tabs])[g]
         r[rows, 5], r[rows, 1] = r[rows, 1], np.inf
     if max(fix) >= 0:
-        rows = slice(None) if g is None else np.array(fix)[g] >= 0
-        r[rows, fix[0] if g is None else np.array(fix)[g][rows]] = -2.0
+        rows = np.flatnonzero(np.array(fix)[g] >= 0)
+        r[rows, np.array(fix)[g[rows]]] = -2.0
     while True:  # an element whose route's constants overflow takes the next
         route = r.argmin(axis=1)
-        key = route if g is None else route * n_t + g
+        key = route * n_t + g
         count = np.bincount(key)
         keys = count.nonzero()[0].tolist()
         bad = [k for k in keys if k // n_t in (1, 2, 5) and not _usable(tabs[k % n_t], k // n_t)]
@@ -913,7 +888,7 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
             break
         for k in bad:
             r[key == k, k // n_t] = np.inf
-    order = key.argsort(kind="stable") if len(keys) > 1 else None
+    order = key.argsort(kind="stable")
     routes, hi, count = {}, 0, count.tolist()
     for k in keys:  # (table, lo, hi) per route
         routes.setdefault(k // n_t, []).append((tabs[k % n_t], hi, hi + count[k]))
@@ -921,13 +896,14 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
     out, parts = np.empty(z.shape, dtype=complex), []
     for k, groups in routes.items():
         start = groups[0][1]
-        ix = slice(None) if order is None else order[start:groups[-1][2]]
+        ix = order[start:groups[-1][2]]
         groups = [(t, lo - start, hi - start) for t, lo, hi in groups]
-        zk, sk = z[ix], _part(side, ix)
-        if k == 0:
-            ids = [_job(jobs, 1, _row(*t.taylor), zk[lo:hi]) for t, lo, hi in groups]
-            parts.append((ix, lambda sums, ids=ids: _cat(sums, ids)))
-        elif k < 3:  # base = x = 1-z, or base = -z (arg -side pi on the cut) and x = 1/z
+        if k == 0:  # each table's direct series sum is its values
+            parts += [(ix[lo:hi], operator.itemgetter(_job(jobs, 1, _row(*t.taylor), z[ix[lo:hi]])))
+                      for t, lo, hi in groups]
+            continue
+        zk, sk = z[ix], side[ix]
+        if k < 3:  # base = x = 1-z, or base = -z (arg -side pi on the cut) and x = 1/z
             base = 1.0 - zk if k == 1 else -zk
             parts.append((ix, _plan_terms(
                 [(t.at1 if k == 1 else t.at_inf, lo, hi) for t, lo, hi in groups],
@@ -936,12 +912,12 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
         elif k == 3:  # (1-z)^{-a} 2F1(a, c-b; c; w), in one more round; w flips sides
             n = [hi - lo for _, lo, hi in groups]
             inner = _plan([_table(t.a, t.c - t.b, t.c) for t, _, _ in groups],
-                          None if len(groups) == 1 else np.repeat(np.arange(len(groups)), n),
-                          w[ix], None if sk is None else -sk, jobs, inv, pfaff=False)
-            pw = np.exp(_spread([-t.a for t, _, _ in groups], n) * _cut_side_log(1.0 - zk, sk))
+                          np.repeat(np.arange(len(groups)), n), w[ix], -sk, jobs, inv,
+                          pfaff=False)
+            pw = np.exp(np.repeat([-t.a for t, _, _ in groups], n) * _cut_side_log(1.0 - zk, sk))
             parts.append((ix, lambda sums, pw=pw, inner=inner: pw * inner(sums)))
         for t, lo, hi in groups if k > 3 else ():
-            zt, st, it = zk[lo:hi], _part(sk, slice(lo, hi)), ix if order is None else ix[lo:hi]
+            zt, st, it = zk[lo:hi], sk[lo:hi], ix[lo:hi]
             if k == 4:
                 # crescent around e^{+-i pi/3} where every ratio is ~1: the ODE
                 # from a series-seeded point, via +-1.2i clear of 0 and 1 (off the
@@ -962,8 +938,7 @@ def _plan(tabs: list, g: Optional[np.ndarray], z: np.ndarray, side: Optional[np.
                 out[it] = gamma(t.c) * gamma(t.s) * rgamma(t.c - t.a) * rgamma(t.c - t.b)
             else:  # 1 at z = 0; an element without a side takes the principal branch
                 out[it] = 1.0 if k == 9 else _cut_side_power(
-                    1.0 - zt, -t.a if k == 7 else -t.b,
-                    None if st is None else np.nan_to_num(st, nan=-1.0))
+                    1.0 - zt, -t.a if k == 7 else -t.b, np.nan_to_num(st, nan=-1.0))
 
     def assemble(sums):
         for idx, part in parts:
@@ -992,7 +967,7 @@ def euler_ltf_check(p: Hyp2F1Params, t):
         raise DomainError("check requires |1-t| < 1 for the transformed side")
     t, z = _table(p.a, p.b, p.c), ts.ravel()
     jobs = [(_row(*t.taylor), z, None)]
-    assemble = _plan_terms([(t.at1, 0, z.size)], _cut_side_log(1.0 - z, None), 1.0 - z, jobs)
+    assemble = _plan_terms([(t.at1, 0, z.size)], np.log(1.0 - z), 1.0 - z, jobs)
     sums = _summed(jobs, 1e-16, 20000)
     res = np.abs(sums[0] - assemble(sums))
     return float(res[0]) if ts.ndim == 0 else res.reshape(ts.shape)
@@ -1133,13 +1108,13 @@ def _steps(path: Sequence[complex]) -> tuple:
     return zs, hs, seg
 
 
-def _taylor(a: np.ndarray, b: np.ndarray, c: np.ndarray, z0: np.ndarray,
-            h: np.ndarray, x: np.ndarray) -> tuple:
+def _taylor(a: np.ndarray, b: np.ndarray, c: np.ndarray, lane: np.ndarray,
+            z0: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple:
     """Per step, the local Taylor solution of
     z(1-z) F'' + (c - (a+b+1) z) F' - a b F = 0 from z0 by h, for starting
     values x = (F, F') at z0 of shape (2, ..., S): returns (F, F') at z0 + h,
     of the shape of x, and the last kept term.  a, b, c hold one entry per
-    step, or one for all steps.
+    lane, and step i lies on lane[i].
 
     The scaled terms v_n = u_n h^n start from v_0 = F, v_1 = h F' and obey
     v_{n+2} = alpha_n v_{n+1} + beta_n v_n; both sums take the terms
@@ -1149,10 +1124,10 @@ def _taylor(a: np.ndarray, b: np.ndarray, c: np.ndarray, z0: np.ndarray,
     s = a + b + 1.0
     ph = h / (z0 * (1.0 - z0))
     alpha = n * (-(1.0 - 2.0 * z0) * ph)
-    alpha += -(c - s * z0) * ph
+    alpha += -(c[lane] - s[lane] * z0) * ph
     alpha *= 1.0 / (n + 2.0)
     beta = (n * (n - 1.0 + s) + a * b) * (1.0 / ((n + 2.0) * (n + 1.0)))
-    beta = beta * (ph * h)
+    beta = beta[:, lane] * (ph * h)
     v = [x[0], x[1] * h]  # v[n] = v_n
     for i in range(_TAYLOR_TERMS - 2):
         nxt = alpha[i] * v[i + 1]
@@ -1226,7 +1201,6 @@ def _continue(a, b, c, lanes: _Schedule, start: Optional[tuple] = None,
     """
     n_lanes = len(lanes.paths)
     prm = [np.broadcast_to(np.asarray(x, dtype=complex), (n_lanes,)) for x in (a, b, c)]
-    shared = all((x == x[0]).all() for x in prm)
     if start is None:
         start = _series_seed(*prm, [pth[0] for pth in lanes.paths])
     state = np.array([np.broadcast_to(x, (n_lanes,)) for x in start], dtype=complex)
@@ -1239,8 +1213,9 @@ def _continue(a, b, c, lanes: _Schedule, start: Optional[tuple] = None,
             last = np.empty(x.shape[1:], dtype=complex)
             for lo in range(0, len(sch.h), _STEP_BLOCK):
                 sl = slice(lo, lo + _STEP_BLOCK)
+                lane = sch.lane[sl]  # ascends: the block's lanes are lane[0] to lane[-1]
                 out[..., sl], last[..., sl] = _taylor(
-                    *(p[:1] if shared else p[ids][sch.lane[sl]] for p in prm),
+                    *(p[ids[lane[0]:lane[-1] + 1]] for p in prm), lane - lane[0],
                     sch.z0[sl], sch.h[sl], x[..., sl])
             return out, last
 
@@ -1271,7 +1246,7 @@ def _continue(a, b, c, lanes: _Schedule, start: Optional[tuple] = None,
         g = sch.first[redo] + i
         z0, half = sch.z0[g], sch.h[g] / 2.0
         x0 = xc[i, :, failed].T
-        nx, th = _taylor(*(p[:1] if shared else p[ids[redo]] for p in prm), z0, half, x0)
+        nx, th = _taylor(*(p[ids[redo]] for p in prm), np.arange(len(redo)), z0, half, x0)
         if not (np.abs(th) <= tol * np.maximum(1.0, np.abs(nx[0]))).all():
             raise ConvergenceError("continuation step failed its tail check")
         ids = ids[redo]
