@@ -21,10 +21,14 @@ own point and tangent map all of their nodes in one numpy expression.
 integrate_paths refines a family of integrals, such as one Laplace
 transform at several zeta, in the same levels: one call f(z, which) per
 level serves all of them, which[i] naming the path of z[i].
+
+The node tables of the double-exponential rule of transforms' Laplace rays
+(exp-sinh and tanh-sinh on one u grid) are built here too (_de_grid).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -56,6 +60,33 @@ _G7_COLS = [j for j, (i, _) in enumerate(_PAIRS) if i % 2 == 1]
 _G7 = np.array([_WG[_PAIRS[j][0] // 2] for j in _G7_COLS])
 _LEVEL_PANELS = 1024  # open panels per integrand call at most
 _H1_PROBES = 6  # dyadic probe points per ray of check_h1_decay
+# double-exponential node tables on the grid u_j = -7 + j/256
+_DE_U = np.linspace(-7.0, 7.0, 14 * 256 + 1)
+_DE_LOG_COSH = np.log(np.cosh(_DE_U))
+_FROM_0, _FROM_1, _TANH = range(3)  # s = c x, s = 1 + c x, tanh-sinh on [0, 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _de_grid(kind: int, k: int) -> np.ndarray:
+    """Rows s, log(s/c), log(ds/du / (c cosh u)), log d, log(|1 - s|/d) of
+    a piece of scale c = 2^k at every u_j: exp-sinh s = c x or 1 + c x, x =
+    exp(pi/2 sinh u), or tanh-sinh s = 1/(1 + exp(-pi sinh u)) (c = 1).  d
+    is the node's exact |1 - s| (c x, 1/(1 + exp(pi sinh u))), and s the
+    double nearest the node, the next one if that is 1."""
+    L = math.pi / 2.0 * np.sinh(_DE_U)
+    if kind == _TANH:
+        ls, ld = -np.logaddexp(0.0, -2.0 * L), -np.logaddexp(0.0, 2.0 * L)
+        s = np.where(L < 0.0, np.exp(ls), 1.0 - np.exp(ld))
+        s[s == 1.0] = 1.0 - 2.0 ** -53
+        lj = math.log(math.pi) + ls + ld
+    else:  # past x = e^20 a Laplace rule drops every node
+        d = np.ldexp(np.exp(np.minimum(L, 20.0)), k)
+        lj, ld = math.log(math.pi / 2.0) + L, L + k * math.log(2.0)
+        if kind == _FROM_0:
+            return np.array([d, L, lj, ld, 0.0 * L])
+        s, ls = 1.0 + d, np.log1p(d) - k * math.log(2.0)
+        s[s == 1.0] = 1.0 + 2.0 ** -52
+    return np.array([s, ls, lj, ld, np.log(np.abs(1.0 - s)) - ld])
 
 
 @dataclass(frozen=True)
@@ -84,22 +115,6 @@ class Arc:
     def tangent(self, s, z=None):
         z = self.point(s) if z is None else z
         return 1j * (self.theta1 - self.theta0) * (z - self.center)
-
-
-@dataclass(frozen=True)
-class _PowerLine:
-    """z0 + direction * (length * s^p); flattens an endpoint singularity."""
-
-    z0: complex
-    direction: complex
-    length: float
-    p: int
-
-    def point(self, s):
-        return self.z0 + self.direction * self.length * s ** self.p
-
-    def tangent(self, s, z=None):
-        return self.direction * self.length * self.p * s ** (self.p - 1)
 
 
 @dataclass(frozen=True)
@@ -215,9 +230,7 @@ class IntegralResult(NamedTuple):
     err_est: float
 
 
-# the kinds _SegmentStack stacks, each with its fields that stay scalars
-# (numpy takes fast paths for a scalar power: s ** 2 is square(s))
-_STACKED_KINDS = {Line: (), Arc: (), _PowerLine: ("p",), InfiniteRay: ()}
+_STACKED_KINDS = (Line, Arc, InfiniteRay)  # the kinds _SegmentStack stacks
 
 
 class _SegmentStack:
@@ -228,8 +241,7 @@ class _SegmentStack:
     are, by that kind's own point and tangent.  So every node gets the
     operations, in the same order, that its segment applies to scalar
     fields, in the same float or complex arithmetic: members share a group
-    only if each field is real in all of them or complex in all of them,
-    and a field that stays a scalar has one value in all of them.  A
+    only if each field is real in all of them or complex in all of them.  A
     segment of any other class is a group alone.
     """
 
@@ -244,8 +256,7 @@ class _SegmentStack:
             if kind in _STACKED_KINDS:
                 fields = vars(inner)
                 key = (kind, flips) + tuple(
-                    (name, v if name in _STACKED_KINDS[kind]
-                     else isinstance(v, (complex, np.complexfloating)))
+                    (name, isinstance(v, (complex, np.complexfloating)))
                     for name, v in fields.items())
             else:
                 key, fields = j, seg
@@ -262,18 +273,16 @@ class _SegmentStack:
         if not isinstance(key, tuple):
             return lambda sel, ndim: members[0][1]
         kind, flips, *types = key
-        scalars = {name: v for name, v in types if name in _STACKED_KINDS[kind]}
         numbers = [j for j, _ in members]
         columns = []  # (name, the field of segment j at j)
         for name, cplx in types:
-            if name not in scalars:
-                col = np.zeros(n, dtype=complex if cplx else float)
-                col[numbers] = [fields[name] for _, fields in members]
-                columns.append((name, col))
+            col = np.zeros(n, dtype=complex if cplx else float)
+            col[numbers] = [fields[name] for _, fields in members]
+            columns.append((name, col))
 
         def segment(sel, ndim):
             per_row = (slice(None),) + (None,) * (ndim - 1)
-            seg = kind(**scalars, **{name: col[sel][per_row] for name, col in columns})
+            seg = kind(**{name: col[sel][per_row] for name, col in columns})
             for _ in range(flips):
                 seg = ReversedSegment(seg)
             return seg

@@ -56,7 +56,7 @@ surface continuation below, the Whittaker duals) has one part form: a
 _Part, its list of calls and the function that turns their values into
 its result.  Its value is the one-part case of _hyp2f1_parts, which runs
 every part of a batch through one _hyp2f1_calls pass; so a check, or a
-quadrature level, hands all its 2F1 calls to one pass.
+pass of the Laplace rule, hands all its 2F1 calls to one pass.
 
 This module alone knows how a 2F1 value crosses its cut: the jump
 T^{+-} (1-z)^{c-a-b} 2F1(c-a, c-b; c-a-b+1; 1-z) (DLMF 15.2.3) is built in

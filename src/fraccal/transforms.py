@@ -11,10 +11,9 @@ normalization (divide by zeta).
 
 Every Laplace integral of the library, along the positive axis here and
 along rotated rays of the log-Riemann surface in whittaker, is a member of
-_laplace_members: one path rule, one integrate_paths family per batch.  The
-functions integrated (F, the operator images, the surface functions) are
-numpy expressions: they receive an ndarray of quadrature nodes, see
-contours.integrate_path.
+_laplace_members: one nested double-exponential rule, with no truncation
+horizon, per batch.  The functions integrated (F, the operator images, the
+surface functions) are numpy expressions: they receive an ndarray of nodes.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contours import (Line, QuadratureSpec, _PowerLine, gamma_contour,
-                       integrate_path, integrate_paths)
-from .errors import DomainError, PreconditionError
+from .contours import (_DE_LOG_COSH, _FROM_0, _FROM_1, _TANH, Line, QuadratureSpec,
+                       _de_grid, gamma_contour, integrate_path)
+from .errors import DomainError, PreconditionError, QuadratureError
 from .gammafn import gamma
 from .hyp import _hyp2f1_parts, _Part
 from .series import PowerSeries
@@ -106,143 +105,149 @@ def to_standard_transform(P: Callable[[complex], complex]) -> Callable[[complex]
     return lambda zeta: P(zeta) / zeta
 
 
-def _truncation_horizon(re_margin: float, tol: float, power: float = 0.0) -> float:
-    # e^{-margin T} T^power < 0.01 tol, by fixed-point steps from power = 0
-    T = max(4.0, -math.log(0.01 * tol) / re_margin)
-    for _ in range(4 if power > 0 else 0):
-        T = max(4.0, (power * math.log(T) - math.log(0.01 * tol)) / re_margin)
-    return T
-
-
-def _ray_path(T: float, p0: Optional[int], p1: Optional[int]) -> list:
-    """The moduli [0, 3 2^j] of a Laplace ray, cut at 1 and at 3, 6, 12, ...:
-    3 2^j is the first of 6, 12, 24, ... at or beyond the horizon T (T >= 4),
-    so rays of any horizons share their tail segments.  A _PowerLine of
-    exponent p0 flattens t^alpha at 0, and _PowerLines of exponent p1 a
-    singularity at |t| = 1 on both sides, where set."""
-    if p1 is None:
-        path = [_PowerLine(0.0, 1.0, 1.0, p0) if p0 else Line(0.0, 1.0), Line(1.0, 3.0)]
-    else:
-        path = [_PowerLine(0.0, 1.0, 0.5, p0) if p0 else Line(0.0, 0.5),
-                _PowerLine(1.0, -1.0, 0.5, p1), _PowerLine(1.0, 1.0, 2.0, p1)]
-    edge = 3.0
-    while edge < T:
-        path.append(Line(edge, 2.0 * edge))
-        edge *= 2.0
-    return path
+# The Laplace rule: levels h = 1/32, 1/64, 1/128 and 1/256 of the grid
+# contours._DE_U (step 1/256); the first level's even nodes give h = 1/16
+_H, _LEVELS = 1.0 / 32.0, 4
+_STEP = 2 ** (_LEVELS - 1)  # the first level's step in grid indices
+_CUT = -70.0 * math.log(2.0)  # a node below 2^-70 of its piece's peak is dropped
+_ROUNDOFF = 50.0 * 2.0 ** -52  # estimates below this part of h sum |terms| are rounding
 
 
 def _laplace_members(members: Sequence[tuple], parts: Sequence[_Part] = ()) -> list:
     """The value of each member (F, alpha, zeta, type_bound, tol, theta,
-    singular), from one integrate_paths call over the distinct members,
-    followed by the result of each of the caller's hyp parts.
+    singular), from one _exp_sinh call over the distinct members, followed
+    by the result of each of the caller's hyp parts.
 
-    A member is the transform along the ray arg t = theta, at w = zeta
-    e^{i theta}, of F on that ray:
+    A member is w^{1+alpha} int_0^oo e^{-w s} s^alpha F(s e^{i theta}) ds,
+    w = zeta e^{i theta}, with prefactor w and no power for alpha None,
+    within tol.  theta None is the positive axis and F a function of t,
+    turned to arg t = -arg zeta at complex zeta (the same integral by
+    Cauchy, F analytic between); otherwise F takes the (moduli, angles) of
+    surface points.  |F| grows at most like e^{type_bound s} s^m.  singular
+    (< 1), if not None, declares F = |1 - t|^{-singular} g, g smooth on
+    either side of |t| = 1, and splits the ray there.
 
-        w^{1+alpha} int_0^oo e^{-w s} s^alpha F(s e^{i theta}) ds,
+    The rule (Takahasi & Mori, Publ. RIMS 9 (1974); Bailey, Jeyabalan & Li,
+    Exp. Math. 14 (2005)) is the trapezoid rule in u, |u| <= 7, of s = c
+    exp(pi/2 sinh u), or on a split ray of tanh-sinh s = 1/(1 + e^{-pi sinh
+    u}) on [0, 1] and s = 1 + c exp(pi/2 sinh u) beyond.  c = 2^k, k even,
+    has c margin in [1/2, 2), margin = Re w - type_bound, so members whose
+    margins lie in one [2, 8) 4^j share every node.  A term is cosh u exp(E) F
+    (times (|1 - s|/d)^singular, d the node's exact complement), E holding
+    e^{-w s} s^alpha, the prefactor and ds/du.  A piece drops the u_j where
+    that, times e^{type_bound s} |1 - s|^{-singular}, is below 2^-70 of its
+    peak; it raises QuadratureError if it keeps an end of the grid.
 
-    with prefactor w and no power for alpha None.  theta None is the
-    positive axis and F a function of t; otherwise F takes the (moduli,
-    angles) of surface points.  tol (at least 1e-14) bounds the integral:
-    it is truncated at the first 3 2^j at or beyond the T where
-    e^{-(Re w - type_bound) T} T^{max(Re alpha, 0)} < 0.01 tol, and refined
-    to GK tolerance tol along _ray_path, which flattens s^alpha (to order
-    p (Re alpha + 1) - 1 >= 1 in t = s^p, p >= 2, as in laplace_alpha) and
-    a declared singularity |t - 1|^{-singular} (0 < singular < 1).  Each
-    distinct F is evaluated once per level, on all (modulus, angle) pairs
-    of its members' nodes.  F returns its values there, or a hyp part
-    (hyp._Part); the parts of all F of a level are evaluated in one 2F1
-    pass (hyp._hyp2f1_parts), which sums each distinct point once, so
-    members that differ in zeta alone share the 2F1 values of the tail
-    segments they have in common, at least at the first level.  The
-    caller's parts join the first level's pass, changing no value."""
+    Level h = 1/32 of all members is one pass: F is called once per ray and
+    scale, on the hull of its members' nodes, and its hyp parts go with the
+    caller's to one 2F1 pass (hyp._hyp2f1_parts).  The estimate is |S_h -
+    S_2h|, S_2h from the even nodes.  A member whose estimate exceeds
+    max(tol, 50 eps h sum |terms|) adds its odd nodes of h/2, in one more
+    pass of such members only, down to h = 1/256, then raises
+    QuadratureError.  So no value depends on the other members."""
     distinct = list(dict.fromkeys(members))
-    paths, specs, rate, scale, angle, alphas, fn_of = [], [], [], [], [], [], []
-    fns, plane = {}, {}  # index and kind of each distinct F
-    for F, alpha, zeta, type_bound, tol, theta, singular in distinct:
+    values, extra = _exp_sinh(distinct, parts)
+    value = dict(zip(distinct, values))
+    return [value[m] for m in members] + extra
+
+
+def _exp_sinh(members: list, parts: Sequence[_Part] = ()) -> tuple:
+    """(the value of each distinct member, the results of parts); see
+    _laplace_members."""
+    if not members:
+        return [], _hyp2f1_parts(list(parts))
+    pieces, groups = [], {}  # (member, group, w, alpha, margin, singular, k); ray: number
+    for i, (F, alpha, zeta, type_bound, tol, theta, singular) in enumerate(members):
+        zeta = complex(zeta)
         w = zeta if theta is None else zeta * cmath.exp(1j * theta)
-        margin = w.real - type_bound
-        if margin <= 0:
-            raise DomainError(f"Re(zeta e^(i theta)) = {w.real} must exceed the "
-                              f"type bound {type_bound}")
-        p0 = p1 = None
-        if alpha is not None:
-            if alpha.real <= -1.0:
-                raise DomainError("Re alpha must exceed -1")
-            p0 = max(2, math.ceil(2.0 / (alpha.real + 1.0)))
-        if singular is not None and singular > 0:
-            if singular >= 1.0:
-                raise DomainError(f"|t-1|^(-{singular}) at |t| = 1: the ray integral "
-                                  "diverges")
-            p1 = max(2, math.ceil(2.0 / (1.0 - singular)))
-        tol = max(1e-14, tol)
-        T = _truncation_horizon(margin, tol, 0.0 if alpha is None else alpha.real)
-        paths.append(_ray_path(T, p0, p1))
-        specs.append(QuadratureSpec(tol=tol))
-        rate.append(-w)
-        scale.append(w if alpha is None else w ** (1.0 + alpha))
-        angle.append(0.0 if theta is None else theta)
-        alphas.append(alpha)
-        plane[F] = theta is None
-        fn_of.append(fns.setdefault(F, len(fns)))
-    rate, fn_of = np.array(rate), np.array(fn_of)
-    angle = np.array(angle, dtype=float) + 0.0  # rays -0.0 and 0.0 are one: F sees 0.0
-    powered = np.array([a is not None for a in alphas])
-    alphas = np.array([0.0 if a is None else a for a in alphas], dtype=complex)
+        if not (cmath.isfinite(zeta) and w.real - type_bound > 0):
+            raise DomainError(f"Re(zeta e^(i theta)) = {w.real} must be finite and "
+                              f"exceed the type bound {type_bound}")
+        plane, angle = theta is None, 0.0 if theta is None else theta + 0.0  # -0.0 is 0.0
+        if plane and zeta.imag != 0.0:
+            angle, w = -cmath.phase(zeta), complex(abs(zeta))
+        margin, alpha = w.real - type_bound, 0j if alpha is None else complex(alpha)
+        if not margin >= 2.0 ** -990:
+            raise DomainError(f"margin {margin:.3g} over the type bound: below the double range")
+        if not (cmath.isfinite(alpha) and alpha.real > -1.0):
+            raise DomainError(f"alpha = {alpha}: Re alpha must be finite and exceed -1")
+        if singular is not None and not singular < 1.0:
+            raise DomainError(f"|t-1|^(-{singular}) at |t| = 1: the ray integral diverges")
+        k = -2 * math.floor(math.log2(margin) / 2.0 + 0.5)
+        for kind, kk, sig in ([(_FROM_0, k, 0.0)] if singular is None else
+                              [(_TANH, 0, singular), (_FROM_1, k, singular)]):
+            g = groups.setdefault((F, plane, angle, kind, kk), len(groups))
+            pieces.append((i, g, w, alpha, margin, sig, kk))
+    member, group, w, alpha, margin, sigma, k = (np.array(c) for c in zip(*pieces))
+    base = (1.0 + alpha) * np.log(w * np.ldexp(1.0, k))  # (1 + alpha) log(w c)
+    grids = [_de_grid(kind, kk) for _, _, _, kind, kk in groups]
+    with np.errstate(all="ignore"):  # the kept nodes of each piece, on the first level
+        s, ls, lj, ld = np.array([grids[g][:4, ::_STEP] for g in group]).transpose(1, 0, 2)
+        peak = base.real[:, None] + alpha.real[:, None] * ls + lj + _DE_LOG_COSH[::_STEP] \
+            - margin[:, None] * s - sigma[:, None] * ld
+        keep = peak >= np.max(peak, axis=1, keepdims=True) + _CUT
+    lo, hi = keep.argmax(axis=1), keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
+    at_end = (lo == 0) | (hi == keep.shape[1] - 1)
+    if at_end.any():
+        raise QuadratureError(f"member {member[at_end.argmax()]}: not negligible at |u| = 7")
+    lo, hi, n = lo * _STEP, hi * _STEP, len(members)
+    tol = np.array([m[4] for m in members])
+    value, total, absolute = np.zeros(n, dtype=complex), 0j, 0.0
+    active, pending, extra = np.ones(n, dtype=bool), list(parts), []
+    for level in range(_LEVELS):
+        off, step = (0, _STEP) if level == 0 else (_STEP >> level, 2 * _STEP >> level)
+        nodes, calls = [], []
+        for (F, plane, angle, _, _), g in groups.items():  # F on the hull of its pieces' nodes
+            mine = np.flatnonzero((group == g) & active[member])
+            j = np.arange(lo[mine].min() + off, hi[mine].max() - off + 1, step) if len(mine) else []
+            if len(j):
+                nodes.append((g, mine, j))
+                s = grids[g][0, j]
+                calls.append(F(s * cmath.exp(1j * angle)) if plane else F(s, angle))
+        got = iter(_hyp2f1_parts([v for v in calls if isinstance(v, _Part)] + pending))
+        calls = [next(got) if isinstance(v, _Part) else v for v in calls]  # the level's one pass
+        pending, extra = [], extra + list(got)
+        sums = np.zeros((3, len(pieces)), dtype=complex)  # sum, the even nodes' one, sum |terms|
+        for (g, mine, j), v in zip(nodes, calls):
+            s, ls, lj, _, lc = grids[g][:, j]
+            with np.errstate(all="ignore"):
+                E = base[mine, None] + alpha[mine, None] * ls + lj + _DE_LOG_COSH[j] \
+                    - w[mine, None] * s + sigma[mine, None] * lc
+                inside = (j >= lo[mine, None] + off) & (j <= hi[mine, None] - off)
+                terms = np.where(inside, np.exp(E) * v, 0.0)
+            # zeros pad a piece to the hull; in-order sums leave it its own sum
+            sums[:, mine] = [terms.cumsum(axis=1)[:, -1], np.abs(terms).cumsum(axis=1)[:, -1],
+                             np.where(j % (2 * _STEP) == 0, terms, 0.0).cumsum(axis=1)[:, -1]]
+        new, size, even = (np.bincount(member, x.real, n) + 1j * np.bincount(member, x.imag, n)
+                           for x in sums)
+        h, absolute = _H / 2 ** level, absolute + size.real
+        total, last = (new, even) if level == 0 else (total + new, total)
+        err = np.abs(h * total - 2.0 * h * last)  # |S_h - S_2h|
+        value = np.where(active, h * total, value)
+        if not np.isfinite(value).all():
+            raise QuadratureError(f"member {(~np.isfinite(value)).argmax()}: the integrand "
+                                  "is not finite in double precision")
+        active &= ~(err <= np.maximum(tol, _ROUNDOFF * h * absolute))
+        if not active.any():
+            return value.tolist(), extra
+    i = active.argmax()
+    raise QuadratureError(f"member {i}: the exp-sinh rule misses tol {tol[i]:.3e} at "
+                          f"h = {_H / 2 ** (_LEVELS - 1)} (estimate {err[i]:.3e})")
 
-    pending, extra = list(parts), []
 
-    def g(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        s = s.real  # moduli: s = 0 is an endpoint, never a node
-        fid, vals = fn_of[k], np.empty(len(s), dtype=complex)
-        level, at = [], []
-        for i, F in enumerate(fns):
-            ix = np.flatnonzero(fid == i)
-            if len(ix):  # a function whose members are all done sits out
-                v = F(s[ix] + 0j) if plane[F] else F(s[ix], angle[k[ix]])
-                if isinstance(v, _Part):
-                    level.append(v)
-                    at.append(ix)
-                else:
-                    vals[ix] = v
-        got = _hyp2f1_parts(level + pending)  # the level's one 2F1 pass
-        extra.extend(got[len(level):])
-        pending.clear()
-        for ix, v in zip(at, got):
-            vals[ix] = v
-        out = np.exp(rate[k] * s)
-        sel = powered[k]
-        if sel.any():
-            out[sel] *= s[sel] ** alphas[k[sel]]
-        return out * vals
-
-    # arclength, against |ds|: a singular ray's piece flattened at |t| = 1
-    # from below runs from 1 down to 1/2
-    res = integrate_paths(g, paths, specs, True)
-    value = {m: a * r.value for m, a, r in zip(distinct, scale, res)}
-    return [value[m] for m in members] + extra + _hyp2f1_parts(pending)
-
-
-def _plane_member(F: Callable[[np.ndarray], np.ndarray], alpha, zeta: complex,
-                  type_bound: float, tol: float) -> tuple:
-    """The _laplace_members member of laplace_alpha (laplace_quadrature for
-    alpha None) of F at zeta: tol on the transform is tol / max(|zeta|,
-    1)^{1 + max(Re alpha, 0)} on the integral."""
+def _plane_member(F, alpha, zeta: complex, type_bound: float, tol: float) -> tuple:
+    """laplace_alpha's _laplace_members member (laplace_quadrature's: alpha None)."""
     require_tol(tol)
     if alpha is not None:
         alpha = complex(getattr(alpha, "alpha", alpha))
-    weight = max(abs(zeta), 1.0) ** (1.0 + max(0.0 if alpha is None else alpha.real, 0.0))
-    return F, alpha, zeta, type_bound, tol / weight, None, None
+    return F, alpha, zeta, type_bound, tol, None, None
 
 
 def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta,
                        type_bound: float = 0.0, tol: float = 1e-12):
-    """zeta * int_0^oo e^{-zeta t} F(t) dt for Re zeta > type_bound.
-
-    An array of zeta is integrated as one family (contours.integrate_paths)
-    and gives an ndarray of its shape, each element equal to the scalar
-    call's complex."""
+    """zeta * int_0^oo e^{-zeta t} F(t) dt for Re zeta > type_bound, within
+    tol.  An array of zeta is integrated as one family and gives an ndarray
+    of its shape, each element equal to the scalar call's complex."""
     zetas, shape = as_family(zeta)
     return family_result(_laplace_members([_plane_member(F, None, z, type_bound, tol)
                                            for z in zetas]), shape)
@@ -250,14 +255,8 @@ def laplace_quadrature(F: Callable[[np.ndarray], np.ndarray], zeta,
 
 def laplace_alpha(F: Callable[[np.ndarray], np.ndarray], alpha, zeta,
                   type_bound: float = 0.0, tol: float = 1e-12):
-    """zeta^{1+alpha} int_0^oo e^{-zeta t} t^alpha F(t) dt (principal power).
-
-    The algebraic endpoint factor t^alpha is flattened by a power piece
-    t = s^p of the path, p = max(2, ceil(2 / (Re alpha + 1))): the integrand
-    then starts as s^{p (alpha + 1) - 1}, of real order at least 1, and at
-    least 3 for Re alpha >= 1, where p = 1 would leave s^alpha unflattened.
-    An array of zeta is integrated as one family, as in laplace_quadrature.
-    """
+    """zeta^{1+alpha} int_0^oo e^{-zeta t} t^alpha F(t) dt (principal power),
+    Re alpha > -1, within tol; an array of zeta as in laplace_quadrature."""
     zetas, shape = as_family(zeta)
     return family_result(_laplace_members([_plane_member(F, alpha, z, type_bound, tol)
                                            for z in zetas]), shape)
@@ -371,7 +370,7 @@ def h_norm(F: Callable[[np.ndarray], np.ndarray], r: float, A: float,
         raise PreconditionError(
             f"r = {r} does not exceed the declared type {type_bound}; "
             "the weighted tail diverges")
-    T = A + _truncation_horizon(r - type_bound, tol)
+    T = A + max(4.0, -math.log(0.01 * tol) / (r - type_bound))  # e^{-(r - R) T} < tol / 100
     contour = gamma_contour(A, T)
     # empirical tail sanity on top of the declared bound
     ends = np.array([complex(T, A), complex(T / 2.0, A)])

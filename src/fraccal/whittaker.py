@@ -23,7 +23,7 @@ Their fractional integrals I_q F_j, in which the monodromic relations are
 stated, are regularized 2F1 (hyp._regularized_part), entire in the order q.
 Every check hands the 2F1 calls of all its functions, as hyp parts, to one
 pass (hyp._hyp2f1_parts), and the rays' surface functions are parts too, so
-each quadrature level evaluates them all in one pass.
+each pass of the Laplace rule evaluates them all in one 2F1 pass.
 """
 
 from __future__ import annotations
@@ -297,8 +297,8 @@ def _phase_amplitude_rays(surf: WhittakerSurface, moduli: list, zeta_arg: float,
                           which: int, tol: float) -> list:
     """The transforms._laplace_members members that give P_which of surf's
     equation at each zeta = modulus e^{i zeta_arg}; their functions are
-    surf's part forms, so a quadrature level evaluates all surface branches
-    in one 2F1 pass."""
+    surf's part forms, so a pass of the Laplace rule evaluates all surface
+    branches in one 2F1 pass."""
     require_tol(tol)
     zetas = [z * cmath.exp(1j * zeta_arg) for z in moduli]
     ray = -zeta_arg
@@ -624,7 +624,7 @@ def verify_mw_system(kappa: complex, mu: complex, m: MonodromyTriple,
     conjugates, so for real kappa and mu each 2F1 pass sums their points
     once.  The report includes the log-slope of the measured jump against
     e^{-zeta}.  It passes when every relative residual above the measurable
-    threshold is at most 100 tol, and it fails when no case is above it.
+    threshold is at most tol, and it fails when no case is above it.
     """
     return _mw_system(kappa, mu, m, zeta_grid, tol)[0]
 
@@ -678,7 +678,7 @@ def _mw_system(kappa, mu, m: MonodromyTriple, zeta_grid=None, tol=1e-10, parts=(
             "max_relative_residual": max_rel,
             "log_slope": slope, "log_slope_detrended": slope_detrended,
             "tolerance": tol,
-            "pass": measured and max_rel <= tol * 100 and
+            "pass": measured and max_rel <= tol and
                     (slope_detrended is None or abs(slope_detrended + 1.0) <= 0.1),
             "notes": "MW2 checked as the MW1 relation of the kappa-reflected "
                      "companion (exact substitution identity)"}, extra

@@ -9,7 +9,6 @@ import pytest
 
 from fraccal import cli, fracops, hyp, transforms, whittaker
 from fraccal.cli import RunConfig, main
-from fraccal.contours import integrate_paths
 from fraccal.gammafn import gamma
 from fraccal.transforms import verify_lm_duality
 from fraccal.whittaker import (phase_amplitude_values, stokes_multipliers_whittaker,
@@ -173,34 +172,19 @@ def test_verify_monodromy_continues_no_ode_lane(capsys, monkeypatch):
     assert code == 0 and calls == []
 
 
-def _passes(monkeypatch, run) -> tuple:
-    """Runs run() and returns the hyp._hyp2f1_calls passes it made outside
-    any quadrature level and those it made in each level, that is in each
-    call of the integrand of transforms.integrate_paths."""
-    outside, levels, inside = [0], [], []
-    calls, integrate = hyp._hyp2f1_calls, transforms.integrate_paths
+def _passes(monkeypatch, run) -> int:
+    """Runs run() and returns the number of hyp._hyp2f1_calls passes it
+    made."""
+    passes, calls = [0], hyp._hyp2f1_calls
 
     def counted(*args, **kwargs):
-        if inside:
-            levels[-1] += 1
-        else:
-            outside[0] += 1
+        passes[0] += 1
         return calls(*args, **kwargs)
 
-    def integrated(f, paths, *rest):
-        def level(*args):
-            levels.append(0)
-            inside.append(True)
-            try:
-                return f(*args)
-            finally:
-                inside.pop()
-        return integrate(level, paths, *rest)
     monkeypatch.setattr(hyp, "_hyp2f1_calls", counted)
-    monkeypatch.setattr(transforms, "integrate_paths", integrated)
     run()
     monkeypatch.undo()
-    return outside[0], levels
+    return passes[0]
 
 
 def test_checks_make_one_2f1_pass_each(monkeypatch):
@@ -210,16 +194,15 @@ def test_checks_make_one_2f1_pass_each(monkeypatch):
     for run in (lambda: cli._suite_eg_ltf(RunConfig()),
                 lambda: cli._suite_goursat(RunConfig()),
                 lambda: verify_dual_monodromy(d, m)):
-        assert _passes(monkeypatch, run) == (1, [])
+        assert _passes(monkeypatch, run) == 1
 
 
 def test_quadrature_levels_make_one_2f1_pass_each(monkeypatch):
-    # all four surface branches of mw-system in one pass per level, the
-    # dual-monodromy check's functions in that of the first level
-    outside, levels = _passes(monkeypatch, lambda: cli._suite_monodromy(RunConfig()))
-    assert (outside, levels) == (0, [1] * 2)
-    # I_alpha F of both alpha in one pass per level
-    assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == (0, [1] * 2)
+    # every ray meets tol at the rule's first level: all four
+    # surface branches of mw-system and the dual-monodromy check's functions
+    # in one pass, and I_alpha F of both alpha in one pass
+    assert _passes(monkeypatch, lambda: cli._suite_monodromy(RunConfig())) == 1
+    assert _passes(monkeypatch, lambda: cli._suite_lm_duality(RunConfig())) == 1
 
 
 def test_goursat_suite_equals_its_one_case_calls():
@@ -360,11 +343,12 @@ def test_lm_duality_suite_matches_scalar_calls():
 def test_lm_duality_suite_integrates_once(monkeypatch):
     calls = []
 
-    def counted(f, paths, *rest):
-        calls.append(len(paths))
-        return integrate_paths(f, paths, *rest)
+    def counted(members, *rest):
+        calls.append(len(members))
+        return rule(members, *rest)
 
-    monkeypatch.setattr(transforms, "integrate_paths", counted)
+    rule = transforms._exp_sinh
+    monkeypatch.setattr(transforms, "_exp_sinh", counted)
     cli._suite_lm_duality(RunConfig())
     # 4 cases x 4 transforms x 3 zeta, less the plain transform of each F,
     # which both alpha share
@@ -412,14 +396,14 @@ def test_monodromy_suite_matches_scalar_calls():
     assert rep["cases"] == expect
 
 
-@pytest.mark.parametrize("suite, planned", [("monodromy", 618), ("goursat", 272),
-                                            ("lm-duality", 480)])
+@pytest.mark.parametrize("suite, planned", [("monodromy", 842), ("goursat", 272),
+                                            ("lm-duality", 343)])
 def test_verify_suites_plan_each_conjugate_pair_once(capsys, monkeypatch, suite, planned):
     # mw-system's P_1 rays at arg zeta = +-pi and goursat's fit grids and
     # rings are mirror images: their real-parameter 2F1 elements fold onto
-    # one another and are planned once (918 and 736 elements unfolded);
-    # lm-duality's quadrature levels hand the 2F1 pass every node of rays
-    # that share tail segments (1320 elements), and it plans each once
+    # one another and are planned once (1224 and 736 elements unfolded);
+    # lm-duality's rays of one scale share their nodes, each of which the
+    # Laplace rule hands the 2F1 pass once
     sizes, plan = [], hyp._plan
 
     def planned_(tabs, g, z, side, jobs, inv=True, pfaff=True):

@@ -1,17 +1,19 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fraccal.errors import DomainError, PreconditionError
+from fraccal.errors import DomainError, FraccalError, PreconditionError
 from fraccal.gammafn import gamma
 from fraccal.hyp import Hyp2F1Params, _call_part, _hyp2f1_parts, _regularized_part, hyp2f1
 from fraccal.series import PowerSeries, exp_series, geometric_series
 from fraccal.transforms import (AsymptoticSeries, LaplaceOracle,
-                                _laplace_members, _ray_path, borel_log_scaled,
+                                _laplace_members, borel_log_scaled,
                                 borel_map, h_norm, inverse_borel, laplace_alpha,
                                 laplace_quadrature, remainder,
                                 s_side_representation_check,
@@ -61,16 +63,15 @@ def test_laplace_alpha():
     assert abs(a0 - laplace_quadrature(GEOM, 3.0)) < 1e-10
     # singular-endpoint order handled for negative alpha
     assert abs(laplace_alpha(lambda t: 1.0, -0.4, 3.0) - gamma(0.6)) < 1e-10
-    # the truncation horizon covers the growth of t^alpha: tol holds
+    # the rule's range covers the growth of t^alpha: tol holds
     got = laplace_alpha(lambda t: 1.0 + t, 1.5, 2.0, 0.0, 1e-12)
     assert abs(got - (gamma(2.5) + gamma(3.5) / 2.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha, max_levels", [(1.2 + 0.5j, 8), (1.5, 6), (2.3, 7)])
 def test_laplace_alpha_flattens_orders_of_one_and_above(alpha, max_levels):
-    # t = s^p with p >= 2 also for Re alpha >= 1: with p = 1 the first order
-    # ran past the GK15 depth limit on [0, 1.5e-5] and 1.5 took 15 levels;
-    # F is called once per level of the one-member family
+    # the endpoint behaviour s^alpha, Re alpha >= 1 too, needs no refinement
+    # past a few passes; F is called once per pass of the one-member family
     calls = []
 
     def F(t):
@@ -84,40 +85,100 @@ def test_laplace_alpha_flattens_orders_of_one_and_above(alpha, max_levels):
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
-def test_laplace_rays_share_their_tail_nodes_across_zeta():
-    # every tail is cut at 3, 6, 12, ...: at the first level, zeta = 4, 5, 6
-    # add no modulus to those of zeta = 3, whose horizon is the largest
-    def first_level_moduli(zeta):
-        calls = []
-
-        def F(t):
-            calls.append(t.real)
-            return GEOM(t)
-
-        laplace_quadrature(F, zeta, 0.0, 1e-12)
-        return set(calls[0].tolist())
-
-    longest = first_level_moduli(3.0)
-    assert first_level_moduli(np.array([3.0, 4.0, 5.0, 6.0])) <= longest
+@pytest.mark.parametrize("zeta", [1.0, 2.0, 2.8, 5.0])
+@pytest.mark.parametrize("m", range(5))
+def test_laplace_horizon_covers_algebraic_growth(m, zeta):
+    # the rays have no horizon: one set from the exponential type alone
+    # (T = 11.5 at 2.8) misses t^4 by 6.0e-11 and t^3 by 1.8e-11 relative
+    got = laplace_quadrature(lambda t: t ** m, zeta, 0.0, 1e-12)
+    assert abs(got - math.factorial(m) / zeta ** m) <= 1e-12
+    got = laplace_alpha(lambda t: t ** m, 0.5, zeta, 0.0, 1e-12)
+    assert abs(got - gamma(m + 1.5) / zeta ** m) <= 1e-12
 
 
-@pytest.mark.parametrize("T", [4.0, 6.0, 6.5, 11.5, 24.0, 47.0])
-@pytest.mark.parametrize("p0, p1", [(None, None), (3, None), (None, 4), (2, 3)])
-def test_ray_path_tail_edges_are_3_times_powers_of_two(T, p0, p1):
-    ends = [(complex(seg.point(0.0)).real, complex(seg.point(1.0)).real)
-            for seg in _ray_path(T, p0, p1)]
-    tail = [b for a, b in ends if a >= 3.0]
-    assert [a for a, _ in ends if a >= 3.0] == [3.0] + tail[:-1]
-    assert tail == [3.0 * 2.0 ** k for k in range(1, len(tail) + 1)]
-    assert tail[-1] >= T > tail[-1] / 2.0
+@pytest.mark.parametrize("zeta", [1e4, 1e6, 1e10, 1e300, math.inf, math.nan, 1e-320])
+def test_laplace_at_extreme_zeta_meets_tol_or_raises(zeta):
+    # nodes fixed in t miss e^{-zeta t} from zeta = 2e4 (0 at 1e6, where the
+    # answer is about 1); 1e300 and inf must not overflow or warn
+    refs = [lambda z: z * mp.exp(z) * mp.e1(z),
+            lambda z: mp.gamma(1.5) * z ** 1.5 * mp.hyperu(1.5, 1.5, z)]
+    for call, ref in zip((lambda: laplace_quadrature(GEOM, zeta, 0.0, 1e-12),
+                          lambda: laplace_alpha(GEOM, 0.5, zeta, 0.0, 1e-12)), refs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = call()
+            except FraccalError:
+                continue
+        assert abs(got - complex(ref(mp.mpf(zeta)))) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the horizon ignores F's algebraic growth: "
-                   "for t^4 at zeta = 2.8 it is T = 11.5, cut at 12, and the "
-                   "transform is 6.0e-11 off with no flag (ROADMAP item 8)")
-def test_laplace_horizon_covers_algebraic_growth():
-    got = laplace_quadrature(lambda t: t ** 4, 2.8, 0.0, 1e-12)
-    assert abs(got - 24.0 / 2.8 ** 4) <= 1e-12
+@pytest.mark.parametrize("alpha, zeta", [(1.5 + 0.3j, 3.0 + 1.5j), (-0.4, 0.3 + 2.0j),
+                                         (0.2 - 0.7j, 1.5 + 400.0j), (0.0, 2.0 - 1.9j)])
+def test_laplace_at_complex_zeta_turns_the_ray(alpha, zeta):
+    # on arg t = -arg zeta, e^{-zeta t} does not oscillate; on the real ray
+    # 0.3 + 2i and 1.5 + 400i are out of the rule's reach
+    got = laplace_alpha(GEOM, alpha, zeta, 0.0, 1e-12)
+    a, z = mp.mpc(alpha), mp.mpc(zeta)
+    assert abs(got - complex(mp.gamma(a + 1) * z ** (a + 1) * mp.hyperu(a + 1, a + 1, z))) <= 1e-12
+
+
+def test_laplace_member_that_misses_tol_refines_alone():
+    # a peak of width 0.1 at t = 2 needs levels past h = 1/32; the member
+    # beside it is done at the first, and F is not called for it again
+    peak = lambda t: 1.0 / ((t - 2.0) ** 2 + 0.01)
+    calls = {peak: [], GEOM: []}
+
+    def counted(f):
+        return lambda t: calls[f].append(len(t)) or f(t)
+
+    got = _laplace_members([(counted(peak), None, 1.0 + 0j, 0.0, 1e-8, None, None),
+                            (counted(GEOM), None, 1.0 + 0j, 0.0, 1e-8, None, None)])
+    ref = mp.quad(lambda t: mp.exp(-t) / ((t - 2) ** 2 + mp.mpf("0.01")), [0, 1.9, 2, 2.1, mp.inf])
+    assert abs(got[0] - complex(ref)) <= 1e-8
+    assert len(calls[peak]) > 1 and len(calls[GEOM]) == 1
+    assert [repr(g) for g in got] == [repr(_laplace_members([m])[0]) for m in
+                                      [(peak, None, 1.0 + 0j, 0.0, 1e-8, None, None),
+                                       (GEOM, None, 1.0 + 0j, 0.0, 1e-8, None, None)]]
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, complex(0.5, math.inf), -0.9])
+def test_laplace_alpha_at_extreme_alpha_meets_tol_or_raises(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = laplace_alpha(lambda t: 1.0, alpha, 3.0, 0.0, 1e-12)
+        except FraccalError:
+            assert not cmath.isfinite(alpha)
+            return
+    assert abs(got - gamma(alpha + 1.0)) <= 1e-12  # -0.9: nodes down to t ~ 1e-210
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5, 0.6, 0.9])
+def test_laplace_member_nodes_never_round_to_the_singularity(sigma):
+    # F is inf at |t| = 1: no node may round to it, and the nodes nearer to
+    # it than a double resolves carry their exact complements
+    got, = _laplace_members([(lambda t: abs(1 - t) ** -sigma, None, 2, 0, 1e-12, None, sigma)])
+    s = mp.mpf(sigma)
+    ref = 2 * mp.exp(-2) * (mp.hyp1f1(1 - s, 2 - s, 2) / (1 - s) + mp.gamma(1 - s) * 2 ** (s - 1))
+    assert abs(got - complex(ref)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(2.0, 7.99), st.floats(2.0, 7.99))
+def test_laplace_members_of_one_scale_share_every_node(z1, z2):
+    # margins in [2, 8) have the scale c = 1/4: a family is one F call on
+    # the union of its members' nodes, each evaluated once
+    def moduli(zetas):
+        seen = []
+        laplace_quadrature(lambda t: seen.append(t.real) or GEOM(t), np.array(zetas))
+        assert len(seen) == 1  # one level
+        return seen[0].tolist()
+
+    both, one, two = moduli([z1, z2]), set(moduli([z1])), set(moduli([z2]))
+    assert len(set(both)) == len(both)
+    assert set(both) == one | two
+    assert len(one & two) >= 0.8 * min(len(one), len(two))
 
 
 def test_lm_duality():

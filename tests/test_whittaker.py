@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fraccal import series, transforms, whittaker
-from fraccal.contours import integrate_paths
 from fraccal.errors import ConvergenceError, DomainError
 from fraccal.gammafn import pochhammer
 from fraccal.hyp import Hyp2F1Params, hyp2f1, hyp2f1_continue
@@ -481,14 +480,26 @@ def test_mw_system_fails_a_wrong_T2():
     assert min(c["mw2_companion_relative_residual"] for c in rep["cases"]) > 5e-7
 
 
+def test_mw_system_fails_a_wrong_T1():
+    # it passes at tol = 1e-10 itself (worst residual about 8e-13), so T1
+    # wrong in its 9th digit fails
+    m = stokes_multipliers_whittaker(0.3, 0.1)
+    rep = verify_mw_system(0.3, 0.1, m)
+    assert rep["pass"] and rep["max_relative_residual"] <= 1e-11
+    bad = verify_mw_system(0.3, 0.1, MonodromyTriple(m.T1 * (1 + 1e-9), m.T2, m.kappa))
+    assert not bad["pass"]
+    assert max(c["relative_residual"] for c in bad["cases"]) > 5e-10
+
+
 def test_mw_system_integrates_its_rays_once(monkeypatch):
     calls = []
 
-    def counted(f, paths, *rest):
-        calls.append(len(paths))
-        return integrate_paths(f, paths, *rest)
+    def counted(members, *rest):
+        calls.append(len(members))
+        return rule(members, *rest)
 
-    monkeypatch.setattr(transforms, "integrate_paths", counted)
+    rule = transforms._exp_sinh
+    monkeypatch.setattr(transforms, "_exp_sinh", counted)
     verify_mw_system(0.3, 0.1, stokes_multipliers_whittaker(0.3, 0.1))
     # {P_1 at arg zeta = +-pi, P_2 at pi} x {kappa, -kappa} x 4 zeta
     assert calls == [24]
@@ -514,11 +525,12 @@ def test_mon1_mw1_consistency():
 def test_mon1_mw1_consistency_integrates_once(monkeypatch):
     calls = []
 
-    def counted(f, paths, *rest):
-        calls.append(len(paths))
-        return integrate_paths(f, paths, *rest)
+    def counted(members, *rest):
+        calls.append(len(members))
+        return rule(members, *rest)
 
-    monkeypatch.setattr(transforms, "integrate_paths", counted)
+    rule = transforms._exp_sinh
+    monkeypatch.setattr(transforms, "_exp_sinh", counted)
     mon1_mw1_consistency(0.3, 0.1)
     # the t^{2 kappa} transform of the Mon-1 side and the P_2 ray
     assert calls == [2]
