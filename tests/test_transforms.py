@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraccal.contours import Line, QuadratureSpec, integrate_path
 from fraccal.errors import DomainError, FraccalError, PreconditionError
 from fraccal.gammafn import gamma
 from fraccal.hyp import Hyp2F1Params, _call_part, _hyp2f1_parts, _regularized_part, hyp2f1
@@ -83,6 +84,65 @@ def test_laplace_alpha_flattens_orders_of_one_and_above(alpha, max_levels):
     a = mp.mpc(alpha)
     ref = complex(mp.quad(lambda t: mp.exp(-t) * t ** a / (1 + t), [0, 1, mp.inf]))
     assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+class _PowerLine:
+    """z0 + direction * (length * s^p); flattens an endpoint singularity."""
+
+    def __init__(self, z0, direction, length, p):
+        self.z0, self.direction, self.length, self.p = z0, direction, length, p
+
+    def point(self, s):
+        return self.z0 + self.direction * self.length * s ** self.p
+
+    def tangent(self, s, z=None):
+        return self.direction * self.length * self.p * s ** (self.p - 1)
+
+
+def _ray_path(T, p0, p1):
+    """The moduli [0, 3 2^j] of a Laplace ray, cut at 1 and at 3, 6, 12, ...:
+    3 2^j is the first of 6, 12, 24, ... at or beyond T (T >= 4).  A
+    _PowerLine of exponent p0 flattens t^alpha at 0, and _PowerLines of
+    exponent p1 a singularity at |t| = 1 on both sides, where set.  These
+    are the GK15 paths the exp-sinh rule replaced, kept as its reference."""
+    if p1 is None:
+        path = [_PowerLine(0.0, 1.0, 1.0, p0) if p0 else Line(0.0, 1.0), Line(1.0, 3.0)]
+    else:
+        path = [_PowerLine(0.0, 1.0, 0.5, p0) if p0 else Line(0.0, 0.5),
+                _PowerLine(1.0, -1.0, 0.5, p1), _PowerLine(1.0, 1.0, 2.0, p1)]
+    edge = 3.0
+    while edge < T:
+        path.append(Line(edge, 2.0 * edge))
+        edge *= 2.0
+    return path
+
+
+@pytest.mark.parametrize("T", [4.0, 6.0, 6.5, 11.5, 24.0, 47.0])
+@pytest.mark.parametrize("p0, p1", [(None, None), (3, None), (None, 4), (2, 3)])
+def test_ray_path_tail_edges_are_3_times_powers_of_two(T, p0, p1):
+    ends = [(complex(seg.point(0.0)).real, complex(seg.point(1.0)).real)
+            for seg in _ray_path(T, p0, p1)]
+    tail = [b for a, b in ends if a >= 3.0]
+    assert [a for a, _ in ends if a >= 3.0] == [3.0] + tail[:-1]
+    assert tail == [3.0 * 2.0 ** k for k in range(1, len(tail) + 1)]
+    assert tail[-1] >= T > tail[-1] / 2.0
+
+
+@pytest.mark.parametrize("F, alpha, zeta, singular, p0, p1", [
+    (GEOM, None, 3.0, None, None, None),
+    (lambda t: 1.0 + t, 1.5, 2.0, None, 2, None),
+    (lambda t: 1.0, -0.4, 3.0, None, 4, None),
+    (GEOM, None, 2.0, 0.5, None, 4),
+    (GEOM, 0.5, 2.0, 0.3, 2, 3)])
+def test_laplace_members_match_gk15_along_the_ray_paths(F, alpha, zeta, singular, p0, p1):
+    # adaptive GK15 along _ray_path, truncated at 24 (e^{-48} and below),
+    # is an independent reference for the exp-sinh rule, also on a ray
+    # split at a declared |t| = 1
+    got, = _laplace_members([(F, alpha, zeta, 0.0, 1e-12, None, singular)])
+    a = 0.0 if alpha is None else alpha
+    ref, _ = integrate_path(lambda z: np.exp(-zeta * z.real) * z.real ** a * F(z.real + 0j),
+                            _ray_path(24.0, p0, p1), QuadratureSpec(tol=1e-14), arclength=True)
+    assert abs(got - zeta ** (1.0 + a) * ref) <= 1e-12
 
 
 @pytest.mark.parametrize("zeta", [1.0, 2.0, 2.8, 5.0])
